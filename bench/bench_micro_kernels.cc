@@ -238,6 +238,26 @@ BM_WeightPlanesBuild(benchmark::State &state)
 BENCHMARK(BM_WeightPlanesBuild);
 
 /**
+ * One DiscreteExponential draw at a p-bit precision (range argument)
+ * and the light-component rate the activation calibration uses: the
+ * inner step of every synthetic activation and weight code.
+ */
+void
+BM_DiscreteExponentialSample(benchmark::State &state)
+{
+    const uint32_t max_value =
+        (1u << static_cast<int>(state.range(0))) - 1;
+    dnn::DiscreteExponential dist(
+        dnn::calibrateLambda(max_value, dnn::kLightComponentPopcount),
+        max_value);
+    util::Xoshiro256 rng(0x5a3);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dist.sample(rng));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiscreteExponentialSample)->Arg(8)->Arg(11)->Arg(16);
+
+/**
  * One pallet-sync layer, first-stage width from the range argument:
  * the tensor path rederives every brick schedule, the workload path
  * serves term counts and L=0/L=4 schedule lengths from the shared

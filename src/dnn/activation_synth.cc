@@ -25,44 +25,72 @@ densePopcount(int precision_bits)
     return 1.0 + (precision_bits - 1) * 0.5;
 }
 
+void
+checkShape(double lambda, uint32_t max_value)
+{
+    PRA_CHECK(max_value >= 1,
+              "DiscreteExponential: max_value must be >= 1");
+    PRA_CHECK(lambda >= 0.0, "DiscreteExponential: lambda must be >= 0");
+}
+
+/**
+ * Unnormalized P(v) of DiscreteExponential. Anchoring the exponent at
+ * v == 1 keeps the weights finite for any lambda (a pure
+ * renormalization: same distribution).
+ */
+double
+exponentialWeight(double lambda, uint32_t v, uint32_t max_value)
+{
+    return std::exp(-lambda * static_cast<double>(v - 1) / max_value);
+}
+
 } // namespace
 
 DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
     : lambda_(lambda), maxValue_(max_value)
 {
-    PRA_CHECK(max_value >= 1,
-                         "DiscreteExponential: max_value must be >= 1");
-    PRA_CHECK(lambda >= 0.0,
-                         "DiscreteExponential: lambda must be >= 0");
+    checkShape(lambda, max_value);
     cdf_.resize(max_value);
     double total = 0.0;
     double pop_sum = 0.0;
     double val_sum = 0.0;
     for (uint32_t v = 1; v <= max_value; v++) {
-        // Anchor the exponent at v == 1 so the weights stay finite
-        // for any lambda (pure renormalization: same distribution).
-        double w = std::exp(-lambda * static_cast<double>(v - 1) /
-                            max_value);
+        double w = exponentialWeight(lambda, v, max_value);
         total += w;
         pop_sum += w * std::popcount(v);
         val_sum += w * v;
         cdf_[v - 1] = total;
     }
+    // x / x == 1 exactly, so cdf_.back() == 1.0 > any u in [0, 1).
     for (double &c : cdf_)
         c /= total;
     expectedPopcount_ = pop_sum / total;
     expectedValue_ = val_sum / total;
+
+    const uint32_t buckets = std::bit_ceil(max_value);
+    guideScale_ = static_cast<double>(buckets);
+    guide_.resize(buckets);
+    uint32_t i = 0;
+    for (uint32_t j = 0; j < buckets; j++) {
+        const double edge = static_cast<double>(j) / guideScale_;
+        while (i + 1 < max_value && cdf_[i] < edge)
+            i++;
+        guide_[j] = i;
+    }
 }
 
-uint32_t
-DiscreteExponential::sample(util::Xoshiro256 &rng) const
+double
+expectedPopcount(double lambda, uint32_t max_value)
 {
-    double u = rng.nextDouble();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    size_t idx = static_cast<size_t>(it - cdf_.begin());
-    if (idx >= cdf_.size())
-        idx = cdf_.size() - 1;
-    return static_cast<uint32_t>(idx + 1);
+    checkShape(lambda, max_value);
+    double total = 0.0;
+    double pop_sum = 0.0;
+    for (uint32_t v = 1; v <= max_value; v++) {
+        double w = exponentialWeight(lambda, v, max_value);
+        total += w;
+        pop_sum += w * std::popcount(v);
+    }
+    return pop_sum / total;
 }
 
 double
@@ -70,8 +98,7 @@ calibrateLambda(uint32_t max_value, double target_popcount)
 {
     // Reachable range: lambda -> inf concentrates on value 1
     // (popcount 1); lambda == 0 is uniform.
-    double uniform_pop = DiscreteExponential(0.0, max_value)
-                             .expectedPopcount();
+    double uniform_pop = expectedPopcount(0.0, max_value);
     if (target_popcount >= uniform_pop) {
         if (target_popcount > uniform_pop + 0.05) {
             util::warn("calibrateLambda: target popcount " +
@@ -91,8 +118,7 @@ calibrateLambda(uint32_t max_value, double target_popcount)
     for (int iter = 0; iter < 60; iter++) {
         double mid = (lo <= 0.0) ? std::min(1.0, hi / 2)
                                  : std::sqrt(lo * hi);
-        double pop = DiscreteExponential(mid, max_value)
-                         .expectedPopcount();
+        double pop = expectedPopcount(mid, max_value);
         if (pop > target_popcount)
             lo = mid;
         else
@@ -128,8 +154,7 @@ calibrateFixed16(const LayerSpec &layer, const BitStatsTargets &targets)
 
     uint32_t core_max = (1u << layer.profiledPrecision) - 1;
     params.lambda = calibrateLambda(core_max, kLightComponentPopcount);
-    double light_pop = DiscreteExponential(params.lambda, core_max)
-                           .expectedPopcount();
+    double light_pop = expectedPopcount(params.lambda, core_max);
     double dense_pop = densePopcount(layer.profiledPrecision);
     if (dense_pop > light_pop) {
         params.denseFraction = std::clamp(
@@ -176,8 +201,7 @@ calibrateQuant8(const BitStatsTargets &targets)
     params.noiseLight = 0.0;
     double target = targets.nz8 * fixedpoint::kQuantBits;
     params.lambda = calibrateLambda(255, kLightComponentPopcount);
-    double light_pop =
-        DiscreteExponential(params.lambda, 255).expectedPopcount();
+    double light_pop = expectedPopcount(params.lambda, 255);
     double dense_pop = densePopcount(fixedpoint::kQuantBits);
     if (dense_pop > light_pop) {
         params.denseFraction = std::clamp(

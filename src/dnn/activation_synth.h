@@ -26,7 +26,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dnn/network.h"
@@ -64,6 +66,16 @@ synthesisAnchor(const LayerSpec &layer)
  * exp(-lambda * v / maxValue); lambda == 0 degenerates to uniform.
  * Scale-normalizing the exponent keeps lambda comparable across
  * layers with different precisions.
+ *
+ * Sampling inverts the CDF in O(1) expected time through a guide
+ * table of K = bit_ceil(maxValue) buckets: entry j holds the first
+ * CDF index whose value is >= j / K. A draw u lands in bucket
+ * floor(u * K) — exact, since K is a power of two — so j / K <= u and
+ * the answer cannot precede guide[j]; scanning forward while
+ * cdf[i] < u then stops at exactly the index std::lower_bound over
+ * the whole CDF returns. Every stream is therefore bit-identical to
+ * a binary-search inversion; a bucket holds about one CDF point on
+ * average, since K >= maxValue.
  */
 class DiscreteExponential
 {
@@ -71,7 +83,26 @@ class DiscreteExponential
     DiscreteExponential(double lambda, uint32_t max_value);
 
     /** Draw one value in [1, maxValue]. */
-    uint32_t sample(util::Xoshiro256 &rng) const;
+    uint32_t
+    sample(util::Xoshiro256 &rng) const
+    {
+        return fromUniform(rng.nextDouble());
+    }
+
+    /**
+     * The value a uniform draw @p u in [0, 1) maps to: one plus the
+     * first CDF index whose value is >= @p u (the last index if none
+     * is), found through the guide table.
+     */
+    uint32_t
+    fromUniform(double u) const
+    {
+        size_t i = guide_[static_cast<size_t>(u * guideScale_)];
+        const size_t last = cdf_.size() - 1;
+        while (i < last && cdf_[i] < u)
+            i++;
+        return static_cast<uint32_t>(i + 1);
+    }
 
     /** Exact expected popcount under the distribution. */
     double expectedPopcount() const { return expectedPopcount_; }
@@ -82,13 +113,27 @@ class DiscreteExponential
     uint32_t maxValue() const { return maxValue_; }
     double lambda() const { return lambda_; }
 
+    /** The normalized CDF: entry v - 1 is P(value <= v). */
+    std::span<const double> cdf() const { return cdf_; }
+
   private:
     double lambda_;
     uint32_t maxValue_;
     std::vector<double> cdf_;
+    /** Entry j: first CDF index whose value is >= j / guideScale_. */
+    std::vector<uint32_t> guide_;
+    double guideScale_ = 0.0; ///< K = bit_ceil(maxValue), exact.
     double expectedPopcount_ = 0.0;
     double expectedValue_ = 0.0;
 };
+
+/**
+ * DiscreteExponential(lambda, max_value).expectedPopcount() without
+ * building the CDF or the guide table: the same weights, summed in
+ * the same order, so the result is bit-equal. Calibration loops call
+ * this, since they never sample.
+ */
+double expectedPopcount(double lambda, uint32_t max_value);
 
 /**
  * Find the lambda for which DiscreteExponential(lambda, max_value) has

@@ -103,11 +103,21 @@ buildLanePopPlanes(const dnn::NeuronTensor &tensor)
     return planes;
 }
 
+namespace {
+
+/**
+ * Reduce @p layer's filters into weight planes with @p lanes channel
+ * lanes per set. @p filter_codes(filter, codes) must fill its span
+ * (length layer.synapsesPerFilter(), flat (fy * Fx + fx) * I + c
+ * layout — FilterTensor order) with filter @p filter's magnitude
+ * codes; it is called once per filter, in filter order. A template
+ * parameter rather than a std::function, so the per-filter call
+ * inlines.
+ */
+template <typename FilterCodes>
 WeightBrickPlanes
-buildWeightBrickPlanes(
-    const dnn::LayerSpec &layer, int lanes,
-    const std::function<void(int filter, std::span<uint16_t> codes)>
-        &filter_codes)
+buildWeightBrickPlanes(const dnn::LayerSpec &layer, int lanes,
+                       FilterCodes &&filter_codes)
 {
     PRA_CHECK(layer.priced(),
               "weightBrickPlanes: pool layers carry no weights");
@@ -154,6 +164,8 @@ buildWeightBrickPlanes(
     }
     return planes;
 }
+
+} // namespace
 
 WeightBrickPlanes
 syntheticWeightPlanes(const dnn::LayerSpec &layer, int lanes)

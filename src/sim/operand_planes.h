@@ -25,17 +25,15 @@
  * Every plane is an exact, value-deterministic reduction of its
  * operand tensor: results are bit-identical whether an engine reads
  * the shared planes or rederives a brick lane by lane from the tensor
- * (summarizeBrick is that single shared reduction). Weight planes are
- * built from a per-filter code callback so the synthetic
+ * (summarizeBrick is that single shared reduction). The synthetic
  * (seed-independent, dnn/weight_synth.h) and propagated (requantized
- * reference filters) sources stream through one reducer without
- * materializing all filters at once.
+ * reference filters) weight sources stream filter by filter through
+ * one reducer, without materializing all filters at once.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -154,18 +152,6 @@ struct WeightBrickPlanes
         return static_cast<size_t>(set) * lanes + lane;
     }
 };
-
-/**
- * Reduce @p layer's filters into weight planes with @p lanes channel
- * lanes per set. @p filter_codes must fill its span (length
- * layer.synapsesPerFilter(), flat (fy * Fx + fx) * I + c layout —
- * FilterTensor order) with filter @p filter's magnitude codes; it is
- * called once per filter, in filter order.
- */
-WeightBrickPlanes buildWeightBrickPlanes(
-    const dnn::LayerSpec &layer, int lanes,
-    const std::function<void(int filter, std::span<uint16_t> codes)>
-        &filter_codes);
 
 /**
  * Weight planes of the deterministic synthetic weight streams

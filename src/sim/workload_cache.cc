@@ -28,19 +28,19 @@ emptyWorkload()
 std::atomic<bool> g_cyclePlanesEnabled{true};
 
 /**
- * The weight-plane builder a (mode, seed) workload carries:
- * propagated workloads price the requantized reference filters the
- * forward pass convolved; synthetic workloads keep the default
- * builder (layer-pure synthetic weight streams).
+ * The weight planes a (mode, seed) workload prices: propagated
+ * workloads the requantized reference filters the forward pass
+ * convolved, synthetic workloads the layer-pure synthetic weight
+ * streams.
  */
-LayerWorkload::WeightPlaneBuilder
-weightPlaneBuilder(ActivationMode mode, uint64_t seed)
+std::shared_ptr<const WeightBrickPlanes>
+buildWeightPlanes(const dnn::LayerSpec &layer, ActivationMode mode,
+                  uint64_t seed)
 {
-    if (mode != ActivationMode::Propagated)
-        return {};
-    return [seed](const dnn::LayerSpec &layer) {
-        return propagatedWeightPlanes(layer, seed, dnn::kBrickSize);
-    };
+    return std::make_shared<const WeightBrickPlanes>(
+        mode == ActivationMode::Propagated
+            ? propagatedWeightPlanes(layer, seed, dnn::kBrickSize)
+            : syntheticWeightPlanes(layer, dnn::kBrickSize));
 }
 
 /**
@@ -155,9 +155,9 @@ LayerWorkload::weightPlanes(const dnn::LayerSpec &layer) const
         weightPlanes_ =
             weightBuilder_
                 ? weightBuilder_(layer)
-                : syntheticWeightPlanes(layer, dnn::kBrickSize);
+                : buildWeightPlanes(layer, ActivationMode::Synthetic, 0);
     });
-    return weightPlanes_;
+    return *weightPlanes_;
 }
 
 std::span<const uint8_t>
@@ -192,35 +192,45 @@ LayerWorkload::cyclePlane(int first_stage_bits) const
     return cycles_[slot];
 }
 
-std::shared_ptr<const dnn::ActivationSynthesizer>
-WorkloadCache::synthesizer(const dnn::Network &network, uint64_t seed)
+template <typename V, typename Key, typename Build>
+std::shared_ptr<V>
+WorkloadCache::resolve(std::map<Key, Entry<V>> &entries, const Key &key,
+                       bool counted, Build &&build)
 {
-    SynthKey key{network.name, network.workloadFingerprint(), seed};
-    std::shared_future<std::shared_ptr<const dnn::ActivationSynthesizer>>
-        future;
-    Entry<const dnn::ActivationSynthesizer> *mine = nullptr;
+    std::shared_future<std::shared_ptr<V>> future;
+    Entry<V> *mine = nullptr;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        auto [it, inserted] = synths_.try_emplace(key);
+        auto [it, inserted] = entries.try_emplace(key);
         if (inserted) {
             it->second.future = it->second.promise.get_future().share();
             mine = &it->second;
         }
+        if (counted)
+            (inserted ? misses_ : hits_)++;
         future = it->second.future;
     }
     if (mine) {
-        // Build outside the lock: other keys proceed concurrently,
-        // same-key requesters block on the future. A failed build
-        // must fulfill the promise too, or every waiter hangs.
+        // A failed build must fulfill the promise too, or every
+        // waiter hangs.
         try {
-            mine->promise.set_value(
-                std::make_shared<const dnn::ActivationSynthesizer>(
-                    network, seed));
+            mine->promise.set_value(build());
         } catch (...) {
             mine->promise.set_exception(std::current_exception());
         }
     }
     return future.get();
+}
+
+std::shared_ptr<const dnn::ActivationSynthesizer>
+WorkloadCache::synthesizer(const dnn::Network &network, uint64_t seed)
+{
+    return resolve(
+        synths_, SynthKey{network.name, network.workloadFingerprint(), seed},
+        false, [&] {
+            return std::make_shared<const dnn::ActivationSynthesizer>(
+                network, seed);
+        });
 }
 
 std::shared_ptr<const LayerWorkload>
@@ -237,47 +247,34 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
     if (mode == ActivationMode::Propagated &&
         stream == InputStream::Fixed16Trimmed)
         stream = InputStream::Fixed16Raw;
-    LayerKey key{synth.network().name,
-                 synth.network().workloadFingerprint(), synth.seed(),
-                 layer_idx, streamModeTag(stream, mode), image};
-    std::shared_future<std::shared_ptr<const LayerWorkload>> future;
-    Entry<const LayerWorkload> *mine = nullptr;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        auto [it, inserted] = layers_.try_emplace(key);
-        if (inserted) {
-            it->second.future = it->second.promise.get_future().share();
-            mine = &it->second;
-            misses_++;
+    const dnn::Network &network = synth.network();
+    const uint64_t fingerprint = network.workloadFingerprint();
+    LayerKey key{network.name, fingerprint, synth.seed(), layer_idx,
+                 streamModeTag(stream, mode), image};
+    return resolve(layers_, key, true, [&] {
+        dnn::NeuronTensor tensor;
+        if (mode == ActivationMode::Propagated) {
+            // chain() takes the mutex only briefly; building the
+            // chain itself happens outside it, so this nested call
+            // cannot deadlock.
+            std::shared_ptr<const dnn::PropagatedChain> shared =
+                chain(synth, image);
+            tensor =
+                propagatedStream(*shared, network, layer_idx, stream);
         } else {
-            hits_++;
+            tensor = synthesizeStream(synth, layer_idx, stream, image);
         }
-        future = it->second.future;
-    }
-    if (mine) {
-        try {
-            dnn::NeuronTensor tensor;
-            if (mode == ActivationMode::Propagated) {
-                // chain() takes the mutex only briefly; building the
-                // chain itself happens outside it, so this nested
-                // call cannot deadlock.
-                std::shared_ptr<const dnn::PropagatedChain> shared =
-                    chain(synth, image);
-                tensor = propagatedStream(*shared, synth.network(),
-                                          layer_idx, stream);
-            } else {
-                tensor = synthesizeStream(synth, layer_idx, stream,
-                                          image);
-            }
-            mine->promise.set_value(
-                std::make_shared<const LayerWorkload>(
-                    std::move(tensor),
-                    weightPlaneBuilder(mode, synth.seed())));
-        } catch (...) {
-            mine->promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+        // Every image and stream of the layer resolves its weights
+        // through one shared entry; synthetic weights ignore the seed.
+        WeightKey weight_key{
+            network.name, fingerprint, layer_idx, static_cast<int>(mode),
+            mode == ActivationMode::Propagated ? synth.seed() : 0};
+        return std::make_shared<const LayerWorkload>(
+            std::move(tensor),
+            [this, weight_key](const dnn::LayerSpec &layer) {
+                return weights(weight_key, layer);
+            });
+    });
 }
 
 std::shared_ptr<const dnn::PropagatedChain>
@@ -287,28 +284,20 @@ WorkloadCache::chain(const dnn::ActivationSynthesizer &synth,
     ChainKey key{synth.network().name,
                  synth.network().workloadFingerprint(), synth.seed(),
                  image};
-    std::shared_future<std::shared_ptr<const dnn::PropagatedChain>>
-        future;
-    Entry<const dnn::PropagatedChain> *mine = nullptr;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        auto [it, inserted] = chains_.try_emplace(key);
-        if (inserted) {
-            it->second.future = it->second.promise.get_future().share();
-            mine = &it->second;
-        }
-        future = it->second.future;
-    }
-    if (mine) {
-        try {
-            mine->promise.set_value(
-                std::make_shared<const dnn::PropagatedChain>(
-                    dnn::propagateChain(synth, image)));
-        } catch (...) {
-            mine->promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+    return resolve(chains_, key, false, [&] {
+        return std::make_shared<const dnn::PropagatedChain>(
+            dnn::propagateChain(synth, image));
+    });
+}
+
+std::shared_ptr<const WeightBrickPlanes>
+WorkloadCache::weights(const WeightKey &key, const dnn::LayerSpec &layer)
+{
+    return resolve(weights_, key, false, [&] {
+        return buildWeightPlanes(
+            layer, static_cast<ActivationMode>(std::get<3>(key)),
+            std::get<4>(key));
+    });
 }
 
 int64_t
@@ -350,10 +339,14 @@ WorkloadSource::layer(int layer_idx, InputStream stream) const
         // construction); the cached path makes the same alias.
         if (stream == InputStream::Fixed16Trimmed)
             stream = InputStream::Fixed16Raw;
+        const uint64_t seed = synth_.seed();
         return std::make_shared<const LayerWorkload>(
             propagatedStream(*chain(), synth_.network(), layer_idx,
                              stream),
-            weightPlaneBuilder(mode_, synth_.seed()));
+            [seed](const dnn::LayerSpec &layer) {
+                return buildWeightPlanes(
+                    layer, ActivationMode::Propagated, seed);
+            });
     }
     return std::make_shared<const LayerWorkload>(
         synthesizeStream(synth_, layer_idx, stream, image_));

@@ -2,16 +2,25 @@
  * @file
  * Shared workload substrate for sweeps: synthesized or propagated
  * neuron streams, packed per-brick term-count/oneffset-bound planes,
- * and a thread-safe cache keyed by (network name, workload
- * fingerprint, seed, layer, stream-or-mode tag) — see
- * WorkloadCache::LayerKey; the fingerprint covers the layer list and
- * calibration targets, so two selections of one network never share
- * streams. Propagated workloads additionally share
- * one reference forward pass (dnn/propagate.h) per (network, seed):
- * the chain is built exactly once per cache no matter how many
- * engines and layers consume it, and an uncached source memoizes its
- * own — so results are identical across thread counts and with the
- * cache on or off.
+ * and a thread-safe cache with three kinds of entry:
+ *
+ *  - layers (WorkloadCache::LayerKey): (network name, workload
+ *    fingerprint, seed, layer, stream-or-mode tag, batch image) — one
+ *    input stream and its activation-side planes;
+ *  - chains (ChainKey): (network name, workload fingerprint, seed,
+ *    batch image) — one reference forward pass (dnn/propagate.h),
+ *    built exactly once per cache no matter how many engines and
+ *    layers consume it (an uncached source memoizes its own);
+ *  - weights (WeightKey): (network name, workload fingerprint, layer,
+ *    activation mode, plus the seed in propagated mode) — one layer's
+ *    weight-side planes. Weights depend on neither the batch image
+ *    nor the input stream, so every image and stream of a layer
+ *    shares one object; synthetic weights do not even depend on the
+ *    seed.
+ *
+ * The fingerprint covers the layer list and calibration targets, so
+ * two selections of one network never share entries. Results are
+ * identical across thread counts and with the cache on or off.
  *
  * Every value-dependent engine in a sweep grid consumes some
  * synthesized stream of each layer — convolutional or
@@ -153,14 +162,17 @@ class LayerWorkload
 {
   public:
     /**
-     * Builds the workload's weight-side planes on first
-     * weightPlanes() use. An empty builder means the synthetic
-     * weight streams (seed-independent; sim::syntheticWeightPlanes);
-     * propagated sources install a builder that requantizes the
-     * reference filters instead.
+     * Resolves the workload's weight-side planes on first
+     * weightPlanes() use. An empty builder means a private build of
+     * the synthetic weight streams (seed-independent;
+     * sim::syntheticWeightPlanes); propagated sources install a
+     * builder that requantizes the reference filters instead, and a
+     * WorkloadCache installs one that returns its shared per-layer
+     * entry.
      */
     using WeightPlaneBuilder =
-        std::function<WeightBrickPlanes(const dnn::LayerSpec &)>;
+        std::function<std::shared_ptr<const WeightBrickPlanes>(
+            const dnn::LayerSpec &)>;
 
     /** Wrap a synthesized stream (empty tensor = no-input view). */
     explicit LayerWorkload(dnn::NeuronTensor tensor,
@@ -188,11 +200,12 @@ class LayerWorkload
     /**
      * The weight-side planes of @p layer (the layer this workload is
      * the input stream of — every caller must pass the same spec),
-     * built on first use (thread-safe) with kBrickSize lanes per set.
-     * Synthetic workloads derive them from the layer alone;
+     * resolved on first use (thread-safe) with kBrickSize lanes per
+     * set. Synthetic workloads derive them from the layer alone;
      * propagated workloads install a builder over the requantized
      * reference filters, so weight-aware engines price the same
-     * weights the forward pass convolved.
+     * weights the forward pass convolved. Workloads from a
+     * WorkloadCache all point at the cache's one object per layer.
      */
     const WeightBrickPlanes &
     weightPlanes(const dnn::LayerSpec &layer) const;
@@ -218,16 +231,16 @@ class LayerWorkload
     mutable std::once_flag lanePopsOnce_;
     mutable LanePopPlanes lanePops_;
     mutable std::once_flag weightOnce_;
-    mutable WeightBrickPlanes weightPlanes_;
+    mutable std::shared_ptr<const WeightBrickPlanes> weightPlanes_;
     /** Slot l holds the plane for first_stage_bits == l + 1. */
     mutable std::once_flag cyclesOnce_[3];
     mutable std::vector<uint8_t> cycles_[3];
 };
 
 /**
- * Thread-safe cache of synthesizers and layer workloads, keyed by
- * (network name, workload fingerprint, seed) and (network name,
- * workload fingerprint, seed, layer, stream). The fingerprint
+ * Thread-safe cache of synthesizers, layer workloads, propagated
+ * chains, and per-layer weight planes (see the file comment for the
+ * keys). The fingerprint
  * (Network::workloadFingerprint()) covers the layer list and the
  * calibration targets, keeping two selections of the same network —
  * e.g. AlexNet conv-only vs its FC tail, both named "AlexNet" — or
@@ -255,6 +268,8 @@ class WorkloadCache
      * carries the image index, so every image of a batched request
      * is its own cache entry shared across all consumers of that
      * image). InputStream::None returns the shared empty view.
+     * The workload's weightPlanes() resolve through this cache's
+     * per-layer weight entry, so call it only while the cache lives.
      */
     std::shared_ptr<const LayerWorkload>
     layer(const dnn::ActivationSynthesizer &synth, int layer_idx,
@@ -270,7 +285,10 @@ class WorkloadCache
     std::shared_ptr<const dnn::PropagatedChain>
     chain(const dnn::ActivationSynthesizer &synth, int image = 0);
 
-    /** Workload requests served from / added to the cache so far. */
+    /**
+     * Layer-workload requests served from / added to the cache so
+     * far (chain, synthesizer, and weight lookups do not count).
+     */
     int64_t hits() const;
     int64_t misses() const;
 
@@ -287,6 +305,12 @@ class WorkloadCache
     using SynthKey = std::tuple<std::string, uint64_t, uint64_t>;
     /** (name, workload fingerprint, seed, batch image). */
     using ChainKey = std::tuple<std::string, uint64_t, uint64_t, int>;
+    /**
+     * (name, workload fingerprint, layer index, activation mode,
+     * seed — 0 in synthetic mode, whose weights ignore it).
+     */
+    using WeightKey =
+        std::tuple<std::string, uint64_t, int, int, uint64_t>;
 
     template <typename V> struct Entry
     {
@@ -294,10 +318,26 @@ class WorkloadCache
         std::shared_future<std::shared_ptr<V>> future;
     };
 
+    /**
+     * The entry of @p key in @p entries, built by @p build on first
+     * request. The first requester builds outside the lock, so other
+     * keys proceed concurrently and same-key requesters block on the
+     * future. @p counted requests bump hits()/misses().
+     */
+    template <typename V, typename Key, typename Build>
+    std::shared_ptr<V> resolve(std::map<Key, Entry<V>> &entries,
+                               const Key &key, bool counted,
+                               Build &&build);
+
+    /** The shared weight planes of @p key (built from @p layer). */
+    std::shared_ptr<const WeightBrickPlanes>
+    weights(const WeightKey &key, const dnn::LayerSpec &layer);
+
     mutable std::mutex mutex_;
     std::map<SynthKey, Entry<const dnn::ActivationSynthesizer>> synths_;
     std::map<ChainKey, Entry<const dnn::PropagatedChain>> chains_;
     std::map<LayerKey, Entry<const LayerWorkload>> layers_;
+    std::map<WeightKey, Entry<const WeightBrickPlanes>> weights_;
     int64_t hits_ = 0;
     int64_t misses_ = 0;
 };

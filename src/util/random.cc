@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Xoshiro256::Xoshiro256(uint64_t seed)
@@ -39,29 +33,6 @@ Xoshiro256::Xoshiro256(uint64_t seed)
     // cannot produce four zero outputs in a row, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-uint64_t
-Xoshiro256::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Xoshiro256::nextDouble()
-{
-    // 53 high bits -> [0, 1) with full double precision.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 uint64_t
@@ -89,12 +60,6 @@ Xoshiro256::nextInRange(int64_t lo, int64_t hi)
     PRA_CHECK(lo <= hi, "nextInRange: lo must be <= hi");
     uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(nextBounded(span));
-}
-
-bool
-Xoshiro256::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -51,11 +52,33 @@ class Xoshiro256
     /** Construct with a full 64-bit seed (expanded via splitmix64). */
     explicit Xoshiro256(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /** Next raw 64-bit output. */
-    uint64_t next();
+    /**
+     * Next raw 64-bit output. Defined here, like nextDouble() and
+     * nextBool(), so synthesis loops inline the generator step.
+     */
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high bits -> [0, 1) with full double precision.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's method. bound > 0. */
     uint64_t nextBounded(uint64_t bound);
@@ -64,7 +87,7 @@ class Xoshiro256
     int64_t nextInRange(int64_t lo, int64_t hi);
 
     /** Bernoulli draw: true with probability @p p. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Standard normal draw (Box-Muller, deterministic). */
     double nextGaussian();

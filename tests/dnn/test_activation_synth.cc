@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <vector>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "fixedpoint/fixed_point.h"
@@ -62,6 +67,126 @@ TEST(CalibrateLambda, ClampsUnreachableTargets)
     EXPECT_EQ(calibrateLambda(255, 7.9), 0.0);
     // Below 1 -> concentrate on value 1.
     EXPECT_GE(calibrateLambda(255, 0.5), 1e5);
+}
+
+/** The sampler's reference inversion: lower_bound over the CDF. */
+uint32_t
+referenceFromUniform(const DiscreteExponential &d, double u)
+{
+    std::span<const double> cdf = d.cdf();
+    size_t idx = static_cast<size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    if (idx >= cdf.size())
+        idx = cdf.size() - 1;
+    return static_cast<uint32_t>(idx + 1);
+}
+
+const uint32_t kSamplerMaxValues[] = {1, 2, 3, 255, 2047, 65535};
+
+/** Uniform at lambda 0, a calibrated rate, and concentrated at 1. */
+std::vector<double>
+samplerLambdas(uint32_t max_value)
+{
+    // Halfway between the reachable popcount extremes; for max 1 and 2
+    // both extremes are 1, so this exercises the uniform clamp.
+    double target = 0.5 * (1.0 + expectedPopcount(0.0, max_value));
+    return {0.0, calibrateLambda(max_value, target), 1e6};
+}
+
+TEST(DiscreteExponential, GuideTableMatchesLowerBound)
+{
+    for (uint32_t max_value : kSamplerMaxValues) {
+        for (double lambda : samplerLambdas(max_value)) {
+            DiscreteExponential d(lambda, max_value);
+            ASSERT_EQ(d.cdf().size(), max_value);
+            ASSERT_EQ(d.cdf().back(), 1.0);
+            std::vector<double> points = {0.0, std::nextafter(1.0, 0.0)};
+            // Every exact CDF value and its neighbours: the scan must
+            // stop on ties exactly where lower_bound does.
+            for (double c : d.cdf()) {
+                points.push_back(std::nextafter(c, 0.0));
+                if (c < 1.0) {
+                    points.push_back(c);
+                    points.push_back(std::nextafter(c, 1.0));
+                }
+            }
+            // Every guide bucket edge j / K and the draw just below it.
+            const uint32_t buckets = std::bit_ceil(max_value);
+            for (uint32_t j = 0; j < buckets; j++) {
+                double edge = static_cast<double>(j) / buckets;
+                points.push_back(edge);
+                points.push_back(std::nextafter(edge, 0.0));
+            }
+            util::Xoshiro256 rng(max_value ^ 0x91de00ull);
+            for (int i = 0; i < 100000; i++)
+                points.push_back(rng.nextDouble());
+            for (double u : points) {
+                if (u < 0.0 || u >= 1.0)
+                    continue;
+                ASSERT_EQ(d.fromUniform(u), referenceFromUniform(d, u))
+                    << "max " << max_value << " lambda " << lambda
+                    << " u " << u;
+            }
+        }
+    }
+}
+
+TEST(DiscreteExponential, SampleIsFromUniformOfNextDouble)
+{
+    DiscreteExponential d(8.0, 2047);
+    util::Xoshiro256 a(7);
+    util::Xoshiro256 b(7);
+    for (int i = 0; i < 1000; i++)
+        ASSERT_EQ(d.sample(a), d.fromUniform(b.nextDouble()));
+}
+
+TEST(DiscreteExponential, TableFreePopcountIsBitEqual)
+{
+    for (uint32_t max_value : kSamplerMaxValues)
+        for (double lambda : samplerLambdas(max_value))
+            EXPECT_EQ(expectedPopcount(lambda, max_value),
+                      DiscreteExponential(lambda, max_value)
+                          .expectedPopcount())
+                << "max " << max_value << " lambda " << lambda;
+}
+
+/**
+ * calibrateLambda's bisection as it reads each step's popcount off a
+ * constructed distribution rather than the table-free helper.
+ */
+double
+constructorCalibratedLambda(uint32_t max_value, double target)
+{
+    double uniform_pop =
+        DiscreteExponential(0.0, max_value).expectedPopcount();
+    if (target >= uniform_pop)
+        return 0.0;
+    if (target <= 1.0)
+        return 1e6;
+    double lo = 0.0;
+    double hi = 1e6;
+    for (int iter = 0; iter < 60; iter++) {
+        double mid = (lo <= 0.0) ? std::min(1.0, hi / 2)
+                                 : std::sqrt(lo * hi);
+        double pop = DiscreteExponential(mid, max_value)
+                         .expectedPopcount();
+        if (pop > target)
+            lo = mid;
+        else
+            hi = mid;
+        if (hi / std::max(lo, 1e-12) < 1.0001)
+            break;
+    }
+    return std::sqrt(std::max(lo, 1e-12) * hi);
+}
+
+TEST(CalibrateLambda, BitEqualToConstructorPopcounts)
+{
+    for (uint32_t max_value : {3u, 15u, 255u, 511u, 2047u, 65535u})
+        for (double target : {0.5, 1.3, 2.2, 3.0})
+            EXPECT_EQ(calibrateLambda(max_value, target),
+                      constructorCalibratedLambda(max_value, target))
+                << "max " << max_value << " target " << target;
 }
 
 TEST(ActivationSynth, Deterministic)

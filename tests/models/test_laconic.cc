@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <vector>
 
 #include "dnn/weight_synth.h"
@@ -224,7 +225,8 @@ TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)
     dnn::NeuronTensor input = randomInput(layer, 0x1ac04);
     sim::AccelConfig accel;
     auto propagated_builder = [](const dnn::LayerSpec &l) {
-        return sim::propagatedWeightPlanes(l, 0x5eed, dnn::kBrickSize);
+        return std::make_shared<const sim::WeightBrickPlanes>(
+            sim::propagatedWeightPlanes(l, 0x5eed, dnn::kBrickSize));
     };
     sim::LayerWorkload wl_a(input, propagated_builder);
     sim::LayerWorkload wl_b(input, propagated_builder);

@@ -235,6 +235,30 @@ TEST(Sweep, CacheOnAndOffBitIdentical)
     expectSameResults(with, without_par, "cache=off threads=4");
 }
 
+TEST(Sweep, LaconicBatchCsvIdenticalAcrossCacheAndThreads)
+{
+    // With the cache on, every batch image of a layer prices one
+    // shared weight-plane object; with it off, each workload builds
+    // its own. The per-layer CSV must not tell them apart.
+    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
+    std::vector<EngineSelection> grid = {{"laconic", {}}};
+    auto csvOf = [&](int threads, bool cache) {
+        SweepOptions options = tinyOptions(threads);
+        options.batch = 4;
+        options.cache = cache;
+        std::ostringstream csv;
+        writeSweepCsv(csv,
+                      runSweep(networks, grid, models::builtinEngines(),
+                               options),
+                      /*per_layer=*/true);
+        return csv.str();
+    };
+    const std::string reference = csvOf(1, true);
+    EXPECT_EQ(reference, csvOf(4, true)) << "threads=4";
+    EXPECT_EQ(reference, csvOf(1, false)) << "cache=off";
+    EXPECT_EQ(reference, csvOf(4, false)) << "cache=off threads=4";
+}
+
 TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
 {
     // The schedule-cycle planes are an exact memoization: with them

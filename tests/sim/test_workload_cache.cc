@@ -397,6 +397,99 @@ TEST(WorkloadCache, ConcurrentRequestersShareOneBuild)
     EXPECT_EQ(cache.hits(), 15);
 }
 
+void
+expectSamePlanes(const WeightBrickPlanes &a, const WeightBrickPlanes &b)
+{
+    EXPECT_EQ(a.numSets, b.numSets);
+    EXPECT_EQ(a.lanes, b.lanes);
+    EXPECT_EQ(a.sumPop, b.sumPop);
+    EXPECT_EQ(a.maxPop, b.maxPop);
+    EXPECT_EQ(a.orMask, b.orMask);
+    EXPECT_EQ(a.maxMag, b.maxMag);
+}
+
+TEST(WorkloadCache, WeightPlanesSharedAcrossImagesAndStreams)
+{
+    // Synthetic weights depend on the layer alone: every image and
+    // stream of a layer — even under another seed — resolves to one
+    // object, equal to a fresh build, and the lookups leave the
+    // layer-workload counters alone.
+    auto net = dnn::makeTinyNetwork();
+    dnn::ActivationSynthesizer synth(net, 0x5eed);
+    dnn::ActivationSynthesizer reseeded(net, 0xbeef);
+    const int layer_idx = 1;
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
+    WorkloadCache cache;
+    std::vector<std::shared_ptr<const LayerWorkload>> views;
+    for (const dnn::ActivationSynthesizer *s : {&synth, &reseeded})
+        for (int image = 0; image < 4; image++)
+            for (InputStream stream : kStreams)
+                views.push_back(cache.layer(*s, layer_idx, stream,
+                                            ActivationMode::Synthetic,
+                                            image));
+    const int64_t hits = cache.hits();
+    const int64_t misses = cache.misses();
+    EXPECT_EQ(misses, 24);
+
+    std::vector<const WeightBrickPlanes *> planes(views.size());
+    {
+        util::ThreadPool pool(4);
+        for (size_t v = 0; v < views.size(); v++)
+            pool.submit([&views, &planes, &layer, v] {
+                planes[v] = &views[v]->weightPlanes(layer);
+            });
+        pool.wait();
+    }
+    for (const WeightBrickPlanes *p : planes)
+        EXPECT_EQ(p, planes[0]);
+    expectSamePlanes(*planes[0],
+                     syntheticWeightPlanes(layer, dnn::kBrickSize));
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+
+    // An uncached source builds per workload, with equal contents.
+    auto uncached =
+        WorkloadSource(synth).layer(layer_idx, InputStream::Fixed16Raw);
+    EXPECT_NE(&uncached->weightPlanes(layer), planes[0]);
+    expectSamePlanes(uncached->weightPlanes(layer), *planes[0]);
+}
+
+TEST(WorkloadCache, PropagatedWeightPlanesKeyedBySeed)
+{
+    // Propagated weights requantize the seed's reference filters:
+    // images of one seed share an entry, another seed or the
+    // synthetic mode is a distinct entry.
+    auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    dnn::ActivationSynthesizer a(net, 0x5eed);
+    dnn::ActivationSynthesizer b(net, 0xbeef);
+    const int layer_idx = 0;
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
+    WorkloadCache cache;
+    auto weightsOf = [&](const dnn::ActivationSynthesizer &s,
+                         InputStream stream, ActivationMode mode,
+                         int image) -> const WeightBrickPlanes & {
+        return cache.layer(s, layer_idx, stream, mode, image)
+            ->weightPlanes(layer);
+    };
+    const WeightBrickPlanes &pa = weightsOf(
+        a, InputStream::Fixed16Raw, ActivationMode::Propagated, 0);
+    EXPECT_EQ(&pa, &weightsOf(a, InputStream::Quant8,
+                              ActivationMode::Propagated, 1));
+    const WeightBrickPlanes &pb = weightsOf(
+        b, InputStream::Fixed16Raw, ActivationMode::Propagated, 0);
+    EXPECT_NE(&pa, &pb);
+    const WeightBrickPlanes &synthetic = weightsOf(
+        a, InputStream::Fixed16Raw, ActivationMode::Synthetic, 0);
+    EXPECT_NE(&pa, &synthetic);
+    EXPECT_NE(&pb, &synthetic);
+
+    expectSamePlanes(pa,
+                     propagatedWeightPlanes(layer, 0x5eed, dnn::kBrickSize));
+    expectSamePlanes(pb,
+                     propagatedWeightPlanes(layer, 0xbeef, dnn::kBrickSize));
+    EXPECT_NE(pa.sumPop, pb.sumPop);
+}
+
 TEST(WorkloadCache, EngineResultsIdenticalCachedVsUncached)
 {
     // Every engine kind must produce bit-identical LayerResults from
