@@ -23,8 +23,6 @@
  *                     edge | hbm); only the sweep-path benches
  *                     compose memory stalls into their results —
  *                     everywhere else a non-off preset is rejected
- *   --log-level=L     stderr verbosity: quiet | warn (default) |
- *                     inform | debug
  *   --json=PATH       write wall-clock per phase + a digest of the
  *                     rendered result as JSON (perf trajectory)
  *   --smoke           CI smoke mode: tiny network, tiny sampling cap
@@ -189,14 +187,12 @@ struct BenchOptions
         std::vector<std::string> known = {
             "full", "units", "seed", "networks", "layers",
             "activations", "memory", "threads", "smoke",
-            "inner-threads", "cache", "planes", "log-level"};
+            "inner-threads", "cache", "planes"};
         if (supports_json)
             known.push_back("json");
         known.insert(known.end(), extra_flags.begin(),
                      extra_flags.end());
         args.checkUnknown(known);
-        util::setLogLevel(
-            util::parseLogLevel(args.getString("log-level", "warn")));
         BenchOptions opt;
         opt.smoke = args.getBool("smoke");
         opt.jsonPath = supports_json ? args.getString("json", "") : "";

@@ -265,14 +265,20 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
             tensor = synthesizeStream(synth, layer_idx, stream, image);
         }
         // Every image and stream of the layer resolves its weights
-        // through one shared entry; synthetic weights ignore the seed.
-        WeightKey weight_key{
-            network.name, fingerprint, layer_idx, static_cast<int>(mode),
-            mode == ActivationMode::Propagated ? synth.seed() : 0};
+        // through one shared cell; synthetic weights ignore the seed.
+        const uint64_t weight_seed =
+            mode == ActivationMode::Propagated ? synth.seed() : 0;
+        std::shared_ptr<WeightCell> cell =
+            weightCell(WeightKey{network.name, fingerprint, layer_idx,
+                                 static_cast<int>(mode), weight_seed});
         return std::make_shared<const LayerWorkload>(
             std::move(tensor),
-            [this, weight_key](const dnn::LayerSpec &layer) {
-                return weights(weight_key, layer);
+            [cell, mode, weight_seed](const dnn::LayerSpec &layer) {
+                std::call_once(cell->once, [&] {
+                    cell->planes =
+                        buildWeightPlanes(layer, mode, weight_seed);
+                });
+                return cell->planes;
             });
     });
 }
@@ -290,14 +296,14 @@ WorkloadCache::chain(const dnn::ActivationSynthesizer &synth,
     });
 }
 
-std::shared_ptr<const WeightBrickPlanes>
-WorkloadCache::weights(const WeightKey &key, const dnn::LayerSpec &layer)
+std::shared_ptr<WorkloadCache::WeightCell>
+WorkloadCache::weightCell(const WeightKey &key)
 {
-    return resolve(weights_, key, false, [&] {
-        return buildWeightPlanes(
-            layer, static_cast<ActivationMode>(std::get<3>(key)),
-            std::get<4>(key));
-    });
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::shared_ptr<WeightCell> &cell = weights_[key];
+    if (!cell)
+        cell = std::make_shared<WeightCell>();
+    return cell;
 }
 
 int64_t

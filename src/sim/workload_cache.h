@@ -269,7 +269,8 @@ class WorkloadCache
      * is its own cache entry shared across all consumers of that
      * image). InputStream::None returns the shared empty view.
      * The workload's weightPlanes() resolve through this cache's
-     * per-layer weight entry, so call it only while the cache lives.
+     * per-layer weight entry, which the workload co-owns, so they
+     * stay valid after the cache is gone.
      */
     std::shared_ptr<const LayerWorkload>
     layer(const dnn::ActivationSynthesizer &synth, int layer_idx,
@@ -329,15 +330,26 @@ class WorkloadCache
                                const Key &key, bool counted,
                                Build &&build);
 
-    /** The shared weight planes of @p key (built from @p layer). */
-    std::shared_ptr<const WeightBrickPlanes>
-    weights(const WeightKey &key, const dnn::LayerSpec &layer);
+    /**
+     * One layer's weight planes, built lazily on the first
+     * weightPlanes() call of any workload holding the cell — the
+     * cache only hands cells out, so a cell outlives the cache while
+     * workloads still point at it.
+     */
+    struct WeightCell
+    {
+        std::once_flag once;
+        std::shared_ptr<const WeightBrickPlanes> planes;
+    };
+
+    /** The weight cell of @p key, created on first request. */
+    std::shared_ptr<WeightCell> weightCell(const WeightKey &key);
 
     mutable std::mutex mutex_;
     std::map<SynthKey, Entry<const dnn::ActivationSynthesizer>> synths_;
     std::map<ChainKey, Entry<const dnn::PropagatedChain>> chains_;
     std::map<LayerKey, Entry<const LayerWorkload>> layers_;
-    std::map<WeightKey, Entry<const WeightBrickPlanes>> weights_;
+    std::map<WeightKey, std::shared_ptr<WeightCell>> weights_;
     int64_t hits_ = 0;
     int64_t misses_ = 0;
 };

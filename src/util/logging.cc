@@ -22,21 +22,6 @@ setLogLevel(LogLevel level)
     g_level = level;
 }
 
-LogLevel
-parseLogLevel(const std::string &text)
-{
-    if (text == "quiet")
-        return LogLevel::Quiet;
-    if (text == "warn")
-        return LogLevel::Warn;
-    if (text == "inform")
-        return LogLevel::Inform;
-    if (text == "debug")
-        return LogLevel::Debug;
-    fatal("--log-level must be quiet, warn, inform or debug (got '" +
-          text + "')");
-}
-
 void
 logMessage(LogLevel level, const std::string &msg)
 {

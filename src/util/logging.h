@@ -27,12 +27,6 @@ LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
 /**
- * Parse a --log-level= value (quiet, warn, inform or debug); fatal()
- * on anything else.
- */
-LogLevel parseLogLevel(const std::string &text);
-
-/**
  * Emit a message to stderr at the given level, prefixed with its
  * severity tag. No-op if the global verbosity is lower than @p level.
  */

@@ -214,49 +214,42 @@ TEST(Sweep, ParallelBitIdenticalToSequential)
 
 TEST(Sweep, CacheOnAndOffBitIdentical)
 {
-    // The workload cache only shares synthesis; results must be
-    // byte-identical with it on or off, sequential and parallel.
+    // The workload cache only shares synthesis and, across the images
+    // of a batch, one weight-plane object per layer (which laconic
+    // prices); with it off every workload builds its own. Results and
+    // the per-layer CSV must be byte-identical with it on or off,
+    // sequential and parallel.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     auto grid = allKindsGrid();
-    SweepOptions cached = tinyOptions(1);
-    ASSERT_TRUE(cached.cache); // Shared workloads are the default.
-    SweepOptions uncached = tinyOptions(1);
-    uncached.cache = false;
-    auto with = runSweep(networks, grid, models::builtinEngines(),
-                         cached);
-    auto without = runSweep(networks, grid, models::builtinEngines(),
-                            uncached);
-    expectSameResults(with, without, "cache=off");
-
-    SweepOptions uncached_par = tinyOptions(4);
-    uncached_par.cache = false;
-    auto without_par = runSweep(networks, grid,
-                                models::builtinEngines(), uncached_par);
-    expectSameResults(with, without_par, "cache=off threads=4");
-}
-
-TEST(Sweep, LaconicBatchCsvIdenticalAcrossCacheAndThreads)
-{
-    // With the cache on, every batch image of a layer prices one
-    // shared weight-plane object; with it off, each workload builds
-    // its own. The per-layer CSV must not tell them apart.
-    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
-    std::vector<EngineSelection> grid = {{"laconic", {}}};
-    auto csvOf = [&](int threads, bool cache) {
-        SweepOptions options = tinyOptions(threads);
-        options.batch = 4;
-        options.cache = cache;
-        std::ostringstream csv;
-        writeSweepCsv(csv,
-                      runSweep(networks, grid, models::builtinEngines(),
-                               options),
-                      /*per_layer=*/true);
-        return csv.str();
-    };
-    const std::string reference = csvOf(1, true);
-    EXPECT_EQ(reference, csvOf(4, true)) << "threads=4";
-    EXPECT_EQ(reference, csvOf(1, false)) << "cache=off";
-    EXPECT_EQ(reference, csvOf(4, false)) << "cache=off threads=4";
+    grid.push_back({"laconic", {}});
+    ASSERT_TRUE(tinyOptions(1).cache); // Shared workloads are the default.
+    for (int batch : {1, 4}) {
+        const std::string at = " batch=" + std::to_string(batch);
+        auto run = [&](int threads, bool cache) {
+            SweepOptions options = tinyOptions(threads);
+            options.batch = batch;
+            options.cache = cache;
+            return runSweep(networks, grid, models::builtinEngines(),
+                            options);
+        };
+        auto csvOf = [](const std::vector<NetworkResult> &results) {
+            std::ostringstream csv;
+            writeSweepCsv(csv, results, /*per_layer=*/true);
+            return csv.str();
+        };
+        auto with = run(1, true);
+        for (auto [threads, cache] :
+             {std::pair{1, false}, std::pair{4, false},
+              std::pair{4, true}}) {
+            const std::string what = "cache=" +
+                                     std::string(cache ? "on" : "off") +
+                                     " threads=" +
+                                     std::to_string(threads) + at;
+            auto other = run(threads, cache);
+            expectSameResults(with, other, what);
+            EXPECT_EQ(csvOf(with), csvOf(other)) << what;
+        }
+    }
 }
 
 TEST(Sweep, CyclePlanesOffByteIdenticalCsv)

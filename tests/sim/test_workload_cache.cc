@@ -490,6 +490,23 @@ TEST(WorkloadCache, PropagatedWeightPlanesKeyedBySeed)
     EXPECT_NE(pa.sumPop, pb.sumPop);
 }
 
+TEST(WorkloadCache, WeightPlanesOutliveTheCache)
+{
+    // A workload co-owns its layer's weight cell, so its weight planes
+    // may be first built after the cache that handed it out is gone.
+    auto net = dnn::makeTinyNetwork();
+    dnn::ActivationSynthesizer synth(net, 0x5eed);
+    const int layer_idx = 1;
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
+    std::shared_ptr<const LayerWorkload> view;
+    {
+        WorkloadCache cache;
+        view = cache.layer(synth, layer_idx, InputStream::Fixed16Raw);
+    }
+    expectSamePlanes(view->weightPlanes(layer),
+                     syntheticWeightPlanes(layer, dnn::kBrickSize));
+}
+
 TEST(WorkloadCache, EngineResultsIdenticalCachedVsUncached)
 {
     // Every engine kind must produce bit-identical LayerResults from

@@ -17,7 +17,6 @@
  *             [--queue-cap N] [--retries N] [--backoff CYCLES]
  *             [--degrade-watermark N]
  *             [--list-engines] [--list-memory]
- *             [--log-level quiet|warn|inform|debug]
  *
  * For every (network, engine) cell pra_serve builds the batch cost
  * curve — the system cycles of batches of 1..--max-batch images,
@@ -163,9 +162,7 @@ main(int argc, char **argv)
                        "full", "seed", "csv", "smoke", "list-engines",
                        "list-memory", "mtbf", "mttr", "fault-dist",
                        "fault-seed", "queue-cap", "retries",
-                       "backoff", "degrade-watermark", "log-level"});
-    util::setLogLevel(
-        util::parseLogLevel(args.getString("log-level", "warn")));
+                       "backoff", "degrade-watermark"});
     sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {

@@ -9,7 +9,7 @@
  *             [--inner-threads N] [--cache on|off] [--planes on|off]
  *             [--units N | --full] [--seed S]
  *             [--csv FILE] [--per-layer] [--smoke] [--list-engines]
- *             [--list-memory] [--log-level quiet|warn|inform|debug]
+ *             [--list-memory]
  *
  * An engine spec is "kind[:key=value]*", e.g. "pragmatic:bits=2" or
  * "pragmatic-col:bits=2:ssr=1"; see --list-engines for kinds and
@@ -216,9 +216,7 @@ main(int argc, char **argv)
                        "memory", "batch", "shard", "threads",
                        "inner-threads", "cache", "planes", "units",
                        "full", "seed", "csv", "per-layer", "smoke",
-                       "list-engines", "list-memory", "log-level"});
-    util::setLogLevel(
-        util::parseLogLevel(args.getString("log-level", "warn")));
+                       "list-engines", "list-memory"});
     sim::setCyclePlanesEnabled(args.getBool("planes", true));
 
     if (args.getBool("list-engines")) {
