@@ -11,15 +11,13 @@
  * WorkloadCache view, so the stream is synthesized once and the
  * packed brick planes and memoized schedule-cycle planes are reused
  * across every machine shape (they depend only on the stream, not on
- * the machine). Output is byte-identical to the direct-simulator
- * harness this bench replaced.
+ * the machine).
  */
 
 #include <cstdio>
 
 #include "bench/common.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/pragmatic_engine.h"
+#include "models/engines.h"
 #include "sim/workload_cache.h"
 #include "util/args.h"
 #include "util/table.h"
@@ -40,10 +38,7 @@ main(int argc, char **argv)
     dnn::Network net = dnn::makeNetworkByName(
         args.getString("network", smoke ? "tiny" : "alexnet"),
         dnn::parseLayerSelect(args.getString("layers", "conv")));
-    sim::SampleSpec sample{0};
-    sample.maxUnits =
-        args.getBool("full") ? 0
-                             : args.getInt("units", smoke ? 2 : 24);
+    sim::SampleSpec sample{args.sampleUnits(smoke ? 2 : 24)};
 
     std::printf("== Ablation: machine shape (PRA-2b vs equally-shaped "
                 "DaDN), %s ==\n(design knobs of Section IV-A1; not a "
@@ -56,8 +51,8 @@ main(int argc, char **argv)
     sim::WorkloadCache cache;
     auto synth = cache.synthesizer(net, 0x5eed);
     sim::WorkloadSource source(*synth, cache);
-    models::PragmaticEngine prag_engine(models::SyncScheme::Pallet,
-                                        {{"bits", "2"}});
+    auto dadn = models::builtinEngines().create("dadn");
+    auto prag = models::builtinEngines().create("pragmatic");
 
     report.phase("grid");
     util::TextTable table({"windows/pallet", "tiles", "PRA cycles",
@@ -67,12 +62,14 @@ main(int argc, char **argv)
             sim::AccelConfig accel;
             accel.windowsPerPallet = windows;
             accel.tiles = tiles;
-            models::DadnModel dadn(accel);
-            double base = dadn.run(net).totalCycles();
-            double pra = prag_engine
-                             .runNetwork(net, source, accel, sample,
-                                         util::InnerExecutor())
-                             .totalCycles();
+            auto cycles = [&](const sim::Engine &engine) {
+                return engine
+                    .runNetwork(net, source, accel, sample,
+                                util::InnerExecutor())
+                    .totalCycles();
+            };
+            double base = cycles(*dadn);
+            double pra = cycles(*prag);
             table.addRow({std::to_string(windows),
                           std::to_string(tiles),
                           util::formatDouble(pra, 0),

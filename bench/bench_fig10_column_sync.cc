@@ -8,8 +8,7 @@
  * Runs through the Engine/sweep subsystem: the whole
  * (network x engine) grid fans out across --threads workers, every
  * SSR variant shares one workload (and its memoized schedule-cycle
- * planes) per network, and the output is byte-identical to the
- * direct-simulator harness this bench replaced.
+ * planes) per network.
  */
 
 #include <cstdio>

@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "sim/layer_result.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -22,26 +22,26 @@ main(int argc, char **argv)
     bench::banner("Performance benefit of software guidance",
                   "Table V");
 
-    models::DadnModel dadn;
-    models::PragmaticSimulator prag;
-    models::SimOptions sim_opt;
-    sim_opt.sample = opt.sample;
-    sim_opt.seed = opt.seed;
+    const sim::EngineRegistry &registry = models::builtinEngines();
+    auto dadn = registry.create("dadn");
+    auto trimmed = registry.create("pragmatic-col");
+    auto raw = registry.create("pragmatic-col", {{"trim", "0"}});
 
     util::TextTable table({"network", "with trim", "without", "benefit",
                            "paper"});
     double sum = 0.0;
     for (const auto &net : opt.networks) {
-        double base = dadn.run(net).totalCycles();
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        config.sync = models::SyncScheme::PerColumn;
-        config.ssrCount = 1;
-        double with =
-            base / prag.run(net, config, sim_opt).totalCycles();
-        config.softwareTrim = false;
-        double without =
-            base / prag.run(net, config, sim_opt).totalCycles();
+        dnn::ActivationSynthesizer synth(net, opt.seed);
+        auto cycles = [&](const sim::Engine &engine) {
+            return engine
+                .runNetwork(net, sim::WorkloadSource(synth),
+                            sim::AccelConfig{}, opt.sample,
+                            util::InnerExecutor())
+                .totalCycles();
+        };
+        double base = cycles(*dadn);
+        double with = base / cycles(*trimmed);
+        double without = base / cycles(*raw);
         double benefit = with / without - 1.0;
         sum += benefit;
         table.addRow({net.name, util::formatDouble(with),

@@ -229,14 +229,7 @@ struct BenchOptions
         if (opt.smoke)
             default_units = 2; // A few pallets: exercise every code
                                // path in seconds, accuracy is moot.
-        // --units=0 must not silently mean "simulate everything"
-        // (that is --full's job): reject non-positive caps loudly.
-        int64_t units = args.getInt("units", default_units);
-        if (args.has("units") && units <= 0)
-            util::fatal("--units must be a positive sampling cap "
-                        "(got " + std::to_string(units) +
-                        "); use --full for an exhaustive run");
-        opt.sample.maxUnits = args.getBool("full") ? 0 : units;
+        opt.sample.maxUnits = args.sampleUnits(default_units);
         int64_t seed = args.getInt("seed", 0x5eed);
         if (seed < 0)
             util::fatal("--seed must be non-negative (got " +

@@ -13,14 +13,14 @@
 #include <fstream>
 #include <iostream>
 
+#include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
-#include "models/stripes/stripes.h"
+#include "models/engines.h"
 #include "sim/layer_result.h"
 #include "util/args.h"
 #include "util/csv.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -31,22 +31,18 @@ main(int argc, char **argv)
     args.checkUnknown({"network", "full", "units", "csv"});
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
-    models::SimOptions opt;
-    opt.sample.maxUnits =
-        args.getBool("full") ? 0 : args.getInt("units", 64);
+    sim::SampleSpec sample{args.sampleUnits(64)};
+    dnn::ActivationSynthesizer synth(net);
 
-    models::DadnModel dadn;
-    models::StripesModel stripes;
-    models::PragmaticSimulator prag;
-
-    auto base = dadn.run(net);
-    auto str = stripes.run(net);
-    models::PragmaticConfig pallet;
-    auto pra = prag.run(net, pallet, opt);
-    models::PragmaticConfig column = pallet;
-    column.sync = models::SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    auto col = prag.run(net, column, opt);
+    auto run = [&](const std::string &kind) {
+        return models::builtinEngines().create(kind)->runNetwork(
+            net, sim::WorkloadSource(synth), sim::AccelConfig{}, sample,
+            util::InnerExecutor());
+    };
+    auto base = run("dadn");
+    auto str = run("stripes");
+    auto pra = run("pragmatic");
+    auto col = run("pragmatic-col");
 
     util::TextTable table({"layer", "DaDN cyc", "STR x", "PRA-2b x",
                            "PRA-2b-1R x", "NM stalls"});

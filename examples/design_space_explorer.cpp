@@ -38,10 +38,7 @@ main(int argc, char **argv)
         args.getString("network", smoke ? "tiny" : "vggm"));
 
     sim::SweepOptions sweep;
-    sweep.sample.maxUnits =
-        args.getBool("full")
-            ? 0
-            : args.getInt("units", smoke ? 2 : 48);
+    sweep.sample.maxUnits = args.sampleUnits(smoke ? 2 : 48);
     // One network x eleven engines: exactly the small-grid case the
     // two-level sweep is for — spare workers split layers instead of
     // idling.

@@ -10,17 +10,18 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/quantization.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "util/args.h"
 #include "util/random.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -59,7 +60,6 @@ main(int argc, char **argv)
 
     // 2. Essential-bit content of the calibrated 8-bit code streams.
     dnn::ActivationSynthesizer synth(net);
-    std::vector<uint16_t> sample;
     auto t = synth.synthesizeQuant8(1);
     std::printf("%s layer-1 code stream: %.1f%% zero codes, "
                 "%.1f%% essential bits over non-zero codes\n\n",
@@ -69,25 +69,24 @@ main(int argc, char **argv)
                             t.flat(), 8));
 
     // 3. Performance with the quantized representation.
-    models::SimOptions opt;
-    opt.sample.maxUnits =
-        args.getBool("full") ? 0 : args.getInt("units", 48);
-    models::DadnModel dadn;
-    models::PragmaticSimulator prag;
-    double base = dadn.run(net).totalCycles();
+    sim::SampleSpec sample{args.sampleUnits(48)};
+    auto cycles = [&](const std::string &spec) {
+        return models::builtinEngines()
+            .create(sim::parseEngineSpec(spec))
+            ->runNetwork(net, sim::WorkloadSource(synth),
+                         sim::AccelConfig{}, sample,
+                         util::InnerExecutor())
+            .totalCycles();
+    };
+    double base = cycles("dadn");
 
     util::TextTable table({"design", "speedup vs 8-bit DaDN"});
-    for (auto [label, sync, ssrs] :
-         {std::tuple{"PRA-2b pallet", models::SyncScheme::Pallet, 1},
-          std::tuple{"PRA-2b-1R", models::SyncScheme::PerColumn, 1},
-          std::tuple{"PRA-2b-ideal", models::SyncScheme::PerColumn,
-                     0}}) {
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        config.sync = sync;
-        config.ssrCount = ssrs;
-        config.representation = models::Representation::Quant8;
-        double s = base / prag.run(net, config, opt).totalCycles();
+    for (auto [label, spec] :
+         {std::pair{"PRA-2b pallet", "pragmatic:repr=quant8"},
+          std::pair{"PRA-2b-1R", "pragmatic-col:repr=quant8"},
+          std::pair{"PRA-2b-ideal",
+                    "pragmatic-col:ssr=0:repr=quant8"}}) {
+        double s = base / cycles(spec);
         table.addRow({label, util::formatDouble(s)});
     }
     std::printf("%s\n", table.render().c_str());

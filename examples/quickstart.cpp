@@ -12,12 +12,11 @@
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
-#include "models/dadn/dadn.h"
+#include "models/engines.h"
 #include "models/pragmatic/pip.h"
-#include "models/pragmatic/simulator.h"
-#include "models/stripes/stripes.h"
 #include "sim/tiling.h"
 #include "util/args.h"
+#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -77,21 +76,20 @@ main(int argc, char **argv)
                 pra_sum == golden ? "[exact]" : "[MISMATCH]",
                 static_cast<long long>(tiling.numSynapseSets()));
 
-    // 3. Cycle-level comparison on the whole layer.
-    models::DadnModel dadn(accel);
-    models::StripesModel stripes(accel);
-    models::PragmaticSimulator prag(accel);
-    double base = dadn.layerCycles(layer);
-    double str = stripes.layerCycles(layer, layer.profiledPrecision);
-
-    models::PragmaticConfig pallet;
-    sim::SampleSpec sample{256};
-    double pra =
-        prag.runLayer(layer, input, pallet, sample).cycles;
-    models::PragmaticConfig column = pallet;
-    column.sync = models::SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    double col = prag.runLayer(layer, input, column, sample).cycles;
+    // 3. Cycle-level comparison on the whole layer: each registry
+    //    engine prices the same stream (DaDN and Stripes ignore it).
+    sim::LayerWorkload workload(input);
+    auto cycles = [&](const std::string &kind) {
+        return models::builtinEngines()
+            .create(kind)
+            ->simulateLayer(layer, workload, accel, sim::SampleSpec{256},
+                            util::InnerExecutor())
+            .cycles;
+    };
+    double base = cycles("dadn");
+    double str = cycles("stripes");
+    double pra = cycles("pragmatic");
+    double col = cycles("pragmatic-col");
 
     std::printf("Layer execution time (cycles, lower is better):\n");
     std::printf("  DaDianNao          %12.0f   1.00x\n", base);

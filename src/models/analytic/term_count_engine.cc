@@ -110,12 +110,14 @@ TermCountEngine::layerTerms(const dnn::LayerSpec &layer,
 
 sim::LayerResult
 TermCountEngine::simulateLayer(const dnn::LayerSpec &layer,
-                               const dnn::NeuronTensor &input,
+                               const sim::LayerWorkload &workload,
                                const sim::AccelConfig &accel,
-                               const sim::SampleSpec &sample) const
+                               const sim::SampleSpec &sample,
+                               const util::InnerExecutor &exec) const
 {
     (void)accel; // Term counts are machine-shape independent.
-    return layerTerms(layer, input, false, sample);
+    (void)exec;
+    return layerTerms(layer, workload.tensor(), false, sample);
 }
 
 sim::NetworkResult

@@ -47,16 +47,18 @@ class TermCountEngine : public sim::Engine
 
     /**
      * Term counts of one layer. The trimmed stream is derived from
-     * @p input by the layer's precision-window mask — bit-identical
-     * to ActivationSynthesizer::synthesizeFixed16Trimmed(). The
+     * the workload's raw tensor by the layer's precision-window mask
+     * — bit-identical to
+     * ActivationSynthesizer::synthesizeFixed16Trimmed(). The
      * first-layer CVN rule needs network context, so this treats the
      * layer as non-first; runNetwork() applies the rule.
      */
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
+                  const sim::LayerWorkload &workload,
                   const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 
     /**
      * Layer loop honoring the first-layer CVN rule, consuming the
@@ -69,8 +71,6 @@ class TermCountEngine : public sim::Engine
                const sim::AccelConfig &accel,
                const sim::SampleSpec &sample,
                const util::InnerExecutor &exec) const override;
-
-    using sim::Engine::runNetwork;
 
     Series series() const { return series_; }
 

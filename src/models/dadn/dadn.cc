@@ -39,20 +39,6 @@ DadnModel::layerResult(const dnn::LayerSpec &layer) const
     return lr;
 }
 
-sim::NetworkResult
-DadnModel::run(const dnn::Network &network) const
-{
-    sim::NetworkResult result;
-    result.networkName = network.name;
-    result.engineName = "DaDN";
-    for (const auto &layer : network.layers) {
-        if (!layer.priced())
-            continue; // Structural pools cost no NFU cycles.
-        result.layers.push_back(layerResult(layer));
-    }
-    return result;
-}
-
 int64_t
 DadnModel::nfuBrickDot(std::span<const uint16_t> neurons,
                        std::span<const int16_t> synapses)

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "dnn/layer_spec.h"
-#include "dnn/network.h"
 #include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
@@ -42,9 +41,6 @@ class DadnModel
 
     /** Full per-layer result (cycles, terms, SB reads) for one layer. */
     sim::LayerResult layerResult(const dnn::LayerSpec &layer) const;
-
-    /** Per-layer results for a whole network. */
-    sim::NetworkResult run(const dnn::Network &network) const;
 
     /**
      * Functional NFU step: multiply a neuron brick against one

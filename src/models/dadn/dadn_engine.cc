@@ -10,11 +10,13 @@ DadnEngine::DadnEngine(const sim::EngineKnobs &knobs)
 
 sim::LayerResult
 DadnEngine::simulateLayer(const dnn::LayerSpec &layer,
-                          const dnn::NeuronTensor &input,
+                          const sim::LayerWorkload &workload,
                           const sim::AccelConfig &accel,
-                          const sim::SampleSpec &sample) const
+                          const sim::SampleSpec &sample,
+                          const util::InnerExecutor &exec) const
 {
-    (void)input;
+    (void)workload;
+    (void)exec;
     (void)sample; // DaDN cycle counts are exact; nothing to sample.
     return DadnModel(accel).layerResult(layer);
 }

@@ -26,9 +26,10 @@ class DadnEngine : public sim::Engine
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
+                  const sim::LayerWorkload &workload,
                   const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 };
 
 } // namespace models

@@ -66,18 +66,6 @@ DynamicStripesEngine::inputStream() const
 
 sim::LayerResult
 DynamicStripesEngine::simulateLayer(const dnn::LayerSpec &layer,
-                                    const dnn::NeuronTensor &input,
-                                    const sim::AccelConfig &accel,
-                                    const sim::SampleSpec &sample) const
-{
-    sim::LayerResult result =
-        simulateLayerDynamicStripes(layer, input, accel, config_, sample);
-    result.engineName = name();
-    return result;
-}
-
-sim::LayerResult
-DynamicStripesEngine::simulateLayer(const dnn::LayerSpec &layer,
                                     const sim::LayerWorkload &workload,
                                     const sim::AccelConfig &accel,
                                     const sim::SampleSpec &sample,

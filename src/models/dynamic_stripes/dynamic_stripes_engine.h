@@ -38,12 +38,6 @@ class DynamicStripesEngine : public sim::Engine
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
-                  const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
-
-    sim::LayerResult
-    simulateLayer(const dnn::LayerSpec &layer,
                   const sim::LayerWorkload &workload,
                   const sim::AccelConfig &accel,
                   const sim::SampleSpec &sample,

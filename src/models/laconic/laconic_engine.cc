@@ -10,18 +10,6 @@ LaconicEngine::LaconicEngine(const sim::EngineKnobs &knobs)
 
 sim::LayerResult
 LaconicEngine::simulateLayer(const dnn::LayerSpec &layer,
-                             const dnn::NeuronTensor &input,
-                             const sim::AccelConfig &accel,
-                             const sim::SampleSpec &sample) const
-{
-    sim::LayerResult result =
-        simulateLayerLaconic(layer, input, accel, sample);
-    result.engineName = name();
-    return result;
-}
-
-sim::LayerResult
-LaconicEngine::simulateLayer(const dnn::LayerSpec &layer,
                              const sim::LayerWorkload &workload,
                              const sim::AccelConfig &accel,
                              const sim::SampleSpec &sample,

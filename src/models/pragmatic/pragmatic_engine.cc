@@ -1,5 +1,7 @@
 #include "models/pragmatic/pragmatic_engine.h"
 
+#include "models/pragmatic/column_sync.h"
+#include "models/pragmatic/tile.h"
 #include "util/logging.h"
 
 namespace pra {
@@ -15,6 +17,30 @@ kindOf(SyncScheme sync)
 }
 
 } // namespace
+
+std::string
+PragmaticConfig::label() const
+{
+    // Built with repeated appends: the a + b + c temporary chain
+    // trips GCC 12's -Wrestrict false positive (GCC bug 105651).
+    std::string name = "PRA-";
+    name += std::to_string(firstStageBits);
+    name += 'b';
+    if (sync == SyncScheme::PerColumn) {
+        if (ssrCount <= 0) {
+            name += "-idealR";
+        } else {
+            name += '-';
+            name += std::to_string(ssrCount);
+            name += 'R';
+        }
+    }
+    if (representation == Representation::Quant8)
+        name += "-q8";
+    if (!softwareTrim && representation == Representation::Fixed16)
+        name += "-notrim";
+    return name;
+}
 
 PragmaticEngine::PragmaticEngine(SyncScheme sync,
                                  const sim::EngineKnobs &knobs)
@@ -60,16 +86,6 @@ PragmaticEngine::inputStream() const
         return sim::InputStream::Quant8;
     return config_.softwareTrim ? sim::InputStream::Fixed16Trimmed
                                 : sim::InputStream::Fixed16Raw;
-}
-
-sim::LayerResult
-PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
-                               const dnn::NeuronTensor &input,
-                               const sim::AccelConfig &accel,
-                               const sim::SampleSpec &sample) const
-{
-    return PragmaticSimulator(accel).runLayer(layer, input, config_,
-                                              sample);
 }
 
 sim::LayerResult

@@ -15,12 +15,33 @@
 
 #pragma once
 
-#include "models/pragmatic/simulator.h"
+#include <string>
+
 #include "sim/engine.h"
 #include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
+
+/** Neuron storage representation (paper Sections VI-B vs VI-F). */
+enum class Representation { Fixed16, Quant8 };
+
+/** Neuron lane synchronization scheme (Sections V-A4 vs V-E). */
+enum class SyncScheme { Pallet, PerColumn };
+
+/** A full Pragmatic design point. */
+struct PragmaticConfig
+{
+    int firstStageBits = 2;      ///< L (0..4); 4 == single-stage.
+    SyncScheme sync = SyncScheme::Pallet;
+    int ssrCount = 1;            ///< Per-column SSRs; 0 = ideal.
+    bool softwareTrim = true;    ///< Section V-F precision masking.
+    Representation representation = Representation::Fixed16;
+    bool modelNmStalls = true;
+
+    /** Short label, e.g. "PRA-2b" or "PRA-2b-1R". */
+    std::string label() const;
+};
 
 /** Pragmatic (either sync scheme) behind the Engine interface. */
 class PragmaticEngine : public sim::Engine
@@ -33,16 +54,11 @@ class PragmaticEngine : public sim::Engine
     std::string name() const override { return config_.label(); }
     sim::InputStream inputStream() const override;
 
-    sim::LayerResult
-    simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
-                  const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
-
     /**
-     * Workload fast path: consumes the shared brick planes and (for
-     * pallet sync, whose pallets are independent) splits the layer
-     * across @p exec. Bit-identical to the tensor overload.
+     * Prices the layer off the workload's shared brick planes and
+     * (for pallet sync, whose pallets are independent) splits it
+     * across @p exec. Bit-identical to the plane-free tensor kernels
+     * simulateLayerPalletSync / simulateLayerColumnSync.
      */
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

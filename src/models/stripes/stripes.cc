@@ -28,36 +28,6 @@ StripesModel::layerCycles(const dnn::LayerSpec &layer,
            static_cast<double>(precision);
 }
 
-sim::NetworkResult
-StripesModel::run(const dnn::Network &network) const
-{
-    std::vector<int> precisions;
-    precisions.reserve(network.layers.size());
-    for (const auto &layer : network.layers)
-        precisions.push_back(layer.profiledPrecision);
-    return run(network, precisions);
-}
-
-sim::NetworkResult
-StripesModel::run(const dnn::Network &network,
-                  std::span<const int> precisions) const
-{
-    PRA_CHECK(precisions.size() == network.layers.size(),
-                         "StripesModel: precision list mismatch");
-    sim::NetworkResult result;
-    result.networkName = network.name;
-    result.engineName = "Stripes";
-    for (size_t i = 0; i < network.layers.size(); i++) {
-        // Structural pool layers are never priced; their slot in the
-        // precision list is ignored.
-        if (!network.layers[i].priced())
-            continue;
-        result.layers.push_back(
-            layerResult(network.layers[i], precisions[i]));
-    }
-    return result;
-}
-
 sim::LayerResult
 StripesModel::layerResult(const dnn::LayerSpec &layer,
                           int precision) const

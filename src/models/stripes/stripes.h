@@ -16,11 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "dnn/layer_spec.h"
-#include "dnn/network.h"
-#include "dnn/tensor.h"
 #include "fixedpoint/precision.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
@@ -34,10 +31,7 @@ class StripesModel
   public:
     explicit StripesModel(const sim::AccelConfig &config = {});
 
-    /**
-     * Cycles for one layer given its serial precision @p precision
-     * (defaults to the layer's profiled precision).
-     */
+    /** Cycles for one layer at serial precision @p precision. */
     double layerCycles(const dnn::LayerSpec &layer,
                        int precision) const;
 
@@ -47,17 +41,6 @@ class StripesModel
      */
     sim::LayerResult layerResult(const dnn::LayerSpec &layer,
                                  int precision) const;
-
-    /** Run a network with its profiled per-layer precisions. */
-    sim::NetworkResult run(const dnn::Network &network) const;
-
-    /**
-     * Run a network with explicit per-layer precisions (used by the
-     * 8-bit quantized evaluation where precision is the bits needed
-     * for the layer's largest code).
-     */
-    sim::NetworkResult run(const dnn::Network &network,
-                           std::span<const int> precisions) const;
 
     /**
      * Functional serial-parallel multiply: process the @p precision

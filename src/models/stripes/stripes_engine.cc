@@ -46,17 +46,19 @@ StripesEngine::inputStream() const
 
 sim::LayerResult
 StripesEngine::simulateLayer(const dnn::LayerSpec &layer,
-                             const dnn::NeuronTensor &input,
+                             const sim::LayerWorkload &workload,
                              const sim::AccelConfig &accel,
-                             const sim::SampleSpec &sample) const
+                             const sim::SampleSpec &sample,
+                             const util::InnerExecutor &exec) const
 {
+    (void)exec;
     (void)sample; // Stripes cycle counts are exact; nothing to sample.
     int precision;
     if (quant8_) {
         // The bits needed by the layer's largest activation code —
         // the quantized analogue of profiled precision (Figure 12).
         uint16_t max_code = 0;
-        for (uint16_t code : input.flat())
+        for (uint16_t code : workload.tensor().flat())
             max_code = std::max(max_code, code);
         precision = std::max(1, fixedpoint::significantBits(max_code));
     } else {

@@ -37,9 +37,10 @@ class StripesEngine : public sim::Engine
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
+                  const sim::LayerWorkload &workload,
                   const sim::AccelConfig &accel,
-                  const sim::SampleSpec &sample) const override;
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 
   private:
     int precisionOverride_ = 0; ///< 0 = per-layer profiled precision.

@@ -6,16 +6,6 @@
 namespace pra {
 namespace sim {
 
-LayerResult
-Engine::simulateLayer(const dnn::LayerSpec &layer,
-                      const LayerWorkload &workload,
-                      const AccelConfig &accel, const SampleSpec &sample,
-                      const util::InnerExecutor &exec) const
-{
-    (void)exec; // Engines without a block-parallel path run serially.
-    return simulateLayer(layer, workload.tensor(), accel, sample);
-}
-
 NetworkResult
 Engine::runNetwork(const dnn::Network &network,
                    const WorkloadSource &source, const AccelConfig &accel,
@@ -38,15 +28,6 @@ Engine::runNetwork(const dnn::Network &network,
                                               exec));
     }
     return result;
-}
-
-NetworkResult
-Engine::runNetwork(const dnn::Network &network,
-                   const dnn::ActivationSynthesizer &activations,
-                   const AccelConfig &accel, const SampleSpec &sample) const
-{
-    return runNetwork(network, WorkloadSource(activations), accel,
-                      sample, util::InnerExecutor());
 }
 
 NetworkResult

@@ -12,22 +12,20 @@
  * knobs (e.g. "PRA-2b-1R").
  *
  * Engines consume immutable LayerWorkload views (stream tensor plus
- * packed per-brick planes) handed out by a WorkloadSource, so a sweep
- * can share one synthesized workload across every grid cell, and may
- * split big layers into deterministic blocks across an InnerExecutor.
- * The tensor-based simulateLayer overload remains the one engines
- * must implement and the workload overload defaults to it, so simple
- * engines never see the cache machinery.
+ * lazily built operand planes) handed out by a WorkloadSource, so a
+ * sweep can share one synthesized workload across every grid cell,
+ * and may split big layers into deterministic blocks across an
+ * InnerExecutor. The workload simulateLayer is the one entry point an
+ * engine implements; a caller holding a bare tensor wraps it in
+ * LayerWorkload(tensor).
  */
 
 #pragma once
 
 #include <string>
 
-#include "dnn/activation_synth.h"
 #include "dnn/layer_spec.h"
 #include "dnn/network.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -52,33 +50,22 @@ class Engine
      */
     virtual std::string name() const = 0;
 
-    /** The neuron stream simulateLayer expects as @p input. */
+    /** The neuron stream simulateLayer expects in its workload. */
     virtual InputStream inputStream() const { return InputStream::None; }
 
     /**
-     * Simulate one layer. @p input carries the stream announced by
-     * inputStream() (empty for value-independent engines). The
-     * returned LayerResult has layerName and engineName filled in.
-     */
-    virtual LayerResult
-    simulateLayer(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &input,
-                  const AccelConfig &accel,
-                  const SampleSpec &sample) const = 0;
-
-    /**
-     * Simulate one layer from a shared workload view, optionally
-     * splitting it into deterministic blocks across @p exec. The
-     * default ignores the planes and the executor and forwards to the
-     * tensor overload; engines with a workload-aware fast path
-     * (Pragmatic) override it. Must produce bit-identical results to
-     * the tensor overload on workload.tensor().
+     * Simulate one layer from a workload view whose tensor() carries
+     * the stream announced by inputStream() (empty for
+     * value-independent engines), optionally splitting it into
+     * deterministic blocks across @p exec; the result must not depend
+     * on the executor. The returned LayerResult has layerName and
+     * engineName filled in.
      */
     virtual LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
                   const LayerWorkload &workload, const AccelConfig &accel,
                   const SampleSpec &sample,
-                  const util::InnerExecutor &exec) const;
+                  const util::InnerExecutor &exec) const = 0;
 
     /**
      * Simulate a whole network on the workloads of @p source. The
@@ -93,15 +80,6 @@ class Engine
     runNetwork(const dnn::Network &network, const WorkloadSource &source,
                const AccelConfig &accel, const SampleSpec &sample,
                const util::InnerExecutor &exec) const;
-
-    /**
-     * Convenience overload: simulate a whole network straight off a
-     * synthesizer (uncached workloads, serial execution).
-     */
-    NetworkResult
-    runNetwork(const dnn::Network &network,
-               const dnn::ActivationSynthesizer &activations,
-               const AccelConfig &accel, const SampleSpec &sample) const;
 
     /**
      * Simulate a batch of @p batch images (must be >= 1): one

@@ -136,5 +136,16 @@ ArgParser::getBool(const std::string &name, bool fallback) const
     fatal("flag --" + name + " expects a boolean, got '" + v + "'");
 }
 
+int64_t
+ArgParser::sampleUnits(int64_t fallback) const
+{
+    int64_t units = getInt("units", fallback);
+    if (has("units") && units <= 0)
+        fatal("--units must be a positive sampling cap (got " +
+              std::to_string(units) +
+              "); use --full for an exhaustive run");
+    return getBool("full") ? 0 : units;
+}
+
 } // namespace util
 } // namespace pra

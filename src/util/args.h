@@ -47,6 +47,14 @@ class ArgParser
     bool getBool(const std::string &name, bool fallback = false) const;
 
     /**
+     * The sampling cap set by the --units/--full pair: 0 (exhaustive)
+     * under --full, else --units or @p fallback when absent. fatal()
+     * on a non-positive --units, which must not silently mean "price
+     * everything" — that is --full's job.
+     */
+    int64_t sampleUnits(int64_t fallback) const;
+
+    /**
      * fatal() when any parsed flag is not in @p known — call once,
      * after construction, with every flag the program understands.
      * The error names the closest known flag when one is plausible.

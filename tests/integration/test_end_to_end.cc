@@ -13,8 +13,9 @@
 #include "dnn/reference.h"
 #include "models/dadn/dadn.h"
 #include "models/pragmatic/pip.h"
-#include "models/pragmatic/simulator.h"
+#include "models/engines.h"
 #include "models/stripes/stripes.h"
+#include "sim/sweep.h"
 #include "sim/tiling.h"
 
 namespace pra {
@@ -145,28 +146,24 @@ TEST(EndToEnd, CycleCountOrderingAcrossEngines)
 {
     // DaDN >= Stripes >= PRA-pallet >= PRA-perCol >= ideal, on the
     // same synthetic workload.
-    auto net = dnn::makeTinyNetwork();
-    DadnModel dadn;
-    StripesModel stripes;
-    PragmaticSimulator prag;
-    SimOptions opt;
-    opt.sample = sim::SampleSpec{0}; // Tiny network: exhaustive.
-
-    double base = dadn.run(net).totalCycles();
-    double str = stripes.run(net).totalCycles();
-
-    PragmaticConfig pallet;
-    pallet.modelNmStalls = false;
-    double pra = prag.run(net, pallet, opt).totalCycles();
-
-    PragmaticConfig column = pallet;
-    column.sync = SyncScheme::PerColumn;
-    column.ssrCount = 1;
-    double col = prag.run(net, column, opt).totalCycles();
-
-    PragmaticConfig ideal = column;
-    ideal.ssrCount = 0;
-    double ide = prag.run(net, ideal, opt).totalCycles();
+    sim::SweepOptions options;
+    options.sample = sim::SampleSpec{0}; // Tiny network: exhaustive.
+    auto results = sim::runSweep(
+        {dnn::makeTinyNetwork()},
+        {{"dadn", {}},
+         {"stripes", {}},
+         {"pragmatic", {{"nmstalls", "0"}}},
+         {"pragmatic-col", {{"nmstalls", "0"}}},
+         {"pragmatic-col", {{"nmstalls", "0"}, {"ssr", "0"}}}},
+        builtinEngines(), options);
+    auto cycles = [&](const char *engine) {
+        return sim::findResult(results, "Tiny", engine).totalCycles();
+    };
+    double base = cycles("DaDN");
+    double str = cycles("Stripes");
+    double pra = cycles("PRA-2b");
+    double col = cycles("PRA-2b-1R");
+    double ide = cycles("PRA-2b-idealR");
 
     EXPECT_GT(base, str);
     EXPECT_GT(str, pra);

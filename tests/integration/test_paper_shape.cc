@@ -10,10 +10,9 @@
 
 #include "dnn/model_zoo.h"
 #include "energy/area_power.h"
-#include "models/dadn/dadn.h"
-#include "models/pragmatic/simulator.h"
-#include "models/stripes/stripes.h"
+#include "models/engines.h"
 #include "sim/layer_result.h"
+#include "sim/sweep.h"
 
 namespace pra {
 namespace models {
@@ -28,29 +27,29 @@ class PaperShape : public ::testing::Test
     {
         nets_ = new std::vector<dnn::Network>(
             {dnn::makeAlexNet(), dnn::makeVggM(), dnn::makeVgg19()});
-        DadnModel dadn;
-        StripesModel stripes;
-        PragmaticSimulator prag;
-        SimOptions opt;
-        opt.sample = sim::SampleSpec{48};
+        sim::SweepOptions options;
+        options.sample = sim::SampleSpec{48};
+        auto results = sim::runSweep(
+            *nets_,
+            {{"dadn", {}},
+             {"stripes", {}},
+             {"pragmatic", {}},
+             {"pragmatic", {{"trim", "0"}}},
+             {"pragmatic-col", {}},
+             {"pragmatic-col", {{"ssr", "0"}}}},
+            builtinEngines(), options);
 
         for (const auto &net : *nets_) {
-            baseline_.push_back(dadn.run(net).totalCycles());
-            str_.push_back(stripes.run(net).totalCycles());
-            PragmaticConfig pallet2b;
-            pra2b_.push_back(
-                prag.run(net, pallet2b, opt).totalCycles());
-            PragmaticConfig raw = pallet2b;
-            raw.softwareTrim = false;
-            praRaw_.push_back(prag.run(net, raw, opt).totalCycles());
-            PragmaticConfig col = pallet2b;
-            col.sync = SyncScheme::PerColumn;
-            col.ssrCount = 1;
-            praCol_.push_back(prag.run(net, col, opt).totalCycles());
-            PragmaticConfig ideal = col;
-            ideal.ssrCount = 0;
-            praIdeal_.push_back(
-                prag.run(net, ideal, opt).totalCycles());
+            auto cycles = [&](const char *engine) {
+                return sim::findResult(results, net.name, engine)
+                    .totalCycles();
+            };
+            baseline_.push_back(cycles("DaDN"));
+            str_.push_back(cycles("Stripes"));
+            pra2b_.push_back(cycles("PRA-2b"));
+            praRaw_.push_back(cycles("PRA-2b-notrim"));
+            praCol_.push_back(cycles("PRA-2b-1R"));
+            praIdeal_.push_back(cycles("PRA-2b-idealR"));
         }
     }
 
@@ -169,19 +168,19 @@ TEST(PaperShapeQuant, QuantizedBenefitsPersist)
 {
     // Paper Section VI-F: benefits persist at 8 bits, nearly 3.5x for
     // PRA-2b-1R.
-    auto net = dnn::makeAlexNet();
-    DadnModel dadn;
-    PragmaticSimulator prag;
-    SimOptions opt;
-    opt.sample = sim::SampleSpec{32};
-    double base = dadn.run(net).totalCycles();
-
-    PragmaticConfig q;
-    q.representation = Representation::Quant8;
-    double pallet = base / prag.run(net, q, opt).totalCycles();
-    q.sync = SyncScheme::PerColumn;
-    q.ssrCount = 1;
-    double col = base / prag.run(net, q, opt).totalCycles();
+    sim::SweepOptions options;
+    options.sample = sim::SampleSpec{32};
+    auto results = sim::runSweep({dnn::makeAlexNet()},
+                                 {{"dadn", {}},
+                                  {"pragmatic", {{"repr", "quant8"}}},
+                                  {"pragmatic-col", {{"repr", "quant8"}}}},
+                                 builtinEngines(), options);
+    auto cycles = [&](const char *engine) {
+        return sim::findResult(results, "AlexNet", engine).totalCycles();
+    };
+    double base = cycles("DaDN");
+    double pallet = base / cycles("PRA-2b-q8");
+    double col = base / cycles("PRA-2b-1R-q8");
 
     EXPECT_GT(pallet, 1.5);
     EXPECT_GT(col, pallet);

@@ -9,11 +9,23 @@
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
 #include "models/dadn/dadn.h"
+#include "models/engines.h"
 #include "sim/tiling.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace models {
 namespace {
+
+/** @p net priced by the "dadn" registry engine on seed @p seed. */
+sim::NetworkResult
+priceDadn(const dnn::Network &net, uint64_t seed = 0x5eed)
+{
+    dnn::ActivationSynthesizer synth(net, seed);
+    return builtinEngines().create("dadn")->runNetwork(
+        net, sim::WorkloadSource(synth), sim::AccelConfig{},
+        sim::SampleSpec{0}, util::InnerExecutor());
+}
 
 TEST(Dadn, LayerCyclesFormula)
 {
@@ -38,12 +50,11 @@ TEST(Dadn, MultiPassLayers)
 
 TEST(Dadn, ValueIndependence)
 {
-    // DaDN's cycles depend only on geometry; run() never touches
-    // neuron values.
-    DadnModel dadn;
+    // DaDN's cycles depend only on geometry: a different workload
+    // seed prices the same.
     auto net = dnn::makeTinyNetwork();
-    auto r1 = dadn.run(net);
-    auto r2 = dadn.run(net);
+    auto r1 = priceDadn(net);
+    auto r2 = priceDadn(net, 0xdead);
     ASSERT_EQ(r1.layers.size(), net.layers.size());
     EXPECT_DOUBLE_EQ(r1.totalCycles(), r2.totalCycles());
     EXPECT_GT(r1.totalCycles(), 0.0);
@@ -92,9 +103,8 @@ TEST(Dadn, ComputeWindowMatchesReference)
 
 TEST(Dadn, RunCoversAllLayers)
 {
-    DadnModel dadn;
     auto net = dnn::makeVggM();
-    auto result = dadn.run(net);
+    auto result = priceDadn(net);
     ASSERT_EQ(result.layers.size(), net.layers.size());
     EXPECT_EQ(result.engineName, "DaDN");
     for (size_t i = 0; i < result.layers.size(); i++) {

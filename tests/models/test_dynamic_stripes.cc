@@ -252,8 +252,11 @@ TEST(DynamicStripes, LayerWideIsBitIdenticalToStripesAcrossPaperGrid)
     for (const dnn::Network &net : dnn::makeAllNetworks()) {
         dnn::ActivationSynthesizer synth(net, 0x5eed);
         sim::NetworkResult a =
-            stripes->runNetwork(net, synth, accel, sample);
-        sim::NetworkResult b = ds->runNetwork(net, synth, accel, sample);
+            stripes->runNetwork(net, sim::WorkloadSource(synth), accel,
+                                sample, util::InnerExecutor());
+        sim::NetworkResult b =
+            ds->runNetwork(net, sim::WorkloadSource(synth), accel,
+                           sample, util::InnerExecutor());
         ASSERT_EQ(a.layers.size(), b.layers.size()) << net.name;
         for (size_t l = 0; l < a.layers.size(); l++) {
             SCOPED_TRACE(net.name + "/" + a.layers[l].layerName);
@@ -283,7 +286,8 @@ TEST(DynamicStripes, LayerWideLeadingBitWidensToSynthesisWindowTop)
         sim::LayerResult want =
             StripesModel(accel).layerResult(layer, precision);
         sim::LayerResult got = ds->simulateLayer(
-            layer, dnn::NeuronTensor(), accel, sim::SampleSpec{0});
+            layer, sim::LayerWorkload(dnn::NeuronTensor()), accel,
+            sim::SampleSpec{0}, util::InnerExecutor());
         EXPECT_EQ(got.cycles, want.cycles) << layer.name;
         EXPECT_EQ(got.effectualTerms, want.effectualTerms)
             << layer.name;
@@ -314,8 +318,9 @@ TEST(DynamicStripesDeathTest, RejectsDegenerateKnobs)
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 1);
     sim::AccelConfig accel;
-    EXPECT_DEATH(engine->simulateLayer(layer, input, accel,
-                                       sim::SampleSpec{0}),
+    EXPECT_DEATH(engine->simulateLayer(
+                     layer, sim::LayerWorkload(input), accel,
+                     sim::SampleSpec{0}, util::InnerExecutor()),
                  "divisor of windowsPerPallet");
 }
 

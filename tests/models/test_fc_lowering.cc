@@ -21,10 +21,21 @@
 #include "models/engines.h"
 #include "sim/engine_registry.h"
 #include "sim/sweep.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace models {
 namespace {
+
+/** Price @p net exhaustively (both layers are tiny), stock machine. */
+sim::NetworkResult
+price(const sim::Engine &engine, const dnn::Network &net,
+      const dnn::ActivationSynthesizer &synth)
+{
+    return engine.runNetwork(net, sim::WorkloadSource(synth),
+                             sim::AccelConfig{}, sim::SampleSpec{0},
+                             util::InnerExecutor());
+}
 
 /** The shared conv stem both networks start with. */
 dnn::LayerSpec
@@ -89,17 +100,13 @@ TEST(FcLowering, EveryEngineKindPricesFcAsItsConvTwin)
     dnn::ActivationSynthesizer fc_synth(fc_net, 0x5eed);
     dnn::ActivationSynthesizer conv_synth(conv_net, 0x5eed);
 
-    sim::AccelConfig accel;
-    sim::SampleSpec sample{0}; // Exhaustive: both layers are tiny.
-
     ASSERT_EQ(registry.kinds().size(), 7u);
     for (const auto &kind : registry.kinds()) {
         std::unique_ptr<sim::Engine> engine =
             registry.create(kind, {});
-        sim::NetworkResult fc_result =
-            engine->runNetwork(fc_net, fc_synth, accel, sample);
+        sim::NetworkResult fc_result = price(*engine, fc_net, fc_synth);
         sim::NetworkResult conv_result =
-            engine->runNetwork(conv_net, conv_synth, accel, sample);
+            price(*engine, conv_net, conv_synth);
         ASSERT_EQ(fc_result.layers.size(), 2u) << kind;
         ASSERT_EQ(conv_result.layers.size(), 2u) << kind;
         for (size_t l = 0; l < 2; l++) {
@@ -127,15 +134,12 @@ TEST(FcLowering, PaperGridVariantsPriceFcAsConvTwin)
     dnn::Network conv_net = convTwinNetwork();
     dnn::ActivationSynthesizer fc_synth(fc_net, 0x5eed);
     dnn::ActivationSynthesizer conv_synth(conv_net, 0x5eed);
-    sim::AccelConfig accel;
-    sim::SampleSpec sample{0};
 
     for (const auto &sel : paperEngineGrid()) {
         std::unique_ptr<sim::Engine> engine = registry.create(sel);
-        sim::NetworkResult fc_result =
-            engine->runNetwork(fc_net, fc_synth, accel, sample);
+        sim::NetworkResult fc_result = price(*engine, fc_net, fc_synth);
         sim::NetworkResult conv_result =
-            engine->runNetwork(conv_net, conv_synth, accel, sample);
+            price(*engine, conv_net, conv_synth);
         const auto &a = fc_result.layers[1];
         const auto &b = conv_result.layers[1];
         EXPECT_EQ(a.cycles, b.cycles) << engine->name();
@@ -187,12 +191,8 @@ TEST(FcLowering, StreamsAreSelectionInvariant)
     // 2 under both selections.)
     std::unique_ptr<sim::Engine> engine =
         builtinEngines().create("pragmatic", {});
-    sim::AccelConfig accel;
-    sim::SampleSpec sample{0};
-    auto all_result =
-        engine->runNetwork(all_net, all_synth, accel, sample);
-    auto fc_result =
-        engine->runNetwork(fc_net, fc_synth, accel, sample);
+    auto all_result = price(*engine, all_net, all_synth);
+    auto fc_result = price(*engine, fc_net, fc_synth);
     EXPECT_EQ(all_result.layers[2].cycles, fc_result.layers[0].cycles);
     EXPECT_EQ(all_result.layers[2].effectualTerms,
               fc_result.layers[0].effectualTerms);

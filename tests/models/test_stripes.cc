@@ -5,15 +5,31 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/dadn/dadn.h"
+#include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/tiling.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace models {
 namespace {
+
+/** @p net priced by the Stripes registry engine @p spec. */
+sim::NetworkResult
+priceStripes(const dnn::Network &net, const std::string &spec)
+{
+    dnn::ActivationSynthesizer synth(net);
+    return builtinEngines()
+        .create(sim::parseEngineSpec(spec))
+        ->runNetwork(net, sim::WorkloadSource(synth), sim::AccelConfig{},
+                     sim::SampleSpec{0}, util::InnerExecutor());
+}
 
 TEST(Stripes, SerialMultiplyMatchesProductWithinWindow)
 {
@@ -99,9 +115,8 @@ TEST(Stripes, PartialPalletsLoseSomeThroughput)
 
 TEST(Stripes, RunUsesProfiledPrecisions)
 {
-    StripesModel stripes;
     auto net = dnn::makeAlexNet();
-    auto result = stripes.run(net);
+    auto result = priceStripes(net, "stripes");
     ASSERT_EQ(result.layers.size(), 5u);
     // conv3 (p == 5) must be relatively faster than conv1 (p == 9).
     StripesModel ref;
@@ -113,21 +128,33 @@ TEST(Stripes, RunUsesProfiledPrecisions)
 
 TEST(Stripes, ExplicitPrecisionOverride)
 {
-    StripesModel stripes;
     auto net = dnn::makeTinyNetwork();
-    std::vector<int> eight(net.layers.size(), 8);
-    std::vector<int> four(net.layers.size(), 4);
-    auto slow = stripes.run(net, eight);
-    auto fast = stripes.run(net, four);
+    auto slow = priceStripes(net, "stripes:precision=8");
+    auto fast = priceStripes(net, "stripes:precision=4");
+    EXPECT_EQ(slow.engineName, "Stripes-p8");
     EXPECT_DOUBLE_EQ(slow.totalCycles() / fast.totalCycles(), 2.0);
 }
 
-TEST(Stripes, PrecisionListMismatchPanics)
+TEST(Stripes, Quant8PrecisionsAreInByteRange)
 {
-    StripesModel stripes;
-    auto net = dnn::makeTinyNetwork();
-    std::vector<int> wrong(net.layers.size() + 1, 8);
-    EXPECT_DEATH(stripes.run(net, wrong), "precision list");
+    // repr=quant8 serializes each layer at the bits its largest code
+    // needs: always 1..8, and the full byte for the image layer.
+    auto net = dnn::makeAlexNet();
+    auto result = priceStripes(net, "stripes:repr=quant8");
+    ASSERT_EQ(result.layers.size(), net.layers.size());
+    StripesModel ref;
+    std::vector<int> precisions;
+    for (size_t i = 0; i < net.layers.size(); i++) {
+        int matched = 0;
+        for (int p = 1; p <= 8 && matched == 0; p++) {
+            if (result.layers[i].cycles ==
+                ref.layerResult(net.layers[i], p).cycles)
+                matched = p;
+        }
+        EXPECT_NE(matched, 0) << net.layers[i].name;
+        precisions.push_back(matched);
+    }
+    EXPECT_EQ(precisions[0], 8);
 }
 
 TEST(Stripes, PrecisionBoundsChecked)

@@ -10,10 +10,7 @@
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/analytic/term_count.h"
-#include "models/dadn/dadn.h"
 #include "models/engines.h"
-#include "models/pragmatic/simulator.h"
-#include "models/stripes/stripes.h"
 #include "sim/sweep.h"
 
 namespace pra {
@@ -115,61 +112,53 @@ TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
                  "unknown knob");
 }
 
-TEST(EngineAdapters, DadnMatchesModel)
+TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
 {
-    auto net = dnn::makeTinyNetwork();
-    dnn::ActivationSynthesizer synth(net);
-    AccelConfig accel;
-    auto engine = models::builtinEngines().create("dadn");
-    NetworkResult via_engine =
-        engine->runNetwork(net, synth, accel, SampleSpec{0});
-    NetworkResult direct = models::DadnModel(accel).run(net);
-    ASSERT_EQ(via_engine.layers.size(), direct.layers.size());
-    EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles());
-    EXPECT_EQ(via_engine.engineName, direct.engineName);
-}
+    // Every registered kind, on the stock machine and a reshaped one
+    // (8 lanes forces BrickCostModel's tensor-gather path and
+    // BrickCostContext's local weight planes): runNetwork prices the
+    // same over a cached and an uncached source, and equals a
+    // per-layer simulateLayer loop on freshly synthesized workloads.
+    // terms overrides runNetwork (the first-layer CVN rule needs
+    // network context), so it is held to the source equality only.
+    auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    SampleSpec sample{4};
+    const EngineRegistry &registry = models::builtinEngines();
+    ASSERT_EQ(registry.kinds().size(), 7u);
+    for (int lanes : {16, 8}) {
+        AccelConfig accel;
+        accel.neuronLanes = lanes;
+        for (const std::string &kind : registry.kinds()) {
+            SCOPED_TRACE(kind + " at " + std::to_string(lanes) +
+                         " lanes");
+            auto engine = registry.create(kind);
+            WorkloadCache cache;
+            auto synth = cache.synthesizer(net, 0x5eed);
+            NetworkResult uncached = engine->runNetwork(
+                net, WorkloadSource(*synth), accel, sample,
+                util::InnerExecutor());
+            NetworkResult cached = engine->runNetwork(
+                net, WorkloadSource(*synth, cache), accel, sample,
+                util::InnerExecutor());
+            expectSameResults({uncached}, {cached}, "cached source");
+            if (kind == "terms")
+                continue;
 
-TEST(EngineAdapters, StripesMatchesModel)
-{
-    auto net = dnn::makeTinyNetwork();
-    dnn::ActivationSynthesizer synth(net);
-    AccelConfig accel;
-    auto engine = models::builtinEngines().create("stripes");
-    NetworkResult via_engine =
-        engine->runNetwork(net, synth, accel, SampleSpec{0});
-    NetworkResult direct = models::StripesModel(accel).run(net);
-    EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles());
-}
-
-TEST(EngineAdapters, PragmaticMatchesSimulator)
-{
-    auto net = dnn::makeTinyNetwork();
-    models::SimOptions sim_opt;
-    sim_opt.sample.maxUnits = 2;
-    dnn::ActivationSynthesizer synth(net, sim_opt.seed);
-    AccelConfig accel;
-
-    for (const EngineSelection &sel :
-         {EngineSelection{"pragmatic", {{"bits", "2"}}},
-          EngineSelection{"pragmatic-col",
-                          {{"bits", "2"}, {"ssr", "1"}}}}) {
-        auto engine = models::builtinEngines().create(sel);
-        NetworkResult via_engine = engine->runNetwork(
-            net, synth, accel, sim_opt.sample);
-
-        models::PragmaticConfig config;
-        config.firstStageBits = 2;
-        if (sel.kind == "pragmatic-col") {
-            config.sync = models::SyncScheme::PerColumn;
-            config.ssrCount = 1;
+            NetworkResult loop;
+            loop.networkName = net.name;
+            loop.engineName = engine->name();
+            for (size_t i = 0; i < net.layers.size(); i++) {
+                if (!net.layers[i].priced())
+                    continue;
+                loop.layers.push_back(engine->simulateLayer(
+                    net.layers[i],
+                    LayerWorkload(synthesizeStream(
+                        *synth, static_cast<int>(i),
+                        engine->inputStream())),
+                    accel, sample, util::InnerExecutor()));
+            }
+            expectSameResults({uncached}, {loop}, "layer loop");
         }
-        NetworkResult direct = models::PragmaticSimulator(accel).run(
-            net, config, sim_opt);
-        EXPECT_EQ(via_engine.totalCycles(), direct.totalCycles())
-            << sel.kind;
-        EXPECT_EQ(via_engine.totalStalls(), direct.totalStalls())
-            << sel.kind;
-        EXPECT_EQ(via_engine.engineName, direct.engineName);
     }
 }
 
@@ -184,7 +173,8 @@ TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
     auto engine = models::builtinEngines().create(
         "terms", {{"series", "pra-red"}});
     NetworkResult via_engine =
-        engine->runNetwork(net, synth, AccelConfig{}, sample);
+        engine->runNetwork(net, WorkloadSource(synth), AccelConfig{},
+                           sample, util::InnerExecutor());
 
     double expected = 0.0;
     for (size_t i = 0; i < net.layers.size(); i++) {

@@ -507,43 +507,6 @@ TEST(WorkloadCache, WeightPlanesOutliveTheCache)
                      syntheticWeightPlanes(layer, dnn::kBrickSize));
 }
 
-TEST(WorkloadCache, EngineResultsIdenticalCachedVsUncached)
-{
-    // Every engine kind must produce bit-identical LayerResults from
-    // cached views, uncached views, and the legacy synthesizer path.
-    auto net = dnn::makeTinyNetwork();
-    AccelConfig accel;
-    SampleSpec sample{4};
-    WorkloadCache cache;
-    for (const auto &kind : models::builtinEngines().kinds()) {
-        auto engine = models::builtinEngines().create(kind);
-        dnn::ActivationSynthesizer synth(net);
-        auto shared_synth = cache.synthesizer(net, synth.seed());
-
-        NetworkResult legacy =
-            engine->runNetwork(net, synth, accel, sample);
-        NetworkResult uncached = engine->runNetwork(
-            net, WorkloadSource(synth), accel, sample,
-            util::InnerExecutor());
-        NetworkResult cached = engine->runNetwork(
-            net, WorkloadSource(*shared_synth, cache), accel, sample,
-            util::InnerExecutor());
-
-        for (const NetworkResult *other : {&uncached, &cached}) {
-            ASSERT_EQ(legacy.layers.size(), other->layers.size())
-                << kind;
-            for (size_t l = 0; l < legacy.layers.size(); l++) {
-                const auto &a = legacy.layers[l];
-                const auto &b = other->layers[l];
-                EXPECT_EQ(a.cycles, b.cycles) << kind;
-                EXPECT_EQ(a.effectualTerms, b.effectualTerms) << kind;
-                EXPECT_EQ(a.nmStallCycles, b.nmStallCycles) << kind;
-                EXPECT_EQ(a.sbReadSteps, b.sbReadSteps) << kind;
-            }
-        }
-    }
-}
-
 TEST(WorkloadCache, PalletSyncInvariantAcrossBlockCounts)
 {
     // Pallet-block splitting must be exact: any inner task count

@@ -103,6 +103,24 @@ TEST(ArgParser, CheckUnknownAcceptsKnownFlags)
     SUCCEED(); // Positionals are not flags; known flags pass.
 }
 
+TEST(ArgParser, SampleUnitsFromUnitsAndFull)
+{
+    EXPECT_EQ(parse({}).sampleUnits(64), 64);
+    EXPECT_EQ(parse({"--units=4"}).sampleUnits(64), 4);
+    EXPECT_EQ(parse({"--full"}).sampleUnits(64), 0);
+    EXPECT_EQ(parse({"--units=4", "--full"}).sampleUnits(64), 0);
+}
+
+TEST(ArgParserDeathTest, SampleUnitsRejectsNonPositiveUnits)
+{
+    // Zero must not silently mean "price everything": that is
+    // --full's job.
+    EXPECT_DEATH(parse({"--units=0"}).sampleUnits(64),
+                 "--units must be a positive sampling cap \\(got 0\\)");
+    EXPECT_DEATH(parse({"--units=-4", "--full"}).sampleUnits(64),
+                 "got -4.*use --full");
+}
+
 TEST(ArgParserDeathTest, CheckUnknownRejectsTypo)
 {
     // Regression: "--smke" used to be silently ignored, running the

@@ -207,13 +207,7 @@ main(int argc, char **argv)
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
-    int64_t default_units = smoke ? 4 : 64;
-    int64_t units = args.getInt("units", default_units);
-    if (args.has("units") && units <= 0)
-        util::fatal("--units must be a positive sampling cap (got " +
-                    std::to_string(units) +
-                    "); use --full for an exhaustive run");
-    options.sample.maxUnits = args.getBool("full") ? 0 : units;
+    options.sample.maxUnits = args.sampleUnits(smoke ? 4 : 64);
     int64_t seed = args.getInt("seed", 0x5eed);
     if (seed < 0)
         util::fatal("--seed must be non-negative (got " +

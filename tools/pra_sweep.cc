@@ -263,16 +263,7 @@ main(int argc, char **argv)
     options.activations = activations;
     options.accel.memory =
         sim::parseMemoryPreset(args.getString("memory", "off"));
-    int64_t default_units = smoke ? 4 : 64;
-    // A sampling cap of zero would silently mean "simulate
-    // everything" (the --full semantics); a user asking for zero or
-    // negative units gets an error, not the opposite of the request.
-    int64_t units = args.getInt("units", default_units);
-    if (args.has("units") && units <= 0)
-        util::fatal("--units must be a positive sampling cap (got " +
-                    std::to_string(units) +
-                    "); use --full for an exhaustive run");
-    options.sample.maxUnits = args.getBool("full") ? 0 : units;
+    options.sample.maxUnits = args.sampleUnits(smoke ? 4 : 64);
     int64_t seed = args.getInt("seed", 0x5eed);
     if (seed < 0)
         util::fatal("--seed must be non-negative (got " +
