@@ -130,27 +130,18 @@ main(int argc, char **argv)
         "traffic", opt.smoke ? "1000,100000" : "2000,20000,200000"));
     serving.serving.arrival.kind = sim::parseArrivalKind(
         args.getString("arrival", "poisson"));
-    int64_t instances = args.getInt("instances", 1);
-    if (instances <= 0)
-        util::fatal("--instances must be a positive fleet size (got " +
-                    std::to_string(instances) + ")");
-    serving.serving.instances = static_cast<int>(instances);
-    int64_t max_batch = args.getInt("max-batch", 8);
-    if (max_batch <= 0)
-        util::fatal("--max-batch must be a positive batch cap (got " +
-                    std::to_string(max_batch) + ")");
-    serving.serving.policy.maxBatch = static_cast<int>(max_batch);
+    serving.serving.instances =
+        args.getCount("instances", 1, 1, "a positive fleet size");
+    serving.serving.policy.maxBatch =
+        args.getCount("max-batch", 8, 1, "a positive batch cap");
     int64_t timeout = args.getInt("timeout", 1000000);
     if (timeout < 0)
         util::fatal("--timeout must be a non-negative cycle count "
                     "(got " + std::to_string(timeout) + ")");
     serving.serving.policy.timeoutCycles =
         static_cast<uint64_t>(timeout);
-    int64_t requests = args.getInt("requests", opt.smoke ? 64 : 512);
-    if (requests <= 0)
-        util::fatal("--requests must be a positive trace length "
-                    "(got " + std::to_string(requests) + ")");
-    serving.serving.requests = static_cast<int>(requests);
+    serving.serving.requests = args.getCount(
+        "requests", opt.smoke ? 64 : 512, 1, "a positive trace length");
 
     report.phase("serve");
     auto reports = sim::runServingSweep(opt.networks,

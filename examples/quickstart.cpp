@@ -27,7 +27,8 @@ main(int argc, char **argv)
     args.checkUnknown({"network", "layer"});
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
-    int layer_idx = static_cast<int>(args.getInt("layer", 2));
+    int layer_idx =
+        args.getCount("layer", 2, 0, "a non-negative layer index");
     const dnn::LayerSpec &layer = net.layers.at(layer_idx);
 
     std::printf("Quickstart: %s / %s\n", net.name.c_str(),

@@ -56,15 +56,49 @@ struct ArrivalSpec
 uint64_t arrivalGap(const ArrivalSpec &spec, int index);
 
 /**
- * Absolute arrival cycles of @p count requests: request 0 arrives at
- * the first gap (the trace starts one gap after cycle 0, so a
- * uniform process is evenly spaced from the very first request), and
- * request i+1 follows i by arrivalGap(spec, i + 1). Non-decreasing
- * by construction; a prefix of a longer trace is identical to a
- * shorter trace.
+ * A lazy reader of the trace of @p count requests: request 0 arrives
+ * one gap after cycle 0 and request i+1 follows i by
+ * arrivalGap(spec, i + 1), so a prefix of a longer trace is the
+ * shorter trace. It holds the next @p lookahead arrival cycles and a
+ * small block drawn ahead of them, never the whole trace.
  */
-std::vector<uint64_t> generateArrivals(const ArrivalSpec &spec,
-                                       int count);
+class ArrivalCursor
+{
+  public:
+    ArrivalCursor(const ArrivalSpec &spec, int count, int lookahead);
+
+    int remaining() const { return count_ - next_; }
+    /** Trace index of the next request to arrive. */
+    int index() const { return next_; }
+
+    /** Arrival cycle of request index() + @p ahead (< lookahead). */
+    uint64_t
+    cycle(int ahead = 0) const
+    {
+        return buf_[pos_ + static_cast<size_t>(ahead)];
+    }
+
+    /** Consume request index(). */
+    void
+    advance()
+    {
+        next_++;
+        if (++pos_ + lookahead_ > buf_.size() && drawn_ < count_)
+            refill();
+    }
+
+  private:
+    void refill();
+
+    ArrivalSpec spec_;
+    int count_;
+    size_t lookahead_;
+    int next_ = 0;
+    int drawn_ = 0;
+    uint64_t last_ = 0;         ///< Cycle of request drawn_ - 1.
+    std::vector<uint64_t> buf_; ///< Cycles from request next_ - pos_.
+    size_t pos_ = 0;
+};
 
 } // namespace sim
 } // namespace pra

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <iterator>
 #include <memory>
 #include <queue>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -28,53 +29,6 @@ roundTrip(double value)
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.17g", value);
     return buf;
-}
-
-/** Shared sanity checks of both fleet loops. */
-void
-checkServingConfig(const BatchCostCurve &curve,
-                   const ServingConfig &config)
-{
-    PRA_CHECK(config.instances >= 1,
-              "simulateServing: need at least one instance");
-    PRA_CHECK(config.requests >= 1,
-              "simulateServing: need at least one request");
-    PRA_CHECK(config.policy.maxBatch >= 1 &&
-                  static_cast<size_t>(config.policy.maxBatch) <=
-                      curve.batchSystemCycles.size(),
-              "simulateServing: cost curve does not cover maxBatch");
-    PRA_CHECK(config.queueCap >= 0,
-              "simulateServing: queue cap must be non-negative");
-    PRA_CHECK(config.degradeWatermark >= 0,
-              "simulateServing: degrade watermark must be "
-              "non-negative");
-    PRA_CHECK(config.retry.maxRetries >= 0,
-              "simulateServing: retry limit must be non-negative");
-    if (faultsEnabled(config.faults))
-        PRA_CHECK(config.faults.mttrCycles >= 1,
-                  "simulateServing: mean repair time must be at "
-                  "least one cycle when faults are enabled");
-}
-
-/** Copy the degraded-layer configuration into the report. */
-void
-stampServingConfig(ServingReport &report, const ServingConfig &config)
-{
-    report.arrivalKind = config.arrival.kind;
-    report.offeredPerSecond =
-        kCyclesPerSecond / config.arrival.meanGapCycles;
-    report.instances = config.instances;
-    report.maxBatch = config.policy.maxBatch;
-    report.timeoutCycles = config.policy.timeoutCycles;
-    report.requests = config.requests;
-    report.degraded = servingDegradedEnabled(config);
-    report.mtbfCycles = config.faults.mtbfCycles;
-    report.mttrCycles = config.faults.mttrCycles;
-    report.faultKind = config.faults.kind;
-    report.queueCap = config.queueCap;
-    report.degradeWatermark = config.degradeWatermark;
-    report.retryLimit = config.retry.maxRetries;
-    report.backoffBaseCycles = config.retry.backoffBaseCycles;
 }
 
 } // namespace
@@ -116,94 +70,13 @@ buildBatchCostCurve(const dnn::Network &network, const Engine &engine,
 namespace {
 
 /**
- * The historical perfect-fleet loop: instances never fail, the queue
- * is unbounded, every request completes. Every committed serving
- * golden pins this loop's output byte for byte, so it stays
- * untouched; runDegradedFleet() below must reproduce it exactly when
- * the fault layer is configured off (test-pinned).
- */
-ServingReport
-runIdealFleet(const BatchCostCurve &curve, const ServingConfig &config)
-{
-    const std::vector<uint64_t> arrivals =
-        generateArrivals(config.arrival, config.requests);
-    const size_t n = arrivals.size();
-    const size_t max_batch =
-        static_cast<size_t>(config.policy.maxBatch);
-
-    std::vector<uint64_t> free_at(
-        static_cast<size_t>(config.instances), 0);
-    util::Histogram latencies = util::Histogram::logSpaced(
-        kLatencyHistogramMax, kLatencyHistogramSubBits);
-    uint64_t makespan = 0;
-    double busy_cycles = 0.0;
-    int64_t dispatches = 0;
-
-    size_t k = 0;
-    while (k < n) {
-        // Earliest-free instance, lowest id on ties: a strict-<
-        // linear scan gives exactly that ordering.
-        size_t j = 0;
-        for (size_t i = 1; i < free_at.size(); i++)
-            if (free_at[i] < free_at[j])
-                j = i;
-
-        const uint64_t head = arrivals[k];
-        const size_t fill_idx = k + max_batch - 1;
-        const uint64_t fill =
-            fill_idx < n ? arrivals[fill_idx] : kNeverFills;
-        const uint64_t start =
-            dispatchCycle(config.policy, free_at[j], head, fill);
-
-        // Everything that has arrived by launch rides along, up to
-        // the batch cap; the head itself always has (head <= start).
-        size_t take = 1;
-        while (take < max_batch && k + take < n &&
-               arrivals[k + take] <= start)
-            take++;
-
-        const double cost = curve.batchSystemCycles[take - 1];
-        const uint64_t cost_cycles = std::max<uint64_t>(
-            1, static_cast<uint64_t>(std::llround(cost)));
-        const uint64_t done = start + cost_cycles;
-        for (size_t r = k; r < k + take; r++)
-            latencies.add(done - arrivals[r]);
-        busy_cycles += static_cast<double>(cost_cycles);
-        free_at[j] = done;
-        makespan = std::max(makespan, done);
-        dispatches++;
-        k += take;
-    }
-
-    ServingReport report;
-    report.networkName = curve.networkName;
-    report.engineName = curve.engineName;
-    stampServingConfig(report, config);
-    report.dispatches = dispatches;
-    report.meanBatch = static_cast<double>(config.requests) /
-                       static_cast<double>(dispatches);
-    report.p50Cycles = latencies.percentile(0.50);
-    report.p95Cycles = latencies.percentile(0.95);
-    report.p99Cycles = latencies.percentile(0.99);
-    report.meanLatencyCycles = latencies.mean();
-    report.imagesPerSecond = static_cast<double>(config.requests) *
-                             kCyclesPerSecond /
-                             static_cast<double>(makespan);
-    report.utilization =
-        busy_cycles / (static_cast<double>(config.instances) *
-                       static_cast<double>(makespan));
-    report.makespanCycles = makespan;
-    report.completed = config.requests;
-    return report;
-}
-
-/**
- * Discrete events of the degraded fleet loop. The enumerator order
- * is the tie-break at equal cycles and is load-bearing:
- * completions are observed before the fail-stop of the same cycle
- * (a batch whose interval is [start, done) finished), repairs before
- * new work is admitted, and arrivals/retries enter the queue before
- * the dispatcher re-evaluates.
+ * Fleet events. The enumerator order is the tie-break at equal
+ * cycles and is load-bearing: completions are observed before the
+ * fail-stop of the same cycle (a batch whose interval is [start,
+ * done) finished), repairs before new work is admitted, and
+ * arrivals/retries queue before the dispatcher looks. Completions
+ * live with their instance and arrivals with their cursor; the heap
+ * holds the rest.
  */
 enum class EventKind : int {
     BatchDone = 0,
@@ -211,356 +84,529 @@ enum class EventKind : int {
     InstanceRepair = 2,
     Arrival = 3,
     RetryReady = 4,
-    TryDispatch = 5,
+};
+
+/** A request in the queue, in flight, or backing off for a retry. */
+struct Request
+{
+    int id = 0;           ///< Trace index (retry-jitter counter).
+    int tries = 0;        ///< Dispatch attempts consumed so far.
+    uint64_t arrival = 0; ///< Trace arrival cycle (latency origin).
 };
 
 struct FleetEvent
 {
     uint64_t cycle = 0;
-    EventKind kind = EventKind::TryDispatch;
-    int idx = 0;      ///< Instance (fleet events) or request id.
-    int64_t epoch = 0; ///< Launch generation (BatchDone staleness).
+    EventKind kind = EventKind::InstanceFail;
+    int idx = 0;     ///< Instance, or request id for RetryReady.
+    Request request; ///< The retrying request (RetryReady only).
 };
 
 /** Min-heap order over the deterministic (cycle, kind, idx) total
- *  order; epoch disambiguates nothing but keeps the order total. */
+ *  order. */
 struct FleetEventAfter
 {
     bool
     operator()(const FleetEvent &a, const FleetEvent &b) const
     {
-        return std::tie(a.cycle, a.kind, a.idx, a.epoch) >
-               std::tie(b.cycle, b.kind, b.idx, b.epoch);
+        return std::tie(a.cycle, a.kind, a.idx) >
+               std::tie(b.cycle, b.kind, b.idx);
     }
 };
 
 /**
- * The degraded fleet loop: the perfect-fleet semantics extended with
- * fail-stop faults (in-flight batches killed, requests retried with
- * exponential backoff, permanent-failure accounting), a bounded
- * dispatch queue with load-shedding, and the admission-control
- * watermark. Driven by a deterministic event heap; with the fault
- * layer configured off it reproduces runIdealFleet bit for bit
- * (test-pinned): dispatch decisions fire at exactly the cycles the
- * pull-loop computes, because every decline schedules a TryDispatch
- * wake-up at its own dispatchCycle estimate.
+ * The dispatch queue, in (entry cycle, request id) order: two FIFOs
+ * merged on read. Fresh arrivals enter in trace order and retries in
+ * heap (cycle, id) order. On equal entry cycles a retry leads: it
+ * arrived before its killed launch, so before anything arriving now.
+ * A fresh request costs only its arrival cycle; its id is the next
+ * trace index unless sheds skipped some, which jumps_ records.
  */
-ServingReport
-runDegradedFleet(const BatchCostCurve &curve,
-                 const ServingConfig &config)
+class DispatchQueue
 {
-    const std::vector<uint64_t> arrivals =
-        generateArrivals(config.arrival, config.requests);
-    const int n = static_cast<int>(arrivals.size());
-    const bool faults = faultsEnabled(config.faults);
+  public:
+    size_t size() const { return fresh_.size() + retried_.size(); }
+    bool empty() const { return fresh_.empty() && retried_.empty(); }
 
-    // Per-request state: dispatch attempts consumed so far.
-    std::vector<int> tries(static_cast<size_t>(n), 0);
-    // Waiting requests, ordered by (queue-entry cycle, id): trace
-    // order for arrivals, requeue order for retries.
-    std::set<std::pair<uint64_t, int>> pending;
-    size_t next_arrival = 0; ///< Trace index of the next Arrival.
+    void
+    pushFresh(int id, uint64_t arrival)
+    {
+        if (fresh_.empty())
+            frontId_ = id;
+        else if (id != nextId_)
+            jumps_.push_back({pushed_, id});
+        nextId_ = id + 1;
+        pushed_++;
+        fresh_.push_back(arrival);
+    }
 
-    const size_t instances = static_cast<size_t>(config.instances);
-    std::vector<uint64_t> free_at(instances, 0);
-    std::vector<char> up(instances, 1);
-    std::vector<int64_t> epoch(instances, 0);
-    std::vector<uint64_t> launch_at(instances, 0);
-    std::vector<std::vector<int>> flight(instances);
-    std::vector<FaultTimeline> timelines;
-    timelines.reserve(instances);
-    for (size_t i = 0; i < instances; i++)
-        timelines.emplace_back(config.faults,
-                               static_cast<int>(i));
+    void
+    pushRetry(uint64_t t, const Request &r)
+    {
+        PRA_CHECK(retried_.empty() ||
+                      std::tie(retried_.back().first,
+                               retried_.back().second.id) <
+                          std::tie(t, r.id),
+                  "DispatchQueue: retries must enter in order");
+        retried_.push_back({t, r});
+    }
 
+    /** Entry cycle of the k-th queued request in merged order. */
+    uint64_t
+    entryAt(size_t k) const
+    {
+        if (retried_.empty())
+            return fresh_[k];
+        for (size_t f = 0, r = 0;; k--) {
+            const uint64_t entry =
+                freshLeads(f, r) ? fresh_[f++] : retried_[r++].first;
+            if (k == 0)
+                return entry;
+        }
+    }
+
+    Request
+    pop()
+    {
+        if (fresh_.empty() || (!retried_.empty() &&
+                               retried_.front().first <= fresh_.front())) {
+            const Request r = retried_.front().second;
+            retried_.pop_front();
+            return r;
+        }
+        const Request r{frontId_++, 0, fresh_.front()};
+        fresh_.pop_front();
+        popped_++;
+        if (!jumps_.empty() && jumps_.front().first == popped_) {
+            frontId_ = jumps_.front().second;
+            jumps_.pop_front();
+        }
+        return r;
+    }
+
+  private:
+    bool
+    freshLeads(size_t f, size_t r) const
+    {
+        return f < fresh_.size() &&
+               (r == retried_.size() || fresh_[f] < retried_[r].first);
+    }
+
+    std::deque<uint64_t> fresh_; ///< Arrival (= entry) cycles.
+    std::deque<std::pair<int64_t, int>> jumps_; ///< (push no., id).
+    int64_t pushed_ = 0;
+    int64_t popped_ = 0;
+    int frontId_ = 0;
+    int nextId_ = 0;
+    std::deque<std::pair<uint64_t, Request>> retried_;
+};
+
+/**
+ * The fleet loop: identical instances behind one dispatch queue,
+ * with fail-stop faults (killed batches retried with backoff, or
+ * failed for good), a bounded queue that sheds, and the degrade
+ * watermark. Each step plans the next launch as an event-driven
+ * dispatcher would decide it — the earliest-free instance in service
+ * (lowest id on ties; a busy one counts from its completion) at the
+ * dispatchCycle of the queue head, or of the next arrival — then
+ * drains events in (cycle, kind, idx) order up to it. Completions and
+ * arrivals leave the plan standing: the instance already won on its
+ * free cycle, the head stays, and an arrival is the very fill the
+ * estimate read from the trace. Any other event (fail-stop, repair,
+ * retry, a shed, or reaching the watermark) stops the drain after its
+ * cycle, and the loop plans again. Fault-free, nothing stops it and
+ * each step is a step of the pull loop over the trace (test-pinned).
+ */
+class Fleet
+{
+  public:
+    Fleet(const BatchCostCurve &curve, const ServingConfig &config)
+        : curve_(curve), config_(config), n_(config.requests),
+          arrivals_(config.arrival, n_, config.policy.maxBatch)
+    {
+        for (double cost : curve.batchSystemCycles)
+            costCycles_.push_back(std::max<uint64_t>(
+                1, static_cast<uint64_t>(std::llround(cost))));
+        for (int i = 0; i < config.instances; i++) {
+            fleet_.push_back(
+                {FaultTimeline(config.faults, i), true, 0, 0, {}});
+            if (fleet_.back().timeline.failCycle() != kNoFault)
+                events_.push({fleet_.back().timeline.failCycle(),
+                              EventKind::InstanceFail, i, {}});
+        }
+    }
+
+    /** Play the whole trace and report on it. */
+    ServingReport run();
+
+  private:
+    struct Instance
+    {
+        FaultTimeline timeline;
+        bool up = true;
+        uint64_t freeAt = 0;   ///< Completion of the last launch.
+        uint64_t launchAt = 0; ///< Launch of the in-flight batch.
+        std::vector<Request> flight;
+    };
+
+    bool admit(uint64_t t, const Request &request, bool retry);
+    void handle(const FleetEvent &ev, uint64_t t);
+    bool drainThrough(uint64_t target);
+    void completeThrough(uint64_t last);
+
+    void
+    resolve(uint64_t t, int requests)
+    {
+        resolved_ += requests;
+        report_.makespanCycles = std::max(report_.makespanCycles, t);
+    }
+
+    const BatchCostCurve &curve_;
+    const ServingConfig &config_;
+    const int n_;
+    std::vector<uint64_t> costCycles_; ///< [b-1]: charged for b.
+    ArrivalCursor arrivals_;
+    DispatchQueue pending_;
+    std::vector<Instance> fleet_;
     std::priority_queue<FleetEvent, std::vector<FleetEvent>,
                         FleetEventAfter>
-        events;
-    for (int r = 0; r < n; r++)
-        events.push({arrivals[static_cast<size_t>(r)],
-                     EventKind::Arrival, r, 0});
-    for (size_t i = 0; i < instances; i++)
-        if (timelines[i].failCycle() != kNoFault)
-            events.push({timelines[i].failCycle(),
-                         EventKind::InstanceFail,
-                         static_cast<int>(i), 0});
-
-    util::Histogram latencies = util::Histogram::logSpaced(
+        events_;
+    uint64_t now_ = 0; ///< Last drained cycle; no launch before it.
+    int resolved_ = 0;
+    ServingReport report_; ///< Counters filled as the trace plays.
+    util::Histogram latencies_ = util::Histogram::logSpaced(
         kLatencyHistogramMax, kLatencyHistogramSubBits);
-    util::Histogram faulted_latencies = util::Histogram::logSpaced(
+    util::Histogram faultedLatencies_ = util::Histogram::logSpaced(
         kLatencyHistogramMax, kLatencyHistogramSubBits);
-    uint64_t makespan = 0;
-    double busy_cycles = 0.0;
-    int64_t dispatches = 0;
-    int64_t dispatched_images = 0;
-    int64_t degraded_dispatches = 0;
-    int64_t killed_batches = 0;
-    int64_t instance_failures = 0;
-    int64_t retries = 0;
-    int completed = 0;
-    int permanent_failures = 0;
-    int shed = 0;
-    int resolved = 0;
+    double busyCycles_ = 0.0;
+    int64_t dispatchedImages_ = 0;
+};
 
-    // A request entering the queue at cycle t: shed at the cap (the
-    // bounded queue's loud load-shedding), queued otherwise.
-    auto admit = [&](uint64_t t, int request) {
-        if (config.queueCap > 0 &&
-            pending.size() >= static_cast<size_t>(config.queueCap)) {
-            shed++;
-            resolved++;
-            makespan = std::max(makespan, t);
-            return;
+/**
+ * A request entering the queue at cycle t: shed at the cap (the
+ * bounded queue's loud load-shedding), queued otherwise. True when
+ * that stops the drain: a shed, or reaching the watermark.
+ */
+bool
+Fleet::admit(uint64_t t, const Request &request, bool retry)
+{
+    if (config_.queueCap > 0 &&
+        pending_.size() >= static_cast<size_t>(config_.queueCap)) {
+        report_.shedRequests++;
+        resolve(t, 1);
+        return true;
+    }
+    if (retry)
+        pending_.pushRetry(t, request);
+    else
+        pending_.pushFresh(request.id, t);
+    return config_.degradeWatermark > 0 &&
+           pending_.size() ==
+               static_cast<size_t>(config_.degradeWatermark);
+}
+
+/** Apply one fail-stop, repair or retry. */
+void
+Fleet::handle(const FleetEvent &ev, uint64_t t)
+{
+    if (ev.kind == EventKind::RetryReady) {
+        admit(t, ev.request, true);
+        return;
+    }
+    Instance &inst = fleet_[static_cast<size_t>(ev.idx)];
+    const bool fail = ev.kind == EventKind::InstanceFail;
+    inst.up = !fail;
+    if (!fail) {
+        inst.freeAt = t;
+        inst.timeline.advance();
+    } else {
+        report_.instanceFailures++;
+    }
+    if (fail && !inst.flight.empty()) {
+        // Fail-stop mid-batch: the whole batch is lost.
+        report_.killedBatches++;
+        busyCycles_ += static_cast<double>(t - inst.launchAt);
+        for (const Request &r : inst.flight) {
+            if (r.tries > config_.retry.maxRetries) {
+                report_.permanentFailures++;
+                resolve(t, 1);
+                continue;
+            }
+            report_.retries++;
+            const uint64_t ready = util::saturatingAdd(
+                t, retryBackoffCycles(config_.retry, config_.faults.seed,
+                                      r.id, r.tries));
+            events_.push({ready, EventKind::RetryReady, r.id, r});
         }
-        pending.insert({t, request});
-    };
+        inst.flight.clear();
+    }
+    // Each of a fail-stop and a repair schedules the other.
+    const uint64_t next =
+        fail ? inst.timeline.repairCycle() : inst.timeline.failCycle();
+    if (next != kNoFault)
+        events_.push({next,
+                      fail ? EventKind::InstanceRepair
+                           : EventKind::InstanceFail,
+                      ev.idx, {}});
+}
 
-    auto handleEvent = [&](const FleetEvent &ev, uint64_t t) {
-        switch (ev.kind) {
-          case EventKind::BatchDone: {
-            const size_t i = static_cast<size_t>(ev.idx);
-            if (ev.epoch != epoch[i])
-                return; // The batch this completion meant was killed.
-            for (int r : flight[i]) {
-                const uint64_t latency =
-                    t - arrivals[static_cast<size_t>(r)];
-                latencies.add(latency);
-                if (tries[static_cast<size_t>(r)] > 1)
-                    faulted_latencies.add(latency);
-                completed++;
-                resolved++;
-            }
-            busy_cycles += static_cast<double>(t - launch_at[i]);
-            makespan = std::max(makespan, t);
-            flight[i].clear();
-            return;
-          }
-          case EventKind::InstanceFail: {
-            const size_t i = static_cast<size_t>(ev.idx);
-            instance_failures++;
-            up[i] = 0;
-            if (!flight[i].empty()) {
-                // Fail-stop mid-batch: the whole batch is lost.
-                killed_batches++;
-                busy_cycles += static_cast<double>(t - launch_at[i]);
-                for (int r : flight[i]) {
-                    const int used = tries[static_cast<size_t>(r)];
-                    if (used > config.retry.maxRetries) {
-                        permanent_failures++;
-                        resolved++;
-                        makespan = std::max(makespan, t);
-                        continue;
-                    }
-                    retries++;
-                    const uint64_t ready = util::saturatingAdd(
-                        t, retryBackoffCycles(config.retry,
-                                              config.faults.seed, r,
-                                              used));
-                    events.push({ready, EventKind::RetryReady, r, 0});
-                }
-                flight[i].clear();
-                epoch[i]++;
-            }
-            if (timelines[i].repairCycle() != kNoFault)
-                events.push({timelines[i].repairCycle(),
-                             EventKind::InstanceRepair, ev.idx, 0});
-            return;
-          }
-          case EventKind::InstanceRepair: {
-            const size_t i = static_cast<size_t>(ev.idx);
-            up[i] = 1;
-            free_at[i] = t;
-            timelines[i].advance();
-            if (timelines[i].failCycle() != kNoFault)
-                events.push({timelines[i].failCycle(),
-                             EventKind::InstanceFail, ev.idx, 0});
-            return;
-          }
-          case EventKind::Arrival:
-            next_arrival = static_cast<size_t>(ev.idx) + 1;
-            admit(t, ev.idx);
-            return;
-          case EventKind::RetryReady:
-            admit(t, ev.idx);
-            return;
-          case EventKind::TryDispatch:
-            return; // Only exists to wake the dispatcher below.
+/**
+ * Drain events through cycle @p target in (cycle, kind, idx) order,
+ * completions first and the cursor at EventKind::Arrival's rank.
+ * True when an event that stops the drain, or the last resolution,
+ * ended it early (now_ is that cycle); false once all is drained.
+ */
+bool
+Fleet::drainThrough(uint64_t target)
+{
+    for (;;) {
+        // Up to the next heap event, arrivals and completions commute
+        // (neither changes what the other sees): queue the arrivals,
+        // then complete batches in (cycle, instance) order.
+        const bool have_heap = !events_.empty();
+        uint64_t last = have_heap
+                            ? std::min(target, events_.top().cycle - 1)
+                            : target;
+        const size_t size = pending_.size();
+        size_t quiet = static_cast<size_t>(arrivals_.remaining());
+        const size_t cap = static_cast<size_t>(config_.queueCap);
+        if (cap > 0)
+            quiet = std::min(quiet, cap - std::min(size, cap));
+        const size_t mark = static_cast<size_t>(config_.degradeWatermark);
+        if (size < mark)
+            quiet = std::min(quiet, mark - 1 - size);
+        for (; quiet > 0 && arrivals_.cycle() <= last; quiet--) {
+            pending_.pushFresh(arrivals_.index(), arrivals_.cycle());
+            arrivals_.advance();
         }
-    };
-
-    // Launch every batch the policy allows at cycle t; when the next
-    // launch is strictly in the future, schedule a TryDispatch
-    // wake-up at exactly that estimate (re-evaluated there, so new
-    // arrivals/retries/repairs can only pull it earlier).
-    auto dispatchAt = [&](uint64_t t) {
-        while (!pending.empty()) {
-            // Earliest-free instance among in-service idle ones,
-            // lowest id on ties (the perfect-fleet rule).
-            int j = -1;
-            for (size_t i = 0; i < instances; i++) {
-                if (!up[i] || !flight[i].empty())
-                    continue;
-                if (j < 0 || free_at[i] < free_at[static_cast<size_t>(j)])
-                    j = static_cast<int>(i);
+        // The next arrival sheds or reaches the watermark: its cycle
+        // is the last one to drain.
+        const bool stop =
+            arrivals_.remaining() > 0 && arrivals_.cycle() <= last;
+        if (stop)
+            last = arrivals_.cycle();
+        completeThrough(last);
+        if (resolved_ == n_)
+            return true; // No request is left to arrive or finish.
+        if (stop) {
+            while (arrivals_.remaining() > 0 && arrivals_.cycle() == last) {
+                admit(last, {arrivals_.index(), 0, last}, false);
+                arrivals_.advance();
             }
-            if (j < 0)
-                return; // Every instance is busy or down.
-            const size_t ji = static_cast<size_t>(j);
-
-            const size_t occupancy = pending.size();
-            const bool degrade =
-                config.degradeWatermark > 0 &&
-                occupancy >=
-                    static_cast<size_t>(config.degradeWatermark);
-            BatchingPolicy policy = config.policy;
-            if (degrade) {
-                // Watermark crossed: shed to half the batch cap and
-                // greedy launches before the cap has to drop.
-                policy.maxBatch = std::max(1, policy.maxBatch / 2);
-                policy.timeoutCycles = 0;
+            now_ = last;
+            return true;
+        }
+        if (!have_heap || events_.top().cycle > target) {
+            now_ = target;
+            return false;
+        }
+        // A heap event's cycle, which always stops the drain: its
+        // completions, then the heap and the arrivals merged by kind.
+        const uint64_t t = events_.top().cycle;
+        completeThrough(t);
+        for (;;) {
+            const bool event_due =
+                !events_.empty() && events_.top().cycle == t;
+            if (arrivals_.remaining() > 0 && arrivals_.cycle() == t &&
+                (!event_due || events_.top().kind > EventKind::Arrival)) {
+                admit(t, {arrivals_.index(), 0, t}, false);
+                arrivals_.advance();
+            } else if (event_due) {
+                const FleetEvent ev = events_.top();
+                events_.pop();
+                handle(ev, t);
+            } else {
+                now_ = t;
+                return true;
             }
-            const size_t max_batch =
-                static_cast<size_t>(policy.maxBatch);
+        }
+    }
+}
 
-            const uint64_t head = pending.begin()->first;
+/**
+ * Complete every batch due by cycle @p last, in (cycle, instance)
+ * order; a saturated completion never comes.
+ */
+void
+Fleet::completeThrough(uint64_t last)
+{
+    for (;;) {
+        Instance *next = nullptr;
+        for (Instance &inst : fleet_)
+            if (!inst.flight.empty() && inst.freeAt <= last &&
+                inst.freeAt != kNoFault &&
+                (!next || inst.freeAt < next->freeAt))
+                next = &inst;
+        if (!next)
+            return;
+        const uint64_t t = next->freeAt;
+        for (const Request &r : next->flight) {
+            latencies_.add(t - r.arrival);
+            if (r.tries > 1)
+                faultedLatencies_.add(t - r.arrival);
+        }
+        report_.completed += static_cast<int>(next->flight.size());
+        resolve(t, static_cast<int>(next->flight.size()));
+        busyCycles_ += static_cast<double>(t - next->launchAt);
+        next->flight.clear();
+    }
+}
+
+ServingReport
+Fleet::run()
+{
+    while (resolved_ < n_) {
+        // Plan: the earliest-free instance in service; a down one
+        // sorts like one whose completion saturated — it never frees.
+        const size_t occupancy = pending_.size();
+        Instance *inst = nullptr;
+        uint64_t free_at = kNoFault;
+        for (Instance &cand : fleet_) {
+            const uint64_t key = cand.up ? cand.freeAt : kNoFault;
+            if (key < free_at) {
+                free_at = key;
+                inst = &cand;
+            }
+        }
+        if (occupancy == 0 && arrivals_.remaining() == 0)
+            inst = nullptr;
+        BatchingPolicy policy = config_.policy;
+        const bool degrade =
+            config_.degradeWatermark > 0 &&
+            occupancy >= static_cast<size_t>(config_.degradeWatermark);
+        if (degrade) {
+            // Watermark crossed: shed to half the batch cap and greedy
+            // launches before the cap has to drop.
+            policy.maxBatch = std::max(1, policy.maxBatch / 2);
+            policy.timeoutCycles = 0;
+        }
+        const size_t max_batch = static_cast<size_t>(policy.maxBatch);
+        uint64_t start = kNoFault;
+        if (inst) {
+            const uint64_t head =
+                occupancy > 0 ? pending_.entryAt(0) : arrivals_.cycle();
             uint64_t fill;
             if (occupancy >= max_batch) {
-                auto it = pending.begin();
-                std::advance(it,
-                             static_cast<ptrdiff_t>(max_batch) - 1);
-                fill = it->first;
+                fill = pending_.entryAt(max_batch - 1);
             } else {
-                // Estimate the fill from the trace tail; retries
-                // still in backoff are unknowable to a dispatcher.
-                const size_t idx =
-                    next_arrival + (max_batch - occupancy) - 1;
-                fill = idx < static_cast<size_t>(n)
-                           ? arrivals[idx]
+                // Estimate the fill from the trace; retries still in
+                // backoff are unknowable to a dispatcher.
+                const size_t ahead = max_batch - occupancy - 1;
+                fill = ahead < static_cast<size_t>(arrivals_.remaining())
+                           ? arrivals_.cycle(static_cast<int>(ahead))
                            : kNeverFills;
                 // A requeued head can outrank older trace arrivals.
                 fill = std::max(fill, head);
             }
-            const uint64_t start =
-                dispatchCycle(policy, free_at[ji], head, fill);
-            if (start > t) {
-                events.push({start, EventKind::TryDispatch, 0, 0});
-                return;
-            }
-            // start < t only after a watermark flip mid-wait; the
-            // launch happens now either way.
-            const uint64_t launch = std::max(start, t);
-
-            size_t take = 0;
-            while (take < max_batch && !pending.empty()) {
-                auto it = pending.begin();
-                flight[ji].push_back(it->second);
-                tries[static_cast<size_t>(it->second)]++;
-                pending.erase(it);
-                take++;
-            }
-            const double cost = curve.batchSystemCycles[take - 1];
-            const uint64_t cost_cycles = std::max<uint64_t>(
-                1, static_cast<uint64_t>(std::llround(cost)));
-            const uint64_t done =
-                util::saturatingAdd(launch, cost_cycles);
-            launch_at[ji] = launch;
-            free_at[ji] = done;
-            if (done != kNoFault)
-                events.push({done, EventKind::BatchDone, j,
-                             epoch[ji]});
-            dispatches++;
-            dispatched_images += static_cast<int64_t>(take);
-            if (degrade)
-                degraded_dispatches++;
+            start = dispatchCycle(policy, free_at, head, fill);
         }
-    };
-
-    while (!events.empty() && resolved < n) {
-        const uint64_t t = events.top().cycle;
-        while (!events.empty() && events.top().cycle == t) {
-            FleetEvent ev = events.top();
-            events.pop();
-            handleEvent(ev, t);
+        if (!inst || start > now_) {
+            if (drainThrough(start))
+                continue; // Something changed: plan again.
+            if (!inst)
+                break; // Every event drained.
         }
-        if (resolved >= n)
-            break;
-        dispatchAt(t);
+
+        // Launch at max(start, now_); start < now_ only after a
+        // watermark flip mid-wait.
+        PRA_CHECK(inst->up && inst->flight.empty(),
+                  "Fleet: planned instance is busy at launch");
+        const uint64_t launch = std::max(start, now_);
+        while (inst->flight.size() < max_batch && !pending_.empty()) {
+            Request r = pending_.pop();
+            r.tries++;
+            inst->flight.push_back(r);
+        }
+        const size_t take = inst->flight.size();
+        inst->launchAt = launch;
+        inst->freeAt = util::saturatingAdd(launch, costCycles_[take - 1]);
+        report_.dispatches++;
+        dispatchedImages_ += static_cast<int64_t>(take);
+        if (degrade)
+            report_.degradedDispatches++;
+        now_ = launch;
     }
-    // The heap can only drain with unresolved requests when every
+    // The loop can only run dry with unresolved requests when every
     // instance wedged permanently (saturated repair/completion
     // times): account the stranded requests as permanent failures
     // rather than stalling or spinning.
-    permanent_failures += n - resolved;
-    resolved = n;
+    report_.permanentFailures += n_ - resolved_;
 
-    ServingReport report;
-    report.networkName = curve.networkName;
-    report.engineName = curve.engineName;
-    stampServingConfig(report, config);
-    report.dispatches = dispatches;
-    report.meanBatch =
-        dispatches == 0
+    report_.networkName = curve_.networkName;
+    report_.engineName = curve_.engineName;
+    report_.arrivalKind = config_.arrival.kind;
+    report_.offeredPerSecond =
+        kCyclesPerSecond / config_.arrival.meanGapCycles;
+    report_.instances = config_.instances;
+    report_.maxBatch = config_.policy.maxBatch;
+    report_.timeoutCycles = config_.policy.timeoutCycles;
+    report_.requests = n_;
+    // The degraded layer is configured: this decides only the CSV's
+    // column shape, so fault-free runs keep the historical columns.
+    report_.degraded = faultsEnabled(config_.faults) ||
+                      config_.queueCap > 0 || config_.degradeWatermark > 0;
+    report_.mtbfCycles = config_.faults.mtbfCycles;
+    report_.mttrCycles = config_.faults.mttrCycles;
+    report_.faultKind = config_.faults.kind;
+    report_.queueCap = config_.queueCap;
+    report_.degradeWatermark = config_.degradeWatermark;
+    report_.retryLimit = config_.retry.maxRetries;
+    report_.backoffBaseCycles = config_.retry.backoffBaseCycles;
+    report_.meanBatch =
+        report_.dispatches == 0
             ? 0.0
-            : static_cast<double>(dispatched_images) /
-                  static_cast<double>(dispatches);
-    report.p50Cycles = latencies.percentile(0.50);
-    report.p95Cycles = latencies.percentile(0.95);
-    report.p99Cycles = latencies.percentile(0.99);
-    report.meanLatencyCycles = latencies.mean();
-    const double span = static_cast<double>(std::max<uint64_t>(
-        makespan, 1));
-    report.imagesPerSecond =
-        static_cast<double>(completed) * kCyclesPerSecond / span;
-    report.utilization =
-        busy_cycles / (static_cast<double>(config.instances) * span);
-    report.makespanCycles = makespan;
-    report.completed = completed;
-    report.retries = retries;
-    report.permanentFailures = permanent_failures;
-    report.shedRequests = shed;
-    report.killedBatches = killed_batches;
-    report.instanceFailures = instance_failures;
-    report.degradedDispatches = degraded_dispatches;
-    if (faults) {
+            : static_cast<double>(dispatchedImages_) /
+                  static_cast<double>(report_.dispatches);
+    report_.p50Cycles = latencies_.percentile(0.50);
+    report_.p95Cycles = latencies_.percentile(0.95);
+    report_.p99Cycles = latencies_.percentile(0.99);
+    report_.meanLatencyCycles = latencies_.mean();
+    const double span =
+        static_cast<double>(std::max<uint64_t>(report_.makespanCycles, 1));
+    report_.imagesPerSecond =
+        static_cast<double>(report_.completed) * kCyclesPerSecond / span;
+    report_.utilization =
+        busyCycles_ / (static_cast<double>(config_.instances) * span);
+    if (faultsEnabled(config_.faults)) {
         uint64_t up_cycles = 0;
-        for (size_t i = 0; i < instances; i++)
+        for (int i = 0; i < config_.instances; i++)
             up_cycles +=
-                upCyclesBefore(config.faults, static_cast<int>(i),
-                               makespan);
-        report.availability =
+                upCyclesBefore(config_.faults, i, report_.makespanCycles);
+        report_.availability =
             static_cast<double>(up_cycles) /
-            (static_cast<double>(config.instances) * span);
+            (static_cast<double>(config_.instances) * span);
     }
-    report.p99FaultedCycles = faulted_latencies.count() > 0
-                                  ? faulted_latencies.percentile(0.99)
+    report_.p99FaultedCycles = faultedLatencies_.count() > 0
+                                  ? faultedLatencies_.percentile(0.99)
                                   : 0;
-    return report;
+    return report_;
 }
 
 } // namespace
 
-bool
-servingDegradedEnabled(const ServingConfig &config)
-{
-    return faultsEnabled(config.faults) || config.queueCap > 0 ||
-           config.degradeWatermark > 0;
-}
-
 ServingReport
 simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
 {
-    checkServingConfig(curve, config);
-    return servingDegradedEnabled(config)
-               ? runDegradedFleet(curve, config)
-               : runIdealFleet(curve, config);
-}
-
-ServingReport
-simulateServingDegraded(const BatchCostCurve &curve,
-                        const ServingConfig &config)
-{
-    checkServingConfig(curve, config);
-    return runDegradedFleet(curve, config);
+    PRA_CHECK(config.instances >= 1,
+              "simulateServing: need at least one instance");
+    PRA_CHECK(config.requests >= 1,
+              "simulateServing: need at least one request");
+    PRA_CHECK(config.policy.maxBatch >= 1 &&
+                  static_cast<size_t>(config.policy.maxBatch) <=
+                      curve.batchSystemCycles.size(),
+              "simulateServing: cost curve does not cover maxBatch");
+    PRA_CHECK(config.queueCap >= 0,
+              "simulateServing: queue cap must be non-negative");
+    PRA_CHECK(config.degradeWatermark >= 0,
+              "simulateServing: degrade watermark must be "
+              "non-negative");
+    PRA_CHECK(config.retry.maxRetries >= 0,
+              "simulateServing: retry limit must be non-negative");
+    if (faultsEnabled(config.faults))
+        PRA_CHECK(config.faults.mttrCycles >= 1,
+                  "simulateServing: mean repair time must be at "
+                  "least one cycle when faults are enabled");
+    return Fleet(curve, config).run();
 }
 
 std::vector<ServingReport>
@@ -648,9 +694,9 @@ writeServingCsv(std::ostream &out,
                 const std::vector<ServingReport> &reports)
 {
     util::CsvWriter csv(out);
-    // The degraded-serving columns appear only when some report ran
-    // the degraded loop, so historical (fault-free) CSVs — and the
-    // committed goldens that pin them — keep their exact shape.
+    // The degraded-serving columns appear only when some report
+    // configured the degraded layer, so historical (fault-free) CSVs
+    // — and the committed goldens that pin them — keep their shape.
     bool degraded = false;
     for (const auto &r : reports)
         degraded = degraded || r.degraded;

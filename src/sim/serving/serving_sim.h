@@ -20,13 +20,17 @@
  *     --batch=b sweep of the same cell and the whole curve costs
  *     maxBatch engine passes, not maxBatch * (maxBatch + 1) / 2.
  *  2. **Arrival trace** (sim/serving/arrival.h): counter-based
- *     seeded arrivals, independent of evaluation order.
+ *     seeded arrivals, independent of evaluation order, read
+ *     lazily through an ArrivalCursor.
  *  3. **Fleet event loop** (simulateServing): instances are
  *     identical servers; the dispatcher repeatedly takes the
  *     earliest-free instance (lowest id on ties), launches at the
  *     cycle sim/serving/batching.h dictates, and charges the batch
- *     the curve's cost. Single-threaded over a fixed-order trace:
- *     deterministic by construction, so serving reports are
+ *     the curve's cost. The same loop plays fail-stop faults,
+ *     retries, a bounded queue and the degrade watermark when they
+ *     are configured. Its memory grows with the fleet and the queue,
+ *     not the trace length. Single-threaded over a fixed-order
+ *     trace: deterministic by construction, so serving reports are
  *     byte-identical across --threads/--inner-threads/--cache (the
  *     parallelism lives in stage 1, whose results are already
  *     bit-identical across schedules).
@@ -77,8 +81,9 @@ struct ServingConfig
     ArrivalSpec arrival;   ///< Arrival process (gap set per rate).
     BatchingPolicy policy; ///< Max-batch + timeout dispatch rule.
 
-    // --- Degraded-serving layer (defaults model the perfect fleet
-    // --- the historical goldens pin: no faults, unbounded queue).
+    // --- Degraded-serving layer. The defaults model a perfect fleet
+    // --- (no faults, unbounded queue, no watermark); setting any of
+    // --- them adds the degraded columns to the report's CSV.
     FaultSpec faults;      ///< Fail-stop schedule (mtbf 0 = off).
     RetryPolicy retry;     ///< Requeue rule for killed batches.
     /** Dispatch-queue bound; arrivals beyond it shed. 0 = unbounded. */
@@ -92,14 +97,6 @@ struct ServingConfig
      */
     int degradeWatermark = 0;
 };
-
-/**
- * True when @p config needs the degraded event loop (fault
- * injection, a bounded queue, or admission control); false selects
- * the historical perfect-fleet loop, whose output every committed
- * serving golden pins byte for byte.
- */
-bool servingDegradedEnabled(const ServingConfig &config);
 
 /** System-cycle cost of batches of 1..maxBatch images of one cell. */
 struct BatchCostCurve
@@ -153,7 +150,7 @@ struct ServingReport
 
     // --- Degraded-serving columns, emitted only when the fault
     // --- layer is configured (see writeServingCsv).
-    bool degraded = false; ///< Degraded loop configured for this run.
+    bool degraded = false; ///< Degraded layer configured for this run.
     uint64_t mtbfCycles = 0;     ///< Config echo (0 = faults off).
     uint64_t mttrCycles = 0;     ///< Config echo.
     FaultKind faultKind = FaultKind::Exponential;
@@ -176,21 +173,14 @@ struct ServingReport
 
 /**
  * Run the fleet event loop for one cost curve under @p config
- * (whose policy.maxBatch must not exceed the curve's length).
- * Dispatches to the degraded loop iff servingDegradedEnabled().
- * Deterministic: same inputs, same report, bit for bit.
+ * (whose policy.maxBatch must not exceed the curve's length). One
+ * loop serves every configuration: with faults, queue cap and
+ * watermark off it launches every batch where a pull loop walking
+ * the trace in order would (test-pinned). Deterministic: same
+ * inputs, same report, bit for bit.
  */
 ServingReport simulateServing(const BatchCostCurve &curve,
                               const ServingConfig &config);
-
-/**
- * The degraded fleet event loop, callable directly so tests can pin
- * its fault-free specialization: with faults, queue cap, and
- * watermark all off it must reproduce every field simulateServing's
- * perfect-fleet loop reports, bit for bit.
- */
-ServingReport simulateServingDegraded(const BatchCostCurve &curve,
-                                      const ServingConfig &config);
 
 /** Options of a serving sweep over (networks x engines x rates). */
 struct ServingSweepOptions

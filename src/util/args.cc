@@ -1,7 +1,9 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -100,9 +102,13 @@ ArgParser::getInt(const std::string &name, int64_t fallback) const
     if (it == flags_.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     int64_t v = std::strtoll(it->second.c_str(), &end, 10);
     if (end == it->second.c_str() || *end != '\0')
         fatal("flag --" + name + " expects an integer, got '" +
+              it->second + "'");
+    if (errno == ERANGE)
+        fatal("flag --" + name + " is out of range, got '" +
               it->second + "'");
     return v;
 }
@@ -145,6 +151,19 @@ ArgParser::sampleUnits(int64_t fallback) const
               std::to_string(units) +
               "); use --full for an exhaustive run");
     return getBool("full") ? 0 : units;
+}
+
+int
+ArgParser::getCount(const std::string &name, int fallback, int min,
+                    const std::string &what) const
+{
+    const int64_t v = getInt(name, fallback);
+    const int64_t max = std::numeric_limits<int>::max();
+    if (v < min || v > max)
+        fatal("--" + name + " must be " +
+              (v < min ? what : "at most " + std::to_string(max)) +
+              " (got " + std::to_string(v) + ")");
+    return static_cast<int>(v);
 }
 
 } // namespace util

@@ -55,6 +55,13 @@ class ArgParser
     int64_t sampleUnits(int64_t fallback) const;
 
     /**
+     * An int flag (a count, size or budget), @p fallback when absent;
+     * fatal() below @p min ("--name must be <what>") or above INT_MAX.
+     */
+    int getCount(const std::string &name, int fallback, int min,
+                 const std::string &what) const;
+
+    /**
      * fatal() when any parsed flag is not in @p known — call once,
      * after construction, with every flag the program understands.
      * The error names the closest known flag when one is plausible.

@@ -8,33 +8,6 @@
 namespace pra {
 namespace util {
 
-namespace {
-
-/** splitmix64: used only for seeding. */
-uint64_t
-splitmix64(uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
-Xoshiro256::Xoshiro256(uint64_t seed)
-    : gaussSpare_(0.0), hasSpare_(false)
-{
-    uint64_t sm = seed;
-    for (auto &word : s_)
-        word = splitmix64(sm);
-    // A state of all zeros is the one forbidden state; splitmix64
-    // cannot produce four zero outputs in a row, but guard anyway.
-    if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
-        s_[0] = 1;
-}
-
 uint64_t
 Xoshiro256::nextBounded(uint64_t bound)
 {
@@ -80,16 +53,6 @@ Xoshiro256::nextGaussian()
     gaussSpare_ = r * std::sin(theta);
     hasSpare_ = true;
     return r * std::cos(theta);
-}
-
-double
-Xoshiro256::nextExponential(double lambda)
-{
-    PRA_CHECK(lambda > 0.0, "nextExponential: lambda must be > 0");
-    double u = nextDouble();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return -std::log(u) / lambda;
 }
 
 } // namespace util

@@ -11,8 +11,11 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
+
+#include "util/check.h"
 
 namespace pra {
 namespace util {
@@ -50,7 +53,16 @@ class Xoshiro256
 {
   public:
     /** Construct with a full 64-bit seed (expanded via splitmix64). */
-    explicit Xoshiro256(uint64_t seed = 0x9e3779b97f4a7c15ull);
+    explicit Xoshiro256(uint64_t seed = 0x9e3779b97f4a7c15ull)
+    {
+        uint64_t sm = seed;
+        for (auto &word : s_)
+            word = splitmix64(sm);
+        // A state of all zeros is the one forbidden state; splitmix64
+        // cannot produce four zero outputs in a row, but guard anyway.
+        if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
+            s_[0] = 1;
+    }
 
     /**
      * Next raw 64-bit output. Defined here, like nextDouble() and
@@ -96,13 +108,32 @@ class Xoshiro256
      * Exponential draw with rate @p lambda (mean 1/lambda).
      * Requires lambda > 0.
      */
-    double nextExponential(double lambda);
+    double
+    nextExponential(double lambda)
+    {
+        PRA_CHECK(lambda > 0.0, "nextExponential: lambda must be > 0");
+        double u = nextDouble();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        return -std::log(u) / lambda;
+    }
 
   private:
+    /** splitmix64: used only for seeding. */
+    static uint64_t
+    splitmix64(uint64_t &x)
+    {
+        x += 0x9e3779b97f4a7c15ull;
+        uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
     uint64_t s_[4];
     /** Cached second Box-Muller variate, NaN when absent. */
-    double gaussSpare_;
-    bool hasSpare_;
+    double gaussSpare_ = 0.0;
+    bool hasSpare_ = false;
 };
 
 } // namespace util

@@ -75,35 +75,6 @@ Histogram::logSpaced(uint64_t max_value, int sub_bits)
     return Histogram(max_value, sub_bits);
 }
 
-size_t
-Histogram::indexFor(uint64_t sample) const
-{
-    if (!logSpaced_)
-        return static_cast<size_t>(sample);
-    // HDR layout: exact unit buckets below 2 * S (S = 2^subBits);
-    // above that, the top subBits+1 significant bits select the
-    // bucket — 2^subBits buckets per power of two, relative width
-    // 2^-subBits.
-    const uint64_t unit = uint64_t{2} << subBits_;
-    if (sample < unit)
-        return static_cast<size_t>(sample);
-    const int shift = std::bit_width(sample) - 1 - subBits_;
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(shift) << subBits_) +
-        (sample >> shift));
-}
-
-void
-Histogram::add(uint64_t sample, uint64_t weight)
-{
-    if (sample <= maxValue_)
-        buckets_[indexFor(sample)] += weight;
-    else
-        overflow_ += weight;
-    count_ += weight;
-    sum_ += static_cast<double>(sample) * weight;
-}
-
 uint64_t
 Histogram::bucket(uint32_t index) const
 {

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -101,7 +102,16 @@ class Histogram
      */
     static Histogram logSpaced(uint64_t max_value, int sub_bits = 5);
 
-    void add(uint64_t sample, uint64_t weight = 1);
+    void
+    add(uint64_t sample, uint64_t weight = 1)
+    {
+        if (sample <= maxValue_)
+            buckets_[indexFor(sample)] += weight;
+        else
+            overflow_ += weight;
+        count_ += weight;
+        sum_ += static_cast<double>(sample) * weight;
+    }
 
     uint64_t count() const { return count_; }
     uint64_t bucket(uint32_t index) const;
@@ -137,7 +147,23 @@ class Histogram
     Histogram(uint64_t max_value, int sub_bits);
 
     /** Bucket index of @p sample (which must be <= maxValue_). */
-    size_t indexFor(uint64_t sample) const;
+    size_t
+    indexFor(uint64_t sample) const
+    {
+        if (!logSpaced_)
+            return static_cast<size_t>(sample);
+        // HDR layout: exact unit buckets below 2 * S (S = 2^subBits);
+        // above that, the top subBits+1 significant bits select the
+        // bucket — 2^subBits buckets per power of two, relative width
+        // 2^-subBits.
+        const uint64_t unit = uint64_t{2} << subBits_;
+        if (sample < unit)
+            return static_cast<size_t>(sample);
+        const int shift = std::bit_width(sample) - 1 - subBits_;
+        return static_cast<size_t>(
+            (static_cast<uint64_t>(shift) << subBits_) +
+            (sample >> shift));
+    }
 
     std::vector<uint64_t> buckets_;
     uint64_t maxValue_ = 0;

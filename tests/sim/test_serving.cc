@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the serving subsystem: counter-based arrivals, the
- * max-batch + timeout dispatch rule, the incremental batch cost
- * curve, the fleet event loop, and the determinism of the serving
- * sweep's CSV across threads and cache modes.
+ * Tests for the serving subsystem: counter-based arrivals and their
+ * lazy cursor, the max-batch + timeout dispatch rule, the incremental
+ * batch cost curve, the fleet event loop (checked against a pull-loop
+ * oracle), and the determinism of the serving sweep's CSV across
+ * threads and cache modes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "dnn/activation_synth.h"
@@ -16,6 +19,7 @@
 #include "sim/memory/memory_config.h"
 #include "sim/memory/memory_model.h"
 #include "sim/serving/serving_sim.h"
+#include "util/stats.h"
 
 namespace pra {
 namespace sim {
@@ -45,12 +49,25 @@ TEST(Arrival, GapIsAPureFunctionOfSeedAndIndex)
     EXPECT_TRUE(any_differs);
 }
 
+/** The first @p count arrival cycles, read through a cursor. */
+std::vector<uint64_t>
+trace(const ArrivalSpec &spec, int count, int lookahead = 1)
+{
+    ArrivalCursor cursor(spec, count, lookahead);
+    std::vector<uint64_t> cycles;
+    while (cursor.remaining() > 0) {
+        cycles.push_back(cursor.cycle());
+        cursor.advance();
+    }
+    return cycles;
+}
+
 TEST(Arrival, UniformIsAFixedRoundedGap)
 {
     ArrivalSpec spec;
     spec.kind = ArrivalKind::Uniform;
     spec.meanGapCycles = 250.5;
-    auto arrivals = generateArrivals(spec, 4);
+    auto arrivals = trace(spec, 4);
     ASSERT_EQ(arrivals.size(), 4u);
     // llround(250.5) = 251, evenly spaced from the first request.
     EXPECT_EQ(arrivals[0], 251u);
@@ -63,10 +80,43 @@ TEST(Arrival, TracePrefixIsStable)
 {
     ArrivalSpec spec;
     spec.meanGapCycles = 777.0;
-    auto short_trace = generateArrivals(spec, 8);
-    auto long_trace = generateArrivals(spec, 64);
+    auto short_trace = trace(spec, 8);
+    auto long_trace = trace(spec, 64);
     for (size_t i = 0; i < short_trace.size(); i++)
         EXPECT_EQ(short_trace[i], long_trace[i]) << i;
+}
+
+TEST(Arrival, CursorLookaheadReadsThePrefixSumOfGaps)
+{
+    // Request i arrives at gap(0) + ... + gap(i). Every look-ahead
+    // slot the cursor exposes must agree with that sum, through its
+    // block refills and up to the end of the trace.
+    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Uniform}) {
+        ArrivalSpec spec;
+        spec.kind = kind;
+        spec.meanGapCycles = 333.3;
+        const int count = 300;
+        std::vector<uint64_t> sums;
+        uint64_t now = 0;
+        for (int i = 0; i < count; i++)
+            sums.push_back(now += arrivalGap(spec, i));
+        for (int lookahead : {1, 3, 8, 100, 400}) {
+            ArrivalCursor cursor(spec, count, lookahead);
+            for (int i = 0; i < count; i++) {
+                ASSERT_EQ(cursor.index(), i);
+                ASSERT_EQ(cursor.remaining(), count - i);
+                const int ahead =
+                    std::min(lookahead, cursor.remaining());
+                for (int k = 0; k < ahead; k++)
+                    ASSERT_EQ(cursor.cycle(k),
+                              sums[static_cast<size_t>(i + k)])
+                        << "lookahead " << lookahead << " at " << i
+                        << " + " << k;
+                cursor.advance();
+            }
+            EXPECT_EQ(cursor.remaining(), 0);
+        }
+    }
 }
 
 TEST(Arrival, PoissonGapsAverageNearTheMean)
@@ -82,13 +132,28 @@ TEST(Arrival, PoissonGapsAverageNearTheMean)
     EXPECT_LT(mean, 1100.0);
 }
 
+TEST(Arrival, GapsRoundHalfAwayFromZero)
+{
+    // The rounding is std::llround's, at and around the halfway
+    // points, for uniform gaps below and above 2^53.
+    for (double gap : {1.0, 1.49999999999999978, 1.5, 2.5, 1e6 + 0.5,
+                       4503599627370495.5, 9007199254740993.0}) {
+        ArrivalSpec spec;
+        spec.kind = ArrivalKind::Uniform;
+        spec.meanGapCycles = gap;
+        EXPECT_EQ(arrivalGap(spec, 0),
+                  static_cast<uint64_t>(std::llround(gap)))
+            << gap;
+    }
+}
+
 TEST(Arrival, GapsNeverAliasToZero)
 {
     // Exponential draws near zero round up to one full cycle, so the
     // trace stays strictly increasing.
     ArrivalSpec spec;
     spec.meanGapCycles = 1.0;
-    auto arrivals = generateArrivals(spec, 256);
+    auto arrivals = trace(spec, 256);
     for (size_t i = 1; i < arrivals.size(); i++)
         EXPECT_LT(arrivals[i - 1], arrivals[i]);
 }
@@ -98,9 +163,11 @@ TEST(ArrivalDeathTest, RejectsDegenerateSpecs)
     ArrivalSpec spec;
     spec.meanGapCycles = 0.5;
     EXPECT_DEATH(arrivalGap(spec, 0), "mean gap");
+    EXPECT_DEATH(ArrivalCursor(spec, 4, 1), "mean gap");
     ArrivalSpec ok;
     EXPECT_DEATH(arrivalGap(ok, -1), "negative");
-    EXPECT_DEATH(generateArrivals(ok, 0), "at least one");
+    EXPECT_DEATH(ArrivalCursor(ok, 0, 1), "at least one");
+    EXPECT_DEATH(ArrivalCursor(ok, 4, 0), "lookahead");
     EXPECT_DEATH(parseArrivalKind("bursty"), "uniform or poisson");
 }
 
@@ -379,53 +446,130 @@ TEST(ServingSweep, SaturationFillsBatchesAndStarvationDoesNot)
     EXPECT_GT(reports[1].utilization, reports[0].utilization);
 }
 
-TEST(ServingSim, DegradedLoopMatchesIdealLoopWithFaultsOff)
+/**
+ * Test oracle: the perfect-fleet pull loop. It walks the trace in
+ * arrival order and sends each batch to the earliest-free instance
+ * (lowest id on ties) at dispatchCycle(), taking every request that
+ * has arrived by the launch, up to the batch cap. simulateServing's
+ * event loop must reproduce it field for field whenever faults, the
+ * queue cap and the watermark are off.
+ */
+ServingReport
+pullLoop(const BatchCostCurve &curve, const ServingConfig &config)
 {
-    // The event-driven degraded loop must reproduce the historical
-    // perfect-fleet loop field for field (exact doubles included)
-    // whenever the fault layer is off — this is what keeps the
-    // committed serving goldens byte-identical by construction.
+    const std::vector<uint64_t> arrivals =
+        trace(config.arrival, config.requests);
+    const size_t n = arrivals.size();
+    const size_t max_batch =
+        static_cast<size_t>(config.policy.maxBatch);
+
+    std::vector<uint64_t> free_at(
+        static_cast<size_t>(config.instances), 0);
+    util::Histogram latencies = util::Histogram::logSpaced(
+        kLatencyHistogramMax, kLatencyHistogramSubBits);
+    uint64_t makespan = 0;
+    double busy_cycles = 0.0;
+    int64_t dispatches = 0;
+
+    size_t k = 0;
+    while (k < n) {
+        size_t j = 0;
+        for (size_t i = 1; i < free_at.size(); i++)
+            if (free_at[i] < free_at[j])
+                j = i;
+
+        const uint64_t head = arrivals[k];
+        const size_t fill_idx = k + max_batch - 1;
+        const uint64_t fill =
+            fill_idx < n ? arrivals[fill_idx] : kNeverFills;
+        const uint64_t start =
+            dispatchCycle(config.policy, free_at[j], head, fill);
+
+        size_t take = 1;
+        while (take < max_batch && k + take < n &&
+               arrivals[k + take] <= start)
+            take++;
+
+        const uint64_t cost_cycles = std::max<uint64_t>(
+            1, static_cast<uint64_t>(
+                   std::llround(curve.batchSystemCycles[take - 1])));
+        const uint64_t done = start + cost_cycles;
+        for (size_t r = k; r < k + take; r++)
+            latencies.add(done - arrivals[r]);
+        busy_cycles += static_cast<double>(cost_cycles);
+        free_at[j] = done;
+        makespan = std::max(makespan, done);
+        dispatches++;
+        k += take;
+    }
+
+    ServingReport report;
+    report.dispatches = dispatches;
+    report.meanBatch = static_cast<double>(config.requests) /
+                       static_cast<double>(dispatches);
+    report.p50Cycles = latencies.percentile(0.50);
+    report.p95Cycles = latencies.percentile(0.95);
+    report.p99Cycles = latencies.percentile(0.99);
+    report.meanLatencyCycles = latencies.mean();
+    report.imagesPerSecond = static_cast<double>(config.requests) *
+                             kCyclesPerSecond /
+                             static_cast<double>(makespan);
+    report.utilization =
+        busy_cycles / (static_cast<double>(config.instances) *
+                       static_cast<double>(makespan));
+    report.makespanCycles = makespan;
+    report.completed = config.requests;
+    return report;
+}
+
+TEST(ServingSim, FaultFreeLoopMatchesPullLoopOracle)
+{
+    // With the fault layer off the event loop must reproduce the
+    // pull loop field for field (exact doubles included) — this is
+    // what keeps the committed serving goldens byte-identical. The
+    // grid spans light load, saturation (a one-cycle gap), greedy
+    // and timeout dispatch, and both arrival processes.
     BatchCostCurve curve =
-        syntheticCurve({7000.0, 13000.0, 18000.0, 22000.0});
-    for (int instances : {1, 3}) {
-        for (int max_batch : {1, 4}) {
-            for (uint64_t timeout : {uint64_t{0}, uint64_t{100000}}) {
-                for (double gap : {500.0, 20000.0}) {
-                    ServingConfig config;
-                    config.arrival.meanGapCycles = gap;
-                    config.requests = 64;
-                    config.instances = instances;
-                    config.policy.maxBatch = max_batch;
-                    config.policy.timeoutCycles = timeout;
-                    ASSERT_FALSE(servingDegradedEnabled(config));
-                    ServingReport ideal =
-                        simulateServing(curve, config);
-                    ServingReport degraded =
-                        simulateServingDegraded(curve, config);
-                    SCOPED_TRACE(std::to_string(instances) + "x" +
-                                 std::to_string(max_batch) + " t" +
-                                 std::to_string(timeout) + " g" +
-                                 std::to_string(gap));
-                    EXPECT_EQ(degraded.dispatches, ideal.dispatches);
-                    EXPECT_EQ(degraded.meanBatch, ideal.meanBatch);
-                    EXPECT_EQ(degraded.p50Cycles, ideal.p50Cycles);
-                    EXPECT_EQ(degraded.p95Cycles, ideal.p95Cycles);
-                    EXPECT_EQ(degraded.p99Cycles, ideal.p99Cycles);
-                    EXPECT_EQ(degraded.meanLatencyCycles,
-                              ideal.meanLatencyCycles);
-                    EXPECT_EQ(degraded.imagesPerSecond,
-                              ideal.imagesPerSecond);
-                    EXPECT_EQ(degraded.utilization,
-                              ideal.utilization);
-                    EXPECT_EQ(degraded.makespanCycles,
-                              ideal.makespanCycles);
-                    EXPECT_EQ(degraded.completed, ideal.completed);
-                    EXPECT_EQ(degraded.retries, 0);
-                    EXPECT_EQ(degraded.shedRequests, 0);
-                    EXPECT_DOUBLE_EQ(degraded.availability, 1.0);
-                }
+        syntheticCurve({7000.0, 13000.0, 18000.0, 22000.0, 25500.0,
+                        28000.0, 30000.0, 31500.0});
+    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Uniform}) {
+      for (int instances : {1, 3}) {
+        for (int max_batch : {1, 4, 8}) {
+          for (uint64_t timeout : {uint64_t{0}, uint64_t{100000}}) {
+            for (double gap : {1.0, 500.0, 20000.0}) {
+                ServingConfig config;
+                config.arrival.kind = kind;
+                config.arrival.meanGapCycles = gap;
+                config.requests = 200;
+                config.instances = instances;
+                config.policy.maxBatch = max_batch;
+                config.policy.timeoutCycles = timeout;
+                ServingReport oracle = pullLoop(curve, config);
+                ServingReport loop = simulateServing(curve, config);
+                SCOPED_TRACE(std::string(arrivalKindName(kind)) + " " +
+                             std::to_string(instances) + "x" +
+                             std::to_string(max_batch) + " t" +
+                             std::to_string(timeout) + " g" +
+                             std::to_string(gap));
+                EXPECT_FALSE(loop.degraded);
+                EXPECT_EQ(loop.dispatches, oracle.dispatches);
+                EXPECT_EQ(loop.meanBatch, oracle.meanBatch);
+                EXPECT_EQ(loop.p50Cycles, oracle.p50Cycles);
+                EXPECT_EQ(loop.p95Cycles, oracle.p95Cycles);
+                EXPECT_EQ(loop.p99Cycles, oracle.p99Cycles);
+                EXPECT_EQ(loop.meanLatencyCycles,
+                          oracle.meanLatencyCycles);
+                EXPECT_EQ(loop.imagesPerSecond, oracle.imagesPerSecond);
+                EXPECT_EQ(loop.utilization, oracle.utilization);
+                EXPECT_EQ(loop.makespanCycles, oracle.makespanCycles);
+                EXPECT_EQ(loop.completed, oracle.completed);
+                EXPECT_EQ(loop.retries, 0);
+                EXPECT_EQ(loop.shedRequests, 0);
+                EXPECT_DOUBLE_EQ(loop.availability, 1.0);
             }
+          }
         }
+      }
     }
 }
 
@@ -494,6 +638,91 @@ TEST(ServingFaults, RetryBudgetExhaustionIsAPermanentFailure)
     EXPECT_DOUBLE_EQ(r.availability, 150.0 / 170.0);
 }
 
+TEST(ServingFaults, SameCycleRetryOutranksAFreshArrivalWithALargerId)
+{
+    // Arrivals at 1000/2000/3000, cost 1500, greedy batch-1, one
+    // instance failing at 3000 and 6500 with repair done at 3500.
+    // Request 0 runs [1000, 2500). Request 1 launches at 2500 and is
+    // killed at 3000, the cycle request 2 arrives: both enter the
+    // queue at 3000, and the retry's lower id puts it first. So at
+    // the repair request 1 runs [3500, 5000) (latency 3000) and
+    // request 2 runs [5000, 6500) (latency 3500), completing just
+    // before the 6500 fail-stop. The reverse order would make the
+    // retried request's latency 4500.
+    ServingReport r = simulateServing(
+        syntheticCurve({1500.0}), faultedConfig(1000.0, 3, 3000, 500));
+    EXPECT_EQ(r.dispatches, 4);
+    EXPECT_EQ(r.killedBatches, 1);
+    EXPECT_EQ(r.retries, 1);
+    EXPECT_EQ(r.instanceFailures, 2);
+    EXPECT_EQ(r.completed, 3);
+    EXPECT_EQ(r.makespanCycles, 6500u);
+    // Latencies 1500, 3000, 3500.
+    EXPECT_DOUBLE_EQ(r.meanLatencyCycles, 8000.0 / 3.0);
+    // 3000 lands in the bucket [2976, 3007], 3500 in [3488, 3519].
+    EXPECT_EQ(r.p50Cycles, 3007u);
+    EXPECT_EQ(r.p99Cycles, 3519u);
+    EXPECT_EQ(r.p99FaultedCycles, 3007u);
+    // Busy 1500 + 500 (killed) + 1500 + 1500; up all but [3000, 3500).
+    EXPECT_DOUBLE_EQ(r.utilization, 5000.0 / 6500.0);
+    EXPECT_DOUBLE_EQ(r.availability, 6000.0 / 6500.0);
+}
+
+TEST(ServingFaults, RetryQueuesBehindOlderFreshArrivals)
+{
+    // Arrivals at 400/800, cost 1200, greedy batch-1, one instance
+    // up for 1500 cycles at a time with 100-cycle repairs (fail-stops
+    // at 1500, 3100, 4700). Request 0 runs from 400 and is killed at
+    // 1500; request 1 has waited since 800, so it leads the queue and
+    // the retry (entered at 1500) follows despite its lower id.
+    // Request 1 runs [1600, 2800) (latency 2000). Request 0 then runs
+    // from 2800, is killed again at 3100, and finally runs
+    // [3200, 4400) (latency 4000). Retry-first would have given
+    // request 0 latency 2400 and request 1 latency 3600.
+    ServingReport r = simulateServing(
+        syntheticCurve({1200.0}), faultedConfig(400.0, 2, 1500, 100));
+    EXPECT_EQ(r.dispatches, 4);
+    EXPECT_EQ(r.killedBatches, 2);
+    EXPECT_EQ(r.retries, 2);
+    EXPECT_EQ(r.instanceFailures, 2);
+    EXPECT_EQ(r.completed, 2);
+    EXPECT_EQ(r.permanentFailures, 0);
+    EXPECT_EQ(r.makespanCycles, 4400u);
+    EXPECT_DOUBLE_EQ(r.meanLatencyCycles, 3000.0);
+    // 2000 lands in the bucket [1984, 2015], 4000 in [4000, 4031].
+    EXPECT_EQ(r.p50Cycles, 2015u);
+    EXPECT_EQ(r.p99FaultedCycles, 4031u);
+    // Busy 1100 + 1200 + 300 + 1200; up all but two 100-cycle repairs.
+    EXPECT_DOUBLE_EQ(r.utilization, 3800.0 / 4400.0);
+    EXPECT_DOUBLE_EQ(r.availability, 4200.0 / 4400.0);
+}
+
+TEST(ServingFaults, RetryAfterAShedKeepsItsTraceId)
+{
+    // Arrivals every 300 cycles, cost 1000, batch-1, queue bound 2:
+    // request 3 (at 1200) finds requests 1 and 2 queued and sheds, so
+    // request 4 (at 1500) queues right behind request 2. It runs from
+    // 3300 and dies in the fail-stop at 3800; its retry waits the
+    // backoff of request id 4 — not 3, the next id before the shed —
+    // and then runs to the makespan.
+    ServingConfig config = faultedConfig(300.0, 5, 3800, 50);
+    config.queueCap = 2;
+    config.retry.backoffBaseCycles = 100;
+    const uint64_t backoff =
+        retryBackoffCycles(config.retry, config.faults.seed, 4, 1);
+    ASSERT_NE(backoff,
+              retryBackoffCycles(config.retry, config.faults.seed, 3, 1));
+    ASSERT_GE(backoff, 50u); // The retry comes after the repair.
+    ServingReport r =
+        simulateServing(syntheticCurve({1000.0}), config);
+    EXPECT_EQ(r.shedRequests, 1);
+    EXPECT_EQ(r.killedBatches, 1);
+    EXPECT_EQ(r.retries, 1);
+    EXPECT_EQ(r.completed, 4);
+    EXPECT_EQ(r.dispatches, 5);
+    EXPECT_EQ(r.makespanCycles, 3800 + backoff + 1000);
+}
+
 TEST(ServingDegrade, QueueCapShedsArrivalsAtTheBound)
 {
     // Arrivals at 100..400, cost 1000, batch-1 greedy, queue bound 1:
@@ -546,14 +775,6 @@ TEST(ServingCsv, DegradedColumnsAppearOnlyWhenConfigured)
     std::ostringstream plain_csv;
     writeServingCsv(plain_csv, {simulateServing(curve, plain)});
     EXPECT_EQ(plain_csv.str().find("mtbf_cycles"), std::string::npos);
-
-    // The degraded event loop with the fault layer off still reports
-    // the historical CSV shape (degraded is about configuration, not
-    // code path) — this is the fault-free identity the goldens need.
-    std::ostringstream ideal_loop_csv;
-    writeServingCsv(ideal_loop_csv,
-                    {simulateServingDegraded(curve, plain)});
-    EXPECT_EQ(plain_csv.str(), ideal_loop_csv.str());
 
     ServingConfig capped = plain;
     capped.queueCap = 16;

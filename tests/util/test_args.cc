@@ -121,6 +121,40 @@ TEST(ArgParserDeathTest, SampleUnitsRejectsNonPositiveUnits)
                  "got -4.*use --full");
 }
 
+TEST(ArgParser, GetCountReadsIntsInRange)
+{
+    EXPECT_EQ(parse({}).getCount("requests", 64, 1, "a count"), 64);
+    EXPECT_EQ(parse({"--requests=7"}).getCount("requests", 64, 1, "x"),
+              7);
+    EXPECT_EQ(parse({"--retries=0"}).getCount("retries", 3, 0, "x"), 0);
+    EXPECT_EQ(parse({"--requests=2147483647"})
+                  .getCount("requests", 64, 1, "x"),
+              2147483647);
+}
+
+TEST(ArgParserDeathTest, GetCountRejectsValuesAnIntCannotHold)
+{
+    // Regression: 4294967297 used to wrap to 1 through a narrowing
+    // cast, so --requests=4294967297 silently simulated one request.
+    EXPECT_DEATH(parse({"--requests=4294967297"})
+                     .getCount("requests", 64, 1, "a positive count"),
+                 "--requests must be at most 2147483647 \\(got "
+                 "4294967297\\)");
+    EXPECT_DEATH(parse({"--retries=2147483648"})
+                     .getCount("retries", 3, 0, "a budget"),
+                 "at most 2147483647");
+    EXPECT_DEATH(parse({"--requests=0"})
+                     .getCount("requests", 64, 1, "a positive count"),
+                 "--requests must be a positive count \\(got 0\\)");
+    EXPECT_DEATH(parse({"--retries=-1"}).getCount("retries", 3, 0,
+                                                  "a budget"),
+                 "got -1");
+    // Beyond int64 the parse itself fails instead of saturating.
+    EXPECT_DEATH(parse({"--requests=99999999999999999999"})
+                     .getInt("requests", 64),
+                 "out of range");
+}
+
 TEST(ArgParserDeathTest, CheckUnknownRejectsTypo)
 {
     // Regression: "--smke" used to be silently ignored, running the

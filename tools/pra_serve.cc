@@ -221,27 +221,18 @@ main(int argc, char **argv)
         args.getString("traffic", smoke ? "1000,100000" : "10000"));
     options.serving.arrival.kind = sim::parseArrivalKind(
         args.getString("arrival", "poisson"));
-    int64_t instances = args.getInt("instances", 1);
-    if (instances <= 0)
-        util::fatal("--instances must be a positive fleet size "
-                    "(got " + std::to_string(instances) + ")");
-    options.serving.instances = static_cast<int>(instances);
-    int64_t max_batch = args.getInt("max-batch", 8);
-    if (max_batch <= 0)
-        util::fatal("--max-batch must be a positive batch cap (got " +
-                    std::to_string(max_batch) + ")");
-    options.serving.policy.maxBatch = static_cast<int>(max_batch);
+    options.serving.instances =
+        args.getCount("instances", 1, 1, "a positive fleet size");
+    options.serving.policy.maxBatch =
+        args.getCount("max-batch", 8, 1, "a positive batch cap");
     int64_t timeout = args.getInt("timeout", 1000000);
     if (timeout < 0)
         util::fatal("--timeout must be a non-negative cycle count "
                     "(got " + std::to_string(timeout) + ")");
     options.serving.policy.timeoutCycles =
         static_cast<uint64_t>(timeout);
-    int64_t requests = args.getInt("requests", smoke ? 64 : 512);
-    if (requests <= 0)
-        util::fatal("--requests must be a positive trace length "
-                    "(got " + std::to_string(requests) + ")");
-    options.serving.requests = static_cast<int>(requests);
+    options.serving.requests = args.getCount(
+        "requests", smoke ? 64 : 512, 1, "a positive trace length");
 
     // --- Fault-injection / degraded-serving layer. Degenerate
     // --- values are loud, fatal rejections (CI pins them): an
@@ -270,28 +261,18 @@ main(int argc, char **argv)
         util::fatal("--fault-seed must be non-negative (got " +
                     std::to_string(fault_seed) + ")");
     options.serving.faults.seed = static_cast<uint64_t>(fault_seed);
-    if (args.has("queue-cap")) {
-        int64_t cap = args.getInt("queue-cap", 0);
-        if (cap <= 0)
-            util::fatal("--queue-cap must be a positive queue bound "
-                        "(got " + std::to_string(cap) +
-                        "); omit the flag for an unbounded queue");
-        options.serving.queueCap = static_cast<int>(cap);
-    }
-    if (args.has("degrade-watermark")) {
-        int64_t mark = args.getInt("degrade-watermark", 0);
-        if (mark <= 0)
-            util::fatal("--degrade-watermark must be a positive "
-                        "queue occupancy (got " +
-                        std::to_string(mark) +
-                        "); omit the flag to disable degradation");
-        options.serving.degradeWatermark = static_cast<int>(mark);
-    }
-    int64_t retries = args.getInt("retries", 3);
-    if (retries < 0)
-        util::fatal("--retries must be a non-negative retry budget "
-                    "(got " + std::to_string(retries) + ")");
-    options.serving.retry.maxRetries = static_cast<int>(retries);
+    if (args.has("queue-cap"))
+        options.serving.queueCap = args.getCount(
+            "queue-cap", 0, 1,
+            "a positive queue bound; omit the flag for an unbounded "
+            "queue");
+    if (args.has("degrade-watermark"))
+        options.serving.degradeWatermark = args.getCount(
+            "degrade-watermark", 0, 1,
+            "a positive queue occupancy; omit the flag to disable "
+            "degradation");
+    options.serving.retry.maxRetries =
+        args.getCount("retries", 3, 0, "a non-negative retry budget");
     int64_t backoff = args.getInt("backoff", 1000);
     if (backoff < 0)
         util::fatal("--backoff must be a non-negative cycle count "

@@ -269,11 +269,8 @@ main(int argc, char **argv)
         util::fatal("--seed must be non-negative (got " +
                     std::to_string(seed) + ")");
     options.seed = static_cast<uint64_t>(seed);
-    int64_t batch = args.getInt("batch", 1);
-    if (batch <= 0)
-        util::fatal("--batch must be a positive image count (got " +
-                    std::to_string(batch) + ")");
-    options.batch = static_cast<int>(batch);
+    options.batch =
+        args.getCount("batch", 1, 1, "a positive image count");
     if (args.has("shard")) {
         std::string shard = args.getString("shard");
         size_t slash = shard.find('/');
