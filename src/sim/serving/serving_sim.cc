@@ -360,9 +360,10 @@ bool
 Fleet::drainThrough(uint64_t target)
 {
     for (;;) {
-        // Up to the next heap event, arrivals and completions commute
-        // (neither changes what the other sees): queue the arrivals,
-        // then complete batches in (cycle, instance) order.
+        // Up to the next heap event (never on cycle 0), arrivals and
+        // completions commute — neither changes what the other sees —
+        // so queue the arrivals, then complete batches in (cycle,
+        // instance) order.
         const bool have_heap = !events_.empty();
         uint64_t last = have_heap
                             ? std::min(target, events_.top().cycle - 1)
