@@ -235,10 +235,11 @@ struct BenchOptions
             util::fatal("--seed must be non-negative (got " +
                         std::to_string(seed) + ")");
         opt.seed = static_cast<uint64_t>(seed);
-        opt.threads = static_cast<int>(args.getInt(
-            "threads", util::ThreadPool::hardwareThreads()));
-        opt.innerThreads =
-            static_cast<int>(args.getInt("inner-threads", 0));
+        opt.threads =
+            args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
+                          "a positive thread count");
+        opt.innerThreads = args.getCount(
+            "inner-threads", 0, 0, "non-negative (0 = automatic)");
         opt.cache = args.getBool("cache", true);
         std::string list = args.getString("networks", "");
         if (list.empty() && opt.smoke) {

@@ -42,10 +42,11 @@ main(int argc, char **argv)
     // One network x eleven engines: exactly the small-grid case the
     // two-level sweep is for — spare workers split layers instead of
     // idling.
-    sweep.threads = static_cast<int>(args.getInt(
-        "threads", util::ThreadPool::hardwareThreads()));
-    sweep.innerThreads =
-        static_cast<int>(args.getInt("inner-threads", 0));
+    sweep.threads =
+        args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
+                      "a positive thread count");
+    sweep.innerThreads = args.getCount(
+        "inner-threads", 0, 0, "non-negative (0 = automatic)");
     sweep.cache = args.getBool("cache", true);
 
     // The exploration grid: DaDN baseline, pallet sync over the

@@ -255,10 +255,11 @@ main(int argc, char **argv)
         parseEngines(args.getString("engines", "paper"));
 
     sim::SweepOptions options;
-    options.threads = static_cast<int>(
-        args.getInt("threads", util::ThreadPool::hardwareThreads()));
-    options.innerThreads =
-        static_cast<int>(args.getInt("inner-threads", 0));
+    options.threads =
+        args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
+                      "a positive thread count");
+    options.innerThreads = args.getCount(
+        "inner-threads", 0, 0, "non-negative (0 = automatic)");
     options.cache = args.getBool("cache", true);
     options.activations = activations;
     options.accel.memory =
