@@ -363,21 +363,26 @@ ActivationSynthesizer::fixed16Params(int layer_idx) const
     return fixed16Params_.at(layer_idx);
 }
 
+FilterWeightStream::FilterWeightStream(const LayerSpec &layer,
+                                       uint64_t seed, int weight_range)
+    : rng_(seed ^ util::fnv1a(layer.name)), range_(weight_range)
+{
+    PRA_CHECK(weight_range > 0 && weight_range <= 32767,
+              "synthesizeFilters: bad weight range");
+}
+
 std::vector<FilterTensor>
 synthesizeFilters(const LayerSpec &layer, uint64_t seed,
                   int weight_range)
 {
-    PRA_CHECK(weight_range > 0 && weight_range <= 32767,
-                         "synthesizeFilters: bad weight range");
-    util::Xoshiro256 rng(seed ^ util::fnv1a(layer.name));
+    FilterWeightStream weights(layer, seed, weight_range);
     std::vector<FilterTensor> filters;
     filters.reserve(layer.numFilters);
     for (int f = 0; f < layer.numFilters; f++) {
         FilterTensor filter(layer.filterX, layer.filterY,
                             layer.inputChannels);
         for (auto &w : filter.flat())
-            w = static_cast<int16_t>(
-                rng.nextInRange(-weight_range, weight_range));
+            w = weights.next();
         filters.push_back(std::move(filter));
     }
     return filters;

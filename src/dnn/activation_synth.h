@@ -265,13 +265,45 @@ class ActivationSynthesizer
 };
 
 /**
- * Deterministic random filters for functional testing: @p count
- * filters of the layer's geometry with weights uniform in
- * [-weight_range, weight_range].
+ * synthesizeFilters()' default weight range, and the range of the
+ * propagated reference filters: no reference weight exceeds it in
+ * magnitude.
  */
-std::vector<FilterTensor> synthesizeFilters(const LayerSpec &layer,
-                                            uint64_t seed = 0xf117,
-                                            int weight_range = 255);
+inline constexpr int kReferenceWeightRange = 255;
+
+/**
+ * The weight stream synthesizeFilters() draws, one weight at a time:
+ * filter 0's weights in FilterTensor flat order, then filter 1's, and
+ * so on. Streaming consumers (the propagated forward pass, the
+ * propagated weight codes) replay a layer's filters through it
+ * without materializing them.
+ */
+class FilterWeightStream
+{
+  public:
+    FilterWeightStream(const LayerSpec &layer, uint64_t seed,
+                       int weight_range = kReferenceWeightRange);
+
+    /** The next weight, uniform in [-weight_range, weight_range]. */
+    int16_t
+    next()
+    {
+        return static_cast<int16_t>(rng_.nextInRange(-range_, range_));
+    }
+
+  private:
+    util::Xoshiro256 rng_;
+    int range_;
+};
+
+/**
+ * Deterministic random filters for functional testing:
+ * layer.numFilters filters of the layer's geometry with weights
+ * uniform in [-weight_range, weight_range] (FilterWeightStream order).
+ */
+std::vector<FilterTensor> synthesizeFilters(
+    const LayerSpec &layer, uint64_t seed = 0xf117,
+    int weight_range = kReferenceWeightRange);
 
 } // namespace dnn
 } // namespace pra

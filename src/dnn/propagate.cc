@@ -289,11 +289,15 @@ propagateChain(const ActivationSynthesizer &synth, int image)
                             (1u << layer.profiledPrecision) - 1);
             }
             // Run the layer on exactly the stream the engines price.
+            // The filters stream through the kernel a block at a
+            // time, drawn in synthesizeFilters() order: no layer's
+            // filters are ever held whole (fc6 alone is 75 MB).
             if (last_use[j] > 0) {
-                std::vector<FilterTensor> filters = synthesizeFilters(
+                FilterWeightStream weights(
                     layer, synth.seed() ^ kPropagationFilterSalt);
                 Tensor3D<int64_t> out =
-                    referenceConvolution(layer, input16, filters);
+                    BlockedConvolution(layer, input16).run(
+                        [&weights] { return weights.next(); });
                 relu(out);
                 outputs[j] = std::move(out);
             }

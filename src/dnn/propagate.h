@@ -14,8 +14,11 @@
  *  1. Layer 0 consumes the synthesized image stream — bit-identical
  *     to the synthetic mode's layer-0 input, so the two modes share
  *     their only common workload.
- *  2. A conv/FC layer runs referenceConvolution() against
- *     deterministic synthesized filters, accumulating into int64.
+ *  2. A conv/FC layer runs the blocked convolution kernel
+ *     (BlockedConvolution, dnn/reference.h) against deterministic
+ *     synthesized filters, accumulating exactly into int64. The
+ *     filters stream through the kernel one block at a time, so no
+ *     layer's filters are ever materialized whole.
  *  3. ReLU zeroes the negative accumulators.
  *  4. Pool layers reduce the int64 activations (max or average)
  *     without requantizing — pooling is shape bridging, not a priced
@@ -78,12 +81,13 @@ struct PropagatedChain
  * Run the reference forward pass of @p synth's network (which must be
  * chain-consistent — a full pipeline with its pool layers, not a
  * filtered selection; fatal() otherwise). Layer 0's input is
- * synth.synthesizeFixed16(0, image); filters come from
- * synthesizeFilters() seeded by (synth.seed() ^
- * kPropagationFilterSalt) — the whole batch shares one trained model,
- * so filters do not vary with @p image, only the input image (and
- * hence every propagated stream) does. Image 0 is the historical
- * chain, byte-identical to the pre-batch pipeline.
+ * synth.synthesizeFixed16(0, image); filters are the
+ * synthesizeFilters() weights seeded by (synth.seed() ^
+ * kPropagationFilterSalt), streamed through FilterWeightStream block
+ * by block rather than materialized — the whole batch shares one
+ * trained model, so filters do not vary with @p image, only the
+ * input image (and hence every propagated stream) does. Image 0 is
+ * the historical chain, byte-identical to the pre-batch pipeline.
  */
 PropagatedChain propagateChain(const ActivationSynthesizer &synth,
                                int image = 0);

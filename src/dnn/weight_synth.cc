@@ -9,16 +9,12 @@
 #include "dnn/activation_synth.h"
 #include "dnn/propagate.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace pra {
 namespace dnn {
 
 namespace {
-
-/** synthesizeFilters()'s default weight range; the propagated codes
- * must replay exactly the weights the forward pass convolved (the
- * weight-synth test pins this against a direct materialization). */
-constexpr int kReferenceWeightRange = 255;
 
 /**
  * The calibrated synthetic weight-code distribution for one profiled
@@ -39,14 +35,6 @@ weightDistribution(int wp)
             max_code);
     });
     return *cache[wp];
-}
-
-/** The RNG seed synthesizeFilters() derives for @p layer. */
-uint64_t
-referenceFilterSeed(const LayerSpec &layer, uint64_t synth_seed)
-{
-    return (synth_seed ^ kPropagationFilterSalt) ^
-           util::fnv1a(layer.name);
 }
 
 } // namespace
@@ -82,24 +70,28 @@ synthesizeWeightCodes(const LayerSpec &layer, int filter,
 
 PropagatedWeightCodes::PropagatedWeightCodes(const LayerSpec &layer,
                                              uint64_t synth_seed)
-    : layer_(layer), rng_(referenceFilterSeed(layer, synth_seed))
+    : layer_(layer),
+      weights_(layer, synth_seed ^ kPropagationFilterSalt)
 {
     PRA_CHECK(layer_.priced(),
               "PropagatedWeightCodes: pool layers carry no weights");
-    // Pass 1: replay the whole weight stream once to find the layer
-    // max magnitude — the anchor that maps |w| onto the profiled
-    // weight window. Pass 2 (filterCodes) replays it again filter by
-    // filter, so peak memory stays one filter.
-    util::Xoshiro256 scan(referenceFilterSeed(layer_, synth_seed));
+    // Find the layer max magnitude — the anchor that maps |w| onto
+    // the profiled weight window — by replaying the weight stream
+    // until it reaches kReferenceWeightRange, which no draw can
+    // exceed: a few hundred draws, not a whole layer. Only a tiny
+    // layer that never draws the bound scans to its end.
+    FilterWeightStream scan(layer_, synth_seed ^ kPropagationFilterSalt);
     const int64_t total =
         layer_.synapsesPerFilter() * layer_.numFilters;
-    int max_mag = 0;
-    for (int64_t i = 0; i < total; i++) {
-        int v = static_cast<int>(scan.nextInRange(
-            -kReferenceWeightRange, kReferenceWeightRange));
-        max_mag = std::max(max_mag, std::abs(v));
-    }
-    maxMag_ = max_mag;
+    for (int64_t i = 0; i < total && maxMag_ < kReferenceWeightRange; i++)
+        maxMag_ = std::max(maxMag_, std::abs(int{scan.next()}));
+    const uint32_t max_code =
+        (1u << layer_.profiledWeightPrecision) - 1;
+    const double scale =
+        maxMag_ > 0 ? static_cast<double>(max_code) / maxMag_ : 0.0;
+    for (int a = 0; a <= maxMag_; a++)
+        codeOf_[static_cast<size_t>(a)] =
+            static_cast<uint16_t>(std::llround(a * scale));
 }
 
 void
@@ -111,15 +103,9 @@ PropagatedWeightCodes::filterCodes(int filter, std::span<uint16_t> out)
                   layer_.synapsesPerFilter(),
               "PropagatedWeightCodes: wrong code-buffer length");
     nextFilter_++;
-    const uint32_t max_code =
-        (1u << layer_.profiledWeightPrecision) - 1;
-    const double scale =
-        maxMag_ > 0 ? static_cast<double>(max_code) / maxMag_ : 0.0;
     for (uint16_t &code : out) {
-        int v = static_cast<int>(rng_.nextInRange(
-            -kReferenceWeightRange, kReferenceWeightRange));
-        code = static_cast<uint16_t>(
-            std::llround(std::abs(v) * scale));
+        const int magnitude = std::abs(int{weights_.next()});
+        code = codeOf_[static_cast<size_t>(magnitude)];
     }
 }
 

@@ -27,16 +27,18 @@
  *    synthesizeFilters(layer, seed ^ kPropagationFilterSalt) weights
  *    the reference forward pass (dnn/propagate.h) convolves,
  *    requantized by magnitude into the profiled weight window —
- *    streamed one filter at a time so peak memory is one filter.
+ *    streamed one filter at a time so peak memory is one filter,
+ *    and each weight drawn once.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
+#include "dnn/activation_synth.h"
 #include "dnn/layer_spec.h"
-#include "util/random.h"
 
 namespace pra {
 namespace dnn {
@@ -73,9 +75,12 @@ void synthesizeWeightCodes(const LayerSpec &layer, int filter,
  * codes: |w| of each synthesizeFilters(layer, synth_seed ^
  * kPropagationFilterSalt) weight, scaled so the layer's max |w| maps
  * to the top of the profiled weight window (code
- * (1 << wp) - 1). Construction replays the filter RNG once to find
- * that max; filterCodes() then replays it again filter by filter, so
- * filters must be requested in order 0..numFilters-1 exactly once.
+ * (1 << wp) - 1). Construction finds that max by replaying the
+ * weight stream only until it draws kReferenceWeightRange (the bound
+ * no weight exceeds), scanning the whole layer only when it never
+ * does. filterCodes() then draws each weight once, filter by filter,
+ * mapping |w| through a per-magnitude code table, so filters must be
+ * requested in order 0..numFilters-1 exactly once.
  */
 class PropagatedWeightCodes
 {
@@ -94,9 +99,11 @@ class PropagatedWeightCodes
 
   private:
     LayerSpec layer_;
-    util::Xoshiro256 rng_;
+    FilterWeightStream weights_;
     int nextFilter_ = 0;
     int maxMag_ = 0;
+    /** codeOf_[m]: the code of a weight of magnitude m. */
+    std::array<uint16_t, kReferenceWeightRange + 1> codeOf_{};
 };
 
 } // namespace dnn

@@ -165,9 +165,11 @@ WeightBrickPlanes syntheticWeightPlanes(const dnn::LayerSpec &layer,
 /**
  * Weight planes of the propagated reference filters: the exact
  * synthesizeFilters(layer, synth_seed ^ kPropagationFilterSalt)
- * weights the forward pass convolves, requantized into the layer's
- * profiled weight-precision window (streamed one filter at a time —
- * peak memory is one filter, not the whole layer).
+ * weights the forward pass convolves (and, like it, replays through
+ * dnn::FilterWeightStream), requantized into the layer's profiled
+ * weight-precision window by dnn::PropagatedWeightCodes. Each weight
+ * is drawn once, streamed one filter at a time — peak memory is one
+ * filter, not the whole layer.
  */
 WeightBrickPlanes propagatedWeightPlanes(const dnn::LayerSpec &layer,
                                          uint64_t synth_seed,

@@ -66,7 +66,7 @@ class Xoshiro256
 
     /**
      * Next raw 64-bit output. Defined here, like nextDouble() and
-     * nextBool(), so synthesis loops inline the generator step.
+     * nextBounded(), so synthesis loops inline the generator step.
      */
     uint64_t
     next()
@@ -92,11 +92,38 @@ class Xoshiro256
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Uniform integer in [0, bound) using Lemire's method. bound > 0. */
-    uint64_t nextBounded(uint64_t bound);
+    /**
+     * Uniform integer in [0, bound) using Lemire's method. bound > 0.
+     * Inline, like nextInRange(), so weight-synthesis loops with a
+     * constant bound fold the check and the rejection threshold.
+     */
+    uint64_t
+    nextBounded(uint64_t bound)
+    {
+        PRA_CHECK(bound > 0, "nextBounded: bound must be positive");
+        // Lemire's nearly-divisionless method with rejection.
+        uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        uint64_t l = static_cast<uint64_t>(m);
+        if (l < bound) {
+            uint64_t t = (0 - bound) % bound;
+            while (l < t) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                l = static_cast<uint64_t>(m);
+            }
+        }
+        return static_cast<uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
-    int64_t nextInRange(int64_t lo, int64_t hi);
+    int64_t
+    nextInRange(int64_t lo, int64_t hi)
+    {
+        PRA_CHECK(lo <= hi, "nextInRange: lo must be <= hi");
+        uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+        return lo + static_cast<int64_t>(nextBounded(span));
+    }
 
     /** Bernoulli draw: true with probability @p p. */
     bool nextBool(double p) { return nextDouble() < p; }

@@ -58,6 +58,25 @@ makePipeline()
     return net;
 }
 
+/**
+ * The conv/FC output of @p layer computed window by window with the
+ * scalar referenceWindowDot() oracle, independent of the blocked
+ * kernel propagateChain() runs.
+ */
+OutputTensor
+oracleConvolution(const LayerSpec &layer, const NeuronTensor &input,
+                  const std::vector<FilterTensor> &filters)
+{
+    OutputTensor out(layer.outX(), layer.outY(), layer.numFilters);
+    for (int f = 0; f < layer.numFilters; f++)
+        for (int wy = 0; wy < layer.outY(); wy++)
+            for (int wx = 0; wx < layer.outX(); wx++)
+                out.at(wx, wy, f) = referenceWindowDot(
+                    layer, input, filters[static_cast<size_t>(f)], wx,
+                    wy);
+    return out;
+}
+
 TEST(PoolForward, MaxPoolHandComputed)
 {
     LayerSpec pool = LayerSpec::pool("p", 4, 4, 1, 2, 2, PoolOp::Max);
@@ -221,7 +240,7 @@ TEST(PropagateChain, WiresConvReluPoolRequantizeExactly)
 {
     // Recompute the chain of the hand-sized pipeline step by step
     // with the (individually hand-verified) building blocks and the
-    // reference convolution; the chain must match exactly.
+    // scalar per-window oracle; the chain must match exactly.
     Network net = makePipeline();
     ASSERT_TRUE(net.valid());
     ASSERT_TRUE(net.chainConsistent());
@@ -233,8 +252,7 @@ TEST(PropagateChain, WiresConvReluPoolRequantizeExactly)
     NeuronTensor in0 = synth.synthesizeFixed16(0);
     auto filters0 = synthesizeFilters(
         net.layers[0], synth.seed() ^ kPropagationFilterSalt);
-    OutputTensor acc0 =
-        referenceConvolution(net.layers[0], in0, filters0);
+    OutputTensor acc0 = oracleConvolution(net.layers[0], in0, filters0);
     for (auto &v : acc0.flat())
         v = std::max<int64_t>(v, 0); // ReLU.
 
@@ -257,8 +275,7 @@ TEST(PropagateChain, WiresConvReluPoolRequantizeExactly)
     // 1x1x12 column and requantized into the 6-bit window, anchor 4.
     auto filters2 = synthesizeFilters(
         net.layers[2], synth.seed() ^ kPropagationFilterSalt);
-    OutputTensor acc2 =
-        referenceConvolution(net.layers[2], in2, filters2);
+    OutputTensor acc2 = oracleConvolution(net.layers[2], in2, filters2);
     for (auto &v : acc2.flat())
         v = std::max<int64_t>(v, 0);
     Tensor3D<int64_t> flat(1, 1, static_cast<int>(acc2.size()));

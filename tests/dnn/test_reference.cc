@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
+#include "dnn/propagate.h"
 #include "dnn/reference.h"
+#include "util/random.h"
 
 namespace pra {
 namespace dnn {
@@ -114,6 +118,165 @@ TEST(Reference, WindowDotMatchesFullConvolution)
             }
         }
     }
+}
+
+/**
+ * Every (window, filter) output of referenceConvolution() against the
+ * scalar referenceWindowDot() oracle.
+ */
+void
+expectMatchesWindowDot(const LayerSpec &spec, const NeuronTensor &input,
+                       const std::vector<FilterTensor> &filters)
+{
+    auto out = referenceConvolution(spec, input, filters);
+    ASSERT_EQ(out.sizeX(), spec.outX());
+    ASSERT_EQ(out.sizeY(), spec.outY());
+    ASSERT_EQ(out.sizeI(), spec.numFilters);
+    for (int f = 0; f < spec.numFilters; f++)
+        for (int wy = 0; wy < spec.outY(); wy++)
+            for (int wx = 0; wx < spec.outX(); wx++)
+                ASSERT_EQ(out.at(wx, wy, f),
+                          referenceWindowDot(spec, input, filters[f],
+                                             wx, wy))
+                    << spec.name << " window (" << wx << ", " << wy
+                    << ") filter " << f;
+}
+
+/** Activations uniform in [0, 65535], about a third of them zero. */
+NeuronTensor
+sparseInput(int x, int y, int c, uint64_t seed)
+{
+    util::Xoshiro256 rng(seed);
+    NeuronTensor input(x, y, c);
+    for (auto &v : input.flat())
+        v = rng.nextBool(0.35)
+                ? 0
+                : static_cast<uint16_t>(rng.nextBounded(65536));
+    return input;
+}
+
+TEST(Reference, BlockedConvolutionMatchesWindowDot)
+{
+    // Partial filter blocks (1, 15, 17, 33 filters), channel counts
+    // that straddle nothing and everything, strides 1-4 with maximal
+    // padding so edge windows see a single input pixel.
+    int shape = 0;
+    for (int channels : {1, 3, 17}) {
+        for (int num_filters : {1, 15, 17, 33}) {
+            LayerSpec spec;
+            spec.name = "blocked" + std::to_string(shape);
+            spec.inputX = 9;
+            spec.inputY = 7;
+            spec.inputChannels = channels;
+            spec.filterX = 2 + shape % 3;
+            spec.filterY = spec.filterX;
+            spec.numFilters = num_filters;
+            spec.stride = 1 + shape % 4;
+            spec.pad = spec.filterX - 1;
+            spec.profiledPrecision = 16;
+            ASSERT_TRUE(spec.valid()) << spec.name;
+            auto filters = synthesizeFilters(spec, 0xb10c + shape, 32767);
+            expectMatchesWindowDot(
+                spec, sparseInput(9, 7, channels, 0x5eed + shape),
+                filters);
+            // A dead input convolves to all zeros.
+            expectMatchesWindowDot(spec, NeuronTensor(9, 7, channels),
+                                   filters);
+            shape++;
+        }
+    }
+    // FC: one window over a long column.
+    LayerSpec fc = LayerSpec::fullyConnected("blocked_fc", 1000, 33, 16);
+    expectMatchesWindowDot(fc, sparseInput(1, 1, 1000, 0xfc),
+                           synthesizeFilters(fc, 0xfc, 32767));
+}
+
+TEST(Reference, BlockedConvolutionFlushesEveryTermAtExtremes)
+{
+    // |w| = 32768 against a = 65535 gives K = 1: every product is
+    // its own int32 chunk, and any two of them would overflow int32.
+    LayerSpec spec;
+    spec.name = "extremes";
+    spec.inputX = 5;
+    spec.inputY = 5;
+    spec.inputChannels = 17;
+    spec.filterX = 3;
+    spec.filterY = 3;
+    spec.numFilters = 17;
+    spec.stride = 2;
+    spec.pad = 2;
+    spec.profiledPrecision = 16;
+    NeuronTensor input(5, 5, 17);
+    for (auto &v : input.flat())
+        v = 65535;
+    input.at(2, 2, 3) = 0;
+    std::vector<FilterTensor> filters(
+        17, FilterTensor(3, 3, 17));
+    util::Xoshiro256 rng(0xe7);
+    const int16_t extremes[] = {32767, -32767, -32768};
+    for (int f = 0; f < 17; f++)
+        for (auto &w : filters[f].flat())
+            w = f == 0 ? int16_t{-32768}
+                       : f == 1 ? int16_t{32767}
+                                : extremes[rng.nextBounded(3)];
+    expectMatchesWindowDot(spec, input, filters);
+    // The uniform filters make the expected sums easy to state: the
+    // centre window covers 9 pixels x 17 channels, one of them zero.
+    auto out = referenceConvolution(spec, input, filters);
+    EXPECT_EQ(out.at(1, 1, 0), int64_t{-32768} * 65535 * (9 * 17 - 1));
+    EXPECT_EQ(out.at(1, 1, 1), int64_t{32767} * 65535 * (9 * 17 - 1));
+}
+
+/**
+ * Sampled windows and filters of every priced layer of @p net's
+ * propagated chain: the kernel exactly as propagateChain() runs it
+ * (filters streamed block by block) against referenceWindowDot() on
+ * the chain's real, ReLU-sparse input streams.
+ */
+void
+expectChainMatchesWindowDot(const Network &net)
+{
+    ActivationSynthesizer synth(net, 0x5eed);
+    PropagatedChain chain = propagateChain(synth);
+    const uint64_t seed = synth.seed() ^ kPropagationFilterSalt;
+    for (size_t i = 0; i < net.layers.size(); i++) {
+        const LayerSpec &layer = net.layers[i];
+        if (!layer.priced())
+            continue;
+        const NeuronTensor &input = chain.inputs[i];
+        FilterWeightStream stream(layer, seed);
+        OutputTensor out = BlockedConvolution(layer, input).run(
+            [&stream] { return stream.next(); });
+        // Replay the same stream, keeping every 13th filter whole.
+        FilterWeightStream replay(layer, seed);
+        const int wy_step = std::max(1, layer.outY() / 5);
+        const int wx_step = std::max(1, layer.outX() / 5);
+        for (int f = 0; f < layer.numFilters; f++) {
+            FilterTensor filter(layer.filterX, layer.filterY,
+                                layer.inputChannels);
+            for (auto &w : filter.flat())
+                w = replay.next();
+            if (f % 13 != 0)
+                continue;
+            for (int wy = 0; wy < layer.outY(); wy += wy_step)
+                for (int wx = 0; wx < layer.outX(); wx += wx_step)
+                    ASSERT_EQ(out.at(wx, wy, f),
+                              referenceWindowDot(layer, input, filter,
+                                                 wx, wy))
+                        << net.name << "/" << layer.name << " window ("
+                        << wx << ", " << wy << ") filter " << f;
+        }
+    }
+}
+
+TEST(Reference, BlockedConvolutionMatchesWindowDotOnAlexNetChain)
+{
+    expectChainMatchesWindowDot(makeAlexNet(LayerSelect::All));
+}
+
+TEST(Reference, BlockedConvolutionMatchesWindowDotOnGoogLeNetChain)
+{
+    expectChainMatchesWindowDot(makeGoogLeNet(LayerSelect::All));
 }
 
 TEST(Reference, ShapeMismatchPanics)

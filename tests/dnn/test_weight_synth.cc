@@ -134,6 +134,40 @@ TEST(WeightSynth, PropagatedCodesMatchRequantizedReference)
     }
 }
 
+TEST(WeightSynth, PropagatedMaxScansTinyLayersToTheEnd)
+{
+    // A 1x1x2 layer of two filters: its four weights never draw the
+    // +/-kReferenceWeightRange bound, so the max scan's early exit
+    // cannot fire. The max sits in the last weight drawn, so a scan
+    // that stops before the end of the layer misses it.
+    LayerSpec layer = LayerSpec::fullyConnected("wsynth_tiny", 2, 2, 8, 9);
+    const uint64_t synth_seed = 0xfeed3;
+    std::vector<FilterTensor> filters =
+        synthesizeFilters(layer, synth_seed ^ kPropagationFilterSalt);
+    const int max_mag = std::abs(filters[1].flat()[1]);
+    ASSERT_LT(max_mag, kReferenceWeightRange);
+    for (const auto &f : filters)
+        for (int16_t w : f.flat())
+            ASSERT_LE(std::abs(w), max_mag);
+    ASSERT_GT(max_mag, std::abs(filters[1].flat()[0]));
+    ASSERT_GT(max_mag, std::abs(filters[0].flat()[0]));
+    ASSERT_GT(max_mag, std::abs(filters[0].flat()[1]));
+
+    PropagatedWeightCodes source(layer, synth_seed);
+    EXPECT_EQ(source.maxMagnitude(), max_mag);
+    const double scale =
+        static_cast<double>((1 << layer.profiledWeightPrecision) - 1) /
+        max_mag;
+    std::vector<uint16_t> codes(2);
+    for (int f = 0; f < 2; f++) {
+        source.filterCodes(f, codes);
+        auto weights = filters[static_cast<size_t>(f)].flat();
+        for (size_t c = 0; c < 2; c++)
+            EXPECT_EQ(codes[c], std::llround(std::abs(weights[c]) * scale))
+                << "filter " << f << " weight " << c;
+    }
+}
+
 TEST(WeightSynthDeathTest, PropagatedFiltersMustStreamInOrder)
 {
     LayerSpec layer = testLayer(8);
