@@ -66,7 +66,7 @@ class Xoshiro256
 
     /**
      * Next raw 64-bit output. Defined here, like nextDouble() and
-     * nextBounded(), so synthesis loops inline the generator step.
+     * nextBool(), so synthesis loops inline the generator step.
      */
     uint64_t
     next()
@@ -94,8 +94,8 @@ class Xoshiro256
 
     /**
      * Uniform integer in [0, bound) using Lemire's method. bound > 0.
-     * Inline, like nextInRange(), so weight-synthesis loops with a
-     * constant bound fold the check and the rejection threshold.
+     * Inline, like nextInRange(), so per-weight synthesis loops pay
+     * no call; a constant bound also folds the check away.
      */
     uint64_t
     nextBounded(uint64_t bound)

@@ -210,8 +210,7 @@ TEST(Reference, BlockedConvolutionFlushesEveryTermAtExtremes)
     for (auto &v : input.flat())
         v = 65535;
     input.at(2, 2, 3) = 0;
-    std::vector<FilterTensor> filters(
-        17, FilterTensor(3, 3, 17));
+    std::vector<FilterTensor> filters(17, FilterTensor(3, 3, 17));
     util::Xoshiro256 rng(0xe7);
     const int16_t extremes[] = {32767, -32767, -32768};
     for (int f = 0; f < 17; f++)
