@@ -12,10 +12,11 @@
  * replays the same design points under deterministic fail-stop
  * faults at each --mtbf-axis intensity (mttr = mtbf / 10) and
  * reports surviving availability, goodput, retries, and permanent
- * failures. The cost curves fan out across --threads workers and the
- * whole report is bit-identical across thread counts and cache
- * modes; CI byte-compares the smoke run and records the --json
- * digest as a perf artifact (BENCH_serving.json).
+ * failures. The cost curves are built once, per batch image across
+ * --threads workers, and every table plays them. The whole report is
+ * bit-identical across thread counts and cache modes; CI
+ * byte-compares the smoke run and records the --json digest as a
+ * perf artifact (BENCH_serving.json).
  */
 
 #include <algorithm>
@@ -144,10 +145,10 @@ main(int argc, char **argv)
         "requests", opt.smoke ? 64 : 512, 1, "a positive trace length");
 
     report.phase("serve");
-    auto reports = sim::runServingSweep(opt.networks,
-                                        models::paperEngineGrid(),
-                                        models::builtinEngines(),
-                                        serving);
+    const std::vector<sim::BatchCostCurve> curves =
+        sim::buildCostCurves(opt.networks, models::paperEngineGrid(),
+                             models::builtinEngines(), serving);
+    auto reports = sim::playServing(curves, serving);
 
     report.phase("render");
     util::TextTable table({"network", "engine", "offered/s",
@@ -167,11 +168,9 @@ main(int argc, char **argv)
                 "amortize FC filter traffic;\nlight load degenerates "
                 "to batch-1 dispatch after --timeout cycles.\n");
 
-    // Degraded capacity: replay the same design points at each
-    // --mtbf-axis fault intensity (mttr = mtbf / 10) and report what
-    // availability and goodput survive. The event loop is serial and
-    // cheap next to the cost-curve builds, but runServingSweep
-    // rebuilds the curves per intensity — acceptable for a bench.
+    // Degraded capacity: replay the same curves at each --mtbf-axis
+    // fault intensity (mttr = mtbf / 10) and report what
+    // availability and goodput survive.
     report.phase("degrade");
     std::vector<uint64_t> axis = parseMtbfAxis(args.getString(
         "mtbf-axis", opt.smoke ? "5000000,1000000"
@@ -185,10 +184,7 @@ main(int argc, char **argv)
         faulted.serving.faults.mttrCycles =
             std::max<uint64_t>(1, mtbf / 10);
         faulted.serving.faults.seed = opt.seed;
-        auto rows = sim::runServingSweep(opt.networks,
-                                         models::paperEngineGrid(),
-                                         models::builtinEngines(),
-                                         faulted);
+        auto rows = sim::playServing(curves, faulted);
         for (const auto &r : rows) {
             degraded.addRow({r.networkName, r.engineName,
                              util::formatDouble(r.offeredPerSecond),

@@ -1,12 +1,15 @@
 #include "sim/serving/serving_sim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -31,6 +34,42 @@ roundTrip(double value)
     return buf;
 }
 
+/** A curve with its names set and room for @p max_batch prefixes. */
+BatchCostCurve
+emptyCurve(const dnn::Network &network, const Engine &engine,
+           int max_batch)
+{
+    BatchCostCurve curve;
+    curve.networkName = network.name;
+    curve.engineName = engine.name();
+    curve.batchSystemCycles.reserve(static_cast<size_t>(max_batch));
+    return curve;
+}
+
+/**
+ * The one cost-curve fold: add batch image b-1 (b = the curve's next
+ * prefix) to the running batch @p acc exactly the way Engine::runBatch
+ * accumulates, then price prefix b — stamp the batch size and apply
+ * the memory model to a copy — so entry b-1 reproduces a standalone
+ * runBatch(b) bit for bit. Images must arrive in image order.
+ */
+void
+foldBatchImage(const dnn::Network &network, const AccelConfig &accel,
+               NetworkResult image, NetworkResult &acc,
+               BatchCostCurve &curve)
+{
+    const int b = static_cast<int>(curve.batchSystemCycles.size()) + 1;
+    if (b == 1)
+        acc = std::move(image);
+    else
+        accumulateBatchImage(acc, image);
+    NetworkResult priced = acc;
+    for (auto &layer : priced.layers)
+        layer.batchImages = b;
+    applyMemoryModel(network, accel, priced);
+    curve.batchSystemCycles.push_back(priced.totalSystemCycles());
+}
+
 } // namespace
 
 BatchCostCurve
@@ -41,29 +80,15 @@ buildBatchCostCurve(const dnn::Network &network, const Engine &engine,
 {
     PRA_CHECK(max_batch >= 1,
               "buildBatchCostCurve: max_batch must be >= 1");
-    BatchCostCurve curve;
-    curve.networkName = network.name;
-    curve.engineName = engine.name();
-    curve.batchSystemCycles.reserve(static_cast<size_t>(max_batch));
-
-    // One engine pass per image, accumulated exactly the way
-    // Engine::runBatch accumulates — so pricing prefix b (stamp the
-    // batch size, apply the memory model to a copy) reproduces a
-    // standalone runBatch(b) bit for bit, at max_batch passes total
-    // instead of one per (prefix, image) pair.
-    NetworkResult acc = engine.runNetwork(network, source.withImage(0),
-                                          accel, sample, exec);
-    for (int b = 1; b <= max_batch; b++) {
-        if (b > 1)
-            accumulateBatchImage(
-                acc, engine.runNetwork(network, source.withImage(b - 1),
-                                       accel, sample, exec));
-        NetworkResult priced = acc;
-        for (auto &layer : priced.layers)
-            layer.batchImages = b;
-        applyMemoryModel(network, accel, priced);
-        curve.batchSystemCycles.push_back(priced.totalSystemCycles());
-    }
+    BatchCostCurve curve = emptyCurve(network, engine, max_batch);
+    // One engine pass per image, so the whole curve costs max_batch
+    // passes instead of one per (prefix, image) pair.
+    NetworkResult acc;
+    for (int i = 0; i < max_batch; i++)
+        foldBatchImage(network, accel,
+                       engine.runNetwork(network, source.withImage(i),
+                                         accel, sample, exec),
+                       acc, curve);
     return curve;
 }
 
@@ -583,10 +608,13 @@ Fleet::run()
     return report_;
 }
 
-} // namespace
-
-ServingReport
-simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
+/**
+ * Every serving-config contract, checked where it is cheap: on the
+ * calling thread before a sweep builds a curve, and again per loop.
+ * @p max_batch is the largest batch the cost curves cover.
+ */
+void
+checkServingConfig(const ServingConfig &config, size_t max_batch)
 {
     PRA_CHECK(config.instances >= 1,
               "simulateServing: need at least one instance");
@@ -594,7 +622,7 @@ simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
               "simulateServing: need at least one request");
     PRA_CHECK(config.policy.maxBatch >= 1 &&
                   static_cast<size_t>(config.policy.maxBatch) <=
-                      curve.batchSystemCycles.size(),
+                      max_batch,
               "simulateServing: cost curve does not cover maxBatch");
     PRA_CHECK(config.queueCap >= 0,
               "simulateServing: queue cap must be non-negative");
@@ -607,23 +635,81 @@ simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
         PRA_CHECK(config.faults.mttrCycles >= 1,
                   "simulateServing: mean repair time must be at "
                   "least one cycle when faults are enabled");
+}
+
+void
+checkOfferedRates(const std::vector<double> &rates, const char *caller)
+{
+    PRA_CHECK(!rates.empty(),
+              std::string(caller) + ": no offered rates");
+    for (double rate : rates)
+        PRA_CHECK(rate > 0.0 && rate <= kCyclesPerSecond,
+                  std::string(caller) +
+                      ": offered rate must be in (0, 1e9] images/s");
+}
+
+/** A cell's workload source and the synthesizer it reads. */
+struct CellSource
+{
+    std::shared_ptr<const dnn::ActivationSynthesizer> synth;
+    WorkloadSource source;
+};
+
+/**
+ * The source of one (network, engine) cell: private (cache off:
+ * streams rebuilt per cell) or backed by the sweep-wide cache.
+ * Streams depend only on (network, seed), so both modes and any
+ * schedule yield identical curves.
+ */
+CellSource
+makeCellSource(const dnn::Network &network, WorkloadCache *shared,
+               const ServingSweepOptions &options)
+{
+    std::shared_ptr<const dnn::ActivationSynthesizer> synth =
+        shared ? shared->synthesizer(network, options.seed)
+               : std::make_shared<const dnn::ActivationSynthesizer>(
+                     network, options.seed);
+    WorkloadSource source =
+        shared ? WorkloadSource(*synth, *shared, options.activations)
+               : WorkloadSource(*synth, options.activations);
+    return {std::move(synth), std::move(source)};
+}
+
+/**
+ * One cell's in-flight curve under the per-image fan-out: its source,
+ * one result slot per batch image, and a countdown of the image
+ * passes still running. The cell's first pass makes the source, so
+ * synthesizer calibration (tens of ms on the larger networks) runs
+ * on the workers; the pass that brings the countdown to zero folds
+ * the slots into the curve.
+ */
+struct CellJob
+{
+    std::once_flag sourced;
+    std::optional<CellSource> source;
+    std::vector<NetworkResult> images;
+    std::atomic<int> pending{0};
+};
+
+} // namespace
+
+ServingReport
+simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
+{
+    checkServingConfig(config, curve.batchSystemCycles.size());
     return Fleet(curve, config).run();
 }
 
-std::vector<ServingReport>
-runServingSweep(const std::vector<dnn::Network> &networks,
+std::vector<BatchCostCurve>
+buildCostCurves(const std::vector<dnn::Network> &networks,
                 const std::vector<EngineSelection> &engines,
                 const EngineRegistry &registry,
                 const ServingSweepOptions &options)
 {
     PRA_CHECK(!networks.empty() && !engines.empty(),
-              "runServingSweep: empty grid");
-    PRA_CHECK(!options.offeredPerSecond.empty(),
-              "runServingSweep: no offered rates");
-    for (double rate : options.offeredPerSecond)
-        PRA_CHECK(rate > 0.0 && rate <= kCyclesPerSecond,
-                  "runServingSweep: offered rate must be in "
-                  "(0, 1e9] images/s");
+              "buildCostCurves: empty grid");
+    const int max_batch = options.serving.policy.maxBatch;
+    PRA_CHECK(max_batch >= 1, "buildCostCurves: max_batch must be >= 1");
     // Validate every selection up front, as runSweep does.
     for (const auto &sel : engines)
         registry.create(sel);
@@ -634,60 +720,115 @@ runServingSweep(const std::vector<dnn::Network> &networks,
     WorkloadCache cache;
     WorkloadCache *shared = options.cache ? &cache : nullptr;
 
-    auto buildCell = [&](size_t net_idx, size_t eng_idx,
-                         const util::InnerExecutor &exec) {
-        const dnn::Network &network = networks[net_idx];
+    if (options.threads <= 1) {
+        for (size_t n = 0; n < networks.size(); n++) {
+            for (size_t e = 0; e < engines.size(); e++) {
+                std::unique_ptr<Engine> engine =
+                    registry.create(engines[e]);
+                CellSource cell =
+                    makeCellSource(networks[n], shared, options);
+                curves[n * engines.size() + e] = buildBatchCostCurve(
+                    networks[n], *engine, cell.source, options.accel,
+                    options.sample, util::InnerExecutor(), max_batch);
+            }
+        }
+        return curves;
+    }
+
+    // One pool task per (cell, batch image): a cell's passes are
+    // independent, so a small grid still fills the pool. Each pass
+    // writes its own slot, and the fold runs in image order, so every
+    // curve is bit-identical to the serial build.
+    std::vector<CellJob> jobs(cells);
+    for (auto &job : jobs) {
+        job.images.resize(static_cast<size_t>(max_batch));
+        job.pending = max_batch;
+    }
+    auto runImage = [&](size_t c, int image,
+                        const util::InnerExecutor &exec) {
+        const dnn::Network &network = networks[c / engines.size()];
+        CellJob &job = jobs[c];
+        std::call_once(job.sourced, [&] {
+            job.source.emplace(makeCellSource(network, shared, options));
+        });
         std::unique_ptr<Engine> engine =
-            registry.create(engines[eng_idx]);
-        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
-            shared ? shared->synthesizer(network, options.seed)
-                   : std::make_shared<const dnn::ActivationSynthesizer>(
-                         network, options.seed);
-        WorkloadSource source =
-            shared ? WorkloadSource(*synth, *shared,
-                                    options.activations)
-                   : WorkloadSource(*synth, options.activations);
-        curves[net_idx * engines.size() + eng_idx] =
-            buildBatchCostCurve(network, *engine, source,
-                                options.accel, options.sample, exec,
-                                options.serving.policy.maxBatch);
+            registry.create(engines[c % engines.size()]);
+        job.images[static_cast<size_t>(image)] = engine->runNetwork(
+            network, job.source->source.withImage(image), options.accel,
+            options.sample, exec);
+        if (job.pending.fetch_sub(1) != 1)
+            return;
+        BatchCostCurve curve = emptyCurve(network, *engine, max_batch);
+        NetworkResult acc;
+        for (auto &result : job.images)
+            foldBatchImage(network, options.accel, std::move(result),
+                           acc, curve);
+        curves[c] = std::move(curve);
+        job.images = {};
     };
 
-    // Stage 1 — expensive, parallel: cost curves fan out like sweep
-    // cells, and every curve is bit-identical across schedules.
+    // Automatic layer splitting only when the tasks alone cannot keep
+    // every worker busy, as in runSweep.
+    const size_t tasks = cells * static_cast<size_t>(max_batch);
+    const size_t workers = static_cast<size_t>(options.threads);
+    int inner = options.innerThreads;
+    if (inner <= 0)
+        inner = static_cast<int>(
+            tasks >= workers ? 1 : (workers + tasks - 1) / tasks);
+    util::ThreadPool pool(options.threads);
+    util::InnerExecutor exec(&pool, inner);
+    for (size_t c = 0; c < cells; c++)
+        for (int i = 0; i < max_batch; i++)
+            pool.submit(
+                [&runImage, &exec, c, i] { runImage(c, i, exec); });
+    pool.wait();
+    return curves;
+}
+
+std::vector<ServingReport>
+playServing(const std::vector<BatchCostCurve> &curves,
+            const ServingSweepOptions &options)
+{
+    checkOfferedRates(options.offeredPerSecond, "playServing");
+    for (const auto &curve : curves)
+        checkServingConfig(options.serving,
+                           curve.batchSystemCycles.size());
+
+    // One event loop per (cell, rate), each a pure function writing
+    // its own slot, in fixed report order.
+    const size_t rates = options.offeredPerSecond.size();
+    std::vector<ServingReport> reports(curves.size() * rates);
+    auto play = [&](size_t slot) {
+        ServingConfig config = options.serving;
+        config.arrival.meanGapCycles =
+            kCyclesPerSecond / options.offeredPerSecond[slot % rates];
+        reports[slot] = simulateServing(curves[slot / rates], config);
+    };
     if (options.threads <= 1) {
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                buildCell(n, e, util::InnerExecutor());
+        for (size_t slot = 0; slot < reports.size(); slot++)
+            play(slot);
     } else {
         util::ThreadPool pool(options.threads);
-        int inner = options.innerThreads;
-        if (inner <= 0)
-            inner = cells >= static_cast<size_t>(options.threads)
-                        ? 1
-                        : static_cast<int>(
-                              (options.threads + cells - 1) / cells);
-        util::InnerExecutor exec(&pool, inner);
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                pool.submit([&buildCell, &exec, n, e] {
-                    buildCell(n, e, exec);
-                });
+        for (size_t slot = 0; slot < reports.size(); slot++)
+            pool.submit([&play, slot] { play(slot); });
         pool.wait();
     }
-
-    // Stage 2 — cheap, serial: one event loop per (cell, rate), in
-    // fixed report order.
-    std::vector<ServingReport> reports;
-    reports.reserve(cells * options.offeredPerSecond.size());
-    for (const auto &curve : curves) {
-        for (double rate : options.offeredPerSecond) {
-            ServingConfig config = options.serving;
-            config.arrival.meanGapCycles = kCyclesPerSecond / rate;
-            reports.push_back(simulateServing(curve, config));
-        }
-    }
     return reports;
+}
+
+std::vector<ServingReport>
+runServingSweep(const std::vector<dnn::Network> &networks,
+                const std::vector<EngineSelection> &engines,
+                const EngineRegistry &registry,
+                const ServingSweepOptions &options)
+{
+    checkOfferedRates(options.offeredPerSecond, "runServingSweep");
+    checkServingConfig(
+        options.serving,
+        static_cast<size_t>(options.serving.policy.maxBatch));
+    return playServing(buildCostCurves(networks, engines, registry,
+                                       options),
+                       options);
 }
 
 void

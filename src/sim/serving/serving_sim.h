@@ -29,11 +29,17 @@
  *     the curve's cost. The same loop plays fail-stop faults,
  *     retries, a bounded queue and the degrade watermark when they
  *     are configured. Its memory grows with the fleet and the queue,
- *     not the trace length. Single-threaded over a fixed-order
- *     trace: deterministic by construction, so serving reports are
- *     byte-identical across --threads/--inner-threads/--cache (the
- *     parallelism lives in stage 1, whose results are already
- *     bit-identical across schedules).
+ *     not the trace length. One loop is single-threaded over a
+ *     fixed-order trace, so deterministic by construction; a sweep
+ *     runs its (curve, rate) loops side by side, each a pure
+ *     function writing its own report slot.
+ *
+ * A sweep (runServingSweep) is buildCostCurves then playServing,
+ * joined in between, both fanned across --threads workers: the curve
+ * build runs one task per (network, engine, batch image) and folds
+ * each cell's images in image order, the fleet stage one task per
+ * (curve, rate). Serving reports are therefore byte-identical across
+ * --threads/--inner-threads/--cache.
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
  * util::Histogram; p50/p95/p99 are its conservative bucket bounds.
@@ -185,7 +191,7 @@ ServingReport simulateServing(const BatchCostCurve &curve,
 /** Options of a serving sweep over (networks x engines x rates). */
 struct ServingSweepOptions
 {
-    int threads = 1;    ///< Workers for cost-curve building.
+    int threads = 1;    ///< Workers for curve passes and fleet loops.
     int innerThreads = 0; ///< Layer-splitting subtasks (see sweep.h).
     bool cache = true;  ///< Share workloads across the grid.
     AccelConfig accel;  ///< Machine configuration (incl. --memory).
@@ -199,10 +205,35 @@ struct ServingSweepOptions
 };
 
 /**
- * Build every (network, engine) cost curve — in parallel on
- * options.threads workers sharing one WorkloadCache — then run the
- * (cheap, serial) event loop per offered rate. Reports come back in
- * (network-major, engine, rate) order.
+ * Build every (network, engine) cost curve for batches of
+ * 1..options.serving.policy.maxBatch, in (network-major, engine)
+ * order. With options.threads > 1 each (cell, batch image) engine
+ * pass is its own pool task (sharing one WorkloadCache when
+ * options.cache is set), and a cell's last finishing pass folds its
+ * images in image order, so every curve is bit-identical to a
+ * serial buildBatchCostCurve.
+ */
+std::vector<BatchCostCurve>
+buildCostCurves(const std::vector<dnn::Network> &networks,
+                const std::vector<EngineSelection> &engines,
+                const EngineRegistry &registry,
+                const ServingSweepOptions &options);
+
+/**
+ * Run the fleet event loop of options.serving on every curve at
+ * every offered rate, one pool task per (curve, rate) on
+ * options.threads workers. Reports come back in (curve, rate)
+ * order. Curves are reusable: playing one set under several serving
+ * configs equals one runServingSweep per config.
+ */
+std::vector<ServingReport>
+playServing(const std::vector<BatchCostCurve> &curves,
+            const ServingSweepOptions &options);
+
+/**
+ * playServing(buildCostCurves(...)): every report of the grid, in
+ * (network-major, engine, rate) order. The serving config and rates
+ * are checked on the calling thread before any curve is built.
  */
 std::vector<ServingReport>
 runServingSweep(const std::vector<dnn::Network> &networks,

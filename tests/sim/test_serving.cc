@@ -792,6 +792,34 @@ TEST(ServingCsv, DegradedColumnsAppearOnlyWhenConfigured)
     EXPECT_NE(mixed_csv.str().find("mtbf_cycles"), std::string::npos);
 }
 
+std::string
+servingCsv(const std::vector<ServingReport> &reports)
+{
+    std::ostringstream csv;
+    writeServingCsv(csv, reports);
+    return csv.str();
+}
+
+/** Tiny plus its fc-tailed variant under its own name. */
+std::vector<dnn::Network>
+twoSmallNetworks()
+{
+    dnn::Network tail = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    tail.name = "TinyAll";
+    return {dnn::makeTinyNetwork(), tail};
+}
+
+/** @p options on a two-instance fleet with faults and a queue cap. */
+ServingSweepOptions
+faulted(ServingSweepOptions options)
+{
+    options.serving.faults.mtbfCycles = 2000000;
+    options.serving.faults.mttrCycles = 500000;
+    options.serving.queueCap = 8;
+    options.serving.instances = 2;
+    return options;
+}
+
 TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
 {
     // Fault schedules are counter-based pure functions, so a faulted
@@ -799,16 +827,9 @@ TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
     // modes just like the fault-free one.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     auto grid = allKindsGrid();
-    auto fault = [](ServingSweepOptions options) {
-        options.serving.faults.mtbfCycles = 2000000;
-        options.serving.faults.mttrCycles = 500000;
-        options.serving.queueCap = 8;
-        options.serving.instances = 2;
-        return options;
-    };
     auto serial = runServingSweep(networks, grid,
                                   models::builtinEngines(),
-                                  fault(smokeOptions(1)));
+                                  faulted(smokeOptions(1)));
     std::ostringstream serial_csv;
     writeServingCsv(serial_csv, serial);
     EXPECT_NE(serial_csv.str().find("mtbf_cycles"),
@@ -816,12 +837,12 @@ TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
 
     auto parallel = runServingSweep(networks, grid,
                                     models::builtinEngines(),
-                                    fault(smokeOptions(4)));
+                                    faulted(smokeOptions(4)));
     std::ostringstream parallel_csv;
     writeServingCsv(parallel_csv, parallel);
     EXPECT_EQ(serial_csv.str(), parallel_csv.str());
 
-    ServingSweepOptions uncached = fault(smokeOptions(4));
+    ServingSweepOptions uncached = faulted(smokeOptions(4));
     uncached.cache = false;
     auto no_cache = runServingSweep(networks, grid,
                                     models::builtinEngines(),
@@ -829,6 +850,109 @@ TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
     std::ostringstream no_cache_csv;
     writeServingCsv(no_cache_csv, no_cache);
     EXPECT_EQ(serial_csv.str(), no_cache_csv.str());
+}
+
+TEST(ServingSweep, CsvByteIdenticalAcrossThreadMatrix)
+{
+    // Curve passes fan out per (cell, batch image) and fleet loops per
+    // (curve, rate); no schedule may change a byte. Memory is modeled
+    // so the batch prefixes differ in more than their compute sum.
+    const std::vector<dnn::Network> networks = twoSmallNetworks();
+    const std::vector<EngineSelection> grid = {
+        {"dadn", {}}, {"pragmatic", {}}, {"laconic", {}}};
+    for (int max_batch : {1, 5}) {
+        for (bool faults : {false, true}) {
+            ServingSweepOptions base = smokeOptions(1);
+            base.accel.memory = parseMemoryPreset("dadn");
+            base.serving.policy.maxBatch = max_batch;
+            if (faults)
+                base = faulted(base);
+            const std::string serial = servingCsv(runServingSweep(
+                networks, grid, models::builtinEngines(), base));
+            for (int threads : {1, 2, 3, 8}) {
+                for (int inner : {0, 2}) {
+                    for (bool cache : {true, false}) {
+                        ServingSweepOptions options = base;
+                        options.threads = threads;
+                        options.innerThreads = inner;
+                        options.cache = cache;
+                        EXPECT_EQ(serial,
+                                  servingCsv(runServingSweep(
+                                      networks, grid,
+                                      models::builtinEngines(),
+                                      options)))
+                            << "max_batch=" << max_batch
+                            << " faults=" << faults
+                            << " threads=" << threads
+                            << " inner=" << inner
+                            << " cache=" << cache;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ServingSweep, FannedCurvesEqualBuildBatchCostCurve)
+{
+    const std::vector<dnn::Network> networks = twoSmallNetworks();
+    const std::vector<EngineSelection> grid = allKindsGrid();
+    ServingSweepOptions options = smokeOptions(4);
+    options.accel.memory = parseMemoryPreset("dadn");
+    options.serving.policy.maxBatch = 5;
+    const std::vector<BatchCostCurve> curves = buildCostCurves(
+        networks, grid, models::builtinEngines(), options);
+    ASSERT_EQ(curves.size(), networks.size() * grid.size());
+
+    for (size_t n = 0; n < networks.size(); n++) {
+        dnn::ActivationSynthesizer synth(networks[n], options.seed);
+        WorkloadSource source(synth);
+        for (size_t e = 0; e < grid.size(); e++) {
+            auto engine = models::builtinEngines().create(grid[e]);
+            const BatchCostCurve serial = buildBatchCostCurve(
+                networks[n], *engine, source, options.accel,
+                options.sample, util::InnerExecutor(), 5);
+            const BatchCostCurve &fanned =
+                curves[n * grid.size() + e];
+            EXPECT_EQ(fanned.networkName, serial.networkName);
+            EXPECT_EQ(fanned.engineName, serial.engineName);
+            ASSERT_EQ(fanned.batchSystemCycles.size(), 5u);
+            for (size_t b = 0; b < 5; b++)
+                EXPECT_EQ(fanned.batchSystemCycles[b],
+                          serial.batchSystemCycles[b])
+                    << serial.networkName << " " << serial.engineName
+                    << " b=" << b + 1;
+        }
+    }
+}
+
+TEST(ServingSweep, PlayOnceBuiltCurvesEqualsSweep)
+{
+    // Curves do not depend on the fleet config, so one build serves
+    // every fault intensity (bench_serving_capacity relies on this).
+    const std::vector<dnn::Network> networks = twoSmallNetworks();
+    const std::vector<EngineSelection> grid = {{"stripes", {}},
+                                               {"pragmatic", {}}};
+    ServingSweepOptions light = faulted(smokeOptions(3));
+    ServingSweepOptions heavy = light;
+    heavy.serving.faults.mtbfCycles = 300000;
+    heavy.serving.faults.mttrCycles = 30000;
+    heavy.serving.faults.kind = FaultKind::Fixed;
+    heavy.serving.retry.maxRetries = 1;
+
+    const std::vector<BatchCostCurve> curves = buildCostCurves(
+        networks, grid, models::builtinEngines(), light);
+    for (const ServingSweepOptions &options : {light, heavy}) {
+        const std::string played =
+            servingCsv(playServing(curves, options));
+        EXPECT_NE(played.find("mtbf_cycles"), std::string::npos);
+        EXPECT_EQ(played,
+                  servingCsv(runServingSweep(networks, grid,
+                                             models::builtinEngines(),
+                                             options)));
+    }
+    EXPECT_NE(servingCsv(playServing(curves, light)),
+              servingCsv(playServing(curves, heavy)));
 }
 
 TEST(ServingFaultsDeathTest, RejectsDegenerateDegradedConfigs)
@@ -863,6 +987,32 @@ TEST(ServingSweepDeathTest, RejectsOutOfRangeRates)
     EXPECT_DEATH(runServingSweep(networks, grid,
                                  models::builtinEngines(), no_rates),
                  "no offered rates");
+}
+
+TEST(ServingSweepDeathTest, RejectsBadConfigBeforeBuildingCurves)
+{
+    // The config is checked on the calling thread before any curve
+    // is built. A layerless network panics as soon as its curve
+    // starts, so dying with the config's message proves the order.
+    dnn::Network layerless;
+    layerless.name = "Layerless";
+    std::vector<dnn::Network> networks = {layerless};
+    std::vector<EngineSelection> grid = {{"dadn", {}}};
+    EXPECT_DEATH(runServingSweep(networks, grid,
+                                 models::builtinEngines(),
+                                 smokeOptions(4)),
+                 "invalid network");
+    ServingSweepOptions bad_cap = smokeOptions(4);
+    bad_cap.serving.queueCap = -1;
+    EXPECT_DEATH(runServingSweep(networks, grid,
+                                 models::builtinEngines(), bad_cap),
+                 "queue cap");
+    ServingSweepOptions no_instances = smokeOptions(4);
+    no_instances.serving.instances = 0;
+    EXPECT_DEATH(runServingSweep(networks, grid,
+                                 models::builtinEngines(),
+                                 no_instances),
+                 "instance");
 }
 
 } // namespace

@@ -37,9 +37,11 @@
  *
  * "--mtbf" enables deterministic fail-stop fault injection (mean
  * up-time in cycles; "--mttr" is the mean repair time, default
- * mtbf/10). A failing instance kills its in-flight batch; the killed
- * requests retry up to "--retries" times with "--backoff"-scaled
- * exponential backoff before counting as permanent failures.
+ * mtbf/10). "--mttr", "--fault-dist" and "--fault-seed" are fatal
+ * without "--mtbf". A failing instance kills its in-flight batch;
+ * the killed requests retry up to "--retries" times with
+ * "--backoff"-scaled exponential backoff before counting as
+ * permanent failures.
  * "--queue-cap" bounds the dispatch queue (arrivals beyond it shed);
  * "--degrade-watermark" switches the dispatcher to half batches and
  * greedy launches above that queue occupancy. Any of these adds the
@@ -51,16 +53,17 @@
  *
  * Determinism matches the sweep: cost curves are bit-identical
  * across --threads/--inner-threads/--cache, arrivals are
- * counter-based in (seed, index), and the event loop is serial — so
- * the serving CSV is byte-identical for any thread count, with the
- * cache on or off (CI asserts this), faulted or not: fault schedules
- * are counter-based pure functions of (--fault-seed, instance,
- * event index).
+ * counter-based in (seed, index), and each event loop is serial
+ * and writes its own report — so the serving CSV is byte-identical
+ * for any thread count, with the cache on or off (CI asserts this),
+ * faulted or not: fault schedules are counter-based pure functions
+ * of (--fault-seed, instance, event index).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "dnn/model_zoo.h"
 #include "models/engines.h"
@@ -248,19 +251,31 @@ main(int argc, char **argv)
         options.serving.faults.mtbfCycles =
             static_cast<uint64_t>(mtbf);
     }
+    // The repair time, distribution and seed only shape a fault
+    // schedule; without --mtbf there is none, so naming them is a
+    // mistake, not a no-op. Each dies after its own parse, so a bad
+    // value still gets its own message.
+    auto requireMtbf = [&args](const char *flag) {
+        if (args.has(flag) && !args.has("mtbf"))
+            util::fatal(std::string("--") + flag +
+                        " requires --mtbf (faults are off without it)");
+    };
     int64_t mttr = args.getInt(
         "mttr", static_cast<int64_t>(std::max<uint64_t>(
                     1, options.serving.faults.mtbfCycles / 10)));
     if (mttr <= 0)
         util::fatal("--mttr must be a positive mean repair time in "
                     "cycles (got " + std::to_string(mttr) + ")");
+    requireMtbf("mttr");
     options.serving.faults.mttrCycles = static_cast<uint64_t>(mttr);
     options.serving.faults.kind = sim::parseFaultKind(
         args.getString("fault-dist", "exponential"));
+    requireMtbf("fault-dist");
     int64_t fault_seed = args.getInt("fault-seed", seed);
     if (fault_seed < 0)
         util::fatal("--fault-seed must be non-negative (got " +
                     std::to_string(fault_seed) + ")");
+    requireMtbf("fault-seed");
     options.serving.faults.seed = static_cast<uint64_t>(fault_seed);
     if (args.has("queue-cap"))
         options.serving.queueCap = args.getCount(
