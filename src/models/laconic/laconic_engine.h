@@ -29,6 +29,14 @@ class LaconicEngine : public sim::Engine
     {
         return sim::InputStream::Fixed16Trimmed;
     }
+    /**
+     * The shared planes are brick-wide; a reshaped machine builds
+     * its own (BrickCostContext::weightPlanes).
+     */
+    bool readsSharedWeights(const sim::AccelConfig &accel) const override
+    {
+        return accel.neuronLanes == dnn::kBrickSize;
+    }
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

@@ -54,6 +54,19 @@ class Engine
     virtual InputStream inputStream() const { return InputStream::None; }
 
     /**
+     * Whether simulateLayer on @p accel reads its workload's shared
+     * weight planes (LayerWorkload::weightPlanes). A sweep builds
+     * the planes ahead of the cells only for engines that say so; a
+     * wrong answer costs time, never a result bit, and the engine
+     * contract test holds every kind to it.
+     */
+    virtual bool readsSharedWeights(const AccelConfig &accel) const
+    {
+        (void)accel;
+        return false;
+    }
+
+    /**
      * Simulate one layer from a workload view whose tensor() carries
      * the stream announced by inputStream() (empty for
      * value-independent engines), optionally splitting it into

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "dnn/activation_synth.h"
 #include "sim/memory/memory_model.h"
@@ -42,7 +43,78 @@ resolveInnerTasks(const SweepOptions &options, size_t cells)
         (threads + cells - 1) / static_cast<int>(cells));
 }
 
+/**
+ * The shard's contiguous slice [first, last) of the grid-order cell
+ * list; the balanced-split endpoints make shards 0..N-1 partition
+ * the grid exactly, so concatenated shard outputs equal the
+ * unsharded run.
+ */
+std::pair<size_t, size_t>
+shardCells(size_t cells, const SweepOptions &options)
+{
+    const auto index = static_cast<size_t>(options.shardIndex);
+    const auto count = static_cast<size_t>(options.shardCount);
+    return {cells * index / count, cells * (index + 1) / count};
+}
+
 } // namespace
+
+std::vector<SweepPrefetch>
+planSweepPrefetch(const std::vector<dnn::Network> &networks,
+                  const std::vector<EngineSelection> &engines,
+                  const EngineRegistry &registry,
+                  const SweepOptions &options)
+{
+    using Kind = SweepPrefetch::Kind;
+    if (!options.cache)
+        return {};
+    const bool propagated =
+        options.activations == ActivationMode::Propagated;
+    const auto [first, last] =
+        shardCells(networks.size() * engines.size(), options);
+    std::vector<SweepPrefetch> chains;
+    std::vector<SweepPrefetch> weights;
+    std::vector<SweepPrefetch> streams;
+    for (size_t n = 0; n < networks.size(); n++) {
+        // What the network's cells in this shard read: the distinct
+        // cache streams and whether any reads the weight planes.
+        std::vector<InputStream> read;
+        bool reads_weights = false;
+        for (size_t e = 0; e < engines.size(); e++) {
+            const size_t cell = n * engines.size() + e;
+            if (cell < first || cell >= last)
+                continue;
+            std::unique_ptr<Engine> engine = registry.create(engines[e]);
+            const InputStream stream =
+                canonicalStream(engine->inputStream(), options.activations);
+            if (stream != InputStream::None &&
+                std::find(read.begin(), read.end(), stream) == read.end())
+                read.push_back(stream);
+            reads_weights = reads_weights ||
+                            engine->readsSharedWeights(options.accel);
+        }
+        if (propagated && !read.empty())
+            for (int b = 0; b < options.batch; b++)
+                chains.push_back({Kind::Chain, n, -1, InputStream::None, b});
+        const std::vector<dnn::LayerSpec> &layers = networks[n].layers;
+        for (size_t l = 0; l < layers.size(); l++)
+            if (reads_weights && layers[l].priced())
+                weights.push_back({Kind::Weights, n, static_cast<int>(l),
+                                   InputStream::None, 0});
+        // Image-major, then layer order: the order the cells'
+        // runBatch consumes them in.
+        for (int b = 0; b < options.batch; b++)
+            for (size_t l = 0; l < layers.size(); l++)
+                if (layers[l].priced())
+                    for (InputStream stream : read)
+                        streams.push_back({Kind::Stream, n,
+                                           static_cast<int>(l), stream,
+                                           b});
+    }
+    chains.insert(chains.end(), weights.begin(), weights.end());
+    chains.insert(chains.end(), streams.begin(), streams.end());
+    return chains;
+}
 
 std::vector<NetworkResult>
 runSweep(const std::vector<dnn::Network> &networks,
@@ -60,16 +132,8 @@ runSweep(const std::vector<dnn::Network> &networks,
     for (const auto &sel : engines)
         registry.create(sel);
 
-    const size_t cells = networks.size() * engines.size();
-    // The shard's contiguous slice of the grid-order cell list; the
-    // balanced-split endpoints make shards 0..N-1 partition the grid
-    // exactly, so concatenated shard outputs equal the unsharded run.
-    const size_t shard_first =
-        cells * static_cast<size_t>(options.shardIndex) /
-        static_cast<size_t>(options.shardCount);
-    const size_t shard_last =
-        cells * (static_cast<size_t>(options.shardIndex) + 1) /
-        static_cast<size_t>(options.shardCount);
+    const auto [shard_first, shard_last] =
+        shardCells(networks.size() * engines.size(), options);
     std::vector<NetworkResult> results(shard_last - shard_first);
     // More shards than cells leaves some shards empty; header-only
     // CSV output is exactly what concatenation expects from them.
@@ -107,6 +171,25 @@ runSweep(const std::vector<dnn::Network> &networks,
         applyMemoryModel(network, options.accel, cell);
     };
 
+    // Builds one shared input into the cache, the synthesizer
+    // included, so nothing of it runs on the calling thread.
+    auto prefetch = [&](const SweepPrefetch &item) {
+        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
+            cache.synthesizer(networks[item.network], options.seed);
+        switch (item.kind) {
+          case SweepPrefetch::Kind::Chain:
+            cache.chain(*synth, item.image);
+            break;
+          case SweepPrefetch::Kind::Weights:
+            cache.weights(*synth, item.layer, options.activations);
+            break;
+          case SweepPrefetch::Kind::Stream:
+            cache.layer(*synth, item.layer, item.stream,
+                        options.activations, item.image);
+            break;
+        }
+    };
+
     auto inShard = [&](size_t n, size_t e) {
         size_t cell = n * engines.size() + e;
         return cell >= shard_first && cell < shard_last;
@@ -121,6 +204,19 @@ runSweep(const std::vector<dnn::Network> &networks,
     } else {
         util::ThreadPool pool(options.threads);
         util::InnerExecutor exec(&pool, inner);
+        // The shared inputs go first, one task each, and the cells
+        // queue right behind them with no join, so a cell finds its
+        // inputs built or in flight instead of building them alone
+        // while other cells wait on it. This cannot deadlock:
+        // prefetch tasks never wait on pool jobs (a stream task may
+        // wait on its chain, whose build waits on nothing); the FIFO
+        // queue starts every prefetch task before any cell, and
+        // submitFirst subtasks come only from running cells; so a
+        // cell blocked on the cache always waits on a running
+        // builder. The plan is empty with the cache off.
+        for (const SweepPrefetch &item :
+             planSweepPrefetch(networks, engines, registry, options))
+            pool.submit([&prefetch, item] { prefetch(item); });
         for (size_t n = 0; n < networks.size(); n++)
             for (size_t e = 0; e < engines.size(); e++)
                 if (inShard(n, e))

@@ -13,7 +13,11 @@
  * Scheduling is two-level: grid cells fan out across the pool, and
  * when the grid alone cannot occupy every worker (fewer cells than
  * threads) each cell may additionally split large layers into pallet
- * blocks on the same pool (see InnerExecutor).
+ * blocks on the same pool (see InnerExecutor). With the cache on, the
+ * cells queue behind one prefetch task per shared input they read
+ * (planSweepPrefetch: propagated chains, weight planes, streams), so
+ * the inputs build side by side instead of inside whichever cell
+ * asks first.
  *
  * Determinism: streams depend only on (network, seed) — identical
  * whether cached or rebuilt — results are stored by grid position
@@ -48,7 +52,12 @@ namespace sim {
 /** Options shared by every job of a sweep. */
 struct SweepOptions
 {
-    int threads = 1;          ///< Worker threads (<= 1: sequential).
+    /**
+     * Worker threads (<= 1: sequential unless innerThreads splits).
+     * A threaded sweep with the cache on queues one pool task per
+     * shared input (planSweepPrefetch) ahead of its cells.
+     */
+    int threads = 1;
     /**
      * Layer-splitting subtasks each cell may fan out on the shared
      * pool: 0 picks automatically (split only when the grid has
@@ -56,7 +65,11 @@ struct SweepOptions
      * allows up to N blocks per layer.
      */
     int innerThreads = 0;
-    bool cache = true;        ///< Share workloads across the grid.
+    /**
+     * Share workloads across the grid. Off, every cell builds its
+     * own inputs and nothing is prefetched.
+     */
+    bool cache = true;
     AccelConfig accel;        ///< Machine configuration.
     SampleSpec sample{64};    ///< Per-layer sampling cap.
     uint64_t seed = 0x5eed;   ///< Activation-synthesis seed.
@@ -85,6 +98,36 @@ struct SweepOptions
     int shardIndex = 0;
     int shardCount = 1;
 };
+
+/**
+ * One shared input a threaded, cached sweep builds as its own pool
+ * task ahead of the cells (see runSweep): a propagated chain, one
+ * layer's weight planes, or one layer stream of one batch image.
+ */
+struct SweepPrefetch
+{
+    enum class Kind { Chain, Weights, Stream };
+
+    Kind kind = Kind::Chain;
+    size_t network = 0;   ///< Index into the sweep's networks.
+    int layer = -1;       ///< Weights, Stream: the priced layer.
+    InputStream stream = InputStream::None; ///< Stream: which view.
+    int image = 0;        ///< Chain, Stream: the batch image.
+};
+
+/**
+ * The shared inputs the cells of @p options' shard read from the
+ * sweep cache, in build order: every propagated (network, image)
+ * chain first (the longest builds), then the (network, priced layer)
+ * weight planes of networks with an engine that readsSharedWeights(),
+ * then every (network, priced layer, stream, image) named by the
+ * engines' inputStream(). Empty with the cache off.
+ */
+std::vector<SweepPrefetch>
+planSweepPrefetch(const std::vector<dnn::Network> &networks,
+                  const std::vector<EngineSelection> &engines,
+                  const EngineRegistry &registry,
+                  const SweepOptions &options);
 
 /**
  * Run the (networks x engines) grid — or, when options selects a

@@ -89,6 +89,15 @@ parseActivationMode(const std::string &text)
                 text + "')");
 }
 
+InputStream
+canonicalStream(InputStream stream, ActivationMode mode)
+{
+    return mode == ActivationMode::Propagated &&
+                   stream == InputStream::Fixed16Trimmed
+               ? InputStream::Fixed16Raw
+               : stream;
+}
+
 dnn::NeuronTensor
 synthesizeStream(const dnn::ActivationSynthesizer &activations,
                  int layer_idx, InputStream stream, int image)
@@ -240,17 +249,14 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
 {
     if (stream == InputStream::None)
         return emptyWorkload();
-    // Propagated codes already live inside the profiled window, so
-    // trimming is the identity (see dnn/propagate.h): serve the
-    // trimmed view from the raw entry instead of storing a
-    // bit-identical duplicate (and rebuilding its brick planes).
-    if (mode == ActivationMode::Propagated &&
-        stream == InputStream::Fixed16Trimmed)
-        stream = InputStream::Fixed16Raw;
+    // Serve the propagated trimmed view from the raw entry instead
+    // of storing a bit-identical duplicate (and rebuilding its brick
+    // planes).
+    stream = canonicalStream(stream, mode);
     const dnn::Network &network = synth.network();
-    const uint64_t fingerprint = network.workloadFingerprint();
-    LayerKey key{network.name, fingerprint, synth.seed(), layer_idx,
-                 streamModeTag(stream, mode), image};
+    LayerKey key{network.name, network.workloadFingerprint(),
+                 synth.seed(), layer_idx, streamModeTag(stream, mode),
+                 image};
     return resolve(layers_, key, true, [&] {
         dnn::NeuronTensor tensor;
         if (mode == ActivationMode::Propagated) {
@@ -265,22 +271,23 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
             tensor = synthesizeStream(synth, layer_idx, stream, image);
         }
         // Every image and stream of the layer resolves its weights
-        // through one shared cell; synthetic weights ignore the seed.
-        const uint64_t weight_seed =
-            mode == ActivationMode::Propagated ? synth.seed() : 0;
+        // through one shared cell.
         std::shared_ptr<WeightCell> cell =
-            weightCell(WeightKey{network.name, fingerprint, layer_idx,
-                                 static_cast<int>(mode), weight_seed});
+            weightCell(network, layer_idx, mode, synth.seed());
         return std::make_shared<const LayerWorkload>(
-            std::move(tensor),
-            [cell, mode, weight_seed](const dnn::LayerSpec &layer) {
-                std::call_once(cell->once, [&] {
-                    cell->planes =
-                        buildWeightPlanes(layer, mode, weight_seed);
-                });
-                return cell->planes;
+            std::move(tensor), [cell](const dnn::LayerSpec &layer) {
+                return cell->resolve(layer);
             });
     });
+}
+
+std::shared_ptr<const WeightBrickPlanes>
+WorkloadCache::weights(const dnn::ActivationSynthesizer &synth,
+                       int layer_idx, ActivationMode mode)
+{
+    const dnn::Network &network = synth.network();
+    return weightCell(network, layer_idx, mode, synth.seed())
+        ->resolve(network.layers.at(static_cast<size_t>(layer_idx)));
 }
 
 std::shared_ptr<const dnn::PropagatedChain>
@@ -296,13 +303,29 @@ WorkloadCache::chain(const dnn::ActivationSynthesizer &synth,
     });
 }
 
-std::shared_ptr<WorkloadCache::WeightCell>
-WorkloadCache::weightCell(const WeightKey &key)
+std::shared_ptr<const WeightBrickPlanes>
+WorkloadCache::WeightCell::resolve(const dnn::LayerSpec &layer)
 {
+    std::call_once(once, [&] {
+        planes = buildWeightPlanes(layer, mode, seed);
+    });
+    return planes;
+}
+
+std::shared_ptr<WorkloadCache::WeightCell>
+WorkloadCache::weightCell(const dnn::Network &network, int layer_idx,
+                          ActivationMode mode, uint64_t seed)
+{
+    // Synthetic weights ignore the seed, so every seed shares one
+    // cell.
+    if (mode == ActivationMode::Synthetic)
+        seed = 0;
+    WeightKey key{network.name, network.workloadFingerprint(),
+                  layer_idx, static_cast<int>(mode), seed};
     std::unique_lock<std::mutex> lock(mutex_);
     std::shared_ptr<WeightCell> &cell = weights_[key];
     if (!cell)
-        cell = std::make_shared<WeightCell>();
+        cell = std::make_shared<WeightCell>(mode, seed);
     return cell;
 }
 
@@ -341,10 +364,8 @@ WorkloadSource::layer(int layer_idx, InputStream stream) const
     if (cache_)
         return cache_->layer(synth_, layer_idx, stream, mode_, image_);
     if (mode_ == ActivationMode::Propagated) {
-        // Trimmed == raw on propagated streams (identity by
-        // construction); the cached path makes the same alias.
-        if (stream == InputStream::Fixed16Trimmed)
-            stream = InputStream::Fixed16Raw;
+        // The cached path makes the same trimmed-to-raw alias.
+        stream = canonicalStream(stream, mode_);
         const uint64_t seed = synth_.seed();
         return std::make_shared<const LayerWorkload>(
             propagatedStream(*chain(), synth_.network(), layer_idx,

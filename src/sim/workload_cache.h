@@ -22,6 +22,12 @@
  * two selections of one network never share entries. Results are
  * identical across thread counts and with the cache on or off.
  *
+ * Every entry is a pure function of its key, so it does not matter
+ * who builds it: a threaded sweep (sim/sweep.h) resolves chains
+ * (chain()), weight planes (weights()) and streams (layer()) from
+ * prefetch tasks ahead of its cells, which then find them built or
+ * in flight.
+ *
  * Every value-dependent engine in a sweep grid consumes some
  * synthesized stream of each layer — convolutional or
  * fully-connected alike (an FC layer's stream is its lowered
@@ -129,6 +135,14 @@ const char *activationModeName(ActivationMode mode);
 
 /** Parse an --activations= value; fatal() on anything else. */
 ActivationMode parseActivationMode(const std::string &text);
+
+/**
+ * The stream whose workload serves @p stream in @p mode: itself,
+ * except that propagated codes already live inside the profiled
+ * window, so trimming is the identity (see dnn/propagate.h) and the
+ * propagated trimmed view is the raw one.
+ */
+InputStream canonicalStream(InputStream stream, ActivationMode mode);
 
 /**
  * Synthesize the stream @p stream of layer @p layer_idx for batch
@@ -279,6 +293,16 @@ class WorkloadCache
           int image = 0);
 
     /**
+     * The shared weight planes of layer @p layer_idx of @p synth's
+     * network in @p mode (the seed counts only in propagated mode),
+     * built on first request: the one object the weightPlanes() of
+     * every layer() workload of that layer resolves to.
+     */
+    std::shared_ptr<const WeightBrickPlanes>
+    weights(const dnn::ActivationSynthesizer &synth, int layer_idx,
+            ActivationMode mode);
+
+    /**
      * The shared propagated chain for @p synth's (network, seed) and
      * batch image @p image: one reference forward pass per image,
      * built once and handed to every consumer.
@@ -331,19 +355,36 @@ class WorkloadCache
                                Build &&build);
 
     /**
-     * One layer's weight planes, built lazily on the first
-     * weightPlanes() call of any workload holding the cell — the
-     * cache only hands cells out, so a cell outlives the cache while
-     * workloads still point at it.
+     * One layer's weight planes, built on the first resolve() — from
+     * weights() or from the weightPlanes() of any workload holding
+     * the cell. The cache only hands cells out, so a cell outlives
+     * the cache while workloads still point at it.
      */
     struct WeightCell
     {
+        WeightCell(ActivationMode mode, uint64_t seed)
+            : mode(mode), seed(seed)
+        {
+        }
+
+        /** The planes of @p layer, built once (thread-safe). */
+        std::shared_ptr<const WeightBrickPlanes>
+        resolve(const dnn::LayerSpec &layer);
+
+        const ActivationMode mode;
+        const uint64_t seed;
         std::once_flag once;
         std::shared_ptr<const WeightBrickPlanes> planes;
     };
 
-    /** The weight cell of @p key, created on first request. */
-    std::shared_ptr<WeightCell> weightCell(const WeightKey &key);
+    /**
+     * The weight cell of (@p network, @p layer_idx, @p mode, @p seed),
+     * created on first request.
+     */
+    std::shared_ptr<WeightCell> weightCell(const dnn::Network &network,
+                                           int layer_idx,
+                                           ActivationMode mode,
+                                           uint64_t seed);
 
     mutable std::mutex mutex_;
     std::map<SynthKey, Entry<const dnn::ActivationSynthesizer>> synths_;

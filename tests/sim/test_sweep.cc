@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/analytic/term_count.h"
 #include "models/engines.h"
+#include "sim/memory/memory_config.h"
+#include "sim/operand_planes.h"
 #include "sim/sweep.h"
 
 namespace pra {
@@ -121,6 +125,7 @@ TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
     // per-layer simulateLayer loop on freshly synthesized workloads.
     // terms overrides runNetwork (the first-layer CVN rule needs
     // network context), so it is held to the source equality only.
+    // Every kind's weight-read declaration is checked on both shapes.
     auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
     SampleSpec sample{4};
     const EngineRegistry &registry = models::builtinEngines();
@@ -141,23 +146,37 @@ TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
                 net, WorkloadSource(*synth, cache), accel, sample,
                 util::InnerExecutor());
             expectSameResults({uncached}, {cached}, "cached source");
-            if (kind == "terms")
-                continue;
 
+            // The layer loop prices workloads whose weight builder
+            // counts its calls: an engine must read the shared weight
+            // planes on exactly the layers where it declares the read
+            // (a sweep builds them ahead of the cells on its word).
+            const bool declared = engine->readsSharedWeights(accel);
             NetworkResult loop;
             loop.networkName = net.name;
             loop.engineName = engine->name();
             for (size_t i = 0; i < net.layers.size(); i++) {
                 if (!net.layers[i].priced())
                     continue;
+                int weight_builds = 0;
                 loop.layers.push_back(engine->simulateLayer(
                     net.layers[i],
-                    LayerWorkload(synthesizeStream(
-                        *synth, static_cast<int>(i),
-                        engine->inputStream())),
+                    LayerWorkload(
+                        synthesizeStream(*synth, static_cast<int>(i),
+                                         engine->inputStream()),
+                        [&weight_builds](const dnn::LayerSpec &layer) {
+                            weight_builds++;
+                            return std::make_shared<
+                                const WeightBrickPlanes>(
+                                syntheticWeightPlanes(layer,
+                                                      dnn::kBrickSize));
+                        }),
                     accel, sample, util::InnerExecutor()));
+                EXPECT_EQ(weight_builds > 0, declared)
+                    << net.layers[i].name;
             }
-            expectSameResults({uncached}, {loop}, "layer loop");
+            if (kind != "terms")
+                expectSameResults({uncached}, {loop}, "layer loop");
         }
     }
 }
@@ -240,6 +259,159 @@ TEST(Sweep, CacheOnAndOffBitIdentical)
             EXPECT_EQ(csvOf(with), csvOf(other)) << what;
         }
     }
+}
+
+std::string
+perLayerCsv(const std::vector<NetworkResult> &results)
+{
+    std::ostringstream csv;
+    writeSweepCsv(csv, results, /*per_layer=*/true);
+    return csv.str();
+}
+
+TEST(Sweep, PrefetchedCsvByteIdenticalAcrossThreadMatrix)
+{
+    // A threaded cached sweep builds its shared inputs as pool tasks
+    // ahead of the cells; no schedule may change a byte. Batched
+    // synthetic streams with laconic's weight planes and the memory
+    // model, and batched propagated chains, each against the serial
+    // CSV at every (threads, inner, cache) point.
+    std::vector<EngineSelection> grid = allKindsGrid();
+    grid.push_back({"laconic", {}});
+    grid.push_back({"terms", {{"series", "pra"}}});
+    SweepOptions synthetic = tinyOptions(1);
+    synthetic.batch = 3;
+    synthetic.accel.memory = parseMemoryPreset("dadn");
+    SweepOptions propagated = tinyOptions(1);
+    propagated.batch = 2;
+    propagated.activations = ActivationMode::Propagated;
+    const std::vector<std::pair<std::string, SweepOptions>> cases = {
+        {"synthetic", synthetic}, {"propagated", propagated}};
+    for (const auto &[mode, base] : cases) {
+        std::vector<dnn::Network> networks = {dnn::makeTinyNetwork(
+            base.activations == ActivationMode::Propagated
+                ? dnn::LayerSelect::All
+                : dnn::LayerSelect::Conv)};
+        const std::string serial = perLayerCsv(
+            runSweep(networks, grid, models::builtinEngines(), base));
+        for (int threads : {1, 2, 3, 8})
+            for (int inner : {0, 2})
+                for (bool cache : {true, false}) {
+                    SweepOptions options = base;
+                    options.threads = threads;
+                    options.innerThreads = inner;
+                    options.cache = cache;
+                    EXPECT_EQ(serial,
+                              perLayerCsv(runSweep(
+                                  networks, grid,
+                                  models::builtinEngines(), options)))
+                        << mode << " threads=" << threads
+                        << " inner=" << inner
+                        << " cache=" << (cache ? "on" : "off");
+                }
+    }
+}
+
+TEST(Sweep, PrefetchPlanNamesWhatTheCellsRead)
+{
+    // Propagated batch 2 over {dadn, laconic, pragmatic-raw}: one
+    // chain per image, laconic's weight planes per priced layer, and
+    // one raw stream per (layer, image) — laconic's trimmed view is
+    // the raw entry and dadn reads none. Chains come first, then
+    // weights, then streams; the cache off plans nothing.
+    std::vector<dnn::Network> networks = {
+        dnn::makeTinyNetwork(dnn::LayerSelect::All)};
+    std::vector<EngineSelection> grid = {
+        {"dadn", {}},
+        {"laconic", {}},
+        {"pragmatic", {{"trim", "0"}}}};
+    SweepOptions options = tinyOptions(4);
+    options.batch = 2;
+    options.activations = ActivationMode::Propagated;
+    size_t priced = 0;
+    for (const auto &layer : networks[0].layers)
+        priced += layer.priced() ? 1 : 0;
+    ASSERT_GT(priced, 0u);
+
+    using Kind = SweepPrefetch::Kind;
+    auto plan = planSweepPrefetch(networks, grid,
+                                  models::builtinEngines(), options);
+    ASSERT_EQ(plan.size(), 2 + priced + 2 * priced);
+    for (size_t i = 0; i < plan.size(); i++) {
+        Kind expected = Kind::Stream;
+        if (i < 2)
+            expected = Kind::Chain;
+        else if (i < 2 + priced)
+            expected = Kind::Weights;
+        EXPECT_EQ(plan[i].kind, expected) << i;
+        EXPECT_EQ(plan[i].network, 0u);
+        if (plan[i].kind == Kind::Stream) {
+            EXPECT_EQ(plan[i].stream, InputStream::Fixed16Raw);
+        }
+        if (plan[i].kind != Kind::Chain) {
+            EXPECT_TRUE(networks[0]
+                            .layers[static_cast<size_t>(plan[i].layer)]
+                            .priced());
+        }
+    }
+    EXPECT_EQ(plan[0].image, 0);
+    EXPECT_EQ(plan[1].image, 1);
+
+    // On a reshaped machine laconic builds its own weights, so none
+    // are planned.
+    SweepOptions narrow = options;
+    narrow.accel.neuronLanes = 8;
+    EXPECT_EQ(planSweepPrefetch(networks, grid,
+                                models::builtinEngines(), narrow)
+                  .size(),
+              2 + 2 * priced);
+
+    options.cache = false;
+    EXPECT_TRUE(planSweepPrefetch(networks, grid,
+                                  models::builtinEngines(), options)
+                    .empty());
+}
+
+TEST(Sweep, ShardSlicesStitchAtFourThreadsAndPrefetchTheirOwnInputs)
+{
+    // 2 networks x 3 engines in 3 shards: shard 0 is Tiny's
+    // pragmatic and dadn cells, shard 1 Tiny's laconic and AlexNet's
+    // pragmatic, shard 2 AlexNet's dadn and laconic. The 4-thread
+    // slices concatenate to the unsharded CSV, and each shard plans
+    // only the inputs its own cells read: a one-network shard names
+    // only that network, and weight planes only where laconic runs.
+    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork(),
+                                          dnn::makeAlexNet()};
+    std::vector<EngineSelection> grid = {
+        {"pragmatic", {}}, {"dadn", {}}, {"laconic", {}}};
+    const std::string whole = perLayerCsv(runSweep(
+        networks, grid, models::builtinEngines(), tinyOptions(1)));
+
+    const std::vector<std::set<size_t>> expected_networks = {
+        {0}, {0, 1}, {1}};
+    const std::vector<std::set<size_t>> expected_weights = {{}, {0}, {1}};
+    std::string stitched;
+    for (int shard = 0; shard < 3; shard++) {
+        SweepOptions options = tinyOptions(4);
+        options.shardIndex = shard;
+        options.shardCount = 3;
+        std::string csv = perLayerCsv(runSweep(
+            networks, grid, models::builtinEngines(), options));
+        stitched += shard == 0 ? csv : csv.substr(csv.find('\n') + 1);
+
+        std::set<size_t> planned;
+        std::set<size_t> weights;
+        for (const auto &item : planSweepPrefetch(
+                 networks, grid, models::builtinEngines(), options)) {
+            planned.insert(item.network);
+            if (item.kind == SweepPrefetch::Kind::Weights)
+                weights.insert(item.network);
+        }
+        const auto at = static_cast<size_t>(shard);
+        EXPECT_EQ(planned, expected_networks[at]) << "shard " << shard;
+        EXPECT_EQ(weights, expected_weights[at]) << "shard " << shard;
+    }
+    EXPECT_EQ(whole, stitched);
 }
 
 TEST(Sweep, CyclePlanesOffByteIdenticalCsv)

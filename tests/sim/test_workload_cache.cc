@@ -490,6 +490,37 @@ TEST(WorkloadCache, PropagatedWeightPlanesKeyedBySeed)
     EXPECT_NE(pa.sumPop, pb.sumPop);
 }
 
+TEST(WorkloadCache, WeightsResolveTheCellLayerWorkloadsShare)
+{
+    // weights() and a workload's weightPlanes() are one way into one
+    // cell: whichever asks first builds, the other gets that object,
+    // in both modes; neither touches the layer-workload counters.
+    auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    dnn::ActivationSynthesizer synth(net, 0x5eed);
+    const int layer_idx = 0;
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
+    WorkloadCache cache;
+    auto prefetched =
+        cache.weights(synth, layer_idx, ActivationMode::Propagated);
+    EXPECT_EQ(cache.misses(), 0);
+    EXPECT_EQ(prefetched.get(),
+              &cache.layer(synth, layer_idx, InputStream::Quant8,
+                           ActivationMode::Propagated, 1)
+                   ->weightPlanes(layer));
+    expectSamePlanes(*prefetched,
+                     propagatedWeightPlanes(layer, 0x5eed, dnn::kBrickSize));
+
+    const WeightBrickPlanes &built =
+        cache.layer(synth, layer_idx, InputStream::Fixed16Raw)
+            ->weightPlanes(layer);
+    EXPECT_EQ(&built, cache.weights(synth, layer_idx,
+                                    ActivationMode::Synthetic)
+                          .get());
+    EXPECT_NE(&built, prefetched.get());
+    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.misses(), 2);
+}
+
 TEST(WorkloadCache, WeightPlanesOutliveTheCache)
 {
     // A workload co-owns its layer's weight cell, so its weight planes

@@ -73,6 +73,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "dnn/model_zoo.h"
 #include "energy/memory_energy.h"
@@ -288,7 +289,10 @@ main(int argc, char **argv)
                 i = n = -1;
             }
         }
-        if (i < 0 || n <= 0 || i >= n || parsed_i != slash ||
+        // i < N <= INT_MAX bounds both before the narrowing casts
+        // below (4294967297 used to wrap to 1).
+        if (i < 0 || n <= 0 || i >= n ||
+            n > std::numeric_limits<int>::max() || parsed_i != slash ||
             parsed_n != shard.size() - slash - 1)
             util::fatal("--shard must be i/N with 0 <= i < N (got '" +
                         shard + "')");
