@@ -48,13 +48,7 @@ main(int argc, char **argv)
 
     report.phase("sweep");
     sim::SweepOptions sweep;
-    sweep.threads = opt.threads;
-    sweep.innerThreads = opt.innerThreads;
-    sweep.cache = opt.cache;
-    sweep.sample = opt.sample;
-    sweep.seed = opt.seed;
-    sweep.activations = opt.activations;
-    sweep.accel.memory = opt.memory;
+    opt.applyTo(sweep);
     auto results = sim::runSweep(opt.networks, engines,
                                  models::builtinEngines(), sweep);
 

@@ -33,68 +33,23 @@ using namespace pra;
 
 namespace {
 
-std::vector<double>
-parseTraffic(const std::string &list)
-{
-    std::vector<double> rates;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string item =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!item.empty()) {
-            double rate = 0.0;
-            size_t parsed = 0;
-            try {
-                rate = std::stod(item, &parsed);
-            } catch (...) {
-                parsed = 0;
-            }
-            if (parsed != item.size() || !(rate > 0.0) ||
-                rate > sim::kCyclesPerSecond)
-                util::fatal("--traffic rates must be positive "
-                            "images/s up to 1e9 (got '" + item + "')");
-            rates.push_back(rate);
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (rates.empty())
-        util::fatal("--traffic lists no rates");
-    return rates;
-}
-
 /** Parse --mtbf-axis: comma-separated positive cycle counts. */
 std::vector<uint64_t>
 parseMtbfAxis(const std::string &list)
 {
     std::vector<uint64_t> axis;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string item =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!item.empty()) {
-            long long cycles = 0;
-            size_t parsed = 0;
-            try {
-                cycles = std::stoll(item, &parsed);
-            } catch (...) {
-                parsed = 0;
-            }
-            if (parsed != item.size() || cycles <= 0)
-                util::fatal("--mtbf-axis entries must be positive "
-                            "cycle counts (got '" + item + "')");
-            axis.push_back(static_cast<uint64_t>(cycles));
+    for (const auto &item : util::splitList(list)) {
+        long long cycles = 0;
+        size_t parsed = 0;
+        try {
+            cycles = std::stoll(item, &parsed);
+        } catch (...) {
+            parsed = 0;
         }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+        if (parsed != item.size() || cycles <= 0)
+            util::fatal("--mtbf-axis entries must be positive "
+                        "cycle counts (got '" + item + "')");
+        axis.push_back(static_cast<uint64_t>(cycles));
     }
     if (axis.empty())
         util::fatal("--mtbf-axis lists no intensities");
@@ -119,15 +74,9 @@ main(int argc, char **argv)
                   "the serving extension (docs/ARCHITECTURE.md)");
 
     sim::ServingSweepOptions serving;
-    serving.threads = opt.threads;
-    serving.innerThreads = opt.innerThreads;
-    serving.cache = opt.cache;
-    serving.sample = opt.sample;
-    serving.seed = opt.seed;
-    serving.activations = opt.activations;
-    serving.accel.memory = opt.memory;
+    opt.applyTo(serving);
     serving.serving.arrival.seed = opt.seed;
-    serving.offeredPerSecond = parseTraffic(args.getString(
+    serving.offeredPerSecond = sim::parseOfferedRates(args.getString(
         "traffic", opt.smoke ? "1000,100000" : "2000,20000,200000"));
     serving.serving.arrival.kind = sim::parseArrivalKind(
         args.getString("arrival", "poisson"));

@@ -51,6 +51,7 @@
 #include "dnn/model_zoo.h"
 #include "sim/memory/memory_config.h"
 #include "sim/sampling.h"
+#include "sim/sweep.h"
 #include "sim/workload_cache.h"
 #include "util/args.h"
 #include "util/logging.h"
@@ -177,6 +178,19 @@ struct BenchOptions
     bool smoke = false;
     std::string jsonPath; ///< --json target; empty = no report file.
 
+    /** Copy the grid flags into a sweep's or serving sweep's options. */
+    void
+    applyTo(sim::GridOptions &grid) const
+    {
+        grid.threads = threads;
+        grid.innerThreads = innerThreads;
+        grid.cache = cache;
+        grid.sample = sample;
+        grid.seed = seed;
+        grid.activations = activations;
+        grid.accel.memory = memory;
+    }
+
     static BenchOptions
     parse(int argc, const char *const *argv, int64_t default_units = 64,
           const std::vector<std::string> &extra_flags = {},
@@ -247,18 +261,7 @@ struct BenchOptions
         } else if (list.empty()) {
             opt.networks = dnn::makeAllNetworks(opt.select);
         } else {
-            size_t pos = 0;
-            while (pos != std::string::npos) {
-                size_t comma = list.find(',', pos);
-                std::string name =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
-                if (!name.empty())
-                    opt.networks.push_back(
-                        dnn::makeNetworkByName(name, opt.select));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
+            opt.networks = dnn::parseNetworkList(list, opt.select);
         }
         return opt;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "util/args.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -393,6 +394,19 @@ makeAllNetworks(LayerSelect select)
         if (!net.layers.empty())
             selected.push_back(std::move(net));
     return selected;
+}
+
+std::vector<Network>
+parseNetworkList(const std::string &list, LayerSelect select)
+{
+    if (list == "all")
+        return makeAllNetworks(select);
+    std::vector<Network> networks;
+    for (const auto &name : util::splitList(list))
+        networks.push_back(makeNetworkByName(name, select));
+    if (networks.empty())
+        util::fatal("no networks selected");
+    return networks;
 }
 
 std::vector<std::string>

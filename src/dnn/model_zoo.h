@@ -65,6 +65,15 @@ std::vector<Network> makeAllNetworks(LayerSelect select =
 Network makeNetworkByName(const std::string &name,
                           LayerSelect select = LayerSelect::Conv);
 
+/**
+ * Parse a --networks= value: "all" (makeAllNetworks) or a
+ * comma-separated list of makeNetworkByName() names. fatal() on an
+ * unknown name or when the list names no network (e.g. ",").
+ */
+std::vector<Network> parseNetworkList(const std::string &list,
+                                      LayerSelect select =
+                                          LayerSelect::Conv);
+
 /** Names accepted by makeNetworkByName(). */
 std::vector<std::string> networkNames();
 

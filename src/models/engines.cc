@@ -6,6 +6,8 @@
 #include "models/laconic/laconic_engine.h"
 #include "models/pragmatic/pragmatic_engine.h"
 #include "models/stripes/stripes_engine.h"
+#include "util/args.h"
+#include "util/logging.h"
 
 namespace pra {
 namespace models {
@@ -95,6 +97,23 @@ coreEngineGrid()
             {"pragmatic-col", {}},
             {"stripes", {}},
             {"terms", {}}};
+}
+
+std::vector<sim::EngineSelection>
+parseEngineList(const std::string &list)
+{
+    if (list == "paper")
+        return paperEngineGrid();
+    if (list == "all")
+        return coreEngineGrid();
+    std::vector<sim::EngineSelection> grid;
+    for (const auto &spec : util::splitList(list)) {
+        grid.push_back(sim::parseEngineSpec(spec));
+        builtinEngines().create(grid.back()); // Knob errors fail here.
+    }
+    if (grid.empty())
+        util::fatal("no engines selected");
+    return grid;
 }
 
 } // namespace models

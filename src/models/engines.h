@@ -42,6 +42,14 @@ std::vector<sim::EngineSelection> paperEngineGrid();
  */
 std::vector<sim::EngineSelection> coreEngineGrid();
 
+/**
+ * Parse an --engines= value: "paper" (paperEngineGrid), "all"
+ * (coreEngineGrid) or a comma-separated list of engine specs
+ * (sim::parseEngineSpec). fatal() on a bad spec, an unknown kind or
+ * knob, or when the list names no engine (e.g. ",").
+ */
+std::vector<sim::EngineSelection> parseEngineList(const std::string &list);
+
 } // namespace models
 } // namespace pra
 

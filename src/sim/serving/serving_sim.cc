@@ -1,20 +1,16 @@
 #include "sim/serving/serving_sim.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <iterator>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <queue>
 #include <tuple>
 #include <utility>
 
 #include "sim/memory/memory_model.h"
+#include "util/args.h"
 #include "util/csv.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -24,24 +20,18 @@
 namespace pra {
 namespace sim {
 
-namespace {
+using util::roundTrip;
 
-std::string
-roundTrip(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
+namespace {
 
 /** A curve with its names set and room for @p max_batch prefixes. */
 BatchCostCurve
-emptyCurve(const dnn::Network &network, const Engine &engine,
+emptyCurve(const dnn::Network &network, const std::string &engine,
            int max_batch)
 {
     BatchCostCurve curve;
     curve.networkName = network.name;
-    curve.engineName = engine.name();
+    curve.engineName = engine;
     curve.batchSystemCycles.reserve(static_cast<size_t>(max_batch));
     return curve;
 }
@@ -80,7 +70,7 @@ buildBatchCostCurve(const dnn::Network &network, const Engine &engine,
 {
     PRA_CHECK(max_batch >= 1,
               "buildBatchCostCurve: max_batch must be >= 1");
-    BatchCostCurve curve = emptyCurve(network, engine, max_batch);
+    BatchCostCurve curve = emptyCurve(network, engine.name(), max_batch);
     // One engine pass per image, so the whole curve costs max_batch
     // passes instead of one per (prefix, image) pair.
     NetworkResult acc;
@@ -648,49 +638,6 @@ checkOfferedRates(const std::vector<double> &rates, const char *caller)
                       ": offered rate must be in (0, 1e9] images/s");
 }
 
-/** A cell's workload source and the synthesizer it reads. */
-struct CellSource
-{
-    std::shared_ptr<const dnn::ActivationSynthesizer> synth;
-    WorkloadSource source;
-};
-
-/**
- * The source of one (network, engine) cell: private (cache off:
- * streams rebuilt per cell) or backed by the sweep-wide cache.
- * Streams depend only on (network, seed), so both modes and any
- * schedule yield identical curves.
- */
-CellSource
-makeCellSource(const dnn::Network &network, WorkloadCache *shared,
-               const ServingSweepOptions &options)
-{
-    std::shared_ptr<const dnn::ActivationSynthesizer> synth =
-        shared ? shared->synthesizer(network, options.seed)
-               : std::make_shared<const dnn::ActivationSynthesizer>(
-                     network, options.seed);
-    WorkloadSource source =
-        shared ? WorkloadSource(*synth, *shared, options.activations)
-               : WorkloadSource(*synth, options.activations);
-    return {std::move(synth), std::move(source)};
-}
-
-/**
- * One cell's in-flight curve under the per-image fan-out: its source,
- * one result slot per batch image, and a countdown of the image
- * passes still running. The cell's first pass makes the source, so
- * synthesizer calibration (tens of ms on the larger networks) runs
- * on the workers; the pass that brings the countdown to zero folds
- * the slots into the curve.
- */
-struct CellJob
-{
-    std::once_flag sourced;
-    std::optional<CellSource> source;
-    std::vector<NetworkResult> images;
-    std::atomic<int> pending{0};
-};
-
 } // namespace
 
 ServingReport
@@ -706,82 +653,21 @@ buildCostCurves(const std::vector<dnn::Network> &networks,
                 const EngineRegistry &registry,
                 const ServingSweepOptions &options)
 {
-    PRA_CHECK(!networks.empty() && !engines.empty(),
-              "buildCostCurves: empty grid");
     const int max_batch = options.serving.policy.maxBatch;
-    PRA_CHECK(max_batch >= 1, "buildCostCurves: max_batch must be >= 1");
-    // Validate every selection up front, as runSweep does.
-    for (const auto &sel : engines)
-        registry.create(sel);
-
-    const size_t cells = networks.size() * engines.size();
-    std::vector<BatchCostCurve> curves(cells);
-
-    WorkloadCache cache;
-    WorkloadCache *shared = options.cache ? &cache : nullptr;
-
-    if (options.threads <= 1) {
-        for (size_t n = 0; n < networks.size(); n++) {
-            for (size_t e = 0; e < engines.size(); e++) {
-                std::unique_ptr<Engine> engine =
-                    registry.create(engines[e]);
-                CellSource cell =
-                    makeCellSource(networks[n], shared, options);
-                curves[n * engines.size() + e] = buildBatchCostCurve(
-                    networks[n], *engine, cell.source, options.accel,
-                    options.sample, util::InnerExecutor(), max_batch);
-            }
-        }
-        return curves;
-    }
-
-    // One pool task per (cell, batch image): a cell's passes are
-    // independent, so a small grid still fills the pool. Each pass
-    // writes its own slot, and the fold runs in image order, so every
-    // curve is bit-identical to the serial build.
-    std::vector<CellJob> jobs(cells);
-    for (auto &job : jobs) {
-        job.images.resize(static_cast<size_t>(max_batch));
-        job.pending = max_batch;
-    }
-    auto runImage = [&](size_t c, int image,
-                        const util::InnerExecutor &exec) {
-        const dnn::Network &network = networks[c / engines.size()];
-        CellJob &job = jobs[c];
-        std::call_once(job.sourced, [&] {
-            job.source.emplace(makeCellSource(network, shared, options));
-        });
-        std::unique_ptr<Engine> engine =
-            registry.create(engines[c % engines.size()]);
-        job.images[static_cast<size_t>(image)] = engine->runNetwork(
-            network, job.source->source.withImage(image), options.accel,
-            options.sample, exec);
-        if (job.pending.fetch_sub(1) != 1)
-            return;
-        BatchCostCurve curve = emptyCurve(network, *engine, max_batch);
-        NetworkResult acc;
-        for (auto &result : job.images)
-            foldBatchImage(network, options.accel, std::move(result),
-                           acc, curve);
-        curves[c] = std::move(curve);
-        job.images = {};
-    };
-
-    // Automatic layer splitting only when the tasks alone cannot keep
-    // every worker busy, as in runSweep.
-    const size_t tasks = cells * static_cast<size_t>(max_batch);
-    const size_t workers = static_cast<size_t>(options.threads);
-    int inner = options.innerThreads;
-    if (inner <= 0)
-        inner = static_cast<int>(
-            tasks >= workers ? 1 : (workers + tasks - 1) / tasks);
-    util::ThreadPool pool(options.threads);
-    util::InnerExecutor exec(&pool, inner);
-    for (size_t c = 0; c < cells; c++)
-        for (int i = 0; i < max_batch; i++)
-            pool.submit(
-                [&runImage, &exec, c, i] { runImage(c, i, exec); });
-    pool.wait();
+    std::vector<BatchCostCurve> curves(networks.size() * engines.size());
+    priceGrid(networks, engines, registry, options, max_batch, 0,
+              curves.size(),
+              [&](size_t cell, std::vector<NetworkResult> images) {
+                  const dnn::Network &network =
+                      networks[cell / engines.size()];
+                  BatchCostCurve curve = emptyCurve(
+                      network, images[0].engineName, max_batch);
+                  NetworkResult acc;
+                  for (auto &image : images)
+                      foldBatchImage(network, options.accel,
+                                     std::move(image), acc, curve);
+                  curves[cell] = std::move(curve);
+              });
     return curves;
 }
 
@@ -814,6 +700,29 @@ playServing(const std::vector<BatchCostCurve> &curves,
         pool.wait();
     }
     return reports;
+}
+
+std::vector<double>
+parseOfferedRates(const std::string &list)
+{
+    std::vector<double> rates;
+    for (const auto &item : util::splitList(list)) {
+        double rate = 0.0;
+        size_t parsed = 0;
+        try {
+            rate = std::stod(item, &parsed);
+        } catch (...) {
+            parsed = 0;
+        }
+        if (parsed != item.size() || !(rate > 0.0) ||
+            rate > kCyclesPerSecond)
+            util::fatal("--traffic rates must be positive images/s "
+                        "up to 1e9 (got '" + item + "')");
+        rates.push_back(rate);
+    }
+    if (rates.empty())
+        util::fatal("--traffic lists no rates");
+    return rates;
 }
 
 std::vector<ServingReport>

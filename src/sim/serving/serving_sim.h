@@ -35,10 +35,11 @@
  *     function writing its own report slot.
  *
  * A sweep (runServingSweep) is buildCostCurves then playServing,
- * joined in between, both fanned across --threads workers: the curve
- * build runs one task per (network, engine, batch image) and folds
- * each cell's images in image order, the fleet stage one task per
- * (curve, rate). Serving reports are therefore byte-identical across
+ * joined in between. The curve build is the grid driver of
+ * sim/sweep.h (priceGrid) over the whole grid with maxBatch images,
+ * folding each cell's images into its curve in image order; the
+ * fleet stage runs one task per (curve, rate) on --threads workers.
+ * Serving reports are therefore byte-identical across
  * --threads/--inner-threads/--cache.
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
@@ -63,6 +64,7 @@
 #include "sim/serving/arrival.h"
 #include "sim/serving/batching.h"
 #include "sim/serving/faults.h"
+#include "sim/sweep.h"
 #include "sim/workload_cache.h"
 #include "util/thread_pool.h"
 
@@ -188,16 +190,13 @@ struct ServingReport
 ServingReport simulateServing(const BatchCostCurve &curve,
                               const ServingConfig &config);
 
-/** Options of a serving sweep over (networks x engines x rates). */
-struct ServingSweepOptions
+/**
+ * Options of a serving sweep over (networks x engines x rates). The
+ * grid fields drive the curve build; threads also sizes the fleet
+ * stage.
+ */
+struct ServingSweepOptions : GridOptions
 {
-    int threads = 1;    ///< Workers for curve passes and fleet loops.
-    int innerThreads = 0; ///< Layer-splitting subtasks (see sweep.h).
-    bool cache = true;  ///< Share workloads across the grid.
-    AccelConfig accel;  ///< Machine configuration (incl. --memory).
-    SampleSpec sample{64};
-    uint64_t seed = 0x5eed;
-    ActivationMode activations = ActivationMode::Synthetic;
     /** Offered load points (images/s at 1 GHz), one report each. */
     std::vector<double> offeredPerSecond;
     /** Fleet + policy + arrival kind/seed (gap filled per rate). */
@@ -207,11 +206,9 @@ struct ServingSweepOptions
 /**
  * Build every (network, engine) cost curve for batches of
  * 1..options.serving.policy.maxBatch, in (network-major, engine)
- * order. With options.threads > 1 each (cell, batch image) engine
- * pass is its own pool task (sharing one WorkloadCache when
- * options.cache is set), and a cell's last finishing pass folds its
- * images in image order, so every curve is bit-identical to a
- * serial buildBatchCostCurve.
+ * order: priceGrid over the whole grid with maxBatch images, each
+ * cell's images folded into its curve in image order, so every curve
+ * is bit-identical to a serial buildBatchCostCurve.
  */
 std::vector<BatchCostCurve>
 buildCostCurves(const std::vector<dnn::Network> &networks,
@@ -229,6 +226,13 @@ buildCostCurves(const std::vector<dnn::Network> &networks,
 std::vector<ServingReport>
 playServing(const std::vector<BatchCostCurve> &curves,
             const ServingSweepOptions &options);
+
+/**
+ * Parse a --traffic value: comma-separated offered rates in images/s,
+ * each positive and at most kCyclesPerSecond. fatal() on a bad rate
+ * or an empty list.
+ */
+std::vector<double> parseOfferedRates(const std::string &list);
 
 /**
  * playServing(buildCostCurves(...)): every report of the grid, in

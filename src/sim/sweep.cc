@@ -1,8 +1,10 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "dnn/activation_synth.h"
@@ -16,67 +18,62 @@
 namespace pra {
 namespace sim {
 
+using util::roundTrip;
+
 namespace {
 
-std::string
-roundTrip(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
 /**
- * Blocks one cell may split a layer into. An explicit innerThreads
- * wins; automatic mode splits only when the grid alone cannot keep
- * every worker busy, handing each cell its share of the pool.
+ * Blocks one (cell, image) pass may split a layer into. An explicit
+ * innerThreads wins; automatic mode splits only when the passes alone
+ * cannot keep every worker busy, handing each pass its share of the
+ * pool.
  */
 int
-resolveInnerTasks(const SweepOptions &options, size_t cells)
+innerTasks(const GridOptions &options, size_t passes)
 {
-    int threads = std::max(1, options.threads);
+    const auto threads = static_cast<size_t>(options.threads);
     if (options.innerThreads > 0)
         return options.innerThreads;
-    if (cells >= static_cast<size_t>(threads))
+    if (passes >= threads)
         return 1;
-    return static_cast<int>(
-        (threads + cells - 1) / static_cast<int>(cells));
+    return static_cast<int>((threads + passes - 1) / passes);
 }
 
 /**
- * The shard's contiguous slice [first, last) of the grid-order cell
- * list; the balanced-split endpoints make shards 0..N-1 partition
- * the grid exactly, so concatenated shard outputs equal the
- * unsharded run.
+ * One cell's passes in flight: its workload source (made by the
+ * cell's first pass, so synthesizer calibration — tens of ms on the
+ * larger networks — runs on the workers), one result slot per image,
+ * and a countdown of the passes still running. The pass that brings
+ * the countdown to zero folds the slots and drops the source.
  */
-std::pair<size_t, size_t>
-shardCells(size_t cells, const SweepOptions &options)
+struct CellPasses
 {
-    const auto index = static_cast<size_t>(options.shardIndex);
-    const auto count = static_cast<size_t>(options.shardCount);
-    return {cells * index / count, cells * (index + 1) / count};
-}
+    std::once_flag sourced;
+    std::shared_ptr<const dnn::ActivationSynthesizer> synth;
+    std::optional<WorkloadSource> source;
+    std::vector<NetworkResult> images;
+    std::atomic<int> pending{0};
+};
 
 } // namespace
 
-std::vector<SweepPrefetch>
-planSweepPrefetch(const std::vector<dnn::Network> &networks,
-                  const std::vector<EngineSelection> &engines,
-                  const EngineRegistry &registry,
-                  const SweepOptions &options)
+std::vector<GridPrefetch>
+planGridPrefetch(const std::vector<dnn::Network> &networks,
+                 const std::vector<EngineSelection> &engines,
+                 const EngineRegistry &registry,
+                 const GridOptions &options, int images, size_t first,
+                 size_t last)
 {
-    using Kind = SweepPrefetch::Kind;
+    using Kind = GridPrefetch::Kind;
     if (!options.cache)
         return {};
     const bool propagated =
         options.activations == ActivationMode::Propagated;
-    const auto [first, last] =
-        shardCells(networks.size() * engines.size(), options);
-    std::vector<SweepPrefetch> chains;
-    std::vector<SweepPrefetch> weights;
-    std::vector<SweepPrefetch> streams;
+    std::vector<GridPrefetch> chains;
+    std::vector<GridPrefetch> weights;
+    std::vector<GridPrefetch> streams;
     for (size_t n = 0; n < networks.size(); n++) {
-        // What the network's cells in this shard read: the distinct
+        // What the network's cells in the range read: the distinct
         // cache streams and whether any reads the weight planes.
         std::vector<InputStream> read;
         bool reads_weights = false;
@@ -94,16 +91,16 @@ planSweepPrefetch(const std::vector<dnn::Network> &networks,
                             engine->readsSharedWeights(options.accel);
         }
         if (propagated && !read.empty())
-            for (int b = 0; b < options.batch; b++)
+            for (int b = 0; b < images; b++)
                 chains.push_back({Kind::Chain, n, -1, InputStream::None, b});
         const std::vector<dnn::LayerSpec> &layers = networks[n].layers;
         for (size_t l = 0; l < layers.size(); l++)
             if (reads_weights && layers[l].priced())
                 weights.push_back({Kind::Weights, n, static_cast<int>(l),
                                    InputStream::None, 0});
-        // Image-major, then layer order: the order the cells'
-        // runBatch consumes them in.
-        for (int b = 0; b < options.batch; b++)
+        // Image-major, then layer order: the order the passes
+        // consume them in.
+        for (int b = 0; b < images; b++)
             for (size_t l = 0; l < layers.size(); l++)
                 if (layers[l].priced())
                     for (InputStream stream : read)
@@ -116,115 +113,147 @@ planSweepPrefetch(const std::vector<dnn::Network> &networks,
     return chains;
 }
 
-std::vector<NetworkResult>
-runSweep(const std::vector<dnn::Network> &networks,
-         const std::vector<EngineSelection> &engines,
-         const EngineRegistry &registry, const SweepOptions &options)
+void
+priceGrid(const std::vector<dnn::Network> &networks,
+          const std::vector<EngineSelection> &engines,
+          const EngineRegistry &registry, const GridOptions &options,
+          int images, size_t first, size_t last, const CellFold &fold)
 {
     PRA_CHECK(!networks.empty() && !engines.empty(),
-                         "runSweep: empty grid");
-    PRA_CHECK(options.batch >= 1, "runSweep: batch must be >= 1");
-    PRA_CHECK(options.shardCount >= 1 && options.shardIndex >= 0 &&
-                  options.shardIndex < options.shardCount,
-              "runSweep: shard index out of range");
+              "priceGrid: empty grid");
+    PRA_CHECK(images >= 1, "priceGrid: a batch needs at least one image");
+    PRA_CHECK(first <= last && last <= networks.size() * engines.size(),
+              "priceGrid: cell range out of the grid");
     // Validate every selection up front so knob errors surface before
-    // any worker starts.
+    // any pass starts.
     for (const auto &sel : engines)
         registry.create(sel);
-
-    const auto [shard_first, shard_last] =
-        shardCells(networks.size() * engines.size(), options);
-    std::vector<NetworkResult> results(shard_last - shard_first);
-    // More shards than cells leaves some shards empty; header-only
-    // CSV output is exactly what concatenation expects from them.
-    if (results.empty())
-        return results;
+    if (first == last)
+        return;
 
     WorkloadCache cache;
-    WorkloadCache *shared = options.cache ? &cache : nullptr;
-
-    auto runCell = [&](size_t net_idx, size_t eng_idx,
-                       const util::InnerExecutor &exec) {
-        // Each job builds its own engine; the workload source is
-        // either private (cache off: streams rebuilt per cell) or
-        // backed by the sweep-wide cache. Streams depend only on
-        // (network, seed), so both modes and any schedule yield
-        // identical results.
-        const dnn::Network &network = networks[net_idx];
+    std::vector<CellPasses> cells(last - first);
+    for (auto &cell : cells) {
+        cell.images.resize(static_cast<size_t>(images));
+        cell.pending = images;
+    }
+    // One (cell, image) pass. Each pass builds its own engine and
+    // writes its own slot; the cell's source is private (cache off:
+    // streams rebuilt per cell) or backed by the grid-wide cache.
+    // Streams depend only on (network, seed, image), so both modes
+    // and any schedule yield identical results.
+    auto pass = [&](size_t c, int image, const util::InnerExecutor &exec) {
+        const dnn::Network &network = networks[c / engines.size()];
+        CellPasses &cell = cells[c - first];
+        std::call_once(cell.sourced, [&] {
+            if (options.cache) {
+                cell.synth = cache.synthesizer(network, options.seed);
+                cell.source.emplace(*cell.synth, cache,
+                                    options.activations);
+            } else {
+                cell.synth =
+                    std::make_shared<const dnn::ActivationSynthesizer>(
+                        network, options.seed);
+                cell.source.emplace(*cell.synth, options.activations);
+            }
+        });
         std::unique_ptr<Engine> engine =
-            registry.create(engines[eng_idx]);
-        std::shared_ptr<const dnn::ActivationSynthesizer> synth =
-            shared ? shared->synthesizer(network, options.seed)
-                   : std::make_shared<const dnn::ActivationSynthesizer>(
-                         network, options.seed);
-        WorkloadSource source =
-            shared ? WorkloadSource(*synth, *shared,
-                                    options.activations)
-                   : WorkloadSource(*synth, options.activations);
-        NetworkResult &cell =
-            results[net_idx * engines.size() + eng_idx - shard_first];
-        cell = engine->runBatch(network, source, options.accel,
-                                options.sample, exec, options.batch);
-        // Compose compute cycles with the memory hierarchy (no-op
-        // when --memory=off). Pure per-layer arithmetic over the
-        // finished result, so any schedule stays bit-identical.
-        applyMemoryModel(network, options.accel, cell);
+            registry.create(engines[c % engines.size()]);
+        cell.images[static_cast<size_t>(image)] = engine->runNetwork(
+            network, cell.source->withImage(image), options.accel,
+            options.sample, exec);
+        if (cell.pending.fetch_sub(1) != 1)
+            return;
+        cell.source.reset();
+        cell.synth.reset();
+        fold(c, std::move(cell.images));
     };
+
+    if (options.threads <= 1) {
+        for (size_t c = first; c < last; c++)
+            for (int i = 0; i < images; i++)
+                pass(c, i, util::InnerExecutor());
+        return;
+    }
 
     // Builds one shared input into the cache, the synthesizer
     // included, so nothing of it runs on the calling thread.
-    auto prefetch = [&](const SweepPrefetch &item) {
+    auto prefetch = [&](const GridPrefetch &item) {
         std::shared_ptr<const dnn::ActivationSynthesizer> synth =
             cache.synthesizer(networks[item.network], options.seed);
         switch (item.kind) {
-          case SweepPrefetch::Kind::Chain:
+          case GridPrefetch::Kind::Chain:
             cache.chain(*synth, item.image);
             break;
-          case SweepPrefetch::Kind::Weights:
+          case GridPrefetch::Kind::Weights:
             cache.weights(*synth, item.layer, options.activations);
             break;
-          case SweepPrefetch::Kind::Stream:
+          case GridPrefetch::Kind::Stream:
             cache.layer(*synth, item.layer, item.stream,
                         options.activations, item.image);
             break;
         }
     };
 
-    auto inShard = [&](size_t n, size_t e) {
-        size_t cell = n * engines.size() + e;
-        return cell >= shard_first && cell < shard_last;
-    };
+    util::ThreadPool pool(options.threads);
+    util::InnerExecutor exec(
+        &pool, innerTasks(options, cells.size() *
+                                       static_cast<size_t>(images)));
+    // The shared inputs go first, one task each, and the passes
+    // queue right behind them with no join, so a pass finds its
+    // inputs built or in flight instead of building them alone while
+    // other passes wait on it. This cannot deadlock: prefetch tasks
+    // never wait on pool jobs (a stream task may wait on its chain,
+    // whose build waits on nothing); the FIFO queue starts every
+    // prefetch task before any pass, and submitFirst subtasks come
+    // only from running passes; so a pass blocked on the cache (or
+    // on its cell's source) always waits on a running builder. The
+    // plan is empty with the cache off.
+    for (const GridPrefetch &item :
+         planGridPrefetch(networks, engines, registry, options, images,
+                          first, last))
+        pool.submit([&prefetch, item] { prefetch(item); });
+    for (size_t c = first; c < last; c++)
+        for (int i = 0; i < images; i++)
+            pool.submit([&pass, &exec, c, i] { pass(c, i, exec); });
+    pool.wait();
+}
 
-    const int inner = resolveInnerTasks(options, results.size());
-    if (options.threads <= 1 && inner <= 1) {
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                if (inShard(n, e))
-                    runCell(n, e, util::InnerExecutor());
-    } else {
-        util::ThreadPool pool(options.threads);
-        util::InnerExecutor exec(&pool, inner);
-        // The shared inputs go first, one task each, and the cells
-        // queue right behind them with no join, so a cell finds its
-        // inputs built or in flight instead of building them alone
-        // while other cells wait on it. This cannot deadlock:
-        // prefetch tasks never wait on pool jobs (a stream task may
-        // wait on its chain, whose build waits on nothing); the FIFO
-        // queue starts every prefetch task before any cell, and
-        // submitFirst subtasks come only from running cells; so a
-        // cell blocked on the cache always waits on a running
-        // builder. The plan is empty with the cache off.
-        for (const SweepPrefetch &item :
-             planSweepPrefetch(networks, engines, registry, options))
-            pool.submit([&prefetch, item] { prefetch(item); });
-        for (size_t n = 0; n < networks.size(); n++)
-            for (size_t e = 0; e < engines.size(); e++)
-                if (inShard(n, e))
-                    pool.submit([&runCell, &exec, n, e] {
-                        runCell(n, e, exec);
-                    });
-        pool.wait();
-    }
+std::vector<NetworkResult>
+runSweep(const std::vector<dnn::Network> &networks,
+         const std::vector<EngineSelection> &engines,
+         const EngineRegistry &registry, const SweepOptions &options)
+{
+    PRA_CHECK(options.shardCount >= 1 && options.shardIndex >= 0 &&
+                  options.shardIndex < options.shardCount,
+              "runSweep: shard index out of range");
+    // The shard's contiguous slice [first, last) of the grid-order
+    // cells; the balanced-split endpoints make shards 0..N-1
+    // partition the grid exactly, so concatenated shard outputs equal
+    // the unsharded run. More shards than cells leaves some slices
+    // empty; header-only CSV output is exactly what concatenation
+    // expects from them.
+    const size_t cells = networks.size() * engines.size();
+    const auto index = static_cast<size_t>(options.shardIndex);
+    const auto count = static_cast<size_t>(options.shardCount);
+    const size_t first = cells * index / count;
+    const size_t last = cells * (index + 1) / count;
+    std::vector<NetworkResult> results(last - first);
+    priceGrid(networks, engines, registry, options, options.batch, first,
+              last, [&](size_t cell, std::vector<NetworkResult> images) {
+                  // Accumulate exactly as Engine::runBatch does, then
+                  // compose compute cycles with the memory hierarchy
+                  // (no-op when --memory=off): pure per-layer
+                  // arithmetic over the finished batch.
+                  NetworkResult &result = results[cell - first];
+                  result = std::move(images[0]);
+                  for (size_t b = 1; b < images.size(); b++)
+                      accumulateBatchImage(result, images[b]);
+                  for (auto &layer : result.layers)
+                      layer.batchImages = options.batch;
+                  applyMemoryModel(networks[cell / engines.size()],
+                                   options.accel, result);
+              });
     return results;
 }
 

@@ -1,34 +1,37 @@
 /**
  * @file
- * Parallel (network x engine) sweep driver with a shared workload
- * cache and two-level scheduling.
+ * The one grid driver that prices (network x engine) cells, and the
+ * parallel sweep built on it.
  *
- * A sweep fans the full grid of (model-zoo network, engine variant)
- * jobs out across a worker pool and collects one NetworkResult per
- * cell. All cells of a grid draw their synthesized streams from one
+ * priceGrid runs one Engine::runNetwork pass per (cell, batch image)
+ * and hands each cell's per-image results, in image order, to a fold
+ * callback. Both result kinds the repo reports come from it: runSweep
+ * folds a cell into one per-batch NetworkResult, and the serving
+ * sweep (sim/serving/serving_sim.h) folds it into a batch cost curve.
+ * All cells of a grid draw their synthesized streams from one
  * WorkloadCache (unless disabled), so each distinct (network,
- * representation, trim, seed) workload is built exactly once no
- * matter how many engines consume it.
+ * representation, trim, seed, image) workload is built exactly once
+ * no matter how many engines consume it.
  *
- * Scheduling is two-level: grid cells fan out across the pool, and
- * when the grid alone cannot occupy every worker (fewer cells than
- * threads) each cell may additionally split large layers into pallet
+ * Scheduling is two-level: with threads > 1 every (cell, image) pass
+ * is its own pool task, and when the passes alone cannot occupy every
+ * worker each pass may additionally split large layers into pallet
  * blocks on the same pool (see InnerExecutor). With the cache on, the
- * cells queue behind one prefetch task per shared input they read
- * (planSweepPrefetch: propagated chains, weight planes, streams), so
- * the inputs build side by side instead of inside whichever cell
- * asks first.
+ * passes queue behind one prefetch task per shared input they read
+ * (planGridPrefetch: propagated chains, weight planes, streams), so
+ * the inputs build side by side instead of inside whichever pass
+ * asks first. threads <= 1 is serial: cell by cell, image by image.
  *
- * Determinism: streams depend only on (network, seed) — identical
- * whether cached or rebuilt — results are stored by grid position
- * (network-major, engine-minor), and block splits combine exact
- * integer partials in block order, so the output is bit-identical
- * for any thread count, any inner-thread count, and with the cache
- * on or off.
+ * Determinism: streams depend only on (network, seed, image) —
+ * identical whether cached or rebuilt — each pass writes its own
+ * slot, a cell's images fold in image order, and block splits
+ * combine exact integer partials in block order, so the output is
+ * bit-identical for any thread count, any inner-thread count, and
+ * with the cache on or off.
  *
  * When options.accel.memory is enabled (--memory=<preset>), every
- * cell's compute result is composed with the memory-hierarchy model
- * (sim/memory/memory_model.h) after its engine finishes: pure
+ * sweep cell's compute result is composed with the memory-hierarchy
+ * model (sim/memory/memory_model.h) after its images fold: pure
  * per-layer arithmetic, so the determinism guarantees above are
  * unchanged and the compute columns are byte-identical to a
  * memory-off run of the same grid.
@@ -36,6 +39,7 @@
 
 #pragma once
 
+#include <functional>
 #include <ostream>
 #include <vector>
 
@@ -49,20 +53,21 @@
 namespace pra {
 namespace sim {
 
-/** Options shared by every job of a sweep. */
-struct SweepOptions
+/** Options every priced grid shares: sweeps and serving sweeps. */
+struct GridOptions
 {
     /**
-     * Worker threads (<= 1: sequential unless innerThreads splits).
-     * A threaded sweep with the cache on queues one pool task per
-     * shared input (planSweepPrefetch) ahead of its cells.
+     * Worker threads: <= 1 prices the grid serially; more fans every
+     * (cell, image) pass out as its own pool task, behind one task
+     * per shared input when the cache is on (planGridPrefetch).
      */
     int threads = 1;
     /**
-     * Layer-splitting subtasks each cell may fan out on the shared
+     * Layer-splitting subtasks each pass may fan out on the shared
      * pool: 0 picks automatically (split only when the grid has
-     * fewer cells than threads), 1 disables inner parallelism, N
-     * allows up to N blocks per layer.
+     * fewer (cell, image) passes than threads), 1 disables inner
+     * parallelism, N allows up to N blocks per layer. Ignored when
+     * serial.
      */
     int innerThreads = 0;
     /**
@@ -80,11 +85,17 @@ struct SweepOptions
      * LayerSelect::All with pools). See sim/workload_cache.h.
      */
     ActivationMode activations = ActivationMode::Synthetic;
+};
+
+/** Options of a (network x engine) sweep. */
+struct SweepOptions : GridOptions
+{
     /**
-     * Images per request: every cell runs Engine::runBatch over this
-     * many per-image streams and reports per-batch totals (plus the
-     * batch / cycles_per_image CSV columns). 1 — the default — is
-     * byte-identical to the historical single-image sweep.
+     * Images per request: every cell prices this many per-image
+     * streams and reports per-batch totals (plus the batch /
+     * cycles_per_image CSV columns), exactly as Engine::runBatch
+     * accumulates them. 1 — the default — is byte-identical to the
+     * historical single-image sweep.
      */
     int batch = 1;
     /**
@@ -100,41 +111,69 @@ struct SweepOptions
 };
 
 /**
- * One shared input a threaded, cached sweep builds as its own pool
- * task ahead of the cells (see runSweep): a propagated chain, one
+ * One shared input a threaded, cached grid builds as its own pool
+ * task ahead of the passes (see priceGrid): a propagated chain, one
  * layer's weight planes, or one layer stream of one batch image.
  */
-struct SweepPrefetch
+struct GridPrefetch
 {
     enum class Kind { Chain, Weights, Stream };
 
     Kind kind = Kind::Chain;
-    size_t network = 0;   ///< Index into the sweep's networks.
+    size_t network = 0;   ///< Index into the grid's networks.
     int layer = -1;       ///< Weights, Stream: the priced layer.
     InputStream stream = InputStream::None; ///< Stream: which view.
     int image = 0;        ///< Chain, Stream: the batch image.
 };
 
 /**
- * The shared inputs the cells of @p options' shard read from the
- * sweep cache, in build order: every propagated (network, image)
- * chain first (the longest builds), then the (network, priced layer)
- * weight planes of networks with an engine that readsSharedWeights(),
- * then every (network, priced layer, stream, image) named by the
- * engines' inputStream(). Empty with the cache off.
+ * The shared inputs the grid-order cells [@p first, @p last) read
+ * from the grid cache over @p images batch images, in build order:
+ * every propagated (network, image) chain first (the longest
+ * builds), then the (network, priced layer) weight planes of
+ * networks with an engine that readsSharedWeights(), then every
+ * (network, image, priced layer, stream) named by the engines'
+ * inputStream(). Empty with the cache off.
  */
-std::vector<SweepPrefetch>
-planSweepPrefetch(const std::vector<dnn::Network> &networks,
-                  const std::vector<EngineSelection> &engines,
-                  const EngineRegistry &registry,
-                  const SweepOptions &options);
+std::vector<GridPrefetch>
+planGridPrefetch(const std::vector<dnn::Network> &networks,
+                 const std::vector<EngineSelection> &engines,
+                 const EngineRegistry &registry,
+                 const GridOptions &options, int images, size_t first,
+                 size_t last);
+
+/**
+ * Receives one cell's results, one per batch image in image order.
+ * @p cell indexes the grid-order cell list (network-major,
+ * engine-minor). Called once per cell, possibly on a pool worker;
+ * calls for distinct cells may run concurrently.
+ */
+using CellFold =
+    std::function<void(size_t cell, std::vector<NetworkResult> images)>;
+
+/**
+ * Price the grid-order cells [@p first, @p last) of (networks x
+ * engines) over @p images batch images (>= 1): one
+ * Engine::runNetwork pass per (cell, image) on
+ * WorkloadSource::withImage(image), scheduled per options.threads
+ * (see file comment), handing each cell's results to @p fold on
+ * whichever pass finishes the cell last. Engine selections are
+ * validated (instantiated once) before any pass starts, so bad knobs
+ * fail fast.
+ */
+void priceGrid(const std::vector<dnn::Network> &networks,
+               const std::vector<EngineSelection> &engines,
+               const EngineRegistry &registry, const GridOptions &options,
+               int images, size_t first, size_t last,
+               const CellFold &fold);
 
 /**
  * Run the (networks x engines) grid — or, when options selects a
- * shard, its contiguous slice. Returns one NetworkResult per covered
- * cell in grid order: all engines of networks[0], then networks[1],
- * ... Engine selections are validated (instantiated once) before any
- * worker starts, so bad knobs fail fast.
+ * shard, its contiguous slice — through priceGrid. Returns one
+ * NetworkResult per covered cell in grid order: all engines of
+ * networks[0], then networks[1], ... Each is its images accumulated
+ * as Engine::runBatch does, with batchImages stamped and the memory
+ * model applied.
  */
 std::vector<NetworkResult>
 runSweep(const std::vector<dnn::Network> &networks,

@@ -10,6 +10,26 @@
 namespace pra {
 namespace util {
 
+std::vector<std::string>
+splitList(const std::string &list)
+{
+    std::vector<std::string> items;
+    size_t pos = 0;
+    while (pos <= list.size()) {
+        size_t comma = list.find(',', pos);
+        std::string item =
+            list.substr(pos, comma == std::string::npos
+                                 ? std::string::npos
+                                 : comma - pos);
+        if (!item.empty())
+            items.push_back(item);
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
+    }
+    return items;
+}
+
 namespace {
 
 /** Plain Levenshtein distance for "did you mean" suggestions. */

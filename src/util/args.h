@@ -21,6 +21,9 @@
 namespace pra {
 namespace util {
 
+/** The non-empty items of a comma-separated @p list, in order. */
+std::vector<std::string> splitList(const std::string &list);
+
 /** Parsed command-line arguments. */
 class ArgParser
 {

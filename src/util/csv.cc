@@ -1,10 +1,20 @@
 #include "util/csv.h"
 
+#include <cstdio>
+
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace pra {
 namespace util {
+
+std::string
+roundTrip(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    return buf;
+}
 
 CsvWriter::CsvWriter(std::ostream &out)
     : out_(out)

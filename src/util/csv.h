@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal CSV writer used by examples to export sweep results.
+ * Minimal CSV writer and the round-trip number format the sweep and
+ * serving CSVs share.
  */
 
 #pragma once
@@ -11,6 +12,13 @@
 
 namespace pra {
 namespace util {
+
+/**
+ * @p value at round-trip precision (%.17g): parsing the text back
+ * yields the same double, so two result sets are bit-identical iff
+ * their CSV dumps are byte-identical.
+ */
+std::string roundTrip(double value);
 
 /**
  * Streams rows of cells as RFC-4180-ish CSV (quotes cells containing

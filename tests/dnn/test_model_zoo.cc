@@ -134,6 +134,29 @@ TEST(ModelZoo, UnknownNameIsFatal)
     EXPECT_DEATH(makeNetworkByName("resnet"), "unknown network");
 }
 
+TEST(ModelZoo, ParseNetworkListResolvesNamesInOrder)
+{
+    auto networks = parseNetworkList("tiny,,alexnet");
+    ASSERT_EQ(networks.size(), 2u);
+    EXPECT_EQ(networks[0].name, "Tiny");
+    EXPECT_EQ(networks[1].name, "AlexNet");
+    EXPECT_EQ(parseNetworkList("all").size(), makeAllNetworks().size());
+    EXPECT_EQ(parseNetworkList("alexnet", LayerSelect::All)[0].layers.size(),
+              makeNetworkByName("alexnet", LayerSelect::All).layers.size());
+}
+
+TEST(ModelZooDeathTest, ParseNetworkListRejectsEmptyAndUnknownLists)
+{
+    // An empty selection exits like every other bad flag (status 1),
+    // instead of aborting later in the grid driver.
+    EXPECT_EXIT(parseNetworkList(""), ::testing::ExitedWithCode(1),
+                "no networks selected");
+    EXPECT_EXIT(parseNetworkList(","), ::testing::ExitedWithCode(1),
+                "no networks selected");
+    EXPECT_EXIT(parseNetworkList("tiny,resnet"),
+                ::testing::ExitedWithCode(1), "unknown network 'resnet'");
+}
+
 TEST(ModelZoo, TinyNetworkIsSmallAndValid)
 {
     auto net = makeTinyNetwork();

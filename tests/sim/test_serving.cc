@@ -19,6 +19,7 @@
 #include "sim/memory/memory_config.h"
 #include "sim/memory/memory_model.h"
 #include "sim/serving/serving_sim.h"
+#include "sim/sweep.h"
 #include "util/stats.h"
 
 namespace pra {
@@ -854,12 +855,18 @@ TEST(ServingSweep, FaultedCsvByteIdenticalAcrossThreadsAndCache)
 
 TEST(ServingSweep, CsvByteIdenticalAcrossThreadMatrix)
 {
-    // Curve passes fan out per (cell, batch image) and fleet loops per
-    // (curve, rate); no schedule may change a byte. Memory is modeled
-    // so the batch prefixes differ in more than their compute sum.
-    const std::vector<dnn::Network> networks = twoSmallNetworks();
-    const std::vector<EngineSelection> grid = {
-        {"dadn", {}}, {"pragmatic", {}}, {"laconic", {}}};
+    // Curve passes fan out per (cell, batch image) behind the prefetch
+    // plan, and fleet loops per (curve, rate); no schedule may change
+    // a byte. Memory is modeled so the batch prefixes differ in more
+    // than their compute sum. The propagated input prefetches chains
+    // and, for laconic, weight planes.
+    struct Input
+    {
+        std::string name;
+        std::vector<dnn::Network> networks;
+        ServingSweepOptions options;
+    };
+    std::vector<Input> inputs;
     for (int max_batch : {1, 5}) {
         for (bool faults : {false, true}) {
             ServingSweepOptions base = smokeOptions(1);
@@ -867,28 +874,74 @@ TEST(ServingSweep, CsvByteIdenticalAcrossThreadMatrix)
             base.serving.policy.maxBatch = max_batch;
             if (faults)
                 base = faulted(base);
-            const std::string serial = servingCsv(runServingSweep(
-                networks, grid, models::builtinEngines(), base));
-            for (int threads : {1, 2, 3, 8}) {
-                for (int inner : {0, 2}) {
-                    for (bool cache : {true, false}) {
-                        ServingSweepOptions options = base;
-                        options.threads = threads;
-                        options.innerThreads = inner;
-                        options.cache = cache;
-                        EXPECT_EQ(serial,
-                                  servingCsv(runServingSweep(
-                                      networks, grid,
-                                      models::builtinEngines(),
-                                      options)))
-                            << "max_batch=" << max_batch
-                            << " faults=" << faults
-                            << " threads=" << threads
-                            << " inner=" << inner
-                            << " cache=" << cache;
-                    }
+            inputs.push_back({"max_batch=" + std::to_string(max_batch) +
+                                  " faults=" + std::to_string(faults),
+                              twoSmallNetworks(), base});
+        }
+    }
+    ServingSweepOptions propagated = smokeOptions(1);
+    propagated.activations = ActivationMode::Propagated;
+    propagated.serving.policy.maxBatch = 3;
+    inputs.push_back({"propagated max_batch=3",
+                      {dnn::makeTinyNetwork(dnn::LayerSelect::All)},
+                      propagated});
+
+    const std::vector<EngineSelection> grid = {
+        {"dadn", {}}, {"pragmatic", {}}, {"laconic", {}}};
+    for (const Input &input : inputs) {
+        const std::string serial = servingCsv(runServingSweep(
+            input.networks, grid, models::builtinEngines(),
+            input.options));
+        for (int threads : {1, 2, 3, 8}) {
+            for (int inner : {0, 2}) {
+                for (bool cache : {true, false}) {
+                    ServingSweepOptions options = input.options;
+                    options.threads = threads;
+                    options.innerThreads = inner;
+                    options.cache = cache;
+                    EXPECT_EQ(serial,
+                              servingCsv(runServingSweep(
+                                  input.networks, grid,
+                                  models::builtinEngines(), options)))
+                        << input.name << " threads=" << threads
+                        << " inner=" << inner << " cache=" << cache;
                 }
             }
+        }
+    }
+}
+
+TEST(ServingSweep, SweepCellsEqualTheirCurveEntryAtTheirBatch)
+{
+    // runSweep at --batch=B and buildCostCurves at maxBatch=B fold the
+    // same per-image passes two ways; a sweep cell's system cycles
+    // must equal entry B-1 of its curve, serial and threaded.
+    const std::vector<dnn::Network> networks = twoSmallNetworks();
+    const std::vector<EngineSelection> grid = allKindsGrid();
+    const int batch = 3;
+    for (int threads : {1, 4}) {
+        SweepOptions sweep;
+        sweep.threads = threads;
+        sweep.sample.maxUnits = 2;
+        sweep.accel.memory = parseMemoryPreset("dadn");
+        sweep.batch = batch;
+        ServingSweepOptions serve = smokeOptions(threads);
+        serve.accel = sweep.accel;
+        serve.serving.policy.maxBatch = batch;
+        const std::vector<NetworkResult> cells = runSweep(
+            networks, grid, models::builtinEngines(), sweep);
+        const std::vector<BatchCostCurve> curves = buildCostCurves(
+            networks, grid, models::builtinEngines(), serve);
+        ASSERT_EQ(cells.size(), curves.size());
+        for (size_t c = 0; c < cells.size(); c++) {
+            EXPECT_EQ(cells[c].networkName, curves[c].networkName);
+            EXPECT_EQ(cells[c].engineName, curves[c].engineName);
+            ASSERT_EQ(curves[c].batchSystemCycles.size(),
+                      static_cast<size_t>(batch));
+            EXPECT_EQ(cells[c].totalSystemCycles(),
+                      curves[c].batchSystemCycles[batch - 1])
+                << cells[c].networkName << " " << cells[c].engineName
+                << " threads=" << threads;
         }
     }
 }
@@ -971,6 +1024,24 @@ TEST(ServingFaultsDeathTest, RejectsDegenerateDegradedConfigs)
     ServingConfig bad_retry = uniformConfig(1000.0, 2, 1, 0);
     bad_retry.retry.maxRetries = -1;
     EXPECT_DEATH(simulateServing(curve, bad_retry), "retry limit");
+}
+
+TEST(ServingSweep, ParseOfferedRatesReadsTheTrafficList)
+{
+    EXPECT_EQ(parseOfferedRates("1000,,2.5e4"),
+              (std::vector<double>{1000.0, 25000.0}));
+}
+
+TEST(ServingSweepDeathTest, ParseOfferedRatesRejectsBadLists)
+{
+    EXPECT_EXIT(parseOfferedRates(","), ::testing::ExitedWithCode(1),
+                "lists no rates");
+    EXPECT_EXIT(parseOfferedRates("10,0"), ::testing::ExitedWithCode(1),
+                "got '0'");
+    EXPECT_EXIT(parseOfferedRates("2e9"), ::testing::ExitedWithCode(1),
+                "up to 1e9");
+    EXPECT_EXIT(parseOfferedRates("5x"), ::testing::ExitedWithCode(1),
+                "got '5x'");
 }
 
 TEST(ServingSweepDeathTest, RejectsOutOfRangeRates)

@@ -15,6 +15,7 @@
 #include "models/engines.h"
 #include "sim/memory/memory_config.h"
 #include "sim/operand_planes.h"
+#include "sim/serving/serving_sim.h"
 #include "sim/sweep.h"
 
 namespace pra {
@@ -114,6 +115,29 @@ TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
     EXPECT_DEATH(registry.create("warp-drive"), "unknown engine");
     EXPECT_DEATH(registry.create("dadn", {{"bogus", "1"}}),
                  "unknown knob");
+}
+
+TEST(EngineRegistry, ParseEngineListExpandsGridsAndSpecs)
+{
+    EXPECT_EQ(models::parseEngineList("paper").size(),
+              models::paperEngineGrid().size());
+    EXPECT_EQ(models::parseEngineList("all").size(),
+              models::coreEngineGrid().size());
+    auto grid = models::parseEngineList("dadn,,pragmatic:bits=2");
+    ASSERT_EQ(grid.size(), 2u);
+    EXPECT_EQ(grid[0].kind, "dadn");
+    EXPECT_EQ(grid[1].kind, "pragmatic");
+    EXPECT_EQ(grid[1].knobs.at("bits"), "2");
+}
+
+TEST(EngineRegistryDeathTest, ParseEngineListRejectsEmptyAndUnknownLists)
+{
+    EXPECT_EXIT(models::parseEngineList(""), ::testing::ExitedWithCode(1),
+                "no engines selected");
+    EXPECT_EXIT(models::parseEngineList(","),
+                ::testing::ExitedWithCode(1), "no engines selected");
+    EXPECT_EXIT(models::parseEngineList("dadn,warp-drive"),
+                ::testing::ExitedWithCode(1), "unknown engine 'warp-drive'");
 }
 
 TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
@@ -314,62 +338,78 @@ TEST(Sweep, PrefetchedCsvByteIdenticalAcrossThreadMatrix)
 
 TEST(Sweep, PrefetchPlanNamesWhatTheCellsRead)
 {
-    // Propagated batch 2 over {dadn, laconic, pragmatic-raw}: one
-    // chain per image, laconic's weight planes per priced layer, and
-    // one raw stream per (layer, image) — laconic's trimmed view is
-    // the raw entry and dadn reads none. Chains come first, then
-    // weights, then streams; the cache off plans nothing.
+    // Propagated {dadn, laconic, pragmatic-raw}: one chain per image,
+    // laconic's weight planes per priced layer, and one raw stream
+    // per (layer, image) — laconic's trimmed view is the raw entry
+    // and dadn reads none. Chains come first, then weights, then
+    // streams; the cache off plans nothing. The sweep-shaped plan
+    // (batch 2) and the serving-shaped one (the whole grid over
+    // maxBatch 3 images) come from the same planner.
     std::vector<dnn::Network> networks = {
         dnn::makeTinyNetwork(dnn::LayerSelect::All)};
     std::vector<EngineSelection> grid = {
         {"dadn", {}},
         {"laconic", {}},
         {"pragmatic", {{"trim", "0"}}}};
-    SweepOptions options = tinyOptions(4);
-    options.batch = 2;
-    options.activations = ActivationMode::Propagated;
+    SweepOptions sweep = tinyOptions(4);
+    sweep.batch = 2;
+    sweep.activations = ActivationMode::Propagated;
+    ServingSweepOptions serve;
+    serve.threads = 4;
+    serve.sample.maxUnits = 2;
+    serve.activations = ActivationMode::Propagated;
+    serve.serving.policy.maxBatch = 3;
     size_t priced = 0;
     for (const auto &layer : networks[0].layers)
         priced += layer.priced() ? 1 : 0;
     ASSERT_GT(priced, 0u);
 
-    using Kind = SweepPrefetch::Kind;
-    auto plan = planSweepPrefetch(networks, grid,
-                                  models::builtinEngines(), options);
-    ASSERT_EQ(plan.size(), 2 + priced + 2 * priced);
-    for (size_t i = 0; i < plan.size(); i++) {
-        Kind expected = Kind::Stream;
-        if (i < 2)
-            expected = Kind::Chain;
-        else if (i < 2 + priced)
-            expected = Kind::Weights;
-        EXPECT_EQ(plan[i].kind, expected) << i;
-        EXPECT_EQ(plan[i].network, 0u);
-        if (plan[i].kind == Kind::Stream) {
-            EXPECT_EQ(plan[i].stream, InputStream::Fixed16Raw);
+    using Kind = GridPrefetch::Kind;
+    const std::vector<std::pair<GridOptions, int>> shapes = {
+        {sweep, sweep.batch}, {serve, serve.serving.policy.maxBatch}};
+    for (auto [options, images] : shapes) {
+        const auto n = static_cast<size_t>(images);
+        auto plan = [&](const GridOptions &at) {
+            return planGridPrefetch(networks, grid,
+                                    models::builtinEngines(), at, images,
+                                    0, grid.size());
+        };
+        auto items = plan(options);
+        ASSERT_EQ(items.size(), n + priced + n * priced) << images;
+        for (size_t i = 0; i < items.size(); i++) {
+            Kind expected = Kind::Stream;
+            if (i < n)
+                expected = Kind::Chain;
+            else if (i < n + priced)
+                expected = Kind::Weights;
+            EXPECT_EQ(items[i].kind, expected) << i;
+            EXPECT_EQ(items[i].network, 0u);
+            if (i < n) {
+                EXPECT_EQ(items[i].image, static_cast<int>(i));
+            }
+            if (items[i].kind == Kind::Stream) {
+                EXPECT_EQ(items[i].stream, InputStream::Fixed16Raw);
+                // Image-major, then layer order.
+                EXPECT_EQ(items[i].image,
+                          static_cast<int>((i - n - priced) / priced));
+            }
+            if (items[i].kind != Kind::Chain) {
+                EXPECT_TRUE(networks[0]
+                                .layers[static_cast<size_t>(
+                                    items[i].layer)]
+                                .priced());
+            }
         }
-        if (plan[i].kind != Kind::Chain) {
-            EXPECT_TRUE(networks[0]
-                            .layers[static_cast<size_t>(plan[i].layer)]
-                            .priced());
-        }
+
+        // On a reshaped machine laconic builds its own weights, so
+        // none are planned.
+        GridOptions narrow = options;
+        narrow.accel.neuronLanes = 8;
+        EXPECT_EQ(plan(narrow).size(), n + n * priced) << images;
+
+        options.cache = false;
+        EXPECT_TRUE(plan(options).empty()) << images;
     }
-    EXPECT_EQ(plan[0].image, 0);
-    EXPECT_EQ(plan[1].image, 1);
-
-    // On a reshaped machine laconic builds its own weights, so none
-    // are planned.
-    SweepOptions narrow = options;
-    narrow.accel.neuronLanes = 8;
-    EXPECT_EQ(planSweepPrefetch(networks, grid,
-                                models::builtinEngines(), narrow)
-                  .size(),
-              2 + 2 * priced);
-
-    options.cache = false;
-    EXPECT_TRUE(planSweepPrefetch(networks, grid,
-                                  models::builtinEngines(), options)
-                    .empty());
 }
 
 TEST(Sweep, ShardSlicesStitchAtFourThreadsAndPrefetchTheirOwnInputs)
@@ -399,15 +439,17 @@ TEST(Sweep, ShardSlicesStitchAtFourThreadsAndPrefetchTheirOwnInputs)
             networks, grid, models::builtinEngines(), options));
         stitched += shard == 0 ? csv : csv.substr(csv.find('\n') + 1);
 
+        const auto at = static_cast<size_t>(shard);
         std::set<size_t> planned;
         std::set<size_t> weights;
-        for (const auto &item : planSweepPrefetch(
-                 networks, grid, models::builtinEngines(), options)) {
+        const size_t first = 2 * at;
+        for (const auto &item : planGridPrefetch(
+                 networks, grid, models::builtinEngines(), options,
+                 options.batch, first, first + 2)) {
             planned.insert(item.network);
-            if (item.kind == SweepPrefetch::Kind::Weights)
+            if (item.kind == GridPrefetch::Kind::Weights)
                 weights.insert(item.network);
         }
-        const auto at = static_cast<size_t>(shard);
         EXPECT_EQ(planned, expected_networks[at]) << "shard " << shard;
         EXPECT_EQ(weights, expected_weights[at]) << "shard " << shard;
     }

@@ -155,6 +155,15 @@ TEST(ArgParserDeathTest, GetCountRejectsValuesAnIntCannotHold)
                  "out of range");
 }
 
+TEST(SplitList, KeepsNonEmptyItemsInOrder)
+{
+    EXPECT_EQ(splitList("a,b,,c"),
+              (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(splitList(",a,"), std::vector<std::string>{"a"});
+    EXPECT_TRUE(splitList("").empty());
+    EXPECT_TRUE(splitList(",").empty());
+}
+
 TEST(ArgParserDeathTest, CheckUnknownRejectsTypo)
 {
     // Regression: "--smke" used to be silently ignored, running the

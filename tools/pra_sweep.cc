@@ -90,56 +90,6 @@ using namespace pra;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string item =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!item.empty())
-            items.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return items;
-}
-
-std::vector<dnn::Network>
-parseNetworks(const std::string &list, dnn::LayerSelect select)
-{
-    if (list == "all")
-        return dnn::makeAllNetworks(select);
-    std::vector<dnn::Network> networks;
-    for (const auto &name : splitList(list))
-        networks.push_back(dnn::makeNetworkByName(name, select));
-    if (networks.empty())
-        util::fatal("no networks selected");
-    return networks;
-}
-
-std::vector<sim::EngineSelection>
-parseEngines(const std::string &list)
-{
-    if (list == "paper")
-        return models::paperEngineGrid();
-    // "all" is the frozen historical five-kind grid, not every
-    // registered kind — the smoke goldens pin its expansion.
-    if (list == "all")
-        return models::coreEngineGrid();
-    std::vector<sim::EngineSelection> grid;
-    for (const auto &spec : splitList(list))
-        grid.push_back(sim::parseEngineSpec(spec));
-    if (grid.empty())
-        util::fatal("no engines selected");
-    return grid;
-}
-
 /** Speedup-vs-DaDN table on stderr (skipped when DaDN absent). */
 void
 printSummary(const std::vector<dnn::Network> &networks,
@@ -250,10 +200,10 @@ main(int argc, char **argv)
         select = dnn::parseLayerSelect(args.getString("layers",
                                                       "conv"));
     }
-    std::vector<dnn::Network> networks = parseNetworks(
+    std::vector<dnn::Network> networks = dnn::parseNetworkList(
         args.getString("networks", smoke ? "tiny" : "all"), select);
     std::vector<sim::EngineSelection> engines =
-        parseEngines(args.getString("engines", "paper"));
+        models::parseEngineList(args.getString("engines", "paper"));
 
     sim::SweepOptions options;
     options.threads =
