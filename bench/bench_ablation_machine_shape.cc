@@ -29,10 +29,9 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"smoke", "network", "layers", "full", "units",
-                       "planes", "json"});
+    args.checkUnknown(
+        {"smoke", "network", "layers", "full", "units", "json"});
     bool smoke = args.getBool("smoke");
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
     bench::BenchReport report("ablation_machine_shape",
                               args.getString("json", ""));
     dnn::Network net = dnn::makeNetworkByName(

@@ -26,8 +26,8 @@ int
 main(int argc, char **argv)
 {
     auto opt = bench::BenchOptions::parse(
-        argc, argv, 48, {}, /*supports_activations=*/true,
-        /*supports_json=*/true, /*supports_memory=*/true);
+        argc, argv, 48, {}, /*runs_grid=*/true,
+        /*supports_json=*/true);
     bench::BenchReport report("fig10_column_sync", opt.jsonPath);
     bench::banner("Per-column synchronization vs SSR count (PRA-2b)",
                   "Figure 10");

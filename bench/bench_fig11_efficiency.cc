@@ -24,8 +24,8 @@ int
 main(int argc, char **argv)
 {
     auto opt = bench::BenchOptions::parse(
-        argc, argv, 48, {}, /*supports_activations=*/true,
-        /*supports_json=*/true, /*supports_memory=*/true);
+        argc, argv, 48, {}, /*runs_grid=*/true,
+        /*supports_json=*/true);
     bench::BenchReport report("fig11_efficiency", opt.jsonPath);
     bench::banner("Relative energy efficiency vs DaDN", "Figure 11");
 

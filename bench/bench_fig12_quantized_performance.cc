@@ -29,9 +29,8 @@ using namespace pra;
 int
 main(int argc, char **argv)
 {
-    auto opt = bench::BenchOptions::parse(
-        argc, argv, 48, {}, /*supports_activations=*/true,
-        /*supports_json=*/false, /*supports_memory=*/true);
+    auto opt = bench::BenchOptions::parse(argc, argv, 48, {},
+                                          /*runs_grid=*/true);
     bench::banner("Performance, 8-bit quantized representation",
                   "Figure 12");
 

@@ -24,8 +24,8 @@ main(int argc, char **argv)
                            "PRA-red"});
     double sums[5] = {};
     for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
-        auto rel = models::countNetworkTerms16(net, synth, opt.sample);
+        dnn::ActivationSynthesizer synth(net, opt.grid.seed);
+        auto rel = models::countNetworkTerms16(net, synth, opt.grid.sample);
         table.addRow({net.name, util::formatPercent(rel.zn),
                       util::formatPercent(rel.cvn),
                       util::formatPercent(rel.stripes),

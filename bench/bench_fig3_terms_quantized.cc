@@ -22,8 +22,8 @@ main(int argc, char **argv)
     double zs_sum = 0.0;
     double pra_sum = 0.0;
     for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
-        auto rel = models::countNetworkTerms8(net, synth, opt.sample);
+        dnn::ActivationSynthesizer synth(net, opt.grid.seed);
+        auto rel = models::countNetworkTerms8(net, synth, opt.grid.sample);
         table.addRow({net.name, util::formatPercent(rel.zeroSkip),
                       util::formatPercent(rel.pra)});
         zs_sum += rel.zeroSkip;

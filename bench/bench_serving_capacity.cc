@@ -61,37 +61,18 @@ parseMtbfAxis(const std::string &list)
 int
 main(int argc, char **argv)
 {
-    auto opt = bench::BenchOptions::parse(
-        argc, argv, 48,
-        {"traffic", "arrival", "instances", "max-batch", "timeout",
-         "requests", "mtbf-axis"},
-        /*supports_activations=*/true, /*supports_json=*/true,
-        /*supports_memory=*/true);
-    // pra-lint: allow(arg-check-unknown) BenchOptions::parse already checked the full flag set incl. extras
-    util::ArgParser args(argc, argv);
+    std::vector<std::string> extra = sim::kServingFlags;
+    extra.push_back("mtbf-axis");
+    auto opt = bench::BenchOptions::parse(argc, argv, 48, extra,
+                                          /*runs_grid=*/true,
+                                          /*supports_json=*/true);
     bench::BenchReport report("serving_capacity", opt.jsonPath);
     bench::banner("Batched-serving capacity of the paper engine grid",
                   "the serving extension (docs/ARCHITECTURE.md)");
 
     sim::ServingSweepOptions serving;
     opt.applyTo(serving);
-    serving.serving.arrival.seed = opt.seed;
-    serving.offeredPerSecond = sim::parseOfferedRates(args.getString(
-        "traffic", opt.smoke ? "1000,100000" : "2000,20000,200000"));
-    serving.serving.arrival.kind = sim::parseArrivalKind(
-        args.getString("arrival", "poisson"));
-    serving.serving.instances =
-        args.getCount("instances", 1, 1, "a positive fleet size");
-    serving.serving.policy.maxBatch =
-        args.getCount("max-batch", 8, 1, "a positive batch cap");
-    int64_t timeout = args.getInt("timeout", 1000000);
-    if (timeout < 0)
-        util::fatal("--timeout must be a non-negative cycle count "
-                    "(got " + std::to_string(timeout) + ")");
-    serving.serving.policy.timeoutCycles =
-        static_cast<uint64_t>(timeout);
-    serving.serving.requests = args.getCount(
-        "requests", opt.smoke ? 64 : 512, 1, "a positive trace length");
+    sim::parseServingFlags(opt.args, "2000,20000,200000", serving);
 
     report.phase("serve");
     const std::vector<sim::BatchCostCurve> curves =
@@ -121,7 +102,7 @@ main(int argc, char **argv)
     // fault intensity (mttr = mtbf / 10) and report what
     // availability and goodput survive.
     report.phase("degrade");
-    std::vector<uint64_t> axis = parseMtbfAxis(args.getString(
+    std::vector<uint64_t> axis = parseMtbfAxis(opt.args.getString(
         "mtbf-axis", opt.smoke ? "5000000,1000000"
                                : "1000000000,100000000"));
     util::TextTable degraded({"network", "engine", "offered/s",
@@ -132,7 +113,7 @@ main(int argc, char **argv)
         faulted.serving.faults.mtbfCycles = mtbf;
         faulted.serving.faults.mttrCycles =
             std::max<uint64_t>(1, mtbf / 10);
-        faulted.serving.faults.seed = opt.seed;
+        faulted.serving.faults.seed = opt.grid.seed;
         auto rows = sim::playServing(curves, faulted);
         for (const auto &r : rows) {
             degraded.addRow({r.networkName, r.engineName,

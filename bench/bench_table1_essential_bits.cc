@@ -62,7 +62,7 @@ main(int argc, char **argv)
     util::TextTable table({"network", "rep", "All meas", "All paper",
                            "NZ meas", "NZ paper"});
     for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
+        dnn::ActivationSynthesizer synth(net, opt.grid.seed);
         StreamStats fx = measure(synth, false);
         StreamStats q8 = measure(synth, true);
         table.addRow({net.name, "fixed16",

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     bench::banner("Per-layer neuron precision profiles", "Table II");
 
     for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
+        dnn::ActivationSynthesizer synth(net, opt.grid.seed);
         std::string published;
         std::string profiled;
         for (size_t i = 0; i < net.layers.size(); i++) {

@@ -9,13 +9,17 @@
 
 #include "energy/area_power.h"
 #include "energy/components.h"
+#include "util/args.h"
 #include "util/table.h"
 
 using namespace pra;
 
 int
-main(int, char **)
+main(int argc, char **argv)
 {
+    // A closed-form table: --smoke, which every bench takes, changes
+    // nothing, and any other flag is a mistake.
+    util::ArgParser(argc, argv).checkUnknown({"smoke"});
     std::printf("== Area and power, pallet synchronization ==\n"
                 "(reproduces Table III; see EXPERIMENTS.md)\n\n");
 

@@ -7,13 +7,17 @@
 #include <cstdio>
 
 #include "energy/area_power.h"
+#include "util/args.h"
 #include "util/table.h"
 
 using namespace pra;
 
 int
-main(int, char **)
+main(int argc, char **argv)
 {
+    // A closed-form table: --smoke, which every bench takes, changes
+    // nothing, and any other flag is a mistake.
+    util::ArgParser(argc, argv).checkUnknown({"smoke"});
     std::printf("== Area and power, column synchronization, PRA-2b ==\n"
                 "(reproduces Table IV; see EXPERIMENTS.md)\n\n");
 

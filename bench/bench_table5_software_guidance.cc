@@ -31,11 +31,11 @@ main(int argc, char **argv)
                            "paper"});
     double sum = 0.0;
     for (const auto &net : opt.networks) {
-        dnn::ActivationSynthesizer synth(net, opt.seed);
+        dnn::ActivationSynthesizer synth(net, opt.grid.seed);
         auto cycles = [&](const sim::Engine &engine) {
             return engine
                 .runNetwork(net, sim::WorkloadSource(synth),
-                            sim::AccelConfig{}, opt.sample,
+                            sim::AccelConfig{}, opt.grid.sample,
                             util::InnerExecutor())
                 .totalCycles();
         };

@@ -10,32 +10,30 @@
  *   --seed=S          workload seed (non-negative)
  *   --networks=a,b    comma-separated subset (default: all six)
  *   --layers=K        layer kinds: conv (default) | fc | all
- *   --activations=M   workload class: synthetic (default) |
- *                     propagated (real forward-pass streams; implies
- *                     --layers=all; only benches that price through
- *                     the sweep path support it)
- *   --threads=N       worker threads for sweep-based benches
- *   --inner-threads=N per-cell layer-splitting cap (0 = automatic)
- *   --cache=on|off    share synthesized workloads across the grid
- *   --planes=on|off   serve L=1..3 schedule lengths from the memoized
- *                     cycle planes (results identical either way)
- *   --memory=PRESET   memory-hierarchy preset (off | ideal | dadn |
- *                     edge | hbm); only the sweep-path benches
- *                     compose memory stalls into their results —
- *                     everywhere else a non-off preset is rejected
- *   --json=PATH       write wall-clock per phase + a digest of the
- *                     rendered result as JSON (perf trajectory)
  *   --smoke           CI smoke mode: tiny network, tiny sampling cap
  *
+ * Benches that price a grid (runs_grid: fig9, fig10, fig11, fig12
+ * and the serving bench) take the rest of the grid flags of
+ * sim/grid_flags.h as well:
+ *   --activations=M   workload class: synthetic (default) |
+ *                     propagated (real forward-pass streams; implies
+ *                     --layers=all)
+ *   --threads=N       worker threads; layers split automatically
+ *                     when there are fewer passes than threads
+ *   --cache=on|off    share synthesized workloads across the grid
+ *   --memory=PRESET   memory-hierarchy preset (off | ideal | dadn |
+ *                     edge | hbm)
+ * and benches that instrument their phases through BenchReport
+ * (supports_json) accept
+ *   --json=PATH       write wall-clock per phase + a digest of the
+ *                     rendered result as JSON (perf trajectory)
+ *
  * Unknown flags fail loudly (a typo like --smke must not run the
- * full bench); benches with extra flags declare them via the
- * extra_flags argument of parse(). Benches that cannot honor
- * --activations=propagated (they price synthetic streams directly
- * rather than through a WorkloadSource) leave supports_activations
- * false and reject the flag instead of silently ignoring it; the
- * same contract applies to --json through supports_json (only
- * benches that instrument their phases through BenchReport accept
- * it).
+ * full bench), and so does a flag the bench cannot honor: a
+ * compute-only bench rejects --threads as unknown rather than
+ * silently ignoring it. Benches with extra flags declare them via
+ * the extra_flags argument of parse() and read them from
+ * BenchOptions::args.
  */
 
 #pragma once
@@ -46,17 +44,15 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dnn/model_zoo.h"
-#include "sim/memory/memory_config.h"
-#include "sim/sampling.h"
+#include "sim/grid_flags.h"
 #include "sim/sweep.h"
-#include "sim/workload_cache.h"
 #include "util/args.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace pra {
 namespace bench {
@@ -166,103 +162,46 @@ class BenchReport
 /** Parsed common bench options. */
 struct BenchOptions
 {
-    sim::SampleSpec sample{64};
-    uint64_t seed = 0x5eed;
+    util::ArgParser args; ///< The command line, for bench-only flags.
+    sim::GridOptions grid;
     std::vector<dnn::Network> networks;
-    dnn::LayerSelect select = dnn::LayerSelect::Conv;
-    sim::ActivationMode activations = sim::ActivationMode::Synthetic;
-    sim::MemoryConfig memory; ///< --memory preset (default: off).
-    int threads = 1;
-    int innerThreads = 0;
-    bool cache = true;
     bool smoke = false;
     std::string jsonPath; ///< --json target; empty = no report file.
 
+    explicit BenchOptions(util::ArgParser parsed) : args(std::move(parsed))
+    {
+    }
+
     /** Copy the grid flags into a sweep's or serving sweep's options. */
     void
-    applyTo(sim::GridOptions &grid) const
+    applyTo(sim::GridOptions &target) const
     {
-        grid.threads = threads;
-        grid.innerThreads = innerThreads;
-        grid.cache = cache;
-        grid.sample = sample;
-        grid.seed = seed;
-        grid.activations = activations;
-        grid.accel.memory = memory;
+        target = grid;
     }
 
     static BenchOptions
     parse(int argc, const char *const *argv, int64_t default_units = 64,
           const std::vector<std::string> &extra_flags = {},
-          bool supports_activations = false,
-          bool supports_json = false, bool supports_memory = false)
+          bool runs_grid = false, bool supports_json = false)
     {
-        util::ArgParser args(argc, argv);
-        std::vector<std::string> known = {
-            "full", "units", "seed", "networks", "layers",
-            "activations", "memory", "threads", "smoke",
-            "inner-threads", "cache", "planes"};
+        BenchOptions opt{util::ArgParser(argc, argv)};
+        std::vector<std::string> known =
+            runs_grid ? sim::kGridFlags
+                      : std::vector<std::string>{"networks", "layers",
+                                                 "units", "full",
+                                                 "seed", "smoke"};
         if (supports_json)
             known.push_back("json");
         known.insert(known.end(), extra_flags.begin(),
                      extra_flags.end());
-        args.checkUnknown(known);
-        BenchOptions opt;
-        opt.smoke = args.getBool("smoke");
-        opt.jsonPath = supports_json ? args.getString("json", "") : "";
-        // The cycle planes are an exact memoization; the switch only
-        // exists for A/B timing and equivalence checks.
-        sim::setCyclePlanesEnabled(args.getBool("planes", true));
-        opt.activations = sim::parseActivationMode(
-            args.getString("activations", "synthetic"));
-        opt.memory =
-            sim::parseMemoryPreset(args.getString("memory", "off"));
-        if (opt.memory.enabled && !supports_memory)
-            util::fatal("this bench reports compute-only results; "
-                        "--memory is supported by the sweep-path "
-                        "benches (fig9, fig10, fig11, fig12) and "
-                        "pra_sweep");
-        if (opt.activations == sim::ActivationMode::Propagated &&
-            !supports_activations)
-            util::fatal("this bench prices synthetic streams only; "
-                        "--activations=propagated is supported by the "
-                        "sweep-path benches (fig9, fig11, fig12) and "
-                        "pra_sweep");
-        if (opt.activations == sim::ActivationMode::Propagated) {
-            // Propagation needs the full pipeline (pools included);
-            // a filtered selection cannot chain.
-            if (args.has("layers") && args.getString("layers") != "all")
-                util::fatal("--activations=propagated propagates the "
-                            "full layer pipeline; --layers must be "
-                            "'all' (or omitted)");
-            opt.select = dnn::LayerSelect::All;
-        } else {
-            opt.select = dnn::parseLayerSelect(
-                args.getString("layers", "conv"));
-        }
-        if (opt.smoke)
-            default_units = 2; // A few pallets: exercise every code
-                               // path in seconds, accuracy is moot.
-        opt.sample.maxUnits = args.sampleUnits(default_units);
-        int64_t seed = args.getInt("seed", 0x5eed);
-        if (seed < 0)
-            util::fatal("--seed must be non-negative (got " +
-                        std::to_string(seed) + ")");
-        opt.seed = static_cast<uint64_t>(seed);
-        opt.threads =
-            args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
-                          "a positive thread count");
-        opt.innerThreads = args.getCount(
-            "inner-threads", 0, 0, "non-negative (0 = automatic)");
-        opt.cache = args.getBool("cache", true);
-        std::string list = args.getString("networks", "");
-        if (list.empty() && opt.smoke) {
-            opt.networks.push_back(dnn::makeTinyNetwork(opt.select));
-        } else if (list.empty()) {
-            opt.networks = dnn::makeAllNetworks(opt.select);
-        } else {
-            opt.networks = dnn::parseNetworkList(list, opt.select);
-        }
+        opt.args.checkUnknown(known);
+        opt.smoke = opt.args.getBool("smoke");
+        opt.jsonPath =
+            supports_json ? opt.args.getString("json", "") : "";
+        // A few pallets under --smoke: exercise every code path in
+        // seconds, accuracy is moot.
+        opt.networks =
+            sim::parseGridFlags(opt.args, opt.grid, default_units, 2);
         return opt;
     }
 };

@@ -9,8 +9,8 @@
  * parallel sweep grid, optionally exported as CSV.
  *
  *   ./design_space_explorer [--network=vggm] [--units=48]
- *                           [--threads=N] [--inner-threads=N]
- *                           [--cache=on|off] [--csv=FILE] [--smoke]
+ *                           [--threads=N] [--cache=on|off]
+ *                           [--csv=FILE] [--smoke]
  */
 
 #include <cstdio>
@@ -19,11 +19,11 @@
 #include "dnn/model_zoo.h"
 #include "energy/area_power.h"
 #include "models/engines.h"
+#include "sim/grid_flags.h"
 #include "sim/sweep.h"
 #include "util/args.h"
 #include "util/logging.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -31,23 +31,16 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "units", "full", "threads",
-                       "inner-threads", "cache", "csv", "smoke"});
-    bool smoke = args.getBool("smoke");
-    dnn::Network net = dnn::makeNetworkByName(
-        args.getString("network", smoke ? "tiny" : "vggm"));
-
-    sim::SweepOptions sweep;
-    sweep.sample.maxUnits = args.sampleUnits(smoke ? 2 : 48);
+    args.checkUnknown({"network", "units", "full", "threads", "cache",
+                       "csv", "smoke"});
     // One network x eleven engines: exactly the small-grid case the
     // two-level sweep is for — spare workers split layers instead of
-    // idling.
-    sweep.threads =
-        args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
-                      "a positive thread count");
-    sweep.innerThreads = args.getCount(
-        "inner-threads", 0, 0, "non-negative (0 = automatic)");
-    sweep.cache = args.getBool("cache", true);
+    // idling. The grid flags this example takes parse like
+    // pra_sweep's; its one network comes from --network.
+    sim::SweepOptions sweep;
+    sim::parseGridFlags(args, sweep, 48, 2);
+    dnn::Network net = dnn::makeNetworkByName(args.getString(
+        "network", args.getBool("smoke") ? "tiny" : "vggm"));
 
     // The exploration grid: DaDN baseline, pallet sync over the
     // first-stage shifter width, column sync at L == 2 over SSRs.

@@ -725,6 +725,31 @@ parseOfferedRates(const std::string &list)
     return rates;
 }
 
+void
+parseServingFlags(const util::ArgParser &args,
+                  const std::string &default_traffic,
+                  ServingSweepOptions &options)
+{
+    const bool smoke = args.getBool("smoke");
+    options.offeredPerSecond = parseOfferedRates(args.getString(
+        "traffic", smoke ? "1000,100000" : default_traffic));
+    options.serving.arrival.kind =
+        parseArrivalKind(args.getString("arrival", "poisson"));
+    options.serving.arrival.seed = options.seed;
+    options.serving.instances =
+        args.getCount("instances", 1, 1, "a positive fleet size");
+    options.serving.policy.maxBatch =
+        args.getCount("max-batch", 8, 1, "a positive batch cap");
+    const int64_t timeout = args.getInt("timeout", 1000000);
+    if (timeout < 0)
+        util::fatal("--timeout must be a non-negative cycle count "
+                    "(got " + std::to_string(timeout) + ")");
+    options.serving.policy.timeoutCycles =
+        static_cast<uint64_t>(timeout);
+    options.serving.requests = args.getCount(
+        "requests", smoke ? 64 : 512, 1, "a positive trace length");
+}
+
 std::vector<ServingReport>
 runServingSweep(const std::vector<dnn::Network> &networks,
                 const std::vector<EngineSelection> &engines,

@@ -40,7 +40,7 @@
  * folding each cell's images into its curve in image order; the
  * fleet stage runs one task per (curve, rate) on --threads workers.
  * Serving reports are therefore byte-identical across
- * --threads/--inner-threads/--cache.
+ * --threads and --cache.
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
  * util::Histogram; p50/p95/p99 are its conservative bucket bounds.
@@ -66,6 +66,7 @@
 #include "sim/serving/faults.h"
 #include "sim/sweep.h"
 #include "sim/workload_cache.h"
+#include "util/args.h"
 #include "util/thread_pool.h"
 
 namespace pra {
@@ -233,6 +234,22 @@ playServing(const std::vector<BatchCostCurve> &curves,
  * or an empty list.
  */
 std::vector<double> parseOfferedRates(const std::string &list);
+
+/** The flags parseServingFlags reads, for a program's checkUnknown. */
+inline const std::vector<std::string> kServingFlags = {
+    "traffic", "arrival", "instances", "max-batch", "timeout",
+    "requests"};
+
+/**
+ * Read the serving flags of @p args into @p options: --traffic
+ * (default @p default_traffic, "1000,100000" under --smoke),
+ * --arrival, --instances, --max-batch, --timeout and --requests. The
+ * arrival seed is options.seed, so parse the grid flags first.
+ * fatal() on a degenerate value, never an empty simulation.
+ */
+void parseServingFlags(const util::ArgParser &args,
+                       const std::string &default_traffic,
+                       ServingSweepOptions &options);
 
 /**
  * playServing(buildCostCurves(...)): every report of the grid, in

@@ -23,17 +23,14 @@ using util::roundTrip;
 namespace {
 
 /**
- * Blocks one (cell, image) pass may split a layer into. An explicit
- * innerThreads wins; automatic mode splits only when the passes alone
- * cannot keep every worker busy, handing each pass its share of the
+ * Blocks one (cell, image) pass may split a layer into: one when the
+ * passes alone keep every worker busy, else each pass's share of the
  * pool.
  */
 int
 innerTasks(const GridOptions &options, size_t passes)
 {
     const auto threads = static_cast<size_t>(options.threads);
-    if (options.innerThreads > 0)
-        return options.innerThreads;
     if (passes >= threads)
         return 1;
     return static_cast<int>((threads + passes - 1) / passes);

@@ -14,9 +14,10 @@
  * no matter how many engines consume it.
  *
  * Scheduling is two-level: with threads > 1 every (cell, image) pass
- * is its own pool task, and when the passes alone cannot occupy every
- * worker each pass may additionally split large layers into pallet
- * blocks on the same pool (see InnerExecutor). With the cache on, the
+ * is its own pool task, and when there are fewer passes than threads
+ * each pass may additionally split large layers into
+ * ceil(threads / passes) pallet blocks on the same pool (see
+ * InnerExecutor). With the cache on, the
  * passes queue behind one prefetch task per shared input they read
  * (planGridPrefetch: propagated chains, weight planes, streams), so
  * the inputs build side by side instead of inside whichever pass
@@ -26,8 +27,7 @@
  * identical whether cached or rebuilt — each pass writes its own
  * slot, a cell's images fold in image order, and block splits
  * combine exact integer partials in block order, so the output is
- * bit-identical for any thread count, any inner-thread count, and
- * with the cache on or off.
+ * bit-identical for any thread count and with the cache on or off.
  *
  * When options.accel.memory is enabled (--memory=<preset>), every
  * sweep cell's compute result is composed with the memory-hierarchy
@@ -62,14 +62,6 @@ struct GridOptions
      * per shared input when the cache is on (planGridPrefetch).
      */
     int threads = 1;
-    /**
-     * Layer-splitting subtasks each pass may fan out on the shared
-     * pool: 0 picks automatically (split only when the grid has
-     * fewer (cell, image) passes than threads), 1 disables inner
-     * parallelism, N allows up to N blocks per layer. Ignored when
-     * serial.
-     */
-    int innerThreads = 0;
     /**
      * Share workloads across the grid. Off, every cell builds its
      * own inputs and nothing is prefetched.

@@ -123,9 +123,9 @@ enum class ActivationMode { Synthetic, Propagated };
  * Globally enable/disable serving intermediate-L schedule lengths
  * from the memoized cycle planes (default: enabled). The planes are
  * an exact memoization, so this changes wall-clock only, never a
- * result bit — the switch exists for equivalence tests and A/B
- * timing (--planes=off). Not synchronized with in-flight
- * simulations: flip it only between runs.
+ * result bit — the switch is a test hook: the sweep tests price
+ * grids both ways and compare the CSV bytes. Not synchronized with
+ * in-flight simulations: flip it only between runs.
  */
 void setCyclePlanesEnabled(bool enabled);
 bool cyclePlanesEnabled();

@@ -316,7 +316,7 @@ TEST(MemorySweepTest, IdealMatchesComputeOnlyExactly)
     }
 }
 
-TEST(MemorySweepTest, DeterministicAcrossThreadsCacheAndInner)
+TEST(MemorySweepTest, DeterministicAcrossThreadsAndCache)
 {
     std::vector<dnn::Network> networks = {
         dnn::makeTinyNetwork(dnn::LayerSelect::All)};
@@ -330,13 +330,13 @@ TEST(MemorySweepTest, DeterministicAcrossThreadsCacheAndInner)
 
     SweepOptions threaded = base;
     threaded.threads = 4;
-    SweepOptions inner = base;
-    inner.threads = 4;
-    inner.innerThreads = 3;
+    // More threads than the one-image cells: passes split layers.
+    SweepOptions split = base;
+    split.threads = static_cast<int>(engines.size()) + 1;
     SweepOptions uncached = base;
     uncached.threads = 4;
     uncached.cache = false;
-    for (const SweepOptions &options : {threaded, inner, uncached}) {
+    for (const SweepOptions &options : {threaded, split, uncached}) {
         auto results = runSweep(networks, engines, registry, options);
         EXPECT_EQ(sweepCsv(results, /*per_layer=*/true), golden);
     }

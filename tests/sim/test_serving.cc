@@ -892,20 +892,22 @@ TEST(ServingSweep, CsvByteIdenticalAcrossThreadMatrix)
         const std::string serial = servingCsv(runServingSweep(
             input.networks, grid, models::builtinEngines(),
             input.options));
-        for (int threads : {1, 2, 3, 8}) {
-            for (int inner : {0, 2}) {
-                for (bool cache : {true, false}) {
-                    ServingSweepOptions options = input.options;
-                    options.threads = threads;
-                    options.innerThreads = inner;
-                    options.cache = cache;
-                    EXPECT_EQ(serial,
-                              servingCsv(runServingSweep(
-                                  input.networks, grid,
-                                  models::builtinEngines(), options)))
-                        << input.name << " threads=" << threads
-                        << " inner=" << inner << " cache=" << cache;
-                }
+        // The last thread count exceeds the (cell, image) passes, so
+        // the curve passes also split their layers.
+        const int passes =
+            static_cast<int>(input.networks.size() * grid.size()) *
+            input.options.serving.policy.maxBatch;
+        for (int threads : {1, 2, 3, 8, passes + 1}) {
+            for (bool cache : {true, false}) {
+                ServingSweepOptions options = input.options;
+                options.threads = threads;
+                options.cache = cache;
+                EXPECT_EQ(serial,
+                          servingCsv(runServingSweep(
+                              input.networks, grid,
+                              models::builtinEngines(), options)))
+                    << input.name << " threads=" << threads
+                    << " cache=" << cache;
             }
         }
     }

@@ -299,7 +299,9 @@ TEST(Sweep, PrefetchedCsvByteIdenticalAcrossThreadMatrix)
     // ahead of the cells; no schedule may change a byte. Batched
     // synthetic streams with laconic's weight planes and the memory
     // model, and batched propagated chains, each against the serial
-    // CSV at every (threads, inner, cache) point.
+    // CSV at every (threads, cache) point. The last thread count
+    // exceeds the case's (cell, image) passes, so passes also split
+    // their layers.
     std::vector<EngineSelection> grid = allKindsGrid();
     grid.push_back({"laconic", {}});
     grid.push_back({"terms", {{"series", "pra"}}});
@@ -318,21 +320,19 @@ TEST(Sweep, PrefetchedCsvByteIdenticalAcrossThreadMatrix)
                 : dnn::LayerSelect::Conv)};
         const std::string serial = perLayerCsv(
             runSweep(networks, grid, models::builtinEngines(), base));
-        for (int threads : {1, 2, 3, 8})
-            for (int inner : {0, 2})
-                for (bool cache : {true, false}) {
-                    SweepOptions options = base;
-                    options.threads = threads;
-                    options.innerThreads = inner;
-                    options.cache = cache;
-                    EXPECT_EQ(serial,
-                              perLayerCsv(runSweep(
-                                  networks, grid,
-                                  models::builtinEngines(), options)))
-                        << mode << " threads=" << threads
-                        << " inner=" << inner
-                        << " cache=" << (cache ? "on" : "off");
-                }
+        const int passes = static_cast<int>(grid.size()) * base.batch;
+        for (int threads : {1, 2, 3, 8, passes + 1})
+            for (bool cache : {true, false}) {
+                SweepOptions options = base;
+                options.threads = threads;
+                options.cache = cache;
+                EXPECT_EQ(serial,
+                          perLayerCsv(runSweep(networks, grid,
+                                               models::builtinEngines(),
+                                               options)))
+                    << mode << " threads=" << threads
+                    << " cache=" << (cache ? "on" : "off");
+            }
     }
 }
 
@@ -461,29 +461,59 @@ TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
     // The schedule-cycle planes are an exact memoization: with them
     // force-disabled every intermediate-L brick falls back to the
     // bounds short-circuit + serial schedule, and the emitted CSV
-    // must stay byte-identical. Cover both Pragmatic engines at every
-    // width the planes memoize, plus the L=0/4 edges they do not.
-    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
-    std::vector<EngineSelection> grid;
+    // must stay byte-identical. The grids: both Pragmatic engines at
+    // every width the planes memoize plus the L=0/4 edges they do
+    // not, and the grids CI sweeps at --smoke caps — the core
+    // "--engines=all" grid with the cache on and off, the
+    // dynamic_stripes/laconic knob grid on four threads, and the
+    // column-sync L-sweep.
+    struct Case
+    {
+        std::string name;
+        std::vector<EngineSelection> grid;
+        SweepOptions options;
+    };
+    std::vector<EngineSelection> widths;
     for (int l = 0; l <= 4; l++) {
-        grid.push_back({"pragmatic", {{"bits", std::to_string(l)}}});
-        grid.push_back(
+        widths.push_back({"pragmatic", {{"bits", std::to_string(l)}}});
+        widths.push_back(
             {"pragmatic-col", {{"bits", std::to_string(l)}}});
     }
+    SweepOptions smoke = tinyOptions(1);
+    smoke.sample.maxUnits = 4;
+    SweepOptions smoke_uncached = smoke;
+    smoke_uncached.cache = false;
+    SweepOptions smoke_threaded = smoke;
+    smoke_threaded.threads = 4;
+    const std::vector<Case> cases = {
+        {"widths", widths, tinyOptions(1)},
+        {"core cache=on", models::parseEngineList("all"), smoke},
+        {"core cache=off", models::parseEngineList("all"),
+         smoke_uncached},
+        {"ds grid threads=4",
+         models::parseEngineList(
+             "dynamic_stripes,dynamic_stripes:granularity=4:column-"
+             "regs=2,dynamic_stripes:leading-bit=1,dynamic_stripes:"
+             "diffy=1,dynamic_stripes:granularity=layer,laconic"),
+         smoke_threaded},
+        {"col L-sweep",
+         models::parseEngineList(
+             "pragmatic-col:bits=0,pragmatic-col:bits=1,pragmatic-col:"
+             "bits=2,pragmatic-col:bits=3,pragmatic-col:bits=4"),
+         smoke},
+    };
+    std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     ASSERT_TRUE(cyclePlanesEnabled()); // Planes are the default.
-    auto with = runSweep(networks, grid, models::builtinEngines(),
-                         tinyOptions(1));
-    setCyclePlanesEnabled(false);
-    auto without = runSweep(networks, grid, models::builtinEngines(),
-                            tinyOptions(1));
-    setCyclePlanesEnabled(true);
-    expectSameResults(with, without, "planes=off");
-
-    std::ostringstream with_csv;
-    writeSweepCsv(with_csv, with, /*per_layer=*/true);
-    std::ostringstream without_csv;
-    writeSweepCsv(without_csv, without, /*per_layer=*/true);
-    EXPECT_EQ(with_csv.str(), without_csv.str());
+    for (const Case &c : cases) {
+        auto with = runSweep(networks, c.grid, models::builtinEngines(),
+                             c.options);
+        setCyclePlanesEnabled(false);
+        auto without = runSweep(networks, c.grid,
+                                models::builtinEngines(), c.options);
+        setCyclePlanesEnabled(true);
+        expectSameResults(with, without, c.name + " planes=off");
+        EXPECT_EQ(perLayerCsv(with), perLayerCsv(without)) << c.name;
+    }
 }
 
 TEST(Sweep, PropagatedModeDeterministicAcrossThreadsAndCache)
@@ -514,12 +544,13 @@ TEST(Sweep, PropagatedModeDeterministicAcrossThreadsAndCache)
                                models::builtinEngines(), uncached),
                       "propagated cache=off");
 
-    SweepOptions inner = par;
-    inner.innerThreads = 4;
+    // More threads than the five passes: each pass splits its layers.
+    SweepOptions split = base;
+    split.threads = 8;
     expectSameResults(seq,
                       runSweep(networks, grid,
-                               models::builtinEngines(), inner),
-                      "propagated inner-threads=4");
+                               models::builtinEngines(), split),
+                      "propagated threads=8");
 }
 
 TEST(Sweep, PropagatedModeDiffersFromSyntheticDownstream)
@@ -555,27 +586,23 @@ TEST(Sweep, PropagatedModeDiffersFromSyntheticDownstream)
               p[1].layers[1].effectualTerms);
 }
 
-TEST(Sweep, InvariantAcrossInnerThreadCounts)
+TEST(Sweep, InvariantAcrossLayerSplits)
 {
     // Pallet-block splitting inside a cell must not change a bit:
-    // compare the serial sweep against small grids (fewer cells than
-    // workers, so the automatic policy actually splits) and against
-    // forced inner-thread counts.
+    // compare the serial sweep against a two-cell grid on more
+    // workers than cells, which splits every layer into
+    // ceil(threads / 2) blocks.
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     std::vector<EngineSelection> grid = {
         {"pragmatic", {{"bits", "2"}}},
         {"pragmatic-col", {{"bits", "2"}, {"ssr", "1"}}}};
-    SweepOptions serial = tinyOptions(1);
-    serial.innerThreads = 1;
     auto base = runSweep(networks, grid, models::builtinEngines(),
-                         serial);
-    for (int inner : {0, 2, 5}) {
-        SweepOptions split = tinyOptions(4);
-        split.innerThreads = inner;
-        auto result = runSweep(networks, grid,
-                               models::builtinEngines(), split);
+                         tinyOptions(1));
+    for (int threads : {3, 4, 10}) {
+        auto result = runSweep(networks, grid, models::builtinEngines(),
+                               tinyOptions(threads));
         expectSameResults(base, result,
-                          "inner=" + std::to_string(inner));
+                          "threads=" + std::to_string(threads));
     }
 }
 

@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""Fail when a CLI flag exists in the binaries but not in the README.
+"""Fail when README.md and the code disagree.
 
-Every tool and bench declares its accepted flags explicitly:
+The flags are the shared lists of the library (any ``k<Name>Flags =
+{...}`` under ``src/``: ``kGridFlags`` in ``src/sim/grid_flags.h``,
+``kServingFlags`` in ``src/sim/serving/serving_sim.h``) plus each
+program's own: the literals of ``checkUnknown({...})`` calls and of
+the ``known``/``extra`` lists programs build in ``tools/*.cc``,
+``bench/*.cc``, ``bench/*.h`` and ``examples/*.cpp``. They must equal
+the ``| `--flag...` |`` rows of README.md's "CLI flag reference"
+table: a flag without a row fails, and so does a row naming no flag,
+so the table can neither miss a new flag nor keep a removed one.
 
-  - ``args.checkUnknown({"flag", ...})`` calls in ``tools/*.cc``,
-    ``bench/*.cc`` and ``examples/*.cpp``;
-  - the ``known = {...}`` base list and ``known.push_back("...")``
-    additions in ``bench/common.h``.
+The engine kinds registered in ``src/models/engines.cc``
+(``registerEngine("kind", ...)``) must likewise equal the
+``| `kind` |`` rows of README.md's "Engines" table.
 
-This script extracts that set and asserts each flag appears as
-``--flag`` in README.md's "CLI flag reference" table, so the table
-cannot silently rot when someone adds a flag.
-
-The same mechanism covers the engine registry: every kind registered
-in ``src/models/engines.cc`` (``registerEngine("kind", ...)``) must
-appear as a ``| `kind` |`` row of README.md's engine table, and every
-such row must name a registered kind — stale rows fail too.
-
-It also dead-link-checks the documentation: every relative markdown
-link in README.md, docs/ARCHITECTURE.md, and CHANGES.md must resolve
-to an existing file (links are rooted at the linking file's own
-directory, falling back to the repo root for CHANGES.md-style
-repo-rooted links). Run from anywhere:
+Every relative markdown link in README.md, docs/ARCHITECTURE.md, and
+CHANGES.md must resolve to an existing file (rooted at the linking
+file's own directory, falling back to the repo root). Run from
+anywhere:
 
     python3 tools/check_docs_drift.py
 """
@@ -32,7 +29,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# (glob roots, pattern) pairs that declare flags.
+# (glob roots, pattern) pairs of the programs that declare flags.
 SOURCE_GLOBS = [
     ("tools", "*.cc"),
     ("bench", "*.cc"),
@@ -40,55 +37,45 @@ SOURCE_GLOBS = [
     ("examples", "*.cpp"),
 ]
 
+# The library's shared flag lists, searched under src/.
+LIBRARY_LIST_RE = re.compile(
+    r"\bk[A-Z]\w*Flags\s*=\s*\{(?P<body>[^}]*)\}", re.DOTALL
+)
 CHECK_UNKNOWN_RE = re.compile(
     r"checkUnknown\s*\(\s*\{(?P<body>[^}]*)\}", re.DOTALL
 )
-KNOWN_LIST_RE = re.compile(
-    r"std::vector<std::string>\s+known\s*=\s*\{(?P<body>[^}]*)\}",
+# A program's flag list: "known = ... {", "known.insert(..., {" — the
+# name, then anything short of a statement end, then the braces.
+PROGRAM_LIST_RE = re.compile(
+    r"\b(?:known|extra)\s*(?:=|\.insert\()[^;{]*\{(?P<body>[^}]*)\}",
     re.DOTALL,
 )
-PUSH_BACK_RE = re.compile(r'known\.push_back\("(?P<flag>[a-z0-9-]+)"\)')
+PUSH_BACK_RE = re.compile(r"\b(?:known|extra)\.push_back\((?P<body>[^)]*)\)")
 STRING_RE = re.compile(r'"([a-z0-9-]+)"')
 
 
 def declared_flags():
-    """Map of flag -> sorted list of files declaring it."""
+    """Map of flag -> set of files declaring it."""
     flags = {}
 
-    def add(flag, source):
-        flags.setdefault(flag, set()).add(source)
+    def add(body, source):
+        for flag in STRING_RE.findall(body):
+            flags.setdefault(flag, set()).add(source)
 
+    for path in sorted((REPO / "src").rglob("*.[ch]*")):  # .h, .cc
+        for m in LIBRARY_LIST_RE.finditer(path.read_text(encoding="utf-8")):
+            add(m.group("body"), path.relative_to(REPO).as_posix())
     for root, pattern in SOURCE_GLOBS:
         for path in sorted((REPO / root).glob(pattern)):
             text = path.read_text(encoding="utf-8")
             rel = path.relative_to(REPO).as_posix()
-            bodies = [
-                m.group("body")
-                for m in CHECK_UNKNOWN_RE.finditer(text)
-            ]
-            bodies += [
-                m.group("body") for m in KNOWN_LIST_RE.finditer(text)
-            ]
-            for body in bodies:
-                for flag in STRING_RE.findall(body):
-                    add(flag, rel)
-            for m in PUSH_BACK_RE.finditer(text):
-                add(m.group("flag"), rel)
+            for regex in (CHECK_UNKNOWN_RE, PROGRAM_LIST_RE, PUSH_BACK_RE):
+                for m in regex.finditer(text):
+                    add(m.group("body"), rel)
     return flags
 
 
 REGISTER_ENGINE_RE = re.compile(r'registerEngine\(\s*"([a-z0-9_-]+)"')
-
-# The README section holding the engine table, up to the next
-# same-level heading.
-ENGINE_SECTION_RE = re.compile(
-    r"^## Engines\n(?P<body>.*?)(?=^## )", re.MULTILINE | re.DOTALL
-)
-
-# Engine-table rows: a table line whose first cell is a backticked
-# kind, e.g. "| `stripes` | ... |".
-ENGINE_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_-]*)`\s*\|",
-                           re.MULTILINE)
 
 
 def registered_engine_kinds():
@@ -97,16 +84,27 @@ def registered_engine_kinds():
     return set(REGISTER_ENGINE_RE.findall(text))
 
 
-def engine_table_drift(readme):
-    """(missing_rows, stale_rows) between the registry and README."""
-    kinds = registered_engine_kinds()
-    section = ENGINE_SECTION_RE.search(readme)
-    rows = (
-        set(ENGINE_ROW_RE.findall(section.group("body")))
-        if section
-        else set()
+# (what, README heading, first-cell pattern, row format) per table. A
+# row's first cell is a backticked name: "| `--units=N` |" in the flag
+# table, "| `stripes` |" in the engine table.
+TABLES = {
+    "flag": ("CLI flag reference", r"`--([a-z0-9][a-z0-9-]*)", "--{}"),
+    "engine": ("Engines", r"`([a-z][a-z0-9_-]*)`\s*\|", "{}"),
+}
+
+
+def table_drift(readme, table, declared):
+    """(missing_rows, stale_rows) between @declared and a README table."""
+    heading, cell, _ = TABLES[table]
+    # The section runs up to the next same-level heading.
+    section = re.search(
+        rf"^## {heading}\n(?P<body>.*?)(?=^## )", readme, re.M | re.S
     )
-    return sorted(kinds - rows), sorted(rows - kinds)
+    rows = set(
+        re.findall(rf"^\|\s*{cell}", section.group("body") if section else "",
+                   re.M)
+    )
+    return sorted(set(declared) - rows), sorted(rows - set(declared))
 
 
 # Markdown files whose relative links must resolve.
@@ -147,45 +145,23 @@ def main():
         )
         return 1
 
-    missing = {
-        flag: sources
-        for flag, sources in flags.items()
-        if f"--{flag}" not in readme
-    }
-    if missing:
-        print(
-            "check_docs_drift: flags declared in the binaries but "
-            "absent from README.md:",
-            file=sys.stderr,
-        )
-        for flag in sorted(missing):
-            srcs = ", ".join(sorted(missing[flag]))
-            print(f"  --{flag}  (declared in {srcs})", file=sys.stderr)
-        print(
-            "add each to the 'CLI flag reference' table in README.md",
-            file=sys.stderr,
-        )
-        return 1
-
-    missing_rows, stale_rows = engine_table_drift(readme)
-    if missing_rows or stale_rows:
-        if missing_rows:
-            print(
-                "check_docs_drift: engine kinds registered in "
-                "src/models/engines.cc but missing from README.md's "
-                "'Engines' table:",
-                file=sys.stderr,
-            )
-            for kind in missing_rows:
-                print(f"  | `{kind}` | ...", file=sys.stderr)
-        if stale_rows:
-            print(
-                "check_docs_drift: stale README.md engine-table rows "
-                "naming no registered kind:",
-                file=sys.stderr,
-            )
-            for kind in stale_rows:
-                print(f"  | `{kind}` | ...", file=sys.stderr)
+    kinds = registered_engine_kinds()
+    drift = False
+    for table, declared in (("flag", flags), ("engine", kinds)):
+        heading, _, row = TABLES[table]
+        missing, stale = table_drift(readme, table, declared)
+        for names, problem in ((missing, f"{table}s without a row"),
+                               (stale, f"stale {table} rows")):
+            if names:
+                drift = True
+                print(f"check_docs_drift: README.md '{heading}' table, "
+                      f"{problem}:", file=sys.stderr)
+            for name in names:
+                where = ", ".join(sorted(flags.get(name, [])))
+                print(f"  | `{row.format(name)}` |"
+                      + (f"  (declared in {where})" if where else ""),
+                      file=sys.stderr)
+    if drift:
         return 1
 
     dead = dead_links()
@@ -200,10 +176,9 @@ def main():
         return 1
 
     print(
-        f"check_docs_drift: OK — {len(flags)} flags and "
-        f"{len(registered_engine_kinds())} engine kinds all "
-        f"documented in README.md; relative links in "
-        f"{', '.join(LINKED_DOCS)} all resolve"
+        f"check_docs_drift: OK — {len(flags)} flags and {len(kinds)} "
+        f"engine kinds each have a README.md row, and every row names "
+        f"one; relative links in {', '.join(LINKED_DOCS)} all resolve"
     )
     return 0
 

@@ -9,8 +9,7 @@
  *             [--memory off|ideal|preset]
  *             [--traffic R1,R2,...] [--arrival poisson|uniform]
  *             [--instances N] [--max-batch B] [--timeout CYCLES]
- *             [--requests N] [--threads N] [--inner-threads N]
- *             [--cache on|off] [--planes on|off]
+ *             [--requests N] [--threads N] [--cache on|off]
  *             [--units N | --full] [--seed S] [--csv FILE] [--smoke]
  *             [--mtbf CYCLES] [--mttr CYCLES]
  *             [--fault-dist exponential|fixed] [--fault-seed S]
@@ -51,8 +50,12 @@
  * "--csv" writes through a temporary + rename, so a failed run never
  * tears a previously written file.
  *
+ * The grid flags parse in sim/grid_flags.h and the serving flags
+ * (--traffic through --requests) in parseServingFlags, shared with
+ * pra_sweep and the serving bench.
+ *
  * Determinism matches the sweep: cost curves are bit-identical
- * across --threads/--inner-threads/--cache, arrivals are
+ * across --threads and --cache, arrivals are
  * counter-based in (seed, index), and each event loop is serial
  * and writes its own report — so the serving CSV is byte-identical
  * for any thread count, with the cache on or off (CI asserts this),
@@ -65,14 +68,12 @@
 #include <iostream>
 #include <string>
 
-#include "dnn/model_zoo.h"
 #include "models/engines.h"
-#include "sim/memory/memory_config.h"
+#include "sim/grid_flags.h"
 #include "sim/serving/serving_sim.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -80,85 +81,26 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"networks", "engines", "layers", "activations",
-                       "memory", "traffic", "arrival", "instances",
-                       "max-batch", "timeout", "requests", "threads",
-                       "inner-threads", "cache", "planes", "units",
-                       "full", "seed", "csv", "smoke", "list-engines",
-                       "list-memory", "mtbf", "mttr", "fault-dist",
-                       "fault-seed", "queue-cap", "retries",
-                       "backoff", "degrade-watermark"});
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
-
-    if (args.getBool("list-engines")) {
-        const auto &registry = models::builtinEngines();
-        for (const auto &kind : registry.kinds())
-            std::printf("%-14s %s\n", kind.c_str(),
-                        registry.help(kind).c_str());
+    std::vector<std::string> known = sim::kGridFlags;
+    known.insert(known.end(), sim::kServingFlags.begin(),
+                 sim::kServingFlags.end());
+    known.insert(known.end(),
+                 {"engines", "csv", "list-engines", "list-memory",
+                  "mtbf", "mttr", "fault-dist", "fault-seed",
+                  "queue-cap", "retries", "backoff",
+                  "degrade-watermark"});
+    args.checkUnknown(known);
+    if (sim::printListing(args, models::builtinEngines(), std::cout))
         return 0;
-    }
-    if (args.getBool("list-memory")) {
-        for (const auto &name : sim::memoryPresetNames())
-            std::printf("%-8s %s\n", name.c_str(),
-                        sim::memoryPresetHelp(name).c_str());
-        return 0;
-    }
-
-    bool smoke = args.getBool("smoke");
-    sim::ActivationMode activations = sim::parseActivationMode(
-        args.getString("activations", "synthetic"));
-    dnn::LayerSelect select;
-    if (activations == sim::ActivationMode::Propagated) {
-        if (args.has("layers") && args.getString("layers") != "all")
-            util::fatal("--activations=propagated propagates the "
-                        "full layer pipeline; --layers must be 'all' "
-                        "(or omitted)");
-        select = dnn::LayerSelect::All;
-    } else {
-        select = dnn::parseLayerSelect(args.getString("layers",
-                                                      "conv"));
-    }
-    std::vector<dnn::Network> networks = dnn::parseNetworkList(
-        args.getString("networks", smoke ? "tiny" : "all"), select);
-    std::vector<sim::EngineSelection> engines =
-        models::parseEngineList(args.getString("engines", "paper"));
 
     sim::ServingSweepOptions options;
-    options.threads =
-        args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
-                      "a positive thread count");
-    options.innerThreads = args.getCount(
-        "inner-threads", 0, 0, "non-negative (0 = automatic)");
-    options.cache = args.getBool("cache", true);
-    options.activations = activations;
-    options.accel.memory =
-        sim::parseMemoryPreset(args.getString("memory", "off"));
-    options.sample.maxUnits = args.sampleUnits(smoke ? 4 : 64);
-    int64_t seed = args.getInt("seed", 0x5eed);
-    if (seed < 0)
-        util::fatal("--seed must be non-negative (got " +
-                    std::to_string(seed) + ")");
-    options.seed = static_cast<uint64_t>(seed);
-    options.serving.arrival.seed = options.seed;
-
+    std::vector<dnn::Network> networks =
+        sim::parseGridFlags(args, options, 64, 4);
+    std::vector<sim::EngineSelection> engines =
+        models::parseEngineList(args.getString("engines", "paper"));
     // Degenerate serving parameters get loud rejections, not silent
     // empty simulations.
-    options.offeredPerSecond = sim::parseOfferedRates(
-        args.getString("traffic", smoke ? "1000,100000" : "10000"));
-    options.serving.arrival.kind = sim::parseArrivalKind(
-        args.getString("arrival", "poisson"));
-    options.serving.instances =
-        args.getCount("instances", 1, 1, "a positive fleet size");
-    options.serving.policy.maxBatch =
-        args.getCount("max-batch", 8, 1, "a positive batch cap");
-    int64_t timeout = args.getInt("timeout", 1000000);
-    if (timeout < 0)
-        util::fatal("--timeout must be a non-negative cycle count "
-                    "(got " + std::to_string(timeout) + ")");
-    options.serving.policy.timeoutCycles =
-        static_cast<uint64_t>(timeout);
-    options.serving.requests = args.getCount(
-        "requests", smoke ? 64 : 512, 1, "a positive trace length");
+    sim::parseServingFlags(args, "10000", options);
 
     // --- Fault-injection / degraded-serving layer. Degenerate
     // --- values are loud, fatal rejections (CI pins them): an
@@ -193,7 +135,8 @@ main(int argc, char **argv)
     options.serving.faults.kind = sim::parseFaultKind(
         args.getString("fault-dist", "exponential"));
     requireMtbf("fault-dist");
-    int64_t fault_seed = args.getInt("fault-seed", seed);
+    int64_t fault_seed =
+        args.getInt("fault-seed", static_cast<int64_t>(options.seed));
     if (fault_seed < 0)
         util::fatal("--fault-seed must be non-negative (got " +
                     std::to_string(fault_seed) + ")");

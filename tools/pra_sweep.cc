@@ -5,8 +5,7 @@
  *   pra_sweep [--networks all|a,b] [--engines paper|all|spec,spec]
  *             [--layers conv|fc|all] [--activations synthetic|propagated]
  *             [--memory off|ideal|preset] [--batch B] [--shard i/N]
- *             [--threads N]
- *             [--inner-threads N] [--cache on|off] [--planes on|off]
+ *             [--threads N] [--cache on|off]
  *             [--units N | --full] [--seed S]
  *             [--csv FILE] [--per-layer] [--smoke] [--list-engines]
  *             [--list-memory]
@@ -59,32 +58,30 @@
  * "--cache off" rebuilds every cell's workload from scratch instead
  * of sharing one synthesis per (network, stream, seed) — only useful
  * to bound the cache's memory or to verify equivalence.
- * "--planes off" stops serving intermediate-L (1..3) schedule
- * lengths from the memoized per-workload cycle planes and falls back
- * to the bounds short-circuit plus the serial per-brick schedule;
- * the planes are an exact memoization, so output is byte-identical
- * either way (a sweep test and CI assert this) — the switch exists
- * for A/B timing and equivalence checks.
- * "--inner-threads N" caps the pallet-block subtasks a cell may fan
- * out (0 = automatic: split only when the grid has fewer cells than
- * threads). Output is bit-identical for any --threads or
- * --inner-threads value and with the cache on or off.
+ * "--threads N" runs one pool task per (cell, batch image) pass; when
+ * there are fewer passes than threads, each pass also splits its
+ * layers into ceil(N / passes) pallet blocks. Output is
+ * bit-identical for any --threads value and with the cache on or
+ * off. The memoized schedule-cycle planes are exact too: a sweep
+ * test prices the CI grids with them disabled and compares the CSV
+ * bytes against the serial per-brick schedule.
+ *
+ * The grid flags (--networks through --smoke) parse in
+ * sim/grid_flags.h, shared with pra_serve and the benches.
  */
 
 #include <cstdio>
 #include <iostream>
 #include <limits>
 
-#include "dnn/model_zoo.h"
 #include "energy/memory_energy.h"
 #include "models/engines.h"
-#include "sim/memory/memory_config.h"
+#include "sim/grid_flags.h"
 #include "sim/sweep.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
 #include "util/logging.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace pra;
 
@@ -163,64 +160,19 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"networks", "engines", "layers", "activations",
-                       "memory", "batch", "shard", "threads",
-                       "inner-threads", "cache", "planes", "units",
-                       "full", "seed", "csv", "per-layer", "smoke",
-                       "list-engines", "list-memory"});
-    sim::setCyclePlanesEnabled(args.getBool("planes", true));
-
-    if (args.getBool("list-engines")) {
-        const auto &registry = models::builtinEngines();
-        for (const auto &kind : registry.kinds())
-            std::printf("%-14s %s\n", kind.c_str(),
-                        registry.help(kind).c_str());
+    std::vector<std::string> known = sim::kGridFlags;
+    known.insert(known.end(), {"engines", "batch", "shard", "csv",
+                               "per-layer", "list-engines",
+                               "list-memory"});
+    args.checkUnknown(known);
+    if (sim::printListing(args, models::builtinEngines(), std::cout))
         return 0;
-    }
-    if (args.getBool("list-memory")) {
-        for (const auto &name : sim::memoryPresetNames())
-            std::printf("%-8s %s\n", name.c_str(),
-                        sim::memoryPresetHelp(name).c_str());
-        return 0;
-    }
-
-    bool smoke = args.getBool("smoke");
-    sim::ActivationMode activations = sim::parseActivationMode(
-        args.getString("activations", "synthetic"));
-    dnn::LayerSelect select;
-    if (activations == sim::ActivationMode::Propagated) {
-        // Propagation runs the whole pipeline; a filtered selection
-        // cannot chain (conv2 would miss pool1, fc6 the conv trunk).
-        if (args.has("layers") && args.getString("layers") != "all")
-            util::fatal("--activations=propagated propagates the "
-                        "full layer pipeline; --layers must be 'all' "
-                        "(or omitted)");
-        select = dnn::LayerSelect::All;
-    } else {
-        select = dnn::parseLayerSelect(args.getString("layers",
-                                                      "conv"));
-    }
-    std::vector<dnn::Network> networks = dnn::parseNetworkList(
-        args.getString("networks", smoke ? "tiny" : "all"), select);
-    std::vector<sim::EngineSelection> engines =
-        models::parseEngineList(args.getString("engines", "paper"));
 
     sim::SweepOptions options;
-    options.threads =
-        args.getCount("threads", util::ThreadPool::hardwareThreads(), 1,
-                      "a positive thread count");
-    options.innerThreads = args.getCount(
-        "inner-threads", 0, 0, "non-negative (0 = automatic)");
-    options.cache = args.getBool("cache", true);
-    options.activations = activations;
-    options.accel.memory =
-        sim::parseMemoryPreset(args.getString("memory", "off"));
-    options.sample.maxUnits = args.sampleUnits(smoke ? 4 : 64);
-    int64_t seed = args.getInt("seed", 0x5eed);
-    if (seed < 0)
-        util::fatal("--seed must be non-negative (got " +
-                    std::to_string(seed) + ")");
-    options.seed = static_cast<uint64_t>(seed);
+    std::vector<dnn::Network> networks =
+        sim::parseGridFlags(args, options, 64, 4);
+    std::vector<sim::EngineSelection> engines =
+        models::parseEngineList(args.getString("engines", "paper"));
     options.batch =
         args.getCount("batch", 1, 1, "a positive image count");
     if (args.has("shard")) {
