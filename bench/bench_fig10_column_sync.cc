@@ -15,10 +15,7 @@
 #include <string>
 
 #include "bench/common.h"
-#include "models/engines.h"
-#include "sim/layer_result.h"
 #include "sim/sweep.h"
-#include "util/table.h"
 
 using namespace pra;
 
@@ -43,32 +40,13 @@ main(int argc, char **argv)
                             {"ssr", std::to_string(ssr)}}});
 
     report.phase("sweep");
-    sim::SweepOptions sweep;
-    opt.applyTo(sweep);
-    auto results = sim::runSweep(opt.networks, engines,
-                                 models::builtinEngines(), sweep);
+    auto results = bench::runGrid(opt, engines);
 
     report.phase("render");
-    util::TextTable table({"network", "Stripes", "1-reg", "4-regs",
-                           "16-regs", "perCol-ideal"});
-    const size_t series = engines.size() - 1; // All but the baseline.
-    std::vector<std::vector<double>> speedups(series);
-    for (size_t n = 0; n < opt.networks.size(); n++) {
-        const auto &base = results[n * engines.size()];
-        std::vector<std::string> row = {opt.networks[n].name};
-        for (size_t e = 0; e < series; e++) {
-            double s =
-                results[n * engines.size() + e + 1].speedupOver(base);
-            speedups[e].push_back(s);
-            row.push_back(util::formatDouble(s));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> geo = {"geo"};
-    for (const auto &column : speedups)
-        geo.push_back(util::formatDouble(sim::geometricMean(column)));
-    table.addRow(geo);
-    std::string rendered = table.render();
+    std::string rendered = bench::speedupTable(
+        opt, engines, results,
+        {"network", "Stripes", "1-reg", "4-regs", "16-regs",
+         "perCol-ideal"});
     std::printf("%s\n", rendered.c_str());
     std::printf("Paper (geo): PRA-2b-1R 3.1x, ideal (infinite SSRs) "
                 "3.45x — one SSR\ncaptures most of the benefit.\n");

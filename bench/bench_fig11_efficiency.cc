@@ -13,10 +13,7 @@
 
 #include "bench/common.h"
 #include "energy/area_power.h"
-#include "models/engines.h"
-#include "sim/layer_result.h"
 #include "sim/sweep.h"
-#include "util/table.h"
 
 using namespace pra;
 
@@ -47,33 +44,16 @@ main(int argc, char **argv)
     };
 
     report.phase("sweep");
-    sim::SweepOptions sweep;
-    opt.applyTo(sweep);
-    auto results = sim::runSweep(opt.networks, engines,
-                                 models::builtinEngines(), sweep);
+    auto results = bench::runGrid(opt, engines);
 
     report.phase("render");
-    util::TextTable table({"network", "Stripes", "PRA-4b", "PRA-2b",
-                           "PRA-2b-1R"});
-    std::vector<std::vector<double>> effs(4);
-    for (size_t n = 0; n < opt.networks.size(); n++) {
-        const auto &base = results[n * engines.size()];
-        std::vector<std::string> row = {opt.networks[n].name};
-        for (size_t e = 0; e < 4; e++) {
-            double speedup =
-                results[n * engines.size() + e + 1].speedupOver(base);
-            double eff = energy::energyEfficiency(speedup, p_base,
-                                                  powers[e]);
-            effs[e].push_back(eff);
-            row.push_back(util::formatDouble(eff));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> geo = {"geo"};
-    for (const auto &series : effs)
-        geo.push_back(util::formatDouble(sim::geometricMean(series)));
-    table.addRow(geo);
-    std::string rendered = table.render();
+    // Each cell is an efficiency: the speedup over the power ratio.
+    std::string rendered = bench::speedupTable(
+        opt, engines, results,
+        {"network", "Stripes", "PRA-4b", "PRA-2b", "PRA-2b-1R"},
+        [&](size_t e, double speedup) {
+            return energy::energyEfficiency(speedup, p_base, powers[e]);
+        });
     std::printf("%s\n", rendered.c_str());
     std::printf("Paper (avg): Stripes 1.16x, PRA-4b 0.95x (5%% LESS "
                 "efficient than DaDN),\nPRA-2b 1.28x, PRA-2b-1R 1.48x. "

@@ -19,10 +19,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "models/engines.h"
-#include "sim/layer_result.h"
 #include "sim/sweep.h"
-#include "util/table.h"
 
 using namespace pra;
 
@@ -48,32 +45,13 @@ main(int argc, char **argv)
          {{"bits", "2"}, {"ssr", "0"}, {"repr", "quant8"}}},
     };
 
-    sim::SweepOptions sweep;
-    opt.applyTo(sweep);
-    auto results = sim::runSweep(opt.networks, engines,
-                                 models::builtinEngines(), sweep);
+    auto results = bench::runGrid(opt, engines);
 
-    util::TextTable table({"network", "Stripes", "perPall",
-                           "perPall-2bit", "perCol-1reg-2bit",
-                           "perCol-ideal-2bit"});
-    const size_t series = engines.size() - 1; // All but the baseline.
-    std::vector<std::vector<double>> speedups(series);
-    for (size_t n = 0; n < opt.networks.size(); n++) {
-        const auto &base = results[n * engines.size()];
-        std::vector<std::string> row = {opt.networks[n].name};
-        for (size_t e = 0; e < series; e++) {
-            double s =
-                results[n * engines.size() + e + 1].speedupOver(base);
-            speedups[e].push_back(s);
-            row.push_back(util::formatDouble(s));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> geo = {"geo"};
-    for (const auto &column : speedups)
-        geo.push_back(util::formatDouble(sim::geometricMean(column)));
-    table.addRow(geo);
-    std::printf("%s\n", table.render().c_str());
+    std::string rendered = bench::speedupTable(
+        opt, engines, results,
+        {"network", "Stripes", "perPall", "perPall-2bit",
+         "perCol-1reg-2bit", "perCol-ideal-2bit"});
+    std::printf("%s\n", rendered.c_str());
     std::printf("Paper: benefits persist at 8 bits; PRA-2b-1R reaches "
                 "nearly 3.5x.\n");
     return 0;

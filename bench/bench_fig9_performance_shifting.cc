@@ -13,10 +13,7 @@
 #include <string>
 
 #include "bench/common.h"
-#include "models/engines.h"
-#include "sim/layer_result.h"
 #include "sim/sweep.h"
-#include "util/table.h"
 
 using namespace pra;
 
@@ -40,32 +37,12 @@ main(int argc, char **argv)
             {"pragmatic", {{"bits", std::to_string(l)}}});
 
     report.phase("sweep");
-    sim::SweepOptions sweep;
-    opt.applyTo(sweep);
-    auto results = sim::runSweep(opt.networks, engines,
-                                 models::builtinEngines(), sweep);
+    auto results = bench::runGrid(opt, engines);
 
     report.phase("render");
-    util::TextTable table({"network", "Stripes", "0-bit", "1-bit",
-                           "2-bit", "3-bit", "4-bit"});
-    const size_t series = engines.size() - 1; // All but the baseline.
-    std::vector<std::vector<double>> speedups(series);
-    for (size_t n = 0; n < opt.networks.size(); n++) {
-        const auto &base = results[n * engines.size()];
-        std::vector<std::string> row = {opt.networks[n].name};
-        for (size_t e = 0; e < series; e++) {
-            double s =
-                results[n * engines.size() + e + 1].speedupOver(base);
-            speedups[e].push_back(s);
-            row.push_back(util::formatDouble(s));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> geo = {"geo"};
-    for (const auto &column : speedups)
-        geo.push_back(util::formatDouble(sim::geometricMean(column)));
-    table.addRow(geo);
-    std::string rendered = table.render();
+    std::string rendered = bench::speedupTable(
+        opt, engines, results,
+        {"network", "Stripes", "0-bit", "1-bit", "2-bit", "3-bit", "4-bit"});
     std::printf("%s\n", rendered.c_str());
     std::printf("Paper (geo): Stripes 1.85x; PRA-single (4-bit) 2.59x;"
                 "\n2- and 3-bit within 0.2%% of single-stage; 0-bit "

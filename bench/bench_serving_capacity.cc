@@ -71,7 +71,7 @@ main(int argc, char **argv)
                   "the serving extension (docs/ARCHITECTURE.md)");
 
     sim::ServingSweepOptions serving;
-    opt.applyTo(serving);
+    static_cast<sim::GridOptions &>(serving) = opt.grid;
     sim::parseServingFlags(opt.args, "2000,20000,200000", serving);
 
     report.phase("serve");

@@ -42,17 +42,21 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "dnn/model_zoo.h"
+#include "models/engines.h"
 #include "sim/grid_flags.h"
+#include "sim/layer_result.h"
 #include "sim/sweep.h"
 #include "util/args.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/table.h"
 
 namespace pra {
 namespace bench {
@@ -172,13 +176,6 @@ struct BenchOptions
     {
     }
 
-    /** Copy the grid flags into a sweep's or serving sweep's options. */
-    void
-    applyTo(sim::GridOptions &target) const
-    {
-        target = grid;
-    }
-
     static BenchOptions
     parse(int argc, const char *const *argv, int64_t default_units = 64,
           const std::vector<std::string> &extra_flags = {},
@@ -205,6 +202,55 @@ struct BenchOptions
         return opt;
     }
 };
+
+/** Price @p engines over the bench's networks with its grid flags. */
+inline std::vector<sim::NetworkResult>
+runGrid(const BenchOptions &opt,
+        const std::vector<sim::EngineSelection> &engines)
+{
+    sim::SweepOptions sweep;
+    static_cast<sim::GridOptions &>(sweep) = opt.grid;
+    return sim::runSweep(opt.networks, engines, models::builtinEngines(),
+                         sweep);
+}
+
+/**
+ * Render the table figures 9-12 share from runGrid(opt, engines)
+ * @p results: one row per network of each engine's speedup over the
+ * first engine (the DaDN baseline), passed through @p cell as
+ * cell(series, speedup) with series counting the other engines from
+ * 0, then a "geo" row of the column geometric means. @p header names
+ * the network column and every series.
+ */
+inline std::string
+speedupTable(const BenchOptions &opt,
+             const std::vector<sim::EngineSelection> &engines,
+             const std::vector<sim::NetworkResult> &results,
+             const std::vector<std::string> &header,
+             const std::function<double(size_t, double)> &cell = {})
+{
+    util::TextTable table(header);
+    const size_t series = engines.size() - 1; // All but the baseline.
+    std::vector<std::vector<double>> columns(series);
+    for (size_t n = 0; n < opt.networks.size(); n++) {
+        const auto &base = results[n * engines.size()];
+        std::vector<std::string> row = {opt.networks[n].name};
+        for (size_t e = 0; e < series; e++) {
+            double v =
+                results[n * engines.size() + e + 1].speedupOver(base);
+            if (cell)
+                v = cell(e, v);
+            columns[e].push_back(v);
+            row.push_back(util::formatDouble(v));
+        }
+        table.addRow(row);
+    }
+    std::vector<std::string> geo = {"geo"};
+    for (const auto &column : columns)
+        geo.push_back(util::formatDouble(sim::geometricMean(column)));
+    table.addRow(geo);
+    return table.render();
+}
 
 /** Print the bench banner with its paper anchor. */
 inline void

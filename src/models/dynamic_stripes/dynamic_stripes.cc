@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dnn/activation_synth.h"
 #include "fixedpoint/fixed_point.h"
-#include "models/pragmatic/brick_cost.h"
 #include "models/stripes/stripes.h"
 #include "sim/operand_planes.h"
+#include "sim/pallet_driver.h"
 #include "sim/tiling.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -17,14 +19,20 @@
 namespace pra {
 namespace models {
 
-namespace {
-
-/** Exact per-block accumulators (combine in block order). */
-struct DsPartial
+void
+checkDynamicStripesMachine(const DynamicStripesConfig &config,
+                           const sim::AccelConfig &accel)
 {
-    int64_t processCycles = 0;
-    int64_t terms = 0;
-};
+    const int wpp = accel.windowsPerPallet;
+    const int gc = config.groupColumns;
+    if (!config.layerWide && (gc < 1 || wpp % gc != 0))
+        util::fatal("dynamic_stripes: granularity must be a positive "
+                    "divisor of windowsPerPallet (" +
+                    std::to_string(wpp) + "); got " +
+                    std::to_string(gc));
+}
+
+namespace {
 
 /**
  * The Diffy front end: each column's detector input is the absolute
@@ -67,14 +75,12 @@ class MaskSource
     mask(const sim::WindowCoord &w, const sim::SynapseSetCoord &s) const
     {
         if (planes_) {
-            const dnn::LayerSpec &layer = tiling_.layer();
-            int x = w.x * layer.stride - layer.pad + s.fx;
-            int y = w.y * layer.stride - layer.pad + s.fy;
-            if (x < 0 || x >= layer.inputX || y < 0 ||
-                y >= layer.inputY)
+            const std::optional<sim::InputColumn> at =
+                tiling_.inputColumn(w, s);
+            if (!at)
                 return 0;
             return planes_->orMask[planes_->index(
-                x, y, s.brickI / dnn::kBrickSize)];
+                at->x, at->y, s.brickI / dnn::kBrickSize)];
         }
         return sim::summarizeBrick(tiling_.gatherBrickView(src_, w, s))
             .orMask;
@@ -114,89 +120,58 @@ simulateImpl(const dnn::LayerSpec &layer,
 {
     if (config.layerWide)
         return layerWideResult(layer, accel, config);
-
-    const int wpp = accel.windowsPerPallet;
+    checkDynamicStripesMachine(config, accel);
     const int gc = config.groupColumns;
-    if (gc < 1 || wpp % gc != 0)
-        util::fatal("dynamic_stripes: granularity must be a positive "
-                    "divisor of windowsPerPallet (" +
-                    std::to_string(wpp) + "); got " +
-                    std::to_string(gc));
     const int regs = config.columnRegisters;
     PRA_CHECK(regs >= 0, "dynamic_stripes: negative column registers");
-
-    sim::LayerTiling tiling(layer, accel);
-    sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
-    PRA_CHECK(!plan.indices.empty(),
-              "dynamic_stripes: layer has no pallets");
-    const int64_t num_sets = tiling.numSynapseSets();
 
     // The detector input: the raw stream, or its Diffy difference.
     // Diffy masks summarize a *different* tensor than the shared
     // workload planes, so the plane path rebuilds them locally.
-    const dnn::NeuronTensor *src = &input;
     dnn::NeuronTensor diffed;
     std::optional<sim::BrickPlanes> local_planes;
-    const sim::LayerWorkload *plane_source = workload;
-    if (config.diffy) {
+    if (config.diffy)
         diffed = diffyTransform(input);
-        src = &diffed;
-        plane_source = nullptr;
-    }
-    BrickCostContext ctx(tiling, *src, plane_source,
-                         kMaxFirstStageBits);
-    const sim::BrickPlanes *planes = ctx.planes();
+    sim::PalletDriver driver(layer, accel, sample,
+                             config.diffy ? diffed : input,
+                             config.diffy ? nullptr : workload);
+    const sim::BrickPlanes *planes = driver.brickPlanes();
     if (config.diffy && accel.neuronLanes == dnn::kBrickSize) {
         local_planes = sim::buildBrickPlanes(diffed);
         planes = &*local_planes;
     }
-    MaskSource masks(tiling, *src, planes);
-    const std::vector<sim::SynapseSetCoord> &set_coords =
-        ctx.setCoords();
+    const MaskSource masks(driver.tiling(), driver.input(), planes);
+    const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
+    const size_t max_groups =
+        static_cast<size_t>(accel.windowsPerPallet / gc);
 
-    const int64_t num_units = static_cast<int64_t>(plan.indices.size());
-    const int blocks = exec.blockCount(num_units);
-    std::vector<DsPartial> partials(
-        static_cast<size_t>(std::max(blocks, 1)));
-
-    // Pallets are independent (the run-ahead window resets at a
-    // pallet boundary), so contiguous pallet blocks accumulate exact
-    // partials that combine to the serial result.
-    exec.forEachBlock(blocks, [&](int block) {
-        auto [lo, hi] = util::InnerExecutor::blockRange(num_units,
-                                                        blocks, block);
-        DsPartial acc;
-        std::vector<sim::WindowCoord> col_coords(
-            static_cast<size_t>(wpp));
-        std::vector<int> group_prec(static_cast<size_t>(wpp / gc));
-        std::vector<int64_t> finish(group_prec.size());
-        std::vector<int64_t> ring(static_cast<size_t>(
-            std::max(regs, 1)));
-        for (int64_t pi = lo; pi < hi; pi++) {
-            int64_t pallet = plan.indices[static_cast<size_t>(pi)];
-            const int active = tiling.windowsInPallet(pallet);
-            for (int c = 0; c < active; c++)
-                col_coords[static_cast<size_t>(c)] = tiling.windowCoord(
-                    tiling.windowIndex(pallet, c));
+    sim::PalletTotals totals = driver.forEachPallet(
+        exec,
+        [&, group_prec = std::vector<int>(max_groups),
+         finish = std::vector<int64_t>(max_groups),
+         ring = std::vector<int64_t>(static_cast<size_t>(
+             std::max(regs, 1)))](
+            std::span<const sim::WindowCoord> columns,
+            sim::PalletTotals &acc) mutable {
+            const int active = static_cast<int>(columns.size());
             // Groups past the active prefix have no columns (only the
             // layer's last pallet is partial) and never gate anyone.
             const int groups = (active + gc - 1) / gc;
             std::fill(finish.begin(), finish.end(), int64_t{0});
             std::fill(ring.begin(), ring.end(), int64_t{0});
             int64_t pallet_done = 0;
-            for (int64_t s = 0; s < num_sets; s++) {
-                const sim::SynapseSetCoord &sc =
-                    set_coords[static_cast<size_t>(s)];
-                const int real_lanes =
-                    std::min(accel.neuronLanes,
-                             layer.inputChannels - sc.brickI);
+            for (size_t si = 0; si < sets.size(); si++) {
+                const int64_t s = static_cast<int64_t>(si);
+                const sim::SynapseSetCoord &set = sets[si];
+                const int real_lanes = std::min(
+                    accel.neuronLanes, layer.inputChannels - set.brickI);
                 for (int g = 0; g < groups; g++) {
                     const int first = g * gc;
                     const int last = std::min(first + gc, active);
                     uint16_t m = 0;
                     for (int c = first; c < last; c++)
-                        m |= masks.mask(
-                            col_coords[static_cast<size_t>(c)], sc);
+                        m |= masks.mask(columns[static_cast<size_t>(c)],
+                                        set);
                     const int p = fixedpoint::dynamicPrecision(
                         m, config.leadingBit);
                     group_prec[static_cast<size_t>(g)] = p;
@@ -236,31 +211,8 @@ simulateImpl(const dnn::LayerSpec &layer,
             }
             if (regs > 0)
                 acc.processCycles += pallet_done;
-        }
-        partials[static_cast<size_t>(block)] = acc;
-    });
-
-    DsPartial total;
-    for (const DsPartial &partial : partials) {
-        total.processCycles += partial.processCycles;
-        total.terms += partial.terms;
-    }
-
-    sim::LayerResult result;
-    result.layerName = layer.name;
-    result.engineName = "DynamicStripes";
-    result.sampleScale = plan.scale;
-    double passes = static_cast<double>(tiling.passes());
-    result.cycles = passes * plan.scale *
-                    static_cast<double>(total.processCycles);
-    result.effectualTerms = plan.scale *
-                            static_cast<double>(total.terms) *
-                            layer.numFilters;
-    // One SB read per pallet step, as in every pallet-synced model.
-    result.sbReadSteps = passes *
-                         static_cast<double>(tiling.numPallets()) *
-                         static_cast<double>(num_sets);
-    return result;
+        });
+    return driver.result("DynamicStripes", totals, layer.numFilters);
 }
 
 } // namespace

@@ -6,8 +6,8 @@
  * COLUMN_REGISTERS, LEADING_BIT, and the Diffy spatial-difference
  * front end).
  *
- * Execution follows the shared pass/pallet/synapse-set tiling
- * (sim/tiling.h). Per synapse set, the windows of a pallet are carved
+ * Execution follows the shared pass/pallet/synapse-set walk
+ * (sim/pallet_driver.h). Per synapse set, the windows of a pallet are carved
  * into groups of `groupColumns` adjacent columns; each group's
  * detector ORs the 16 lanes of every member column's neuron brick
  * (exactly the orMask plane of sim/operand_planes.h) and streams the
@@ -73,6 +73,14 @@ struct DynamicStripesConfig
     /** Detect over the spatial-difference stream (Diffy front end). */
     bool diffy = false;
 };
+
+/**
+ * fatal() unless @p config runs on @p accel: a runtime group's column
+ * count must divide the machine's windowsPerPallet. The layer-wide
+ * configuration runs on every machine.
+ */
+void checkDynamicStripesMachine(const DynamicStripesConfig &config,
+                                const sim::AccelConfig &accel);
 
 /**
  * Price one layer from its input tensor (tensor path: every brick

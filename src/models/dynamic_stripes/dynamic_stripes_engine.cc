@@ -16,8 +16,8 @@ DynamicStripesEngine::DynamicStripesEngine(const sim::EngineKnobs &knobs)
         config_.layerWide = true;
     } else {
         // Divisibility against windowsPerPallet is a property of the
-        // machine, checked when a layer is priced; positivity is a
-        // property of the flag and fails here.
+        // machine (checkMachine); positivity is a property of the
+        // flag and fails here.
         config_.groupColumns =
             static_cast<int>(sim::knobInt(knobs, "granularity", 16));
         if (config_.groupColumns < 1)

@@ -35,6 +35,10 @@ class DynamicStripesEngine : public sim::Engine
     std::string kind() const override { return "dynamic_stripes"; }
     std::string name() const override;
     sim::InputStream inputStream() const override;
+    void checkMachine(const sim::AccelConfig &accel) const override
+    {
+        checkDynamicStripesMachine(config_, accel);
+    }
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

@@ -1,25 +1,20 @@
 #include "models/laconic/laconic.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "models/pragmatic/brick_cost.h"
 #include "sim/operand_planes.h"
+#include "sim/pallet_driver.h"
 #include "sim/tiling.h"
-#include "util/check.h"
 
 namespace pra {
 namespace models {
 
 namespace {
-
-/** Exact per-block accumulators (combine in block order). */
-struct LaconicPartial
-{
-    int64_t processCycles = 0;
-    int64_t terms = 0;
-};
 
 /**
  * Per-lane neuron popcounts of one brick: the shared per-lane plane
@@ -42,14 +37,12 @@ class LanePopSource
          int real_lanes, uint8_t *out) const
     {
         if (planes_) {
-            const dnn::LayerSpec &layer = tiling_.layer();
-            int x = w.x * layer.stride - layer.pad + s.fx;
-            int y = w.y * layer.stride - layer.pad + s.fy;
-            if (x < 0 || x >= layer.inputX || y < 0 ||
-                y >= layer.inputY)
+            const std::optional<sim::InputColumn> at =
+                tiling_.inputColumn(w, s);
+            if (!at)
                 return 0;
             size_t base = planes_->index(
-                x, y, s.brickI / dnn::kBrickSize, 0);
+                at->x, at->y, s.brickI / dnn::kBrickSize, 0);
             std::copy_n(planes_->pop.data() + base,
                         static_cast<size_t>(real_lanes), out);
             return real_lanes;
@@ -74,63 +67,31 @@ simulateImpl(const dnn::LayerSpec &layer,
              const sim::SampleSpec &sample,
              const util::InnerExecutor &exec)
 {
-    sim::LayerTiling tiling(layer, accel);
-    sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
-    PRA_CHECK(!plan.indices.empty(), "laconic: layer has no pallets");
-    const int64_t num_sets = tiling.numSynapseSets();
-    const int wpp = accel.windowsPerPallet;
-
-    // Skipping the intermediate widths (bits = max) keeps the context
-    // from touching the memoized cycle planes Laconic never reads.
-    BrickCostContext ctx(tiling, input, workload, kMaxFirstStageBits);
-    const std::vector<sim::SynapseSetCoord> &set_coords =
-        ctx.setCoords();
+    sim::PalletDriver driver(layer, accel, sample, input, workload);
+    const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
     // Weight planes are lazy and unsynchronized: resolve them here,
-    // before the pallet loop fans out across inner threads.
-    const sim::WeightBrickPlanes &wgt = ctx.weightPlanes();
-    const sim::LanePopPlanes *act_planes =
-        workload && accel.neuronLanes == dnn::kBrickSize
-            ? &workload->lanePopPlanes()
-            : nullptr;
-    LanePopSource acts(tiling, input, act_planes);
+    // before the pallet walk fans out across inner threads.
+    const sim::WeightBrickPlanes &wgt = driver.weightPlanes();
+    const LanePopSource acts(driver.tiling(), input,
+                             driver.lanePopPlanes());
 
-    const int64_t num_units = static_cast<int64_t>(plan.indices.size());
-    const int blocks = exec.blockCount(num_units);
-    std::vector<LaconicPartial> partials(
-        static_cast<size_t>(std::max(blocks, 1)));
-
-    exec.forEachBlock(blocks, [&](int block) {
-        auto [lo, hi] = util::InnerExecutor::blockRange(num_units,
-                                                        blocks, block);
-        LaconicPartial acc;
-        std::vector<sim::WindowCoord> col_coords(
-            static_cast<size_t>(wpp));
-        std::vector<uint8_t> pops(
-            static_cast<size_t>(accel.neuronLanes));
-        for (int64_t pi = lo; pi < hi; pi++) {
-            int64_t pallet = plan.indices[static_cast<size_t>(pi)];
-            const int active = tiling.windowsInPallet(pallet);
-            for (int c = 0; c < active; c++)
-                col_coords[static_cast<size_t>(c)] = tiling.windowCoord(
-                    tiling.windowIndex(pallet, c));
-            for (int64_t s = 0; s < num_sets; s++) {
-                const sim::SynapseSetCoord &sc =
-                    set_coords[static_cast<size_t>(s)];
-                const int real_lanes =
-                    std::min(accel.neuronLanes,
-                             layer.inputChannels - sc.brickI);
-                const size_t widx = wgt.index(s, 0);
+    sim::PalletTotals totals = driver.forEachPallet(
+        exec, [&](std::span<const sim::WindowCoord> columns,
+                  sim::PalletTotals &acc) {
+            std::array<uint8_t, dnn::kBrickSize> pops{};
+            for (size_t s = 0; s < sets.size(); s++) {
+                const sim::SynapseSetCoord &set = sets[s];
+                const int real_lanes = std::min(
+                    accel.neuronLanes, layer.inputChannels - set.brickI);
+                const size_t widx = wgt.index(static_cast<int>(s), 0);
                 int64_t step = 0;
-                for (int c = 0; c < active; c++) {
-                    int n = acts.pops(
-                        col_coords[static_cast<size_t>(c)], sc,
-                        real_lanes, pops.data());
+                for (const sim::WindowCoord &w : columns) {
+                    int n = acts.pops(w, set, real_lanes, pops.data());
                     for (int l = 0; l < n; l++) {
                         const int64_t a = pops[static_cast<size_t>(l)];
                         if (a == 0)
                             continue;
-                        const size_t wl =
-                            widx + static_cast<size_t>(l);
+                        const size_t wl = widx + static_cast<size_t>(l);
                         step = std::max(step, a * wgt.maxPop[wl]);
                         acc.terms += a * wgt.sumPop[wl];
                     }
@@ -139,31 +100,10 @@ simulateImpl(const dnn::LayerSpec &layer,
                 // model shares.
                 acc.processCycles += std::max<int64_t>(1, step);
             }
-        }
-        partials[static_cast<size_t>(block)] = acc;
-    });
-
-    LaconicPartial total;
-    for (const LaconicPartial &partial : partials) {
-        total.processCycles += partial.processCycles;
-        total.terms += partial.terms;
-    }
-
-    sim::LayerResult result;
-    result.layerName = layer.name;
-    result.engineName = "Laconic";
-    result.sampleScale = plan.scale;
-    double passes = static_cast<double>(tiling.passes());
-    result.cycles = passes * plan.scale *
-                    static_cast<double>(total.processCycles);
+        });
     // wgtSumPop already sums every filter (hence every pass), so the
     // term total takes no passes or numFilters factor.
-    result.effectualTerms =
-        plan.scale * static_cast<double>(total.terms);
-    result.sbReadSteps = passes *
-                         static_cast<double>(tiling.numPallets()) *
-                         static_cast<double>(num_sets);
-    return result;
+    return driver.result("Laconic", totals, 1.0);
 }
 
 } // namespace

@@ -31,7 +31,7 @@ class LaconicEngine : public sim::Engine
     }
     /**
      * The shared planes are brick-wide; a reshaped machine builds
-     * its own (BrickCostContext::weightPlanes).
+     * its own (sim::PalletDriver::weightPlanes).
      */
     bool readsSharedWeights(const sim::AccelConfig &accel) const override
     {

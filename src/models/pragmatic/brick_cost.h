@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-brick schedule-cycle and term-count resolution shared by the
+ * Per-brick schedule-cycle and term-count resolution of the Pragmatic
  * pallet- and column-sync engines.
  *
  * Both engines fundamentally consume, per (window, synapse set), the
@@ -24,21 +24,16 @@
  * cycle schedule on a zero-copy view of the input tensor — the
  * identities and the monotonicity are asserted by the schedule test
  * suite, and both paths are bit-identical by construction.
- *
- * BrickCostContext is the per-layer setup both engines previously
- * duplicated: it builds the cost model (resolving plane eligibility
- * and the memoized cycle plane once per layer) and materializes the
- * pallet-independent synapse-set coordinates.
  */
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "dnn/tensor.h"
 #include "models/pragmatic/schedule.h"
+#include "sim/pallet_driver.h"
 #include "sim/tiling.h"
 #include "sim/workload_cache.h"
 
@@ -57,24 +52,23 @@ class BrickCostModel
     };
 
     /**
-     * @param tiling  the layer's tiling (outlives the model).
-     * @param input   the stream tensor (outlives the model).
-     * @param planes  packed brick planes of @p input, or nullptr to
-     *                resolve every brick from the tensor; only valid
-     *                when the machine's neuronLanes == kBrickSize.
-     * @param cycles  the memoized schedule-cycle plane for
-     *                @p first_stage_bits (same indexing as
-     *                @p planes), or nullptr to fall back to the
-     *                bounds short-circuit + serial schedule; only
-     *                meaningful alongside @p planes for L in 1..3.
-     * @param first_stage_bits  L, the PIP first-stage shifter width.
+     * Resolve brick costs for @p driver's stream at first-stage
+     * width @p first_stage_bits (L): from the driver's brick planes
+     * and, for L in 1..3, the workload's memoized cycle plane, or
+     * from the tensor when no planes apply. Must not outlive the
+     * driver.
      */
-    BrickCostModel(const sim::LayerTiling &tiling,
-                   const dnn::NeuronTensor &input,
-                   const sim::BrickPlanes *planes,
-                   const uint8_t *cycles, int first_stage_bits)
-        : tiling_(tiling), input_(input), planes_(planes),
-          cycles_(cycles), bits_(first_stage_bits)
+    BrickCostModel(const sim::PalletDriver &driver, int first_stage_bits)
+        : tiling_(driver.tiling()), input_(driver.input()),
+          planes_(driver.brickPlanes()),
+          cycles_(planes_ && first_stage_bits >= 1 &&
+                          first_stage_bits < kMaxFirstStageBits &&
+                          sim::cyclePlanesEnabled()
+                      ? driver.planeWorkload()
+                            ->cyclePlane(first_stage_bits)
+                            .data()
+                      : nullptr),
+          bits_(first_stage_bits)
     {
     }
 
@@ -82,13 +76,12 @@ class BrickCostModel
     brick(const sim::WindowCoord &w, const sim::SynapseSetCoord &s) const
     {
         if (planes_) {
-            const dnn::LayerSpec &layer = tiling_.layer();
-            int x = w.x * layer.stride - layer.pad + s.fx;
-            int y = w.y * layer.stride - layer.pad + s.fy;
-            if (x < 0 || x >= layer.inputX || y < 0 || y >= layer.inputY)
+            const std::optional<sim::InputColumn> at =
+                tiling_.inputColumn(w, s);
+            if (!at)
                 return {};
             size_t idx =
-                planes_->index(x, y, s.brickI / dnn::kBrickSize);
+                planes_->index(at->x, at->y, s.brickI / dnn::kBrickSize);
             Cost cost;
             cost.terms = planes_->pop[idx];
             int max_pop = planes_->maxPop[idx];
@@ -118,118 +111,6 @@ class BrickCostModel
     const sim::BrickPlanes *planes_;
     const uint8_t *cycles_;
     int bits_;
-};
-
-/**
- * The per-layer setup shared by the pallet- and column-sync engines:
- * resolves plane eligibility and the memoized cycle plane once,
- * builds the BrickCostModel, and materializes the pallet-independent
- * synapse-set coordinates (setCoord is pure index arithmetic, but
- * both engines visit every set once per pallet — resolve them once
- * per layer instead).
- *
- * @p workload may be nullptr (tensor path: every brick resolved from
- * @p input); when given, its tensor must be @p input. The context
- * must not outlive the tiling, input, or workload it was built from.
- */
-class BrickCostContext
-{
-  public:
-    BrickCostContext(const sim::LayerTiling &tiling,
-                     const dnn::NeuronTensor &input,
-                     const sim::LayerWorkload *workload,
-                     int first_stage_bits)
-        : tiling_(tiling), workload_(workload),
-          costs_(tiling, input, resolvePlanes(tiling, workload),
-                 resolveCycles(tiling, workload, first_stage_bits),
-                 first_stage_bits)
-    {
-        const int64_t num_sets = tiling.numSynapseSets();
-        setCoords_.reserve(static_cast<size_t>(num_sets));
-        for (int64_t s = 0; s < num_sets; s++)
-            setCoords_.push_back(tiling.setCoord(s));
-    }
-
-    const BrickCostModel &costs() const { return costs_; }
-
-    /** Coordinate of set s, for all s in [0, numSynapseSets). */
-    const std::vector<sim::SynapseSetCoord> &setCoords() const
-    {
-        return setCoords_;
-    }
-
-    /**
-     * The shared activation planes this context resolved, or nullptr
-     * on the tensor path / a reshaped machine — exposed so
-     * two-operand engines reduce over exactly the plane object the
-     * cost model reads (e.g. Dynamic-Stripes' per-group orMask).
-     */
-    const sim::BrickPlanes *planes() const
-    {
-        return resolvePlanes(tiling_, workload_);
-    }
-
-    /**
-     * The weight-side planes of this layer: the workload's lazily
-     * built shared planes when they apply (kBrickSize lanes), else a
-     * context-local synthetic build matching the machine's lane
-     * count (a reshaped machine prices the synthetic weight streams
-     * even under --activations=propagated — the shared requantized
-     * planes assume brick-width lanes). Resolved on first call and
-     * never touched by
-     * activation-only engines, so they pay nothing. Not
-     * synchronized: resolve it once before fanning work out across
-     * inner threads.
-     */
-    const sim::WeightBrickPlanes &
-    weightPlanes() const
-    {
-        if (!weightPlanes_) {
-            if (workload_ &&
-                tiling_.config().neuronLanes == dnn::kBrickSize) {
-                weightPlanes_ =
-                    &workload_->weightPlanes(tiling_.layer());
-            } else {
-                localWeights_ = sim::syntheticWeightPlanes(
-                    tiling_.layer(), tiling_.config().neuronLanes);
-                weightPlanes_ = &localWeights_;
-            }
-        }
-        return *weightPlanes_;
-    }
-
-  private:
-    static const sim::BrickPlanes *
-    resolvePlanes(const sim::LayerTiling &tiling,
-                  const sim::LayerWorkload *workload)
-    {
-        // The packed planes summarize kBrickSize-channel bricks; a
-        // reshaped machine gathers narrower bricks straight from the
-        // tensor instead.
-        if (!workload ||
-            tiling.config().neuronLanes != dnn::kBrickSize)
-            return nullptr;
-        return &workload->brickPlanes();
-    }
-
-    static const uint8_t *
-    resolveCycles(const sim::LayerTiling &tiling,
-                  const sim::LayerWorkload *workload,
-                  int first_stage_bits)
-    {
-        if (!resolvePlanes(tiling, workload) || first_stage_bits < 1 ||
-            first_stage_bits >= kMaxFirstStageBits ||
-            !sim::cyclePlanesEnabled())
-            return nullptr;
-        return workload->cyclePlane(first_stage_bits).data();
-    }
-
-    const sim::LayerTiling &tiling_;
-    const sim::LayerWorkload *workload_;
-    BrickCostModel costs_;
-    std::vector<sim::SynapseSetCoord> setCoords_;
-    mutable const sim::WeightBrickPlanes *weightPlanes_ = nullptr;
-    mutable sim::WeightBrickPlanes localWeights_;
 };
 
 } // namespace models

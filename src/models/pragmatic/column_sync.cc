@@ -5,9 +5,8 @@
 
 #include "models/pragmatic/brick_cost.h"
 #include "sim/nm_model.h"
+#include "sim/pallet_driver.h"
 #include "sim/tiling.h"
-#include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace models {
@@ -62,26 +61,20 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
                        const ColumnSyncConfig &config,
                        const sim::SampleSpec &sample)
 {
-    sim::LayerTiling tiling(layer, accel);
-    sim::SamplePlan plan = sim::planSample(tiling.numPallets(), sample);
-    PRA_CHECK(!plan.indices.empty(),
-                         "column sync: layer has no pallets");
-
+    sim::PalletDriver driver(layer, accel, sample, input, workload);
+    const sim::LayerTiling &tiling = driver.tiling();
+    const sim::SamplePlan &plan = driver.plan();
     const int columns = accel.windowsPerPallet;
-    const int64_t num_sets = tiling.numSynapseSets();
-    BrickCostContext ctx(tiling, input, workload,
-                         config.firstStageBits);
-    const BrickCostModel &costs = ctx.costs();
-    const std::vector<sim::SynapseSetCoord> &set_coords =
-        ctx.setCoords();
+    const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
+    const int64_t num_sets = static_cast<int64_t>(sets.size());
+    const BrickCostModel costs(driver, config.firstStageBits);
 
     // Per-column clocks: when the column finished its previous set.
     std::vector<int64_t> col_time(columns, 0);
     // Per-column schedule cost of the set being placed.
     std::vector<int> set_cost(columns, 0);
     // Window coordinates of the current pallet's active columns.
-    std::vector<sim::WindowCoord> col_coords(
-        static_cast<size_t>(columns));
+    std::vector<sim::WindowCoord> col_coords;
 
     SsrPool ssrs(config.ideal() ? 0 : config.ssrCount);
     int64_t last_read_done = 0;
@@ -97,13 +90,8 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
     for (size_t pi = 0; pi < plan.indices.size(); pi++) {
         int64_t pallet = plan.indices[pi];
 
-        // Window coordinates are set-independent; resolve the
-        // pallet's active columns once (the contiguous prefix — only
-        // the layer's last pallet is partial).
-        const int active = tiling.windowsInPallet(pallet);
-        for (int c = 0; c < active; c++)
-            col_coords[static_cast<size_t>(c)] =
-                tiling.windowCoord(tiling.windowIndex(pallet, c));
+        tiling.palletColumns(pallet, col_coords);
+        const int active = static_cast<int>(col_coords.size());
 
         int64_t neurons_ready = 0;
         if (config.modelNmStalls) {
@@ -113,7 +101,9 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
             for (int64_t s = 0; s < num_sets;
                  s += std::max<int64_t>(1, num_sets / 4)) {
                 fetch = std::max<int64_t>(
-                    fetch, sim::nmFetchCycles(tiling, pallet, s));
+                    fetch,
+                    sim::nmFetchCycles(tiling, col_coords,
+                                       sets[static_cast<size_t>(s)]));
             }
             int64_t fetch_start =
                 std::max(fetch_done_prev, pallet_finish_m2);
@@ -132,9 +122,9 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
                     set_cost[c] = 1; // Idle column tracks the stream.
                     continue;
                 }
-                BrickCostModel::Cost cost = costs.brick(
-                    col_coords[static_cast<size_t>(c)],
-                    set_coords[static_cast<size_t>(s)]);
+                BrickCostModel::Cost cost =
+                    costs.brick(col_coords[static_cast<size_t>(c)],
+                                sets[static_cast<size_t>(s)]);
                 set_cost[c] = std::max(1, cost.cycles);
                 terms += cost.terms;
                 stall_reference += set_cost[c];
@@ -164,27 +154,18 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
     int64_t stream_finish = *std::max_element(col_time.begin(),
                                               col_time.end());
 
-    sim::LayerResult result;
-    result.layerName = layer.name;
-    result.engineName = config.ideal() ? "PRA-perCol-ideal"
-                                       : "PRA-perCol";
-    result.sampleScale = plan.scale;
-    double passes = static_cast<double>(tiling.passes());
-    result.cycles = passes * plan.scale *
-                    static_cast<double>(stream_finish);
+    // Section V-E: SB is read as often as under pallet sync (the SSRs
+    // absorb the repeats), so the shared sbReadSteps hold.
+    sim::LayerResult result = driver.result(
+        config.ideal() ? "PRA-perCol-ideal" : "PRA-perCol",
+        sim::PalletTotals{stream_finish, 0, terms}, layer.numFilters);
     // Stall accounting: time beyond the busiest column's raw work.
+    const double passes = static_cast<double>(tiling.passes());
     double busiest = static_cast<double>(stall_reference) /
                      std::max(1, columns);
     result.nmStallCycles = std::max(
         0.0, passes * plan.scale *
                  (static_cast<double>(stream_finish) - busiest));
-    result.effectualTerms = plan.scale * static_cast<double>(terms) *
-                            layer.numFilters;
-    // Section V-E guarantees SB is read the same number of times as
-    // under pallet synchronization (SSRs absorb the repeats).
-    result.sbReadSteps = passes *
-                         static_cast<double>(tiling.numPallets()) *
-                         static_cast<double>(num_sets);
     return result;
 }
 

@@ -12,11 +12,8 @@
  *
  * The workload-view overload consumes the precomputed per-brick
  * planes (term counts and L=0/L=4 schedule lengths) and can split the
- * sampled pallets into blocks across an InnerExecutor. Pallets are
- * mutually independent (the NM overlap window resets at a pallet
- * boundary) and every per-block accumulator is an exact integer, so
- * block partials combined in block order are bit-identical to the
- * serial path for any block count.
+ * sampled pallets into blocks across an InnerExecutor; the walk and
+ * its block split are sim::PalletDriver's (sim/pallet_driver.h).
  */
 
 #pragma once

@@ -67,6 +67,18 @@ class Engine
     }
 
     /**
+     * Reject, through util::fatal, a machine this engine cannot
+     * price. Sweeps call it once per selection on the calling thread
+     * before any pass starts, so a bad pairing exits once instead of
+     * from several workers at once. The default accepts every
+     * machine.
+     */
+    virtual void checkMachine(const AccelConfig &accel) const
+    {
+        (void)accel;
+    }
+
+    /**
      * Simulate one layer from a workload view whose tensor() carries
      * the stream announced by inputStream() (empty for
      * value-independent engines), optionally splitting it into

@@ -1,6 +1,7 @@
 #include "sim/nm_model.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -9,17 +10,15 @@ namespace pra {
 namespace sim {
 
 int
-nmFetchCycles(const LayerTiling &tiling, int64_t pallet, int64_t set)
+nmFetchCycles(const LayerTiling &tiling,
+              std::span<const WindowCoord> columns,
+              const SynapseSetCoord &set)
 {
     const AccelConfig &config = tiling.config();
-    SynapseSetCoord coord = tiling.setCoord(set);
     std::vector<int64_t> rows;
     rows.reserve(config.windowsPerPallet * 2);
-    for (int c = 0; c < config.windowsPerPallet; c++) {
-        int64_t w = tiling.windowIndex(pallet, c);
-        if (w < 0)
-            continue;
-        int64_t addr = tiling.brickNmAddress(tiling.windowCoord(w), coord);
+    for (const WindowCoord &w : columns) {
+        int64_t addr = tiling.brickNmAddress(w, set);
         if (addr < 0)
             continue; // Padding brick: no NM access.
         int64_t first_row = addr / config.nmRowNeurons;

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/accel_config.h"
 #include "sim/tiling.h"
@@ -25,11 +25,14 @@ namespace sim {
  * Cycles to fetch one pallet step's bricks from NM: the number of
  * distinct NM rows covering the 16 bricks (padding bricks are free).
  *
- * @param tiling layer tiling (provides brick addresses).
- * @param pallet pallet index.
- * @param set    synapse-set index.
+ * @param tiling  layer tiling (provides brick addresses).
+ * @param columns the pallet's active columns
+ *                (LayerTiling::palletColumns).
+ * @param set     the synapse-set coordinate.
  */
-int nmFetchCycles(const LayerTiling &tiling, int64_t pallet, int64_t set);
+int nmFetchCycles(const LayerTiling &tiling,
+                  std::span<const WindowCoord> columns,
+                  const SynapseSetCoord &set);
 
 /**
  * Running fetch/process overlap (max(NMC, PC) of Section V-A4):

@@ -121,10 +121,10 @@ priceGrid(const std::vector<dnn::Network> &networks,
     PRA_CHECK(images >= 1, "priceGrid: a batch needs at least one image");
     PRA_CHECK(first <= last && last <= networks.size() * engines.size(),
               "priceGrid: cell range out of the grid");
-    // Validate every selection up front so knob errors surface before
-    // any pass starts.
+    // Validate every selection and its machine up front, so knob
+    // errors surface before any pass starts.
     for (const auto &sel : engines)
-        registry.create(sel);
+        registry.create(sel)->checkMachine(options.accel);
     if (first == last)
         return;
 

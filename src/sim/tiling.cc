@@ -1,5 +1,7 @@
 #include "sim/tiling.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -64,6 +66,15 @@ LayerTiling::windowIndex(int64_t p, int column) const
     return w < layer_.windows() ? w : -1;
 }
 
+void
+LayerTiling::palletColumns(int64_t p, std::vector<WindowCoord> &out) const
+{
+    const int active = windowsInPallet(p);
+    out.resize(static_cast<size_t>(active));
+    for (int c = 0; c < active; c++)
+        out[static_cast<size_t>(c)] = windowCoord(windowIndex(p, c));
+}
+
 SynapseSetCoord
 LayerTiling::setCoord(int64_t s) const
 {
@@ -84,14 +95,8 @@ LayerTiling::gatherBrick(const dnn::NeuronTensor &input,
                          const SynapseSetCoord &s) const
 {
     std::array<uint16_t, dnn::kBrickSize> brick{};
-    int x = w.x * layer_.stride - layer_.pad + s.fx;
-    int y = w.y * layer_.stride - layer_.pad + s.fy;
-    if (x < 0 || x >= layer_.inputX || y < 0 || y >= layer_.inputY)
-        return brick; // Entirely padding: all zeros.
-    int lanes = std::min(config_.neuronLanes,
-                         layer_.inputChannels - s.brickI);
-    for (int lane = 0; lane < lanes; lane++)
-        brick[lane] = input.at(x, y, s.brickI + lane);
+    std::span<const uint16_t> view = gatherBrickView(input, w, s);
+    std::copy(view.begin(), view.end(), brick.begin());
     return brick;
 }
 
@@ -100,13 +105,12 @@ LayerTiling::gatherBrickView(const dnn::NeuronTensor &input,
                              const WindowCoord &w,
                              const SynapseSetCoord &s) const
 {
-    int x = w.x * layer_.stride - layer_.pad + s.fx;
-    int y = w.y * layer_.stride - layer_.pad + s.fy;
-    if (x < 0 || x >= layer_.inputX || y < 0 || y >= layer_.inputY)
+    const std::optional<InputColumn> at = inputColumn(w, s);
+    if (!at)
         return {}; // Entirely padding: all zeros.
     int lanes = std::min(config_.neuronLanes,
                          layer_.inputChannels - s.brickI);
-    return std::span<const uint16_t>(&input.at(x, y, s.brickI),
+    return std::span<const uint16_t>(&input.at(at->x, at->y, s.brickI),
                                      static_cast<size_t>(lanes));
 }
 
@@ -114,9 +118,8 @@ int64_t
 LayerTiling::brickNmAddress(const WindowCoord &w,
                             const SynapseSetCoord &s) const
 {
-    int x = w.x * layer_.stride - layer_.pad + s.fx;
-    int y = w.y * layer_.stride - layer_.pad + s.fy;
-    if (x < 0 || x >= layer_.inputX || y < 0 || y >= layer_.inputY)
+    const std::optional<InputColumn> at = inputColumn(w, s);
+    if (!at)
         return -1;
     // NM stores neurons brick-interleaved: consecutive x positions of
     // the same channel brick are adjacent, so a unit-stride pallet's
@@ -124,9 +127,9 @@ LayerTiling::brickNmAddress(const WindowCoord &w,
     int64_t brick_index =
         (static_cast<int64_t>(s.brickI / config_.neuronLanes) *
              layer_.inputY +
-         y) *
+         at->y) *
             layer_.inputX +
-        x;
+        at->x;
     return brick_index * config_.neuronLanes;
 }
 

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,6 +51,13 @@ struct WindowCoord
     int y = 0;
 
     bool operator==(const WindowCoord &other) const = default;
+};
+
+/** An (x, y) position in a layer's input plane. */
+struct InputColumn
+{
+    int x = 0;
+    int y = 0;
 };
 
 /**
@@ -100,14 +108,38 @@ class LayerTiling
     /** Window index of column @p c of pallet @p p; -1 when inactive. */
     int64_t windowIndex(int64_t p, int column) const;
 
+    /**
+     * Replace @p out with the window coordinates of pallet @p p's
+     * active columns, in column order: the contiguous prefix of
+     * windowsInPallet(p) columns (only a layer's last pallet is
+     * partial).
+     */
+    void palletColumns(int64_t p, std::vector<WindowCoord> &out) const;
+
     /** Synapse-set coordinate of set index @p s (fy, fx, brick order). */
     SynapseSetCoord setCoord(int64_t s) const;
 
     /**
+     * The input position whose channels s.brickI onward window @p w
+     * reads at synapse set @p s: (w.x * S - pad + s.fx,
+     * w.y * S - pad + s.fy). Empty when it falls in the zero padding
+     * around the input plane. Every brick gather, NM address and
+     * plane lookup resolves its brick through this one rule.
+     */
+    std::optional<InputColumn>
+    inputColumn(const WindowCoord &w, const SynapseSetCoord &s) const
+    {
+        const int x = w.x * layer_.stride - layer_.pad + s.fx;
+        const int y = w.y * layer_.stride - layer_.pad + s.fy;
+        if (x < 0 || x >= layer_.inputX || y < 0 || y >= layer_.inputY)
+            return std::nullopt;
+        return InputColumn{x, y};
+    }
+
+    /**
      * Gather the 16 neurons of the brick consumed by window @p w at
-     * synapse set @p s: the input brick at
-     * (w.x * S - pad + s.fx, w.y * S - pad + s.fy, s.brickI).
-     * Out-of-bounds positions (padding) and channels beyond I read 0.
+     * synapse set @p s: the input brick at inputColumn(w, s), channels
+     * from s.brickI. Padding positions and channels beyond I read 0.
      */
     std::array<uint16_t, dnn::kBrickSize>
     gatherBrick(const dnn::NeuronTensor &input, const WindowCoord &w,

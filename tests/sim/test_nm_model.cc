@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/nm_model.h"
 
 namespace pra {
@@ -28,6 +30,15 @@ strideLayer(int stride)
     return spec;
 }
 
+/** NM fetch cycles of pallet @p p at synapse set @p s. */
+int
+fetchCycles(const LayerTiling &tiling, int64_t p, int64_t s)
+{
+    std::vector<WindowCoord> columns;
+    tiling.palletColumns(p, columns);
+    return nmFetchCycles(tiling, columns, tiling.setCoord(s));
+}
+
 TEST(NmModel, UnitStrideFitsTwoRows)
 {
     // "With unit stride the 256 neurons would be typically all stored
@@ -37,7 +48,7 @@ TEST(NmModel, UnitStrideFitsTwoRows)
     for (int64_t p = 0; p < std::min<int64_t>(8, tiling.numPallets());
          p++) {
         for (int64_t s = 0; s < tiling.numSynapseSets(); s += 3)
-            EXPECT_LE(nmFetchCycles(tiling, p, s), 2);
+            EXPECT_LE(fetchCycles(tiling, p, s), 2);
     }
 }
 
@@ -49,8 +60,8 @@ TEST(NmModel, LargerStrideSpreadsRows)
     int max1 = 0;
     int max4 = 0;
     for (int64_t s = 0; s < 9; s++) {
-        max1 = std::max(max1, nmFetchCycles(tiling1, 0, s));
-        max4 = std::max(max4, nmFetchCycles(tiling4, 0, s));
+        max1 = std::max(max1, fetchCycles(tiling1, 0, s));
+        max4 = std::max(max4, fetchCycles(tiling4, 0, s));
     }
     EXPECT_GT(max4, max1);
 }
@@ -63,7 +74,7 @@ TEST(NmModel, PaddingOnlyStepCostsOneCycle)
     LayerTiling tiling(spec, accel);
     // First pallet, set (fy=0,fx=0): windows 0..15 read row -2 ->
     // mostly padding; cost is clamped at >= 1.
-    EXPECT_GE(nmFetchCycles(tiling, 0, 0), 1);
+    EXPECT_GE(fetchCycles(tiling, 0, 0), 1);
 }
 
 TEST(NmModel, OverlapHidesFetchBehindProcessing)
@@ -93,7 +104,7 @@ TEST_P(StrideRows, BoundedByStridePlusOne)
     AccelConfig accel;
     LayerTiling tiling(strideLayer(stride), accel);
     for (int64_t s = 0; s < tiling.numSynapseSets(); s += 2) {
-        int cycles = nmFetchCycles(tiling, 1, s);
+        int cycles = fetchCycles(tiling, 1, s);
         // 16 bricks spaced `stride` bricks apart cover at most
         // stride + 1 rows of 16 bricks each.
         EXPECT_LE(cycles, stride + 1);

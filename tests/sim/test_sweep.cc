@@ -144,7 +144,7 @@ TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
 {
     // Every registered kind, on the stock machine and a reshaped one
     // (8 lanes forces BrickCostModel's tensor-gather path and
-    // BrickCostContext's local weight planes): runNetwork prices the
+    // PalletDriver's local weight planes): runNetwork prices the
     // same over a cached and an uncached source, and equals a
     // per-layer simulateLayer loop on freshly synthesized workloads.
     // terms overrides runNetwork (the first-layer CVN rule needs
