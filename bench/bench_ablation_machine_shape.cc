@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "bench/common.h"
 #include "models/engines.h"
@@ -30,7 +31,8 @@ main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
     args.checkUnknown(
-        {"smoke", "network", "layers", "full", "units", "json"});
+        {"smoke", "network", "layers", "full", "units", "json"},
+        &std::cout);
     bool smoke = args.getBool("smoke");
     bench::BenchReport report("ablation_machine_shape",
                               args.getString("json", ""));

@@ -2,10 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * oneffset generation, brick scheduling across first-stage widths,
- * the functional PIP, activation synthesis, and the workload-cache
- * substrate (brick-plane construction, plane-served vs tensor-served
- * pallet-sync layer simulation). These gate the simulator's own
- * throughput, not the modeled hardware.
+ * the functional PIP, activation synthesis, the propagated forward
+ * pass's blocked convolution, and the workload-cache substrate
+ * (brick-plane construction, plane-served vs tensor-served pallet-sync
+ * layer simulation). These gate the simulator's own throughput, not
+ * the modeled hardware.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,10 +14,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
+#include "dnn/reference.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
 #include "models/pragmatic/pip.h"
@@ -256,6 +259,60 @@ BM_DiscreteExponentialSample(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DiscreteExponentialSample)->Arg(8)->Arg(11)->Arg(16);
+
+/**
+ * One layer of the propagated forward pass through BlockedConvolution,
+ * its weights drawn from the layer's FilterWeightStream as
+ * propagateChain() draws them. The input is chain-like: half zeros
+ * (post-ReLU), the rest within the layer's precision. Range 0 is the
+ * baseline kernel, 1 the AVX2 one; items_per_second is dense MACs.
+ */
+void
+BM_BlockedConvolution(benchmark::State &state,
+                      dnn::Network (*make_network)(dnn::LayerSelect),
+                      const std::string &layer_name)
+{
+    const auto isa = static_cast<dnn::ConvolutionIsa>(state.range(0));
+    if (isa == dnn::ConvolutionIsa::Avx2 &&
+        dnn::bestConvolutionIsa() != isa) {
+        state.SkipWithError("no AVX2 kernel on this build or CPU");
+        return;
+    }
+    const dnn::Network net = make_network(dnn::LayerSelect::All);
+    const auto layer = std::find_if(
+        net.layers.begin(), net.layers.end(),
+        [&](const dnn::LayerSpec &l) { return l.name == layer_name; });
+    if (layer == net.layers.end()) {
+        state.SkipWithError("no such layer");
+        return;
+    }
+    dnn::NeuronTensor input(layer->inputX, layer->inputY,
+                            layer->inputChannels);
+    util::Xoshiro256 rng(0xc0de);
+    const uint32_t top = 1u << layer->profiledPrecision;
+    for (auto &v : input.flat())
+        v = rng.nextBool(0.5) ? 0
+                              : static_cast<uint16_t>(rng.nextBounded(top));
+    const dnn::BlockedConvolution kernel(*layer, input);
+    for (auto _ : state) {
+        dnn::FilterWeightStream stream(*layer, 0xf117);
+        benchmark::DoNotOptimize(
+            kernel.run([&stream] { return stream.next(); }, isa));
+    }
+    state.SetItemsProcessed(state.iterations() * layer->outX() *
+                            layer->outY() * layer->numFilters *
+                            layer->synapsesPerFilter());
+}
+BENCHMARK_CAPTURE(BM_BlockedConvolution, googlenet_inception_3a_3x3,
+                  &dnn::makeGoogLeNet, "inception_3a/3x3")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BlockedConvolution, alexnet_fc6,
+                  &dnn::makeAlexNet, "fc6")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * One pallet-sync layer, first-stage width from the range argument:

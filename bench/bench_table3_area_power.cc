@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "energy/area_power.h"
 #include "energy/components.h"
@@ -19,7 +20,7 @@ main(int argc, char **argv)
 {
     // A closed-form table: --smoke, which every bench takes, changes
     // nothing, and any other flag is a mistake.
-    util::ArgParser(argc, argv).checkUnknown({"smoke"});
+    util::ArgParser(argc, argv).checkUnknown({"smoke"}, &std::cout);
     std::printf("== Area and power, pallet synchronization ==\n"
                 "(reproduces Table III; see EXPERIMENTS.md)\n\n");
 

@@ -5,6 +5,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "energy/area_power.h"
 #include "util/args.h"
@@ -17,7 +18,7 @@ main(int argc, char **argv)
 {
     // A closed-form table: --smoke, which every bench takes, changes
     // nothing, and any other flag is a mistake.
-    util::ArgParser(argc, argv).checkUnknown({"smoke"});
+    util::ArgParser(argc, argv).checkUnknown({"smoke"}, &std::cout);
     std::printf("== Area and power, column synchronization, PRA-2b ==\n"
                 "(reproduces Table IV; see EXPERIMENTS.md)\n\n");
 

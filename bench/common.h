@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -191,7 +192,7 @@ struct BenchOptions
             known.push_back("json");
         known.insert(known.end(), extra_flags.begin(),
                      extra_flags.end());
-        opt.args.checkUnknown(known);
+        opt.args.checkUnknown(known, &std::cout);
         opt.smoke = opt.args.getBool("smoke");
         opt.jsonPath =
             supports_json ? opt.args.getString("json", "") : "";

@@ -28,7 +28,7 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "full", "units", "csv"});
+    args.checkUnknown({"network", "full", "units", "csv"}, &std::cout);
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
     sim::SampleSpec sample{args.sampleUnits(64)};

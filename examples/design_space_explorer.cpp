@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 
 #include "dnn/model_zoo.h"
 #include "energy/area_power.h"
@@ -31,8 +32,9 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "units", "full", "threads", "cache",
-                       "csv", "smoke"});
+    args.checkUnknown(
+        {"network", "units", "full", "threads", "cache", "csv", "smoke"},
+        &std::cout);
     // One network x eleven engines: exactly the small-grid case the
     // two-level sweep is for — spare workers split layers instead of
     // idling. The grid flags this example takes parse like

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 #include <utility>
 #include <vector>
 
@@ -29,7 +30,7 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "full", "units"});
+    args.checkUnknown({"network", "full", "units"}, &std::cout);
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "googlenet"));
 

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
@@ -24,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
-    args.checkUnknown({"network", "layer"});
+    args.checkUnknown({"network", "layer"}, &std::cout);
     dnn::Network net =
         dnn::makeNetworkByName(args.getString("network", "alexnet"));
     int layer_idx =

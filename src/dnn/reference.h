@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "dnn/layer_spec.h"
@@ -25,23 +26,48 @@ using OutputTensor = Tensor3D<int64_t>;
 inline constexpr int kFilterBlock = 16;
 
 /**
+ * The two compiled bodies of BlockedConvolution's kernel. Both give
+ * the same output bits; only their speed differs.
+ */
+enum class ConvolutionIsa
+{
+    /** 4-lane (16-byte) vectors at the build's own target ISA. */
+    Baseline,
+    /** 8-lane (32-byte) AVX2 vectors; x86-64 builds on AVX2 CPUs only. */
+    Avx2,
+};
+
+/**
+ * The variant BlockedConvolution::run() uses by default: Avx2 when
+ * this is an x86-64 build and the CPU supports AVX2, else Baseline.
+ * Decided once per process.
+ */
+ConvolutionIsa bestConvolutionIsa();
+
+/** "avx2" or "baseline": the name of bestConvolutionIsa(). */
+const char *blockedConvolutionIsa();
+
+/**
  * The blocked, zero-skipping convolution kernel behind
  * referenceConvolution() and the propagated forward pass.
  *
  * Construction indexes the input's non-zero activations pixel by
  * pixel, once. run() then streams the layer's filters through in
- * blocks of kFilterBlock, packed filter-innermost (weight s of block
- * lane f at s * kFilterBlock + f, s the FilterTensor flat index) and
- * shared by every window. Each non-zero activation costs one block of
- * MACs, as a few SIMD multiply-adds; a zero costs nothing. Only one
- * block of filters is ever held.
+ * blocks of kFilterBlock: it draws a block's filters one after another
+ * into int16 rows, then transposes them in one pass into a
+ * filter-innermost layout (weight s of block lane f at
+ * s * kFilterBlock + f, s the FilterTensor flat index) shared by every
+ * window. Each non-zero activation costs one block of MACs, as a few
+ * SIMD multiply-adds; a zero costs nothing. Only one block of filters
+ * is ever held.
  *
  * Exactness: within a chunk of K activations the products accumulate
  * in int32, then flush into int64. K = max(1, INT32_MAX /
  * (max|w| * max a)), with max|w| over the block and max a over the
  * input, so no int32 partial sum can overflow (one int16 x uint16
  * product always fits). Integer sums are exact in any order, so every
- * output equals referenceWindowDot() bit for bit.
+ * output equals referenceWindowDot() bit for bit, at either
+ * ConvolutionIsa.
  */
 class BlockedConvolution
 {
@@ -53,28 +79,35 @@ class BlockedConvolution
      * Convolve all layer.numFilters filters, drawing their weights
      * from @p next_weight (a callable returning int16_t) in
      * synthesizeFilters() order: filter-major, FilterTensor flat
-     * order within a filter.
+     * order within a filter. @p isa picks the kernel body; panics
+     * when this build or CPU cannot run it.
      */
     template <typename NextWeight>
-    OutputTensor
-    run(NextWeight &&next_weight) const
+    OutputTensor run(NextWeight &&next_weight,
+                     ConvolutionIsa isa = bestConvolutionIsa()) const
     {
         OutputTensor output(outX_, outY_, numFilters_);
         const auto synapses = static_cast<size_t>(synapses_);
+        std::vector<int16_t> rows(synapses * kFilterBlock);
         std::vector<int32_t> packed(synapses * kFilterBlock);
         for (int first = 0; first < numFilters_; first += kFilterBlock) {
             const int count = std::min(kFilterBlock, numFilters_ - first);
-            if (count < kFilterBlock)
-                std::fill(packed.begin(), packed.end(), 0);
-            for (int f = 0; f < count; f++)
-                for (size_t s = 0; s < synapses; s++)
-                    packed[s * kFilterBlock + f] = int16_t{next_weight()};
-            convolveBlock(packed, first, count, output);
+            const size_t draws = static_cast<size_t>(count) * synapses;
+            int32_t max_weight = 0;
+            for (size_t i = 0; i < draws; i++) {
+                const int16_t w = next_weight();
+                rows[i] = w;
+                max_weight = std::max(max_weight, std::abs(int32_t{w}));
+            }
+            convolveBlock(rows, count, max_weight, packed, first, output, isa);
         }
         return output;
     }
 
   private:
+    /** The kernel bodies (reference.cc), one per ConvolutionIsa. */
+    struct Kernel;
+
     int inputX_, inputY_, channels_;
     int filterX_, filterY_, stride_, pad_;
     int outX_, outY_, numFilters_;
@@ -89,12 +122,16 @@ class BlockedConvolution
     std::vector<uint16_t> value_;
 
     /**
-     * Write output channels [first, first + count) of @p output: one
-     * packed block (lanes past @p count hold zeros) against every
+     * Write output channels [first, first + count) of @p output:
+     * transpose the @p count filter rows of @p rows (each synapses_
+     * weights long, largest magnitude @p max_weight) into @p packed,
+     * lanes past @p count zero, then run that block against every
      * window.
      */
-    void convolveBlock(const std::vector<int32_t> &packed, int first,
-                       int count, OutputTensor &output) const;
+    void convolveBlock(const std::vector<int16_t> &rows, int count,
+                       int32_t max_weight, std::vector<int32_t> &packed,
+                       int first, OutputTensor &output,
+                       ConvolutionIsa isa) const;
 };
 
 /**
@@ -107,10 +144,12 @@ class BlockedConvolution
  * @param layer   geometry (input size must match @p input).
  * @param input   the input neuron array.
  * @param filters one FilterTensor per output filter.
+ * @param isa     the kernel variant to run.
  */
 OutputTensor referenceConvolution(const LayerSpec &layer,
                                   const NeuronTensor &input,
-                                  const std::vector<FilterTensor> &filters);
+                                  const std::vector<FilterTensor> &filters,
+                                  ConvolutionIsa isa = bestConvolutionIsa());
 
 /**
  * Dot product of one window position against one filter; the quantum

@@ -79,8 +79,18 @@ ArgParser::ArgParser(int argc, const char *const *argv)
 }
 
 void
-ArgParser::checkUnknown(const std::vector<std::string> &known) const
+ArgParser::checkUnknown(const std::vector<std::string> &known,
+                        std::ostream *help) const
 {
+    if (help && has("help")) {
+        std::vector<std::string> names = known;
+        std::sort(names.begin(), names.end());
+        names.erase(std::unique(names.begin(), names.end()), names.end());
+        for (const auto &name : names)
+            *help << "--" << name << "\n";
+        help->flush();
+        std::exit(0);
+    }
     for (const auto &[name, value] : flags_) {
         (void)value;
         if (std::find(known.begin(), known.end(), name) != known.end())

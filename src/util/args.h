@@ -8,13 +8,14 @@
  *
  * Programs declare the flags they understand with checkUnknown():
  * a misspelled flag ("--smke") then fails loudly instead of silently
- * running with defaults.
+ * running with defaults, and --help lists them.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,11 @@ class ArgParser
      * fatal() when any parsed flag is not in @p known — call once,
      * after construction, with every flag the program understands.
      * The error names the closest known flag when one is plausible.
+     * When @p help is given and --help was passed, write the known
+     * flags to it instead, sorted, one "--name" per line, and exit 0.
      */
-    void checkUnknown(const std::vector<std::string> &known) const;
+    void checkUnknown(const std::vector<std::string> &known,
+                      std::ostream *help = nullptr) const;
 
     const std::vector<std::string> &positional() const
     {

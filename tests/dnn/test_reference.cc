@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "dnn/activation_synth.h"
@@ -155,11 +156,17 @@ sparseInput(int x, int y, int c, uint64_t seed)
     return input;
 }
 
-TEST(Reference, BlockedConvolutionMatchesWindowDot)
+/**
+ * Call @p check(spec, input, filters) on every adversarial shape:
+ * partial filter blocks (1, 15, 17, 33 filters), channel counts that
+ * straddle nothing and everything, strides 1-4 with maximal padding so
+ * edge windows see a single input pixel, each on a sparse and a dead
+ * input, then the FC column (one window over a long input).
+ */
+template <typename Check>
+void
+forEachBlockedShape(Check &&check)
 {
-    // Partial filter blocks (1, 15, 17, 33 filters), channel counts
-    // that straddle nothing and everything, strides 1-4 with maximal
-    // padding so edge windows see a single input pixel.
     int shape = 0;
     for (int channels : {1, 3, 17}) {
         for (int num_filters : {1, 15, 17, 33}) {
@@ -176,52 +183,71 @@ TEST(Reference, BlockedConvolutionMatchesWindowDot)
             spec.profiledPrecision = 16;
             ASSERT_TRUE(spec.valid()) << spec.name;
             auto filters = synthesizeFilters(spec, 0xb10c + shape, 32767);
-            expectMatchesWindowDot(
-                spec, sparseInput(9, 7, channels, 0x5eed + shape),
-                filters);
+            check(spec, sparseInput(9, 7, channels, 0x5eed + shape),
+                  filters);
             // A dead input convolves to all zeros.
-            expectMatchesWindowDot(spec, NeuronTensor(9, 7, channels),
-                                   filters);
+            check(spec, NeuronTensor(9, 7, channels), filters);
             shape++;
         }
     }
-    // FC: one window over a long column.
     LayerSpec fc = LayerSpec::fullyConnected("blocked_fc", 1000, 33, 16);
-    expectMatchesWindowDot(fc, sparseInput(1, 1, 1000, 0xfc),
-                           synthesizeFilters(fc, 0xfc, 32767));
+    check(fc, sparseInput(1, 1, 1000, 0xfc),
+          synthesizeFilters(fc, 0xfc, 32767));
+}
+
+TEST(Reference, BlockedConvolutionMatchesWindowDot)
+{
+    forEachBlockedShape(expectMatchesWindowDot);
+}
+
+/**
+ * A layer whose block bound gives K = 1: |w| = 32768 against
+ * a = 65535, so every product is its own int32 chunk and any two of
+ * them would overflow int32. Filter 0 is all -32768, filter 1 all
+ * 32767; the centre input pixel's channel 3 is the only zero.
+ */
+struct ExtremesCase
+{
+    LayerSpec spec;
+    NeuronTensor input{5, 5, 17};
+    std::vector<FilterTensor> filters;
+};
+
+ExtremesCase
+extremesCase()
+{
+    ExtremesCase c;
+    c.spec.name = "extremes";
+    c.spec.inputX = 5;
+    c.spec.inputY = 5;
+    c.spec.inputChannels = 17;
+    c.spec.filterX = 3;
+    c.spec.filterY = 3;
+    c.spec.numFilters = 17;
+    c.spec.stride = 2;
+    c.spec.pad = 2;
+    c.spec.profiledPrecision = 16;
+    for (auto &v : c.input.flat())
+        v = 65535;
+    c.input.at(2, 2, 3) = 0;
+    c.filters.assign(17, FilterTensor(3, 3, 17));
+    util::Xoshiro256 rng(0xe7);
+    const int16_t extremes[] = {32767, -32767, -32768};
+    for (int f = 0; f < 17; f++)
+        for (auto &w : c.filters[f].flat())
+            w = f == 0 ? int16_t{-32768}
+                       : f == 1 ? int16_t{32767}
+                                : extremes[rng.nextBounded(3)];
+    return c;
 }
 
 TEST(Reference, BlockedConvolutionFlushesEveryTermAtExtremes)
 {
-    // |w| = 32768 against a = 65535 gives K = 1: every product is
-    // its own int32 chunk, and any two of them would overflow int32.
-    LayerSpec spec;
-    spec.name = "extremes";
-    spec.inputX = 5;
-    spec.inputY = 5;
-    spec.inputChannels = 17;
-    spec.filterX = 3;
-    spec.filterY = 3;
-    spec.numFilters = 17;
-    spec.stride = 2;
-    spec.pad = 2;
-    spec.profiledPrecision = 16;
-    NeuronTensor input(5, 5, 17);
-    for (auto &v : input.flat())
-        v = 65535;
-    input.at(2, 2, 3) = 0;
-    std::vector<FilterTensor> filters(17, FilterTensor(3, 3, 17));
-    util::Xoshiro256 rng(0xe7);
-    const int16_t extremes[] = {32767, -32767, -32768};
-    for (int f = 0; f < 17; f++)
-        for (auto &w : filters[f].flat())
-            w = f == 0 ? int16_t{-32768}
-                       : f == 1 ? int16_t{32767}
-                                : extremes[rng.nextBounded(3)];
-    expectMatchesWindowDot(spec, input, filters);
+    const ExtremesCase c = extremesCase();
+    expectMatchesWindowDot(c.spec, c.input, c.filters);
     // The uniform filters make the expected sums easy to state: the
     // centre window covers 9 pixels x 17 channels, one of them zero.
-    auto out = referenceConvolution(spec, input, filters);
+    auto out = referenceConvolution(c.spec, c.input, c.filters);
     EXPECT_EQ(out.at(1, 1, 0), int64_t{-32768} * 65535 * (9 * 17 - 1));
     EXPECT_EQ(out.at(1, 1, 1), int64_t{32767} * 65535 * (9 * 17 - 1));
 }
@@ -276,6 +302,95 @@ TEST(Reference, BlockedConvolutionMatchesWindowDotOnAlexNetChain)
 TEST(Reference, BlockedConvolutionMatchesWindowDotOnGoogLeNetChain)
 {
     expectChainMatchesWindowDot(makeGoogLeNet(LayerSelect::All));
+}
+
+TEST(Reference, BlockedConvolutionIsaNamesTheChosenVariant)
+{
+    const std::string isa = blockedConvolutionIsa();
+    const bool avx2 = bestConvolutionIsa() == ConvolutionIsa::Avx2;
+    EXPECT_EQ(isa, avx2 ? "avx2" : "baseline");
+#if defined(__x86_64__) && defined(__GNUC__)
+    EXPECT_EQ(isa, __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+#else
+    EXPECT_EQ(isa, "baseline");
+#endif
+}
+
+/** Skip the calling test when this build or CPU has no AVX2 kernel. */
+#define SKIP_WITHOUT_AVX2()                                               \
+    do {                                                                  \
+        if (bestConvolutionIsa() != ConvolutionIsa::Avx2)                 \
+            GTEST_SKIP() << "no AVX2 kernel on this build or CPU: only "  \
+                            "the baseline variant can run";               \
+    } while (0)
+
+/** Both kernel variants produce the same whole output. */
+void
+expectVariantsAgree(const LayerSpec &spec, const NeuronTensor &input,
+                    const std::vector<FilterTensor> &filters)
+{
+    const OutputTensor baseline = referenceConvolution(
+        spec, input, filters, ConvolutionIsa::Baseline);
+    const OutputTensor avx2 =
+        referenceConvolution(spec, input, filters, ConvolutionIsa::Avx2);
+    ASSERT_EQ(baseline.sizeX(), avx2.sizeX()) << spec.name;
+    ASSERT_EQ(baseline.sizeY(), avx2.sizeY()) << spec.name;
+    ASSERT_EQ(baseline.sizeI(), avx2.sizeI()) << spec.name;
+    EXPECT_TRUE(std::ranges::equal(baseline.flat(), avx2.flat()))
+        << spec.name;
+}
+
+TEST(ReferenceVariant, Avx2MatchesBaselineOnEveryShape)
+{
+    SKIP_WITHOUT_AVX2();
+    forEachBlockedShape(expectVariantsAgree);
+}
+
+TEST(ReferenceVariant, Avx2MatchesBaselineAtExtremes)
+{
+    SKIP_WITHOUT_AVX2();
+    const ExtremesCase c = extremesCase();
+    expectVariantsAgree(c.spec, c.input, c.filters);
+}
+
+/**
+ * Every third priced layer of @p net's propagated chain, run by both
+ * variants on the chain's real input and its FilterWeightStream.
+ */
+void
+expectVariantsAgreeOnChain(const Network &net)
+{
+    ActivationSynthesizer synth(net, 0x5eed);
+    PropagatedChain chain = propagateChain(synth);
+    const uint64_t seed = synth.seed() ^ kPropagationFilterSalt;
+    int priced = 0;
+    for (size_t i = 0; i < net.layers.size(); i++) {
+        const LayerSpec &layer = net.layers[i];
+        if (!layer.priced() || priced++ % 3 != 0)
+            continue;
+        const BlockedConvolution kernel(layer, chain.inputs[i]);
+        auto run = [&](ConvolutionIsa isa) {
+            FilterWeightStream stream(layer, seed);
+            return kernel.run([&stream] { return stream.next(); }, isa);
+        };
+        const OutputTensor baseline = run(ConvolutionIsa::Baseline);
+        const OutputTensor avx2 = run(ConvolutionIsa::Avx2);
+        EXPECT_TRUE(std::ranges::equal(baseline.flat(), avx2.flat()))
+            << net.name << "/" << layer.name;
+    }
+    EXPECT_GT(priced, 0);
+}
+
+TEST(ReferenceVariant, Avx2MatchesBaselineOnAlexNetChain)
+{
+    SKIP_WITHOUT_AVX2();
+    expectVariantsAgreeOnChain(makeAlexNet(LayerSelect::All));
+}
+
+TEST(ReferenceVariant, Avx2MatchesBaselineOnGoogLeNetChain)
+{
+    SKIP_WITHOUT_AVX2();
+    expectVariantsAgreeOnChain(makeGoogLeNet(LayerSelect::All));
 }
 
 TEST(Reference, ShapeMismatchPanics)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+
 #include "util/args.h"
 
 namespace pra {
@@ -178,6 +180,28 @@ TEST(ArgParserDeathTest, CheckUnknownRejectsUnrelatedFlag)
     auto args = parse({"--frobnicate=1"});
     EXPECT_DEATH(args.checkUnknown({"smoke", "units"}),
                  "unknown flag --frobnicate");
+}
+
+TEST(ArgParserDeathTest, HelpListsKnownFlagsSortedAndExitsZero)
+{
+    // The help stream is stderr here so the death test can match it.
+    auto args = parse({"--help", "--frobnicate"});
+    EXPECT_EXIT(args.checkUnknown({"units", "smoke", "csv"}, &std::cerr),
+                ::testing::ExitedWithCode(0), "^--csv\n--smoke\n--units\n$");
+}
+
+TEST(ArgParserDeathTest, UnknownFlagStillFailsWhenHelpIsOffered)
+{
+    auto args = parse({"--smke"});
+    EXPECT_EXIT(args.checkUnknown({"smoke", "units"}, &std::cerr),
+                ::testing::ExitedWithCode(1),
+                "unknown flag --smke.*did you mean --smoke");
+}
+
+TEST(ArgParserDeathTest, HelpIsUnknownWithoutAHelpStream)
+{
+    EXPECT_EXIT(parse({"--help"}).checkUnknown({"smoke"}),
+                ::testing::ExitedWithCode(1), "unknown flag --help");
 }
 
 } // namespace

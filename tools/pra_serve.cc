@@ -89,7 +89,7 @@ main(int argc, char **argv)
                   "mtbf", "mttr", "fault-dist", "fault-seed",
                   "queue-cap", "retries", "backoff",
                   "degrade-watermark"});
-    args.checkUnknown(known);
+    args.checkUnknown(known, &std::cout);
     if (sim::printListing(args, models::builtinEngines(), std::cout))
         return 0;
 

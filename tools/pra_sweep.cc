@@ -164,7 +164,7 @@ main(int argc, char **argv)
     known.insert(known.end(), {"engines", "batch", "shard", "csv",
                                "per-layer", "list-engines",
                                "list-memory"});
-    args.checkUnknown(known);
+    args.checkUnknown(known, &std::cout);
     if (sim::printListing(args, models::builtinEngines(), std::cout))
         return 0;
 
