@@ -3,10 +3,11 @@
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * oneffset generation, brick scheduling across first-stage widths,
  * the functional PIP, activation synthesis, the propagated forward
- * pass's blocked convolution, and the workload-cache substrate
- * (brick-plane construction, plane-served vs tensor-served pallet-sync
- * layer simulation). These gate the simulator's own throughput, not
- * the modeled hardware.
+ * pass's blocked convolution and pooling, the propagated weight
+ * planes, and the workload-cache substrate (brick-plane
+ * construction, plane-served vs tensor-served pallet-sync layer
+ * simulation). These gate the simulator's own throughput, not the
+ * modeled hardware.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
+#include "dnn/propagate.h"
 #include "dnn/reference.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
@@ -261,6 +263,23 @@ BM_DiscreteExponentialSample(benchmark::State &state)
 BENCHMARK(BM_DiscreteExponentialSample)->Arg(8)->Arg(11)->Arg(16);
 
 /**
+ * Layer @p name of @p net, or null after marking @p state skipped
+ * (a renamed zoo layer must not fail the whole binary).
+ */
+const dnn::LayerSpec *
+findLayer(const dnn::Network &net, const std::string &name,
+          benchmark::State &state)
+{
+    const auto layer = std::find_if(
+        net.layers.begin(), net.layers.end(),
+        [&](const dnn::LayerSpec &l) { return l.name == name; });
+    if (layer != net.layers.end())
+        return &*layer;
+    state.SkipWithError("no such layer");
+    return nullptr;
+}
+
+/**
  * One layer of the propagated forward pass through BlockedConvolution,
  * its weights drawn from the layer's FilterWeightStream as
  * propagateChain() draws them. The input is chain-like: half zeros
@@ -279,13 +298,9 @@ BM_BlockedConvolution(benchmark::State &state,
         return;
     }
     const dnn::Network net = make_network(dnn::LayerSelect::All);
-    const auto layer = std::find_if(
-        net.layers.begin(), net.layers.end(),
-        [&](const dnn::LayerSpec &l) { return l.name == layer_name; });
-    if (layer == net.layers.end()) {
-        state.SkipWithError("no such layer");
+    const dnn::LayerSpec *layer = findLayer(net, layer_name, state);
+    if (!layer)
         return;
-    }
     dnn::NeuronTensor input(layer->inputX, layer->inputY,
                             layer->inputChannels);
     util::Xoshiro256 rng(0xc0de);
@@ -313,6 +328,63 @@ BENCHMARK_CAPTURE(BM_BlockedConvolution, alexnet_fc6,
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Weight-side planes of the propagated reference filters for one
+ * layer: every weight drawn from the layer's FilterWeightStream,
+ * requantized, and reduced per (set, lane) — the per-layer cost a
+ * propagated sweep pays before pricing weight-aware engines. AlexNet
+ * fc7 (16.8M weights) is the longest chain's weight-bound layer;
+ * items_per_second is weight codes reduced.
+ */
+void
+BM_PropagatedWeightPlanesBuild(benchmark::State &state)
+{
+    const dnn::Network net = dnn::makeAlexNet(dnn::LayerSelect::All);
+    const dnn::LayerSpec *layer = findLayer(net, "fc7", state);
+    if (!layer)
+        return;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::propagatedWeightPlanes(
+            *layer, 0x5eed, dnn::kBrickSize));
+    state.SetItemsProcessed(state.iterations() * layer->numFilters *
+                            layer->synapsesPerFilter());
+}
+BENCHMARK(BM_PropagatedWeightPlanesBuild)->Unit(benchmark::kMillisecond);
+
+/**
+ * One pool layer of the propagated forward pass over chain-like int64
+ * activations (half zeros, post-ReLU). items_per_second is window
+ * taps (output elements x window area).
+ */
+void
+BM_PoolForward(benchmark::State &state,
+               dnn::Network (*make_network)(dnn::LayerSelect),
+               const std::string &layer_name)
+{
+    const dnn::Network net = make_network(dnn::LayerSelect::All);
+    const dnn::LayerSpec *layer = findLayer(net, layer_name, state);
+    if (!layer)
+        return;
+    dnn::Tensor3D<int64_t> input(layer->inputX, layer->inputY,
+                                 layer->inputChannels);
+    util::Xoshiro256 rng(0x9001);
+    for (auto &v : input.flat())
+        v = rng.nextBool(0.5)
+                ? 0
+                : static_cast<int64_t>(rng.nextBounded(1u << 20));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dnn::poolForward(*layer, input));
+    state.SetItemsProcessed(state.iterations() * layer->outX() *
+                            layer->outY() * layer->inputChannels *
+                            layer->filterX * layer->filterY);
+}
+BENCHMARK_CAPTURE(BM_PoolForward, googlenet_inception_3a_pool,
+                  &dnn::makeGoogLeNet, "inception_3a/pool")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PoolForward, alexnet_pool1, &dnn::makeAlexNet,
+                  "pool1")
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * One pallet-sync layer, first-stage width from the range argument:

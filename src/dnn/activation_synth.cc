@@ -7,6 +7,7 @@
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/precision.h"
 #include "fixedpoint/quantization.h"
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -57,7 +58,7 @@ DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
     for (uint32_t v = 1; v <= max_value; v++) {
         double w = exponentialWeight(lambda, v, max_value);
         total += w;
-        pop_sum += w * std::popcount(v);
+        pop_sum += w * util::popcount32(v);
         val_sum += w * v;
         cdf_[v - 1] = total;
     }
@@ -88,7 +89,7 @@ expectedPopcount(double lambda, uint32_t max_value)
     for (uint32_t v = 1; v <= max_value; v++) {
         double w = exponentialWeight(lambda, v, max_value);
         total += w;
-        pop_sum += w * std::popcount(v);
+        pop_sum += w * util::popcount32(v);
     }
     return pop_sum / total;
 }

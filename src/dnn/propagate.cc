@@ -76,6 +76,24 @@ flattenForFc(const Tensor3D<int64_t> &acts)
     return flat;
 }
 
+/** acc[i] = max(acc[i], row[i]) over one channel row. */
+void
+maxRowInto(int64_t *__restrict acc, const int64_t *__restrict row,
+           size_t n)
+{
+    for (size_t i = 0; i < n; i++)
+        acc[i] = std::max(acc[i], row[i]);
+}
+
+/** acc[i] += row[i] over one channel row. */
+void
+addRowInto(int64_t *__restrict acc, const int64_t *__restrict row,
+           size_t n)
+{
+    for (size_t i = 0; i < n; i++)
+        acc[i] += row[i];
+}
+
 } // namespace
 
 Tensor3D<int64_t>
@@ -89,36 +107,39 @@ poolForward(const LayerSpec &layer, const Tensor3D<int64_t> &input)
                          "poolForward: input shape mismatch");
     Tensor3D<int64_t> out(layer.outX(), layer.outY(),
                           layer.inputChannels);
+    const bool max_pool = layer.poolOp == PoolOp::Max;
+    const size_t channels = static_cast<size_t>(layer.inputChannels);
+    const int64_t *in = input.flat().data();
+    int64_t *acc = out.flat().data();
+    // Channel-major layout: each (x, y) is a contiguous row of
+    // `channels` values. Reduce an output pixel's in-bounds taps row
+    // by row straight into its (zero-initialized) output row.
     for (int wy = 0; wy < layer.outY(); wy++) {
-        for (int wx = 0; wx < layer.outX(); wx++) {
-            int base_x = wx * layer.stride - layer.pad;
-            int base_y = wy * layer.stride - layer.pad;
-            for (int i = 0; i < layer.inputChannels; i++) {
-                int64_t best = 0;
-                int64_t sum = 0;
-                int count = 0;
-                bool any = false;
-                for (int fy = 0; fy < layer.filterY; fy++) {
-                    int y = base_y + fy;
-                    if (y < 0 || y >= layer.inputY)
-                        continue;
-                    for (int fx = 0; fx < layer.filterX; fx++) {
-                        int x = base_x + fx;
-                        if (x < 0 || x >= layer.inputX)
-                            continue;
-                        int64_t v = input.at(x, y, i);
-                        best = any ? std::max(best, v) : v;
-                        any = true;
-                        sum += v;
-                        count++;
-                    }
+        const int base_y = wy * layer.stride - layer.pad;
+        const int y0 = std::max(base_y, 0);
+        const int y1 = std::min(base_y + layer.filterY, layer.inputY);
+        for (int wx = 0; wx < layer.outX(); wx++, acc += channels) {
+            const int base_x = wx * layer.stride - layer.pad;
+            const int x0 = std::max(base_x, 0);
+            const int x1 = std::min(base_x + layer.filterX, layer.inputX);
+            PRA_CHECK(y0 < y1 && x0 < x1, "poolForward: empty window");
+            const int count = (y1 - y0) * (x1 - x0);
+            for (int y = y0; y < y1; y++) {
+                for (int x = x0; x < x1; x++) {
+                    const int64_t *row =
+                        in + (static_cast<size_t>(y) * layer.inputX + x) *
+                                 channels;
+                    if (!max_pool)
+                        addRowInto(acc, row, channels);
+                    else if (y == y0 && x == x0)
+                        std::copy_n(row, channels, acc);
+                    else
+                        maxRowInto(acc, row, channels);
                 }
-                PRA_CHECK(any,
-                                     "poolForward: empty window");
-                out.at(wx, wy, i) = layer.poolOp == PoolOp::Max
-                                        ? best
-                                        : sum / count;
             }
+            if (!max_pool)
+                for (size_t i = 0; i < channels; i++)
+                    acc[i] /= count;
         }
     }
     return out;

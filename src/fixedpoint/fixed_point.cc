@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -11,7 +12,7 @@ namespace fixedpoint {
 int
 essentialBits(uint16_t value)
 {
-    return std::popcount(value);
+    return util::popcount16(value);
 }
 
 int

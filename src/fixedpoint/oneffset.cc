@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -87,7 +88,7 @@ OneffsetStream::remaining() const
         return 0;
     if (isZeroNeuron_)
         return 1;
-    return std::popcount(pending_);
+    return util::popcount16(pending_);
 }
 
 int
@@ -95,7 +96,7 @@ oneffsetStorageBits(uint16_t neuron)
 {
     // 4-bit pow + 1 eon bit per entry; a zero neuron still needs its
     // null entry.
-    int entries = neuron == 0 ? 1 : std::popcount(neuron);
+    int entries = neuron == 0 ? 1 : util::popcount16(neuron);
     return entries * 5;
 }
 

@@ -1,8 +1,7 @@
 #include "models/analytic/term_count.h"
 
-#include <bit>
-
 #include "fixedpoint/fixed_point.h"
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -45,10 +44,10 @@ windowStats(const dnn::LayerSpec &layer, const dnn::NeuronTensor &raw,
                 if (v == 0)
                     continue;
                 stats.nonZero++;
-                stats.popRaw += std::popcount(v);
+                stats.popRaw += util::popcount16(v);
                 if (trimmed)
                     stats.popTrimmed +=
-                        std::popcount(trimmed->at(x, y, i));
+                        util::popcount16(trimmed->at(x, y, i));
             }
         }
     }

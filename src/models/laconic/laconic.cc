@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <optional>
 #include <span>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "sim/operand_planes.h"
 #include "sim/pallet_driver.h"
 #include "sim/tiling.h"
+#include "util/bits.h"
 
 namespace pra {
 namespace models {
@@ -49,7 +49,7 @@ class LanePopSource
         }
         auto view = tiling_.gatherBrickView(src_, w, s);
         for (size_t l = 0; l < view.size(); l++)
-            out[l] = static_cast<uint8_t>(std::popcount(view[l]));
+            out[l] = static_cast<uint8_t>(util::popcount16(view[l]));
         return static_cast<int>(view.size());
     }
 

@@ -1,9 +1,9 @@
 #include "sim/operand_planes.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "dnn/weight_synth.h"
+#include "util/bits.h"
 #include "util/check.h"
 
 namespace pra {
@@ -16,7 +16,7 @@ summarizeBrick(std::span<const uint16_t> lanes)
     int max_pop = 0;
     int non_zero = 0;
     for (uint16_t v : lanes) {
-        int p = std::popcount(v);
+        int p = util::popcount16(v);
         s.pop += p;
         max_pop = std::max(max_pop, p);
         s.orMask |= v;
@@ -62,7 +62,7 @@ buildBrickPlanes(const dnn::NeuronTensor &tensor)
             planes.pop[out] = s.pop;
             planes.maxPop[out] = s.maxPop;
             planes.orPop[out] =
-                static_cast<uint8_t>(std::popcount(s.orMask));
+                static_cast<uint8_t>(util::popcount16(s.orMask));
             planes.nonZero[out] = s.nonZero;
             planes.orMask[out] = s.orMask;
             out++;
@@ -96,7 +96,7 @@ buildLanePopPlanes(const dnn::NeuronTensor &tensor)
             int lanes = std::min(dnn::kBrickSize, channels - base);
             for (int i = 0; i < lanes; i++)
                 planes.pop[out + i] = static_cast<uint8_t>(
-                    std::popcount(lane[base + i]));
+                    util::popcount16(lane[base + i]));
             out += dnn::kBrickSize;
         }
     }
@@ -104,6 +104,27 @@ buildLanePopPlanes(const dnn::NeuronTensor &tensor)
 }
 
 namespace {
+
+/**
+ * Fold @p n codes into one contiguous run of weight-plane
+ * accumulators, code c into cell c. Restrict-qualified so the
+ * compiler knows the planes and the codes do not alias and can
+ * vectorize the loop.
+ */
+void
+reduceCodeRun(const uint16_t *__restrict codes, int n,
+              int32_t *__restrict sum_pop, uint8_t *__restrict max_pop,
+              uint16_t *__restrict or_mask, uint16_t *__restrict max_mag)
+{
+    for (int c = 0; c < n; c++) {
+        const uint16_t code = codes[c];
+        const uint8_t p = static_cast<uint8_t>(util::popcount16(code));
+        sum_pop[c] += p;
+        max_pop[c] = std::max(max_pop[c], p);
+        or_mask[c] |= code;
+        max_mag[c] = std::max(max_mag[c], code);
+    }
+}
 
 /**
  * Reduce @p layer's filters into weight planes with @p lanes channel
@@ -136,30 +157,22 @@ buildWeightBrickPlanes(const dnn::LayerSpec &layer, int lanes,
     planes.maxMag.assign(cells, 0);
 
     // Stream one filter at a time, reducing its codes into the
-    // per-(set, lane) accumulators. The flat (fy * Fx + fx) * I + c
-    // filter layout keeps each set's lanes contiguous.
+    // per-(set, lane) accumulators. Channel c of kernel position pos
+    // is lane c % lanes of set pos * bricks + c / lanes, i.e. cell
+    // pos * bricks * lanes + c: a position's channels [0, I) are one
+    // contiguous run, and the padding lanes past I are never touched.
     std::vector<uint16_t> codes(
         static_cast<size_t>(layer.synapsesPerFilter()));
     for (int f = 0; f < layer.numFilters; f++) {
         filter_codes(f, codes);
         for (int pos = 0; pos < positions; pos++) {
-            const uint16_t *column =
-                codes.data() + static_cast<size_t>(pos) * channels;
-            for (int brick = 0; brick < bricks; brick++) {
-                int real = std::min(lanes, channels - brick * lanes);
-                size_t idx = planes.index(pos * bricks + brick, 0);
-                const uint16_t *lane = column + brick * lanes;
-                for (int l = 0; l < real; l++) {
-                    uint16_t code = lane[l];
-                    int p = std::popcount(code);
-                    planes.sumPop[idx + l] += p;
-                    planes.maxPop[idx + l] = static_cast<uint8_t>(
-                        std::max<int>(planes.maxPop[idx + l], p));
-                    planes.orMask[idx + l] |= code;
-                    planes.maxMag[idx + l] = std::max<uint16_t>(
-                        planes.maxMag[idx + l], code);
-                }
-            }
+            const size_t run = planes.index(pos * bricks, 0);
+            reduceCodeRun(codes.data() +
+                              static_cast<size_t>(pos) * channels,
+                          channels, planes.sumPop.data() + run,
+                          planes.maxPop.data() + run,
+                          planes.orMask.data() + run,
+                          planes.maxMag.data() + run);
         }
     }
     return planes;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
@@ -169,6 +170,93 @@ TEST(PoolForward, PadAtLeastWindowIsInvalid)
     LayerSpec pool = LayerSpec::pool("p", 4, 4, 1, 2, 2, PoolOp::Max,
                                      2, false);
     EXPECT_FALSE(pool.valid());
+}
+
+/**
+ * poolForward's output recomputed channel by channel, tap by tap, with
+ * bounds-checked element access: the per-channel definition the
+ * channel-innermost kernel must reproduce exactly.
+ */
+Tensor3D<int64_t>
+naivePool(const LayerSpec &layer, const Tensor3D<int64_t> &input)
+{
+    Tensor3D<int64_t> out(layer.outX(), layer.outY(),
+                          layer.inputChannels);
+    for (int i = 0; i < layer.inputChannels; i++)
+        for (int wy = 0; wy < layer.outY(); wy++)
+            for (int wx = 0; wx < layer.outX(); wx++) {
+                int64_t best = 0;
+                int64_t sum = 0;
+                int count = 0;
+                for (int fy = 0; fy < layer.filterY; fy++)
+                    for (int fx = 0; fx < layer.filterX; fx++) {
+                        int x = wx * layer.stride - layer.pad + fx;
+                        int y = wy * layer.stride - layer.pad + fy;
+                        if (x < 0 || x >= layer.inputX || y < 0 ||
+                            y >= layer.inputY)
+                            continue;
+                        int64_t v = input.at(x, y, i);
+                        best = count == 0 ? v : std::max(best, v);
+                        sum += v;
+                        count++;
+                    }
+                EXPECT_GT(count, 0);
+                out.at(wx, wy, i) =
+                    layer.poolOp == PoolOp::Max ? best : sum / count;
+            }
+    return out;
+}
+
+TEST(PoolForward, MultiChannelMatchesPerChannelReference)
+{
+    struct Shape
+    {
+        int inX, inY, window, stride, pad;
+        bool ceil;
+    };
+    // Stride 1 and 2, pad 0 and > 0, and ceil-mode windows that
+    // overhang the input edge (8 wide, 3/2 ceil: the last window
+    // starts at 6 and covers only columns 6 and 7).
+    const Shape shapes[] = {
+        {5, 5, 2, 1, 0, false}, {6, 5, 3, 1, 1, false},
+        {7, 7, 3, 2, 0, false}, {8, 7, 3, 2, 0, true},
+        {7, 6, 3, 2, 1, true},
+    };
+    int overhanging = 0;
+    util::Xoshiro256 rng(0x9001);
+    for (const Shape &s : shapes)
+        for (int channels : {1, 17, 64})
+            for (PoolOp op : {PoolOp::Max, PoolOp::Avg}) {
+                LayerSpec pool =
+                    LayerSpec::pool("p", s.inX, s.inY, channels,
+                                    s.window, s.stride, op, s.pad, s.ceil);
+                ASSERT_TRUE(pool.valid());
+                SCOPED_TRACE(std::to_string(s.inX) + "x" +
+                             std::to_string(s.inY) + " k" +
+                             std::to_string(s.window) + " s" +
+                             std::to_string(s.stride) + " p" +
+                             std::to_string(s.pad) + " c" +
+                             std::to_string(channels) +
+                             (op == PoolOp::Max ? " max" : " avg"));
+                overhanging += (pool.outX() - 1) * s.stride - s.pad +
+                                   s.window >
+                               s.inX;
+                // Half the values negative: all-negative windows show
+                // a max that starts from 0 instead of the first tap,
+                // and averages truncate toward zero.
+                Tensor3D<int64_t> in(s.inX, s.inY, channels);
+                for (auto &v : in.flat())
+                    v = rng.nextInRange(-(1 << 20), 1 << 20);
+                const Tensor3D<int64_t> got = poolForward(pool, in);
+                const Tensor3D<int64_t> want = naivePool(pool, in);
+                ASSERT_EQ(got.sizeX(), want.sizeX());
+                ASSERT_EQ(got.sizeY(), want.sizeY());
+                ASSERT_EQ(got.sizeI(), channels);
+                EXPECT_TRUE(std::equal(got.flat().begin(),
+                                       got.flat().end(),
+                                       want.flat().begin()));
+            }
+    EXPECT_GT(overhanging, 0);
 }
 
 TEST(Requantize, HandComputedWindowMapping)

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "dnn/activation_synth.h"
@@ -51,6 +52,122 @@ weightLayer()
     spec.profiledPrecision = 8;
     spec.profiledWeightPrecision = 9;
     return spec;
+}
+
+/** Every filter's codes, FilterTensor flat order, filter by filter. */
+using FilterCodes = std::vector<std::vector<uint16_t>>;
+
+FilterCodes
+syntheticCodes(const dnn::LayerSpec &layer)
+{
+    FilterCodes codes(static_cast<size_t>(layer.numFilters),
+                      std::vector<uint16_t>(static_cast<size_t>(
+                          layer.synapsesPerFilter())));
+    for (int f = 0; f < layer.numFilters; f++)
+        dnn::synthesizeWeightCodes(layer, f,
+                                   codes[static_cast<size_t>(f)]);
+    return codes;
+}
+
+/**
+ * The propagated weight codes re-derived independently: the reference
+ * filters the forward pass convolves, requantized by magnitude into
+ * the profiled weight window.
+ */
+FilterCodes
+requantizedReferenceCodes(const dnn::LayerSpec &layer,
+                          uint64_t synth_seed)
+{
+    std::vector<dnn::FilterTensor> filters = dnn::synthesizeFilters(
+        layer, synth_seed ^ dnn::kPropagationFilterSalt);
+    EXPECT_EQ(filters.size(), static_cast<size_t>(layer.numFilters));
+    int max_mag = 0;
+    for (const auto &f : filters)
+        for (int16_t w : f.flat())
+            max_mag = std::max(max_mag, std::abs(w));
+    EXPECT_GT(max_mag, 0);
+    const int max_code = (1 << layer.profiledWeightPrecision) - 1;
+    const double scale = static_cast<double>(max_code) / max_mag;
+    FilterCodes codes;
+    for (const auto &f : filters) {
+        std::vector<uint16_t> &out = codes.emplace_back();
+        for (int fy = 0; fy < layer.filterY; fy++)
+            for (int fx = 0; fx < layer.filterX; fx++)
+                for (int c = 0; c < layer.inputChannels; c++)
+                    out.push_back(static_cast<uint16_t>(std::llround(
+                        std::abs(f.at(fx, fy, c)) * scale)));
+    }
+    return codes;
+}
+
+/**
+ * Naive weight planes: every (set, lane) cell reduced on its own,
+ * straight from the set-coordinate definition (set s is kernel
+ * position s / bricks and channel brick s % bricks; lane l covers
+ * channel brick * lanes + l, and lanes past the channel count stay
+ * zero).
+ */
+WeightBrickPlanes
+naiveWeightPlanes(const dnn::LayerSpec &layer, int lanes,
+                  const FilterCodes &codes)
+{
+    const int channels = layer.inputChannels;
+    const int bricks = (channels + lanes - 1) / lanes;
+    WeightBrickPlanes ref;
+    ref.lanes = lanes;
+    ref.numSets = layer.filterX * layer.filterY * bricks;
+    const size_t cells = static_cast<size_t>(ref.numSets) * lanes;
+    ref.sumPop.assign(cells, 0);
+    ref.maxPop.assign(cells, 0);
+    ref.orMask.assign(cells, 0);
+    ref.maxMag.assign(cells, 0);
+    for (int s = 0; s < ref.numSets; s++)
+        for (int l = 0; l < lanes; l++) {
+            const int c = (s % bricks) * lanes + l;
+            if (c >= channels)
+                continue;
+            const size_t at = static_cast<size_t>(s / bricks) * channels +
+                              static_cast<size_t>(c);
+            const size_t idx = ref.index(s, l);
+            for (const auto &filter : codes) {
+                const uint16_t code = filter[at];
+                const int p = std::popcount(code);
+                ref.sumPop[idx] += p;
+                ref.maxPop[idx] = static_cast<uint8_t>(
+                    std::max<int>(ref.maxPop[idx], p));
+                ref.orMask[idx] |= code;
+                ref.maxMag[idx] = std::max(ref.maxMag[idx], code);
+            }
+        }
+    return ref;
+}
+
+/** All four planes of @p planes equal @p ref; padding lanes are 0. */
+void
+expectPlanesEqual(const WeightBrickPlanes &planes,
+                  const WeightBrickPlanes &ref, int channels)
+{
+    ASSERT_EQ(planes.lanes, ref.lanes);
+    ASSERT_EQ(planes.numSets, ref.numSets);
+    EXPECT_EQ(planes.sumPop, ref.sumPop);
+    EXPECT_EQ(planes.maxPop, ref.maxPop);
+    EXPECT_EQ(planes.orMask, ref.orMask);
+    EXPECT_EQ(planes.maxMag, ref.maxMag);
+    const int bricks = (channels + planes.lanes - 1) / planes.lanes;
+    int padding = 0;
+    for (int s = 0; s < planes.numSets; s++)
+        for (int l = 0; l < planes.lanes; l++) {
+            if ((s % bricks) * planes.lanes + l < channels)
+                continue;
+            padding++;
+            const size_t idx = planes.index(s, l);
+            EXPECT_EQ(planes.sumPop[idx], 0) << s << ',' << l;
+            EXPECT_EQ(planes.maxPop[idx], 0) << s << ',' << l;
+            EXPECT_EQ(planes.orMask[idx], 0) << s << ',' << l;
+            EXPECT_EQ(planes.maxMag[idx], 0) << s << ',' << l;
+        }
+    const int per_position = bricks * planes.lanes - channels;
+    EXPECT_EQ(padding, planes.numSets / bricks * per_position);
 }
 
 TEST(OperandPlanes, BrickSummariesMatchDirectReduction)
@@ -109,38 +226,11 @@ TEST(OperandPlanes, SyntheticWeightPlanesMatchMaterializedCodes)
     dnn::LayerSpec layer = weightLayer();
     WeightBrickPlanes planes =
         syntheticWeightPlanes(layer, dnn::kBrickSize);
-    int positions = layer.filterX * layer.filterY;
-    int bricks = 2;
-    ASSERT_EQ(planes.numSets, positions * bricks);
-    ASSERT_EQ(planes.lanes, dnn::kBrickSize);
-
-    std::vector<uint16_t> codes(
-        static_cast<size_t>(layer.synapsesPerFilter()));
-    std::vector<int32_t> sum(planes.sumPop.size(), 0);
-    std::vector<int> maxp(planes.sumPop.size(), 0);
-    std::vector<uint16_t> ors(planes.sumPop.size(), 0);
-    std::vector<uint16_t> mags(planes.sumPop.size(), 0);
-    for (int f = 0; f < layer.numFilters; f++) {
-        dnn::synthesizeWeightCodes(layer, f, codes);
-        for (int pos = 0; pos < positions; pos++)
-            for (int c = 0; c < layer.inputChannels; c++) {
-                uint16_t code = codes[static_cast<size_t>(
-                    pos * layer.inputChannels + c)];
-                size_t idx = planes.index(
-                    pos * bricks + c / dnn::kBrickSize,
-                    c % dnn::kBrickSize);
-                sum[idx] += std::popcount(code);
-                maxp[idx] = std::max(maxp[idx], std::popcount(code));
-                ors[idx] |= code;
-                mags[idx] = std::max(mags[idx], code);
-            }
-    }
-    for (size_t i = 0; i < planes.sumPop.size(); i++) {
-        EXPECT_EQ(planes.sumPop[i], sum[i]) << i;
-        EXPECT_EQ(planes.maxPop[i], maxp[i]) << i;
-        EXPECT_EQ(planes.orMask[i], ors[i]) << i;
-        EXPECT_EQ(planes.maxMag[i], mags[i]) << i;
-    }
+    ASSERT_EQ(planes.numSets, layer.filterX * layer.filterY * 2);
+    expectPlanesEqual(planes,
+                      naiveWeightPlanes(layer, dnn::kBrickSize,
+                                        syntheticCodes(layer)),
+                      layer.inputChannels);
 
     // Determinism: a second build is identical.
     WeightBrickPlanes again =
@@ -180,44 +270,42 @@ TEST(OperandPlanes, PropagatedPlanesMatchRequantizedReferenceWeights)
     WeightBrickPlanes planes =
         propagatedWeightPlanes(layer, synth_seed, dnn::kBrickSize);
 
-    // Manual requantization of the same reference weights the
-    // propagated forward pass uses.
-    std::vector<dnn::FilterTensor> filters = dnn::synthesizeFilters(
-        layer, synth_seed ^ dnn::kPropagationFilterSalt);
-    ASSERT_EQ(filters.size(), static_cast<size_t>(layer.numFilters));
-    int max_mag = 0;
-    for (const auto &f : filters)
-        for (int16_t w : f.flat())
-            max_mag = std::max(max_mag, std::abs(w));
-    ASSERT_GT(max_mag, 0);
-    const int max_code = (1 << layer.profiledWeightPrecision) - 1;
-    const double scale = static_cast<double>(max_code) / max_mag;
-
-    int positions = layer.filterX * layer.filterY;
-    int bricks = 2;
-    std::vector<int32_t> sum(planes.sumPop.size(), 0);
-    std::vector<uint16_t> mags(planes.sumPop.size(), 0);
-    for (const auto &f : filters)
-        for (int pos = 0; pos < positions; pos++)
-            for (int c = 0; c < layer.inputChannels; c++) {
-                int fy = pos / layer.filterX;
-                int fx = pos % layer.filterX;
-                uint16_t code = static_cast<uint16_t>(
-                    std::llround(std::abs(f.at(fx, fy, c)) * scale));
-                size_t idx = planes.index(
-                    pos * bricks + c / dnn::kBrickSize,
-                    c % dnn::kBrickSize);
-                sum[idx] += std::popcount(code);
-                mags[idx] = std::max(mags[idx], code);
-            }
-    for (size_t i = 0; i < planes.sumPop.size(); i++) {
-        EXPECT_EQ(planes.sumPop[i], sum[i]) << i;
-        EXPECT_EQ(planes.maxMag[i], mags[i]) << i;
-    }
+    expectPlanesEqual(
+        planes,
+        naiveWeightPlanes(layer, dnn::kBrickSize,
+                          requantizedReferenceCodes(layer, synth_seed)),
+        layer.inputChannels);
     // The requantized stream is not the synthetic one.
     WeightBrickPlanes synth =
         syntheticWeightPlanes(layer, dnn::kBrickSize);
     EXPECT_NE(planes.sumPop, synth.sumPop);
+}
+
+TEST(OperandPlanes, WeightPlanesMatchNaiveReductionAcrossLaneWidths)
+{
+    // Channel counts that are not (21) and are (24 at 8 lanes) a
+    // multiple of the lane width: the flat per-position runs must
+    // land every channel in its (set, lane) cell and leave the
+    // padding lanes of each partial brick untouched.
+    const uint64_t synth_seed = 0x1a4e;
+    for (int channels : {21, 24})
+        for (int lanes : {16, 8, 5}) {
+            SCOPED_TRACE("channels " + std::to_string(channels) +
+                         ", lanes " + std::to_string(lanes));
+            dnn::LayerSpec layer = weightLayer();
+            layer.inputChannels = channels;
+            ASSERT_TRUE(layer.valid());
+            expectPlanesEqual(
+                syntheticWeightPlanes(layer, lanes),
+                naiveWeightPlanes(layer, lanes, syntheticCodes(layer)),
+                channels);
+            expectPlanesEqual(
+                propagatedWeightPlanes(layer, synth_seed, lanes),
+                naiveWeightPlanes(
+                    layer, lanes,
+                    requantizedReferenceCodes(layer, synth_seed)),
+                channels);
+        }
 }
 
 } // namespace

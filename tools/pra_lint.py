@@ -154,6 +154,11 @@ RANDOMNESS = (
 
 GETENV = r"(?<![\w:.])(secure_)?getenv\s*\(|std::getenv\b"
 
+POPCOUNT = r"\bstd::popcount\b|\b__builtin_popcount\w*"
+
+# The one place a popcount may be spelled out (util::popcount16).
+BITS_HEADER = "src/util/bits.h"
+
 STDOUT_IN_LIB = (
     r"std::cout"
     r"|std::printf\b"
@@ -297,6 +302,19 @@ RULES = [
         "No getenv() under src/ — all configuration flows through "
         "explicit arguments so runs are reproducible from the command "
         "line alone.",
+    ),
+    (
+        "std-popcount",
+        lambda rel: rel.startswith("src/") and rel != BITS_HEADER,
+        grep_rule(
+            POPCOUNT,
+            "library popcount: without POPCNT in the baseline ISA it "
+            "is an out-of-line libgcc call that keeps the loop scalar; "
+            "use util::popcount16 (util/bits.h)",
+        ),
+        "No std::popcount or __builtin_popcount* under src/ outside "
+        "util/bits.h — on the x86-64 baseline they compile to a "
+        "libgcc call; util::popcount16 inlines and vectorizes.",
     ),
     (
         "unordered-iteration",
