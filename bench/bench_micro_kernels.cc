@@ -280,10 +280,26 @@ findLayer(const dnn::Network &net, const std::string &name,
 }
 
 /**
+ * A chain-like input for @p layer: half zeros (post-ReLU), the rest
+ * within the layer's precision.
+ */
+dnn::NeuronTensor
+chainLikeInput(const dnn::LayerSpec &layer)
+{
+    dnn::NeuronTensor input(layer.inputX, layer.inputY,
+                            layer.inputChannels);
+    util::Xoshiro256 rng(0xc0de);
+    const uint32_t top = 1u << layer.profiledPrecision;
+    for (auto &v : input.flat())
+        v = rng.nextBool(0.5) ? 0
+                              : static_cast<uint16_t>(rng.nextBounded(top));
+    return input;
+}
+
+/**
  * One layer of the propagated forward pass through BlockedConvolution,
  * its weights drawn from the layer's FilterWeightStream as
- * propagateChain() draws them. The input is chain-like: half zeros
- * (post-ReLU), the rest within the layer's precision. Range 0 is the
+ * propagateChain() draws them, on a chainLikeInput(). Range 0 is the
  * baseline kernel, 1 the AVX2 one; items_per_second is dense MACs.
  */
 void
@@ -301,14 +317,7 @@ BM_BlockedConvolution(benchmark::State &state,
     const dnn::LayerSpec *layer = findLayer(net, layer_name, state);
     if (!layer)
         return;
-    dnn::NeuronTensor input(layer->inputX, layer->inputY,
-                            layer->inputChannels);
-    util::Xoshiro256 rng(0xc0de);
-    const uint32_t top = 1u << layer->profiledPrecision;
-    for (auto &v : input.flat())
-        v = rng.nextBool(0.5) ? 0
-                              : static_cast<uint16_t>(rng.nextBounded(top));
-    const dnn::BlockedConvolution kernel(*layer, input);
+    const dnn::BlockedConvolution kernel(*layer, chainLikeInput(*layer));
     for (auto _ : state) {
         dnn::FilterWeightStream stream(*layer, 0xf117);
         benchmark::DoNotOptimize(
@@ -328,6 +337,35 @@ BENCHMARK_CAPTURE(BM_BlockedConvolution, alexnet_fc6,
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * BlockedConvolution's construction alone: the non-zero index of one
+ * GoogLeNet layer's chainLikeInput(), which the propagated forward
+ * pass builds once per layer. items_per_second is input activations.
+ */
+void
+BM_BlockedConvolutionIndex(benchmark::State &state,
+                           const std::string &layer_name)
+{
+    const dnn::Network net = dnn::makeGoogLeNet(dnn::LayerSelect::All);
+    const dnn::LayerSpec *layer = findLayer(net, layer_name, state);
+    if (!layer)
+        return;
+    const dnn::NeuronTensor input = chainLikeInput(*layer);
+    for (auto _ : state) {
+        const dnn::BlockedConvolution kernel(*layer, input);
+        benchmark::DoNotOptimize(&kernel);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(input.size()));
+}
+BENCHMARK_CAPTURE(BM_BlockedConvolutionIndex, googlenet_conv2_3x3,
+                  "conv2/3x3")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BlockedConvolutionIndex, googlenet_inception_3a_1x1,
+                  "inception_3a/1x1")
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * Weight-side planes of the propagated reference filters for one

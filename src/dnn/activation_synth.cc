@@ -366,7 +366,9 @@ ActivationSynthesizer::fixed16Params(int layer_idx) const
 
 FilterWeightStream::FilterWeightStream(const LayerSpec &layer,
                                        uint64_t seed, int weight_range)
-    : rng_(seed ^ util::fnv1a(layer.name)), range_(weight_range)
+    : rng_(seed ^ util::fnv1a(layer.name)), range_(weight_range),
+      span_(2 * static_cast<uint64_t>(weight_range) + 1),
+      reject_((0 - span_) % span_)
 {
     PRA_CHECK(weight_range > 0 && weight_range <= 32767,
               "synthesizeFilters: bad weight range");

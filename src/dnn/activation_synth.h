@@ -284,16 +284,31 @@ class FilterWeightStream
     FilterWeightStream(const LayerSpec &layer, uint64_t seed,
                        int weight_range = kReferenceWeightRange);
 
-    /** The next weight, uniform in [-weight_range, weight_range]. */
+    /**
+     * The next weight, uniform in [-weight_range, weight_range]: the
+     * draw rng.nextInRange(-weight_range, weight_range) makes, with
+     * Lemire's bound and rejection threshold computed once. The loop
+     * holds no check, division or call, so a caller's draw loop can
+     * keep the generator state in registers.
+     */
     int16_t
     next()
     {
-        return static_cast<int16_t>(rng_.nextInRange(-range_, range_));
+        __uint128_t m;
+        do
+            m = static_cast<__uint128_t>(rng_.next()) * span_;
+        while (static_cast<uint64_t>(m) < reject_);
+        return static_cast<int16_t>(static_cast<int64_t>(m >> 64) -
+                                    range_);
     }
 
   private:
     util::Xoshiro256 rng_;
     int range_;
+    /** 2 * range_ + 1 draws. */
+    uint64_t span_;
+    /** 2^64 mod span_: a product whose low word is below it redraws. */
+    uint64_t reject_;
 };
 
 /**

@@ -18,7 +18,9 @@
  *     (BlockedConvolution, dnn/reference.h) against deterministic
  *     synthesized filters, accumulating exactly into int64. The
  *     filters stream through the kernel one block at a time, so no
- *     layer's filters are ever materialized whole.
+ *     layer's filters are ever materialized whole. A single-window
+ *     layer (every FC layer) skips the blocks: each weight is
+ *     multiplied into its filter's sum as it is drawn.
  *  3. ReLU zeroes the negative accumulators.
  *  4. Pool layers reduce the int64 activations (max or average)
  *     without requantizing — pooling is shape bridging, not a priced

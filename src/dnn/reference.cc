@@ -55,7 +55,8 @@ BlockedConvolution::BlockedConvolution(const LayerSpec &layer,
       channels_(layer.inputChannels), filterX_(layer.filterX),
       filterY_(layer.filterY), stride_(layer.stride), pad_(layer.pad),
       outX_(layer.outX()), outY_(layer.outY()),
-      numFilters_(layer.numFilters), synapses_(layer.synapsesPerFilter())
+      numFilters_(layer.numFilters), synapses_(layer.synapsesPerFilter()),
+      singleWindow_(outX_ == 1 && outY_ == 1)
 {
     PRA_CHECK(layer.valid(), "referenceConvolution: bad layer");
     PRA_CHECK(input.sizeX() == layer.inputX &&
@@ -65,27 +66,67 @@ BlockedConvolution::BlockedConvolution(const LayerSpec &layer,
     PRA_CHECK(input.size() <= std::numeric_limits<uint32_t>::max() /
                                   kFilterBlock,
               "referenceConvolution: input too large to index");
-    const auto nonzero = static_cast<size_t>(
-        std::count_if(input.flat().begin(), input.flat().end(),
-                      [](uint16_t v) { return v != 0; }));
-    laneOffset_.reserve(nonzero);
-    value_.reserve(nonzero);
     const uint16_t *in = input.flat().data();
+    if (singleWindow_) {
+        // Window (0, 0): copy each in-range tap's channel column to
+        // its FilterTensor offset; padded taps stay zero.
+        window_.assign(static_cast<size_t>(synapses_), 0);
+        for (int fy = 0; fy < filterY_; fy++) {
+            const int y = fy - pad_;
+            if (y < 0 || y >= inputY_)
+                continue;
+            for (int fx = 0; fx < filterX_; fx++) {
+                const int x = fx - pad_;
+                if (x < 0 || x >= inputX_)
+                    continue;
+                std::copy_n(
+                    in + (static_cast<size_t>(y) * inputX_ + x) * channels_,
+                    channels_,
+                    window_.data() +
+                        (static_cast<size_t>(fy) * filterX_ + fx) *
+                            channels_);
+            }
+        }
+        return;
+    }
+    size_t nonzero = 0;
+    uint16_t max_activation = 0;
+    for (uint16_t v : input.flat()) {
+        nonzero += v != 0;
+        max_activation = std::max(max_activation, v);
+    }
+    maxActivation_ = max_activation;
+    // Branch-free fill: every activation is written at the next free
+    // entry, and only a non-zero one advances past it. The one spare
+    // entry takes a trailing zero's write and is dropped after.
+    laneOffset_.resize(nonzero + 1);
+    value_.resize(nonzero + 1);
+    uint32_t *lane = laneOffset_.data();
+    uint16_t *value = value_.data();
     const size_t pixels = static_cast<size_t>(inputX_) * inputY_;
-    pixelStart_.reserve(pixels + 1);
-    pixelStart_.push_back(0);
+    pixelStart_.resize(pixels + 1);
+    uint32_t k = 0;
     for (size_t p = 0; p < pixels; p++) {
+        pixelStart_[p] = k;
         const uint16_t *column = in + p * channels_;
         for (int c = 0; c < channels_; c++) {
-            if (column[c] == 0)
-                continue;
-            laneOffset_.push_back(static_cast<uint32_t>(c) *
-                                  kFilterBlock);
-            value_.push_back(column[c]);
-            maxActivation_ = std::max<int32_t>(maxActivation_, column[c]);
+            lane[k] = static_cast<uint32_t>(c) * kFilterBlock;
+            value[k] = column[c];
+            k += column[c] != 0;
         }
-        pixelStart_.push_back(static_cast<uint32_t>(value_.size()));
     }
+    pixelStart_[pixels] = k;
+    laneOffset_.pop_back();
+    value_.pop_back();
+}
+
+void
+BlockedConvolution::requireIsa(ConvolutionIsa isa)
+{
+    PRA_CHECK(isa == ConvolutionIsa::Baseline ||
+                  bestConvolutionIsa() == ConvolutionIsa::Avx2,
+              "BlockedConvolution: this build or CPU cannot run the "
+              "avx2 kernel");
 }
 
 /**
@@ -209,10 +250,6 @@ BlockedConvolution::convolveBlock(const std::vector<int16_t> &rows, int count,
                                   OutputTensor &output,
                                   ConvolutionIsa isa) const
 {
-    PRA_CHECK(isa == ConvolutionIsa::Baseline ||
-                  bestConvolutionIsa() == ConvolutionIsa::Avx2,
-              "BlockedConvolution: this build or CPU cannot run the "
-              "avx2 kernel");
     // Transpose in one pass, kTile weights of every row at a time:
     // the rows are read in order, and the tile's packed groups (512
     // bytes) stay in L1 while their lanes fill.

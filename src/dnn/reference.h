@@ -61,13 +61,20 @@ const char *blockedConvolutionIsa();
  * SIMD multiply-adds; a zero costs nothing. Only one block of filters
  * is ever held.
  *
+ * Single-window layers (outX * outY == 1: every FC layer) use each
+ * weight exactly once, so blocking buys nothing there. Construction
+ * instead lays the one window's activations out densely in
+ * FilterTensor flat order, zeros at padded taps, and run() adds each
+ * weight's product into its filter's int64 sum as the weight is
+ * drawn: no rows, no transpose, no chunking.
+ *
  * Exactness: within a chunk of K activations the products accumulate
  * in int32, then flush into int64. K = max(1, INT32_MAX /
  * (max|w| * max a)), with max|w| over the block and max a over the
  * input, so no int32 partial sum can overflow (one int16 x uint16
  * product always fits). Integer sums are exact in any order, so every
  * output equals referenceWindowDot() bit for bit, at either
- * ConvolutionIsa.
+ * ConvolutionIsa and on the single-window path.
  */
 class BlockedConvolution
 {
@@ -79,15 +86,27 @@ class BlockedConvolution
      * Convolve all layer.numFilters filters, drawing their weights
      * from @p next_weight (a callable returning int16_t) in
      * synthesizeFilters() order: filter-major, FilterTensor flat
-     * order within a filter. @p isa picks the kernel body; panics
-     * when this build or CPU cannot run it.
+     * order within a filter. @p isa picks the kernel body (single-
+     * window layers have none to pick); panics when this build or
+     * CPU cannot run it.
      */
     template <typename NextWeight>
     OutputTensor run(NextWeight &&next_weight,
                      ConvolutionIsa isa = bestConvolutionIsa()) const
     {
+        requireIsa(isa);
         OutputTensor output(outX_, outY_, numFilters_);
         const auto synapses = static_cast<size_t>(synapses_);
+        if (singleWindow_) {
+            int64_t *out = output.flat().data();
+            for (int f = 0; f < numFilters_; f++) {
+                int64_t acc = 0;
+                for (size_t s = 0; s < synapses; s++)
+                    acc += int32_t{next_weight()} * int32_t{window_[s]};
+                out[f] = acc;
+            }
+            return output;
+        }
         std::vector<int16_t> rows(synapses * kFilterBlock);
         std::vector<int32_t> packed(synapses * kFilterBlock);
         for (int first = 0; first < numFilters_; first += kFilterBlock) {
@@ -108,10 +127,20 @@ class BlockedConvolution
     /** The kernel bodies (reference.cc), one per ConvolutionIsa. */
     struct Kernel;
 
+    /** Panic unless this build and CPU can run @p isa. */
+    static void requireIsa(ConvolutionIsa isa);
+
     int inputX_, inputY_, channels_;
     int filterX_, filterY_, stride_, pad_;
     int outX_, outY_, numFilters_;
     int64_t synapses_;
+    /** outX * outY == 1: run() takes the single-window path. */
+    bool singleWindow_;
+    /**
+     * Single-window layers only: the window's activations in
+     * FilterTensor flat order, zero at padded taps.
+     */
+    std::vector<uint16_t> window_;
     /** Largest input activation: the K bound's max a. */
     int32_t maxActivation_ = 0;
     /** Non-zero entries of pixel p: [pixelStart_[p], pixelStart_[p+1]). */

@@ -1,8 +1,5 @@
 #include "sim/engine.h"
 
-#include "util/check.h"
-#include "util/logging.h"
-
 namespace pra {
 namespace sim {
 
@@ -27,24 +24,6 @@ Engine::runNetwork(const dnn::Network &network,
                                               *workload, accel, sample,
                                               exec));
     }
-    return result;
-}
-
-NetworkResult
-Engine::runBatch(const dnn::Network &network,
-                 const WorkloadSource &source, const AccelConfig &accel,
-                 const SampleSpec &sample,
-                 const util::InnerExecutor &exec, int batch) const
-{
-    PRA_CHECK(batch >= 1, "runBatch: batch size must be >= 1");
-    NetworkResult result = runNetwork(network, source.withImage(0),
-                                      accel, sample, exec);
-    for (int b = 1; b < batch; b++)
-        accumulateBatchImage(result,
-                             runNetwork(network, source.withImage(b),
-                                        accel, sample, exec));
-    for (auto &layer : result.layers)
-        layer.batchImages = batch;
     return result;
 }
 

@@ -105,21 +105,6 @@ class Engine
     runNetwork(const dnn::Network &network, const WorkloadSource &source,
                const AccelConfig &accel, const SampleSpec &sample,
                const util::InnerExecutor &exec) const;
-
-    /**
-     * Simulate a batch of @p batch images (must be >= 1): one
-     * runNetwork per image on source.withImage(b), accumulated into a
-     * per-batch aggregate (accumulateBatchImage) with batchImages
-     * stamped on every layer. Image 0 is the historical stream, so
-     * runBatch(..., 1) is byte-identical to runNetwork() apart from
-     * the (defaulted) batchImages field. Deliberately non-virtual:
-     * engines that override runNetwork (the analytic terms model)
-     * batch through the same accumulation rule.
-     */
-    NetworkResult
-    runBatch(const dnn::Network &network, const WorkloadSource &source,
-             const AccelConfig &accel, const SampleSpec &sample,
-             const util::InnerExecutor &exec, int batch) const;
 };
 
 } // namespace sim

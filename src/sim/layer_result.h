@@ -60,8 +60,8 @@ struct LayerResult
 
     /**
      * Images this result covers: 1 for the historical single-image
-     * run, B for an Engine::runBatch aggregate, where the count
-     * columns above are per-*batch* totals (the sum over the B
+     * run, B for a batch aggregate (accumulateBatchImage), where the
+     * count columns above are per-*batch* totals (the sum over the B
      * per-image simulations). cyclesPerImage() recovers the
      * per-image view; a batch of 1 is byte-identical to a plain run.
      */
@@ -130,7 +130,8 @@ double geometricMean(const std::vector<double> &values);
  * memory columns yet (the memory model prices the *batch*, post-hoc,
  * via applyMemoryModel — per-image memory columns would double count
  * the shared filter traffic). batchImages is left for the caller
- * (Engine::runBatch) to stamp once the batch is complete.
+ * (the sweep fold or the serving cost curve) to stamp once the
+ * batch is complete.
  */
 void accumulateBatchImage(NetworkResult &total,
                           const NetworkResult &image);

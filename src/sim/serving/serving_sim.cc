@@ -38,10 +38,10 @@ emptyCurve(const dnn::Network &network, const std::string &engine,
 
 /**
  * The one cost-curve fold: add batch image b-1 (b = the curve's next
- * prefix) to the running batch @p acc exactly the way Engine::runBatch
- * accumulates, then price prefix b — stamp the batch size and apply
- * the memory model to a copy — so entry b-1 reproduces a standalone
- * runBatch(b) bit for bit. Images must arrive in image order.
+ * prefix) to the running batch @p acc (accumulateBatchImage), then
+ * price prefix b — stamp the batch size and apply the memory model
+ * to a copy — so entry b-1 reproduces a standalone --batch=b sweep
+ * of the cell bit for bit. Images must arrive in image order.
  */
 void
 foldBatchImage(const dnn::Network &network, const AccelConfig &accel,

@@ -14,9 +14,9 @@
  *
  *  1. **Cost curve** (buildBatchCostCurve): per (network, engine),
  *     the system cycles of a batch of 1..maxBatch images, built
- *     *incrementally* — one engine pass per image, accumulated
- *     exactly like Engine::runBatch, memory model applied to each
- *     prefix — so entry b-1 is bit-identical to a standalone
+ *     *incrementally* — one engine pass per image, accumulated in
+ *     image order (accumulateBatchImage), memory model applied to
+ *     each prefix — so entry b-1 is bit-identical to a standalone
  *     --batch=b sweep of the same cell and the whole curve costs
  *     maxBatch engine passes, not maxBatch * (maxBatch + 1) / 2.
  *  2. **Arrival trace** (sim/serving/arrival.h): counter-based

@@ -122,9 +122,16 @@ priceGrid(const std::vector<dnn::Network> &networks,
     PRA_CHECK(first <= last && last <= networks.size() * engines.size(),
               "priceGrid: cell range out of the grid");
     // Validate every selection and its machine up front, so knob
-    // errors surface before any pass starts.
-    for (const auto &sel : engines)
-        registry.create(sel)->checkMachine(options.accel);
+    // errors surface before any pass starts; note which engines read
+    // a stream (and so, propagated, their network's chain).
+    std::vector<bool> reads_stream;
+    for (const auto &sel : engines) {
+        std::unique_ptr<Engine> engine = registry.create(sel);
+        engine->checkMachine(options.accel);
+        reads_stream.push_back(
+            canonicalStream(engine->inputStream(), options.activations) !=
+            InputStream::None);
+    }
     if (first == last)
         return;
 
@@ -196,23 +203,61 @@ priceGrid(const std::vector<dnn::Network> &networks,
     util::InnerExecutor exec(
         &pool, innerTasks(options, cells.size() *
                                        static_cast<size_t>(images)));
-    // The shared inputs go first, one task each, and the passes
-    // queue right behind them with no join, so a pass finds its
-    // inputs built or in flight instead of building them alone while
-    // other passes wait on it. This cannot deadlock: prefetch tasks
-    // never wait on pool jobs (a stream task may wait on its chain,
-    // whose build waits on nothing); the FIFO queue starts every
-    // prefetch task before any pass, and submitFirst subtasks come
-    // only from running passes; so a pass blocked on the cache (or
-    // on its cell's source) always waits on a running builder. The
-    // plan is empty with the cache off.
-    for (const GridPrefetch &item :
-         planGridPrefetch(networks, engines, registry, options, images,
-                          first, last))
+    auto submitPass = [&pool, &pass, &exec](size_t c, int image) {
+        pool.submit([&pass, &exec, c, image] { pass(c, image, exec); });
+    };
+    auto submitPrefetch = [&pool, &prefetch](const GridPrefetch &item) {
         pool.submit([&prefetch, item] { prefetch(item); });
+    };
+    // Gated: a cached propagated pass that reads a stream, and so its
+    // (network, image) chain, which the plan then always holds.
+    const bool chained =
+        options.cache && options.activations == ActivationMode::Propagated;
+    auto gated = [&](size_t c) {
+        return chained && reads_stream[c % engines.size()];
+    };
+    const std::vector<GridPrefetch> plan = planGridPrefetch(
+        networks, engines, registry, options, images, first, last);
+    // Queue what a built chain unblocks: its streams, then its passes.
+    auto afterChain = [&](const GridPrefetch &chain) {
+        for (const GridPrefetch &item : plan)
+            if (item.kind == GridPrefetch::Kind::Stream &&
+                item.network == chain.network && item.image == chain.image)
+                submitPrefetch(item);
+        const size_t lo = std::max(first, chain.network * engines.size());
+        const size_t hi =
+            std::min(last, (chain.network + 1) * engines.size());
+        for (size_t c = lo; c < hi; c++)
+            if (gated(c))
+                submitPass(c, chain.image);
+    };
+    // Queue order: the chains (the longest builds), the weight
+    // planes, the ungated streams, then the ungated passes, with no
+    // join; each chain's streams and passes join the queue when the
+    // chain is built, in the order the chains finish. So a pass finds
+    // its inputs built or in flight instead of building them alone
+    // while other passes wait on it, and no worker ever blocks on a
+    // chain still being built. This cannot deadlock: a chain or
+    // weight-plane task waits on nothing; a stream task or pass waits
+    // at most on a stream, weight-plane or synthesizer build that is
+    // running and itself waits on nothing, because every chain it
+    // reads finished before it was queued; and a pass's submitFirst
+    // subtasks, run by it or by whichever worker helps drain the
+    // queue, wait on nothing else. The plan is empty with the cache
+    // off, and then every pass is ungated.
+    for (const GridPrefetch &item : plan) {
+        if (item.kind == GridPrefetch::Kind::Chain)
+            pool.submit([&prefetch, &afterChain, item] {
+                prefetch(item);
+                afterChain(item);
+            });
+        else if (!chained || item.kind != GridPrefetch::Kind::Stream)
+            submitPrefetch(item);
+    }
     for (size_t c = first; c < last; c++)
         for (int i = 0; i < images; i++)
-            pool.submit([&pass, &exec, c, i] { pass(c, i, exec); });
+            if (!gated(c))
+                submitPass(c, i);
     pool.wait();
 }
 
@@ -238,7 +283,7 @@ runSweep(const std::vector<dnn::Network> &networks,
     std::vector<NetworkResult> results(last - first);
     priceGrid(networks, engines, registry, options, options.batch, first,
               last, [&](size_t cell, std::vector<NetworkResult> images) {
-                  // Accumulate exactly as Engine::runBatch does, then
+                  // Accumulate the images in image order, then
                   // compose compute cycles with the memory hierarchy
                   // (no-op when --memory=off): pure per-layer
                   // arithmetic over the finished batch.

@@ -21,7 +21,10 @@
  * passes queue behind one prefetch task per shared input they read
  * (planGridPrefetch: propagated chains, weight planes, streams), so
  * the inputs build side by side instead of inside whichever pass
- * asks first. threads <= 1 is serial: cell by cell, image by image.
+ * asks first. Propagated streams and the passes that read them wait
+ * for their chain outside the queue: the chain's task queues them
+ * once it is built. threads <= 1 is serial: cell by cell, image by
+ * image.
  *
  * Determinism: streams depend only on (network, seed, image) —
  * identical whether cached or rebuilt — each pass writes its own
@@ -85,9 +88,9 @@ struct SweepOptions : GridOptions
     /**
      * Images per request: every cell prices this many per-image
      * streams and reports per-batch totals (plus the batch /
-     * cycles_per_image CSV columns), exactly as Engine::runBatch
-     * accumulates them. 1 — the default — is byte-identical to the
-     * historical single-image sweep.
+     * cycles_per_image CSV columns), accumulated image by image with
+     * accumulateBatchImage. 1 — the default — is byte-identical to
+     * the historical single-image sweep.
      */
     int batch = 1;
     /**
@@ -125,7 +128,9 @@ struct GridPrefetch
  * builds), then the (network, priced layer) weight planes of
  * networks with an engine that readsSharedWeights(), then every
  * (network, image, priced layer, stream) named by the engines'
- * inputStream(). Empty with the cache off.
+ * inputStream(). priceGrid queues a propagated grid's streams from
+ * their chain's task instead, once it is built. Empty with the cache
+ * off.
  */
 std::vector<GridPrefetch>
 planGridPrefetch(const std::vector<dnn::Network> &networks,
@@ -164,8 +169,8 @@ void priceGrid(const std::vector<dnn::Network> &networks,
  * shard, its contiguous slice — through priceGrid. Returns one
  * NetworkResult per covered cell in grid order: all engines of
  * networks[0], then networks[1], ... Each is its images accumulated
- * as Engine::runBatch does, with batchImages stamped and the memory
- * model applied.
+ * in image order (accumulateBatchImage), with batchImages stamped and
+ * the memory model applied.
  */
 std::vector<NetworkResult>
 runSweep(const std::vector<dnn::Network> &networks,

@@ -189,6 +189,22 @@ TEST(CalibrateLambda, BitEqualToConstructorPopcounts)
                 << "max " << max_value << " target " << target;
 }
 
+TEST(FilterWeightStream, DrawsExactlyWhatNextInRangeDraws)
+{
+    // next() hoists Lemire's bound and rejection threshold out of the
+    // draw; the weights must stay rng.nextInRange's, draw for draw,
+    // at the narrowest, the reference and the widest weight range.
+    const LayerSpec layer = LayerSpec::fullyConnected("stream", 64, 8);
+    for (int range : {1, 2, kReferenceWeightRange, 32767}) {
+        const uint64_t seed = 0x5eed ^ static_cast<uint64_t>(range);
+        FilterWeightStream stream(layer, seed, range);
+        util::Xoshiro256 rng(seed ^ util::fnv1a(layer.name));
+        for (int i = 0; i < 100000; i++)
+            ASSERT_EQ(stream.next(), rng.nextInRange(-range, range))
+                << "range " << range << " draw " << i;
+    }
+}
+
 TEST(ActivationSynth, Deterministic)
 {
     auto net = makeTinyNetwork();

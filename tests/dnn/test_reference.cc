@@ -393,6 +393,129 @@ TEST(ReferenceVariant, Avx2MatchesBaselineOnGoogLeNetChain)
     expectVariantsAgreeOnChain(makeGoogLeNet(LayerSelect::All));
 }
 
+/** Every kernel variant this build and CPU can run. */
+std::vector<ConvolutionIsa>
+runnableIsas()
+{
+    std::vector<ConvolutionIsa> isas = {ConvolutionIsa::Baseline};
+    if (bestConvolutionIsa() == ConvolutionIsa::Avx2)
+        isas.push_back(ConvolutionIsa::Avx2);
+    return isas;
+}
+
+/**
+ * A single-window layer at every runnable ISA: each filter's output
+ * against referenceWindowDot() over window (0, 0).
+ */
+void
+expectSingleWindowMatchesWindowDot(const LayerSpec &spec,
+                                   const NeuronTensor &input,
+                                   const std::vector<FilterTensor> &filters)
+{
+    ASSERT_EQ(spec.outX(), 1) << spec.name;
+    ASSERT_EQ(spec.outY(), 1) << spec.name;
+    for (ConvolutionIsa isa : runnableIsas()) {
+        const OutputTensor out =
+            referenceConvolution(spec, input, filters, isa);
+        ASSERT_EQ(out.size(), static_cast<size_t>(spec.numFilters));
+        for (int f = 0; f < spec.numFilters; f++)
+            ASSERT_EQ(out.at(0, 0, f),
+                      referenceWindowDot(spec, input, filters[f], 0, 0))
+                << spec.name << " filter " << f << " isa "
+                << static_cast<int>(isa);
+    }
+}
+
+TEST(ReferenceSingleWindow, FullyConnectedMatchesWindowDot)
+{
+    // 33 filters: two full blocks' worth and a remainder.
+    const LayerSpec fc =
+        LayerSpec::fullyConnected("single_fc", 777, 33, 16);
+    const auto filters = synthesizeFilters(fc, 0x51, 32767);
+    expectSingleWindowMatchesWindowDot(fc, sparseInput(1, 1, 777, 0x51),
+                                       filters);
+}
+
+TEST(ReferenceSingleWindow, PaddedConvWindowReadsZeroAtPaddedTaps)
+{
+    // A 3x3 input, 3x3 filter, pad 1, stride 3: one window at
+    // (-1, -1), so the filter's top row and left column hit padding
+    // and the input's last row and column are never read.
+    LayerSpec spec;
+    spec.name = "single_padded";
+    spec.inputX = 3;
+    spec.inputY = 3;
+    spec.inputChannels = 5;
+    spec.filterX = 3;
+    spec.filterY = 3;
+    spec.numFilters = 19;
+    spec.stride = 3;
+    spec.pad = 1;
+    spec.profiledPrecision = 16;
+    ASSERT_TRUE(spec.valid());
+    const auto filters = synthesizeFilters(spec, 0x9ad, 32767);
+    NeuronTensor input = sparseInput(3, 3, 5, 0x9ad);
+    expectSingleWindowMatchesWindowDot(spec, input, filters);
+    // Only taps (1..2, 1..2) of each filter meet the input.
+    FilterTensor probe(3, 3, 5);
+    for (auto &w : probe.flat())
+        w = 1;
+    probe.at(0, 0, 0) = 1000;
+    int64_t expected = 0;
+    for (int y = 0; y < 2; y++)
+        for (int x = 0; x < 2; x++)
+            for (int c = 0; c < 5; c++)
+                expected += input.at(x, y, c);
+    std::vector<FilterTensor> probes(19, probe);
+    for (ConvolutionIsa isa : runnableIsas())
+        EXPECT_EQ(referenceConvolution(spec, input, probes, isa)
+                      .at(0, 0, 18),
+                  expected);
+}
+
+TEST(ReferenceSingleWindow, DeadInputConvolvesToZeros)
+{
+    const LayerSpec fc = LayerSpec::fullyConnected("single_dead", 100, 9);
+    const auto filters = synthesizeFilters(fc, 0xdead, 32767);
+    const NeuronTensor dead(1, 1, 100);
+    expectSingleWindowMatchesWindowDot(fc, dead, filters);
+    for (ConvolutionIsa isa : runnableIsas()) {
+        const OutputTensor out =
+            referenceConvolution(fc, dead, filters, isa);
+        EXPECT_TRUE(std::ranges::all_of(out.flat(),
+                                        [](int64_t v) { return v == 0; }));
+    }
+}
+
+TEST(ReferenceSingleWindow, ExtremeOperandsAccumulateInInt64)
+{
+    // Every activation 0xFFFF against weights of magnitude 32767 (and
+    // -32768): one product nearly fills int32, and a filter's 1000 of
+    // them overflow it thousands of times over.
+    const LayerSpec fc =
+        LayerSpec::fullyConnected("single_extremes", 1000, 4, 16);
+    NeuronTensor input(1, 1, 1000);
+    for (auto &v : input.flat())
+        v = 0xFFFF;
+    std::vector<FilterTensor> filters(4, FilterTensor(1, 1, 1000));
+    const int16_t fill[] = {32767, -32767, -32768};
+    for (int f = 0; f < 3; f++)
+        for (auto &w : filters[f].flat())
+            w = fill[f];
+    for (size_t s = 0; s < filters[3].size(); s++)
+        filters[3].flat()[s] =
+            s % 2 == 0 ? int16_t{32767} : int16_t{-32767};
+    expectSingleWindowMatchesWindowDot(fc, input, filters);
+    for (ConvolutionIsa isa : runnableIsas()) {
+        const OutputTensor out =
+            referenceConvolution(fc, input, filters, isa);
+        EXPECT_EQ(out.at(0, 0, 0), int64_t{32767} * 65535 * 1000);
+        EXPECT_EQ(out.at(0, 0, 1), int64_t{-32767} * 65535 * 1000);
+        EXPECT_EQ(out.at(0, 0, 2), int64_t{-32768} * 65535 * 1000);
+        EXPECT_EQ(out.at(0, 0, 3), 0);
+    }
+}
+
 TEST(Reference, ShapeMismatchPanics)
 {
     LayerSpec spec = smallLayer();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the batch dimension: per-image activation streams,
- * Engine::runBatch accumulation, batch-aware memory traffic, the
- * batch columns of the sweep CSV, and grid sharding.
+ * batch accumulation (the runBatch oracle), batch-aware memory
+ * traffic, the batch columns of the sweep CSV, and grid sharding.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "sim/memory/memory_model.h"
 #include "sim/sweep.h"
 #include "sim/workload_cache.h"
+#include "tests/sim/batch_oracle.h"
 
 namespace pra {
 namespace sim {
@@ -117,7 +118,7 @@ TEST(RunBatch, BatchOfOneMatchesRunNetwork)
         NetworkResult single =
             engine->runNetwork(net, source, accel, sample, exec);
         NetworkResult batch =
-            engine->runBatch(net, source, accel, sample, exec, 1);
+            runBatch(*engine, net, source, accel, sample, exec, 1);
         ASSERT_EQ(single.layers.size(), batch.layers.size())
             << sel.kind;
         EXPECT_EQ(batch.batchImages(), 1) << sel.kind;
@@ -143,7 +144,7 @@ TEST(RunBatch, AccumulatesPerImageRunsForEveryEngineKind)
     for (const auto &sel : allKindsGrid()) {
         auto engine = models::builtinEngines().create(sel);
         NetworkResult total =
-            engine->runBatch(net, source, accel, sample, exec, batch);
+            runBatch(*engine, net, source, accel, sample, exec, batch);
         EXPECT_EQ(total.batchImages(), batch) << sel.kind;
 
         NetworkResult manual = engine->runNetwork(
@@ -406,9 +407,8 @@ TEST(BatchDeathTest, RejectsDegenerateBatchAndShard)
     WorkloadSource source(synth);
     EXPECT_DEATH(source.withImage(-1), "non-negative");
     auto engine = models::builtinEngines().create("dadn");
-    EXPECT_DEATH(engine->runBatch(net, source, AccelConfig{},
-                                  SampleSpec{2},
-                                  util::InnerExecutor(), 0),
+    EXPECT_DEATH(runBatch(*engine, net, source, AccelConfig{},
+                          SampleSpec{2}, util::InnerExecutor(), 0),
                  "batch");
 }
 

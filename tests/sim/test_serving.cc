@@ -20,6 +20,7 @@
 #include "sim/memory/memory_model.h"
 #include "sim/serving/serving_sim.h"
 #include "sim/sweep.h"
+#include "tests/sim/batch_oracle.h"
 #include "util/stats.h"
 
 namespace pra {
@@ -250,8 +251,8 @@ TEST(CostCurve, PrefixesMatchStandaloneRunBatch)
         ASSERT_EQ(curve.batchSystemCycles.size(),
                   static_cast<size_t>(max_batch));
         for (int b = 1; b <= max_batch; b++) {
-            NetworkResult batch = engine->runBatch(
-                net, source, accel, sample, exec, b);
+            NetworkResult batch =
+                runBatch(*engine, net, source, accel, sample, exec, b);
             applyMemoryModel(net, accel, batch);
             EXPECT_EQ(curve.batchSystemCycles[b - 1],
                       batch.totalSystemCycles())

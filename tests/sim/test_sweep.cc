@@ -553,6 +553,42 @@ TEST(Sweep, PropagatedModeDeterministicAcrossThreadsAndCache)
                       "propagated threads=8");
 }
 
+TEST(Sweep, PropagatedCsvByteIdenticalAcrossThreadsCacheAndBatch)
+{
+    // With the cache on, each chain queues its own streams and the
+    // passes that read them when it is built, so gated passes start
+    // in whatever order the chains finish, while ungated dadn passes
+    // and laconic's weight planes queue up front. Two copies of the
+    // tiny pipeline under different names make two chains per image
+    // that race each other; 16 threads is more than the batch-1
+    // case's 14 passes, so those passes also split their layers. No
+    // schedule may change a byte of the per-layer CSV.
+    dnn::Network twin = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    twin.name = "TinyTwin";
+    const std::vector<dnn::Network> networks = {
+        dnn::makeTinyNetwork(dnn::LayerSelect::All), twin};
+    const std::vector<EngineSelection> grid = allKindsGrid();
+    for (int batch : {1, 3}) {
+        SweepOptions base = tinyOptions(1);
+        base.activations = ActivationMode::Propagated;
+        base.batch = batch;
+        const std::string serial = perLayerCsv(
+            runSweep(networks, grid, models::builtinEngines(), base));
+        for (int threads : {1, 2, 3, 16})
+            for (bool cache : {true, false}) {
+                SweepOptions options = base;
+                options.threads = threads;
+                options.cache = cache;
+                EXPECT_EQ(serial,
+                          perLayerCsv(runSweep(networks, grid,
+                                               models::builtinEngines(),
+                                               options)))
+                    << "batch=" << batch << " threads=" << threads
+                    << " cache=" << (cache ? "on" : "off");
+            }
+    }
+}
+
 TEST(Sweep, PropagatedModeDiffersFromSyntheticDownstream)
 {
     // The two modes share only the image input: layer 0 results
