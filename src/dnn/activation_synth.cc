@@ -45,6 +45,22 @@ exponentialWeight(double lambda, uint32_t v, uint32_t max_value)
     return std::exp(-lambda * static_cast<double>(v - 1) / max_value);
 }
 
+/**
+ * Image input (LayerSpec::readsImage): dense (nearly no zeros), with
+ * pixel values spread uniformly across the precision window. This is
+ * why Cnvlutin cannot skip layer 1 (Section II-B), and it shapes
+ * conv1 timing.
+ */
+void
+useImageStatistics(SynthParams &params)
+{
+    params.zeroFraction = kImageZeroFraction;
+    params.lambda = 0.0; // Uniform pixel magnitudes.
+    params.denseFraction = 0.0;
+    params.noiseDense = 0.0;
+    params.noiseLight = 0.0;
+}
+
 } // namespace
 
 DiscreteExponential::DiscreteExponential(double lambda, uint32_t max_value)
@@ -220,7 +236,8 @@ ActivationSynthesizer::ActivationSynthesizer(const Network &network,
     PRA_CHECK(network_.valid(),
                          "ActivationSynthesizer: invalid network");
     fixed16Params_.reserve(network_.layers.size());
-    for (const auto &layer : network_.layers) {
+    for (size_t i = 0; i < network_.layers.size(); i++) {
+        const LayerSpec &layer = network_.layers[i];
         // Pool layers carry no priced stream (propagation computes
         // their tensors); skip the (expensive) calibration and keep a
         // placeholder so indices stay aligned.
@@ -228,27 +245,12 @@ ActivationSynthesizer::ActivationSynthesizer(const Network &network,
             fixed16Params_.push_back(SynthParams{});
             continue;
         }
-        fixed16Params_.push_back(calibrateFixed16(layer,
-                                                  network_.targets));
+        SynthParams params = calibrateFixed16(layer, network_.targets);
+        if (layer.readsImage(static_cast<int>(i)))
+            useImageStatistics(params);
+        fixed16Params_.push_back(params);
     }
     quant8Params_ = calibrateQuant8(network_.targets);
-
-    // The first layer's input is the image, not a ReLU output: it is
-    // dense (nearly no zeros) and its pixel values spread uniformly
-    // across the layer's precision window. This is why Cnvlutin
-    // cannot skip layer 1 (Section II-B) and it shapes conv1 timing.
-    // The override only applies when the network actually starts at
-    // its convolutional front: an FC-selected network begins at fc6,
-    // whose input is a pooled ReLU output, not the image.
-    if (!fixed16Params_.empty() &&
-        network_.layers.front().kind == LayerKind::Conv) {
-        SynthParams &first = fixed16Params_.front();
-        first.zeroFraction = kImageZeroFraction;
-        first.lambda = 0.0; // Uniform pixel magnitudes.
-        first.denseFraction = 0.0;
-        first.noiseDense = 0.0;
-        first.noiseLight = 0.0;
-    }
 }
 
 NeuronTensor
@@ -264,15 +266,8 @@ ActivationSynthesizer::synthesizeRaw(int layer_idx, bool quantized,
                          "non-negative");
     SynthParams params =
         quantized ? quant8Params_ : fixed16Params_.at(layer_idx);
-    if (quantized && layer_idx == 0 && layer.kind == LayerKind::Conv) {
-        // Image input: dense, uniform codes (see the fixed-point
-        // first-layer note in the constructor).
-        params.zeroFraction = kImageZeroFraction;
-        params.lambda = 0.0;
-        params.denseFraction = 0.0;
-        params.noiseDense = 0.0;
-        params.noiseLight = 0.0;
-    }
+    if (quantized && layer.readsImage(layer_idx))
+        useImageStatistics(params);
 
     // Seed by the layer's ordinal (its position among the priced
     // layers of the unfiltered network) rather than its index in

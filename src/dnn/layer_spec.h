@@ -137,6 +137,22 @@ struct LayerSpec
     /** True for layers the engines price (everything but Pool). */
     bool priced() const { return kind != LayerKind::Pool; }
 
+    /**
+     * True when this layer reads the network's image rather than a
+     * ReLU output: it is convolutional and first among the priced
+     * layers of its unfiltered network, by its ordinal or, when it
+     * has none, by @p index (its position in the layer list; -1
+     * when unknown). The image is dense, so Cnvlutin cannot skip it
+     * (Section II-B), and synthesis spreads its pixels uniformly
+     * across the precision window. An FC-selected network starts at
+     * fc6, whose input is a pooled ReLU output.
+     */
+    bool readsImage(int index = -1) const
+    {
+        return (ordinal >= 0 ? ordinal : index) == 0 &&
+               kind == LayerKind::Conv;
+    }
+
     /** Output depth: numFilters (pools preserve inputChannels). */
     int outChannels() const { return numFilters; }
 

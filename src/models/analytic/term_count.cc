@@ -55,14 +55,14 @@ windowStats(const dnn::LayerSpec &layer, const dnn::NeuronTensor &raw,
 }
 
 /**
- * The same accumulation as windowStats, but summing whole bricks from
- * the precomputed planes (identical integers, ~kBrickSize fewer
- * iterations).
+ * The same accumulation as windowStats over one stream, but summing
+ * whole bricks from the precomputed planes (identical integers,
+ * ~kBrickSize fewer iterations). Both pop fields hold the stream's
+ * essential bits.
  */
 WindowStats
 planeWindowStats(const dnn::LayerSpec &layer,
-                 const sim::BrickPlanes &raw,
-                 const sim::BrickPlanes &trimmed, int wx, int wy)
+                 const sim::BrickPlanes &planes, int wx, int wy)
 {
     WindowStats stats;
     int base_x = wx * layer.stride - layer.pad;
@@ -75,27 +75,27 @@ planeWindowStats(const dnn::LayerSpec &layer,
             if (x < 0 || x >= layer.inputX || y < 0 ||
                 y >= layer.inputY)
                 continue;
-            size_t idx = raw.index(x, y, 0);
-            for (int b = 0; b < raw.bricksPerColumn; b++) {
-                stats.nonZero += raw.nonZero[idx + b];
-                stats.popRaw += raw.pop[idx + b];
-                stats.popTrimmed += trimmed.pop[idx + b];
+            size_t idx = planes.index(x, y, 0);
+            for (int b = 0; b < planes.bricksPerColumn; b++) {
+                stats.nonZero += planes.nonZero[idx + b];
+                stats.popRaw += planes.pop[idx + b];
             }
         }
     }
+    stats.popTrimmed = stats.popRaw;
     return stats;
 }
 
 /** Fold one window's stats into the layer counts. */
 void
 addWindowCounts(LayerTermCounts &counts, const dnn::LayerSpec &layer,
-                const WindowStats &stats, bool is_first_layer)
+                const WindowStats &stats, bool reads_image)
 {
     double filters = static_cast<double>(layer.numFilters);
     counts.dadn += 16.0 * stats.elements * filters;
     counts.zn += 16.0 * stats.nonZero * filters;
     counts.cvn += 16.0 *
-                  (is_first_layer ? stats.elements : stats.nonZero) *
+                  (reads_image ? stats.elements : stats.nonZero) *
                   filters;
     counts.stripes += static_cast<double>(layer.profiledPrecision) *
                       stats.elements * filters;
@@ -121,7 +121,7 @@ LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
                   const dnn::NeuronTensor &raw,
                   const dnn::NeuronTensor &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample)
+                  bool reads_image, const sim::SampleSpec &sample)
 {
     sim::SamplePlan plan = sim::planSample(layer.windows(), sample);
     PRA_CHECK(!plan.indices.empty(),
@@ -132,7 +132,7 @@ countLayerTerms16(const dnn::LayerSpec &layer,
         int wx = static_cast<int>(w % layer.outX());
         int wy = static_cast<int>(w / layer.outX());
         WindowStats stats = windowStats(layer, raw, &trimmed, wx, wy);
-        addWindowCounts(counts, layer, stats, is_first_layer);
+        addWindowCounts(counts, layer, stats, reads_image);
     }
     scaleCounts(counts, plan.scale);
     return counts;
@@ -140,23 +140,21 @@ countLayerTerms16(const dnn::LayerSpec &layer,
 
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
-                  const sim::LayerWorkload &raw,
-                  const sim::LayerWorkload &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample)
+                  const sim::LayerWorkload &stream, bool reads_image,
+                  const sim::SampleSpec &sample)
 {
     sim::SamplePlan plan = sim::planSample(layer.windows(), sample);
     PRA_CHECK(!plan.indices.empty(),
                          "countLayerTerms16: no windows");
 
-    const sim::BrickPlanes &raw_planes = raw.brickPlanes();
-    const sim::BrickPlanes &trimmed_planes = trimmed.brickPlanes();
+    const sim::BrickPlanes &planes = stream.brickPlanes();
     LayerTermCounts counts;
     for (int64_t w : plan.indices) {
         int wx = static_cast<int>(w % layer.outX());
         int wy = static_cast<int>(w / layer.outX());
-        WindowStats stats = planeWindowStats(layer, raw_planes,
-                                             trimmed_planes, wx, wy);
-        addWindowCounts(counts, layer, stats, is_first_layer);
+        addWindowCounts(counts, layer,
+                        planeWindowStats(layer, planes, wx, wy),
+                        reads_image);
     }
     scaleCounts(counts, plan.scale);
     return counts;
@@ -175,8 +173,9 @@ countNetworkTerms16(const dnn::Network &network,
             synth.synthesizeFixed16(static_cast<int>(i));
         dnn::NeuronTensor trimmed =
             synth.synthesizeFixed16Trimmed(static_cast<int>(i));
-        LayerTermCounts c = countLayerTerms16(network.layers[i], raw,
-                                              trimmed, i == 0, sample);
+        LayerTermCounts c = countLayerTerms16(
+            network.layers[i], raw, trimmed,
+            network.layers[i].readsImage(static_cast<int>(i)), sample);
         totals.dadn += c.dadn;
         totals.zn += c.zn;
         totals.cvn += c.cvn;

@@ -47,25 +47,28 @@ struct LayerTermCounts
  * @param layer    geometry and profiled precision.
  * @param raw      untrimmed input neurons.
  * @param trimmed  the same neurons after Section V-F masking.
- * @param is_first_layer CVN cannot skip zeros in the first layer.
+ * @param reads_image CVN cannot skip zeros in the image input
+ *                 (dnn::LayerSpec::readsImage).
  * @param sample   window sampling policy (unit = window).
  */
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
                   const dnn::NeuronTensor &raw,
                   const dnn::NeuronTensor &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample);
+                  bool reads_image, const sim::SampleSpec &sample);
 
 /**
- * Workload-view variant: identical counts, accumulated brick-at-a-
- * time from the precomputed per-brick term planes instead of element
- * by element.
+ * Counts of one stream, accumulated brick-at-a-time from the
+ * workload's per-brick term planes. Each series is exact when
+ * @p stream is the one it reads: zn, cvn and praRaw count the raw
+ * stream, praTrimmed the trimmed one (both pra fields hold the
+ * stream's essential bits), and dadn and stripes depend on no value.
+ * An exact series equals the tensor overload's bit for bit.
  */
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
-                  const sim::LayerWorkload &raw,
-                  const sim::LayerWorkload &trimmed,
-                  bool is_first_layer, const sim::SampleSpec &sample);
+                  const sim::LayerWorkload &stream, bool reads_image,
+                  const sim::SampleSpec &sample);
 
 /** Relative (to DaDN) term counts for one network, 16-bit stream. */
 struct NetworkTerms16

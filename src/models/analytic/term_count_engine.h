@@ -40,18 +40,14 @@ class TermCountEngine : public sim::Engine
     std::string kind() const override { return "terms"; }
     std::string name() const override;
 
-    sim::InputStream inputStream() const override
-    {
-        return sim::InputStream::Fixed16Raw;
-    }
+    /** PRA-red reads the trimmed stream; every other series the raw. */
+    sim::InputStream inputStream() const override;
 
     /**
-     * Term counts of one layer. The trimmed stream is derived from
-     * the workload's raw tensor by the layer's precision-window mask
-     * — bit-identical to
-     * ActivationSynthesizer::synthesizeFixed16Trimmed(). The
-     * first-layer CVN rule needs network context, so this treats the
-     * layer as non-first; runNetwork() applies the rule.
+     * Term counts of one layer, from the brick planes of the one
+     * stream inputStream() names. The CVN image-input rule goes by
+     * dnn::LayerSpec::readsImage() without an index, so it needs the
+     * layer's ordinal (every zoo network stamps them).
      */
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,
@@ -60,30 +56,10 @@ class TermCountEngine : public sim::Engine
                   const sim::SampleSpec &sample,
                   const util::InnerExecutor &exec) const override;
 
-    /**
-     * Layer loop honoring the first-layer CVN rule, consuming the
-     * source's cached raw *and* trimmed views (and their term
-     * planes) instead of re-deriving the trimmed stream.
-     */
-    sim::NetworkResult
-    runNetwork(const dnn::Network &network,
-               const sim::WorkloadSource &source,
-               const sim::AccelConfig &accel,
-               const sim::SampleSpec &sample,
-               const util::InnerExecutor &exec) const override;
-
     Series series() const { return series_; }
 
   private:
     Series series_ = Series::PraTrimmed;
-
-    sim::LayerResult layerTerms(const dnn::LayerSpec &layer,
-                                const dnn::NeuronTensor &raw,
-                                bool is_first_layer,
-                                const sim::SampleSpec &sample) const;
-
-    sim::LayerResult resultFromCounts(const dnn::LayerSpec &layer,
-                                      const LayerTermCounts &counts) const;
 };
 
 } // namespace models

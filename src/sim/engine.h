@@ -16,7 +16,8 @@
  * sweep can share one synthesized workload across every grid cell,
  * and may split big layers into deterministic blocks across an
  * InnerExecutor. The workload simulateLayer is the one entry point an
- * engine implements; a caller holding a bare tensor wraps it in
+ * engine implements (runNetwork is the shared, non-virtual layer
+ * loop around it); a caller holding a bare tensor wraps it in
  * LayerWorkload(tensor).
  */
 
@@ -93,15 +94,15 @@ class Engine
                   const util::InnerExecutor &exec) const = 0;
 
     /**
-     * Simulate a whole network on the workloads of @p source. The
-     * default loops simulateLayer over the layers in order, pulling
-     * each layer's inputStream() view from the source; structural
-     * pool layers (never priced by any engine) are skipped, so
-     * results contain one entry per *priced* layer. Engines needing
-     * extra per-layer context (e.g. the analytic model's
-     * first-layer CVN rule) override this and apply the same skip.
+     * Simulate a whole network on the workloads of @p source: the
+     * one network loop. It calls simulateLayer on the layers in
+     * order, pulling each layer's inputStream() view from the
+     * source; structural pool layers (never priced by any engine)
+     * are skipped, so results contain one entry per *priced* layer.
+     * Per-layer context an engine needs travels on the LayerSpec
+     * (e.g. LayerSpec::readsImage for the CVN first-layer rule).
      */
-    virtual NetworkResult
+    NetworkResult
     runNetwork(const dnn::Network &network, const WorkloadSource &source,
                const AccelConfig &accel, const SampleSpec &sample,
                const util::InnerExecutor &exec) const;

@@ -5,8 +5,7 @@
  * Turns a layer's geometry plus an engine's *compute* cycles into
  * stall-aware *system* cycles, without touching the engines: the
  * model is applied to a finished LayerResult/NetworkResult, so every
- * engine (including ones that override runNetwork) gets memory
- * modeling through the same two free functions.
+ * engine gets memory modeling through the same two free functions.
  *
  * ## Traffic (bytes, 16-bit words)
  *

@@ -1,53 +1,12 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace util {
-
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    count_++;
-    sum_ += x;
-    // Welford's update (see the class comment for why not sumSq).
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    double var = m2_ / static_cast<double>(count_);
-    return var > 0.0 ? var : 0.0;
-}
-
-void
-RunningStat::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
 
 Histogram::Histogram(uint32_t max_value)
 {
@@ -136,59 +95,6 @@ Histogram::reset()
     overflow_ = 0;
     count_ = 0;
     sum_ = 0.0;
-}
-
-Counter &
-StatRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-RunningStat &
-StatRegistry::runningStat(const std::string &name)
-{
-    return runningStats_[name];
-}
-
-std::vector<std::string>
-StatRegistry::counterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-StatRegistry::runningStatNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(runningStats_.size());
-    for (const auto &kv : runningStats_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::string
-StatRegistry::report() const
-{
-    std::ostringstream out;
-    for (const auto &kv : counters_)
-        out << kv.first << " = " << kv.second.value() << "\n";
-    for (const auto &kv : runningStats_) {
-        out << kv.first << " = " << kv.second.mean()
-            << " (n=" << kv.second.count() << ", min=" << kv.second.min()
-            << ", max=" << kv.second.max() << ")\n";
-    }
-    return out.str();
-}
-
-void
-StatRegistry::reset()
-{
-    counters_.clear();
-    runningStats_.clear();
 }
 
 } // namespace util

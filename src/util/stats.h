@@ -1,70 +1,18 @@
 /**
  * @file
- * Lightweight statistics collection for the simulators.
- *
- * Counters, running averages and fixed-bucket histograms. All stats are
- * plain value types; a StatRegistry groups named stats for reporting.
+ * Histograms for the simulators' latency statistics: a plain value
+ * type with unit-width or log-spaced buckets.
  */
 
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace pra {
 namespace util {
-
-/** A monotonically increasing 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void increment(uint64_t by = 1) { value_ += by; }
-    uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    uint64_t value_ = 0;
-};
-
-/**
- * Running mean/min/max/sum over double-valued samples.
- *
- * Mean and variance use Welford's online algorithm: the naive
- * sum-of-squares formula (sumSq/n - mean^2) cancels catastrophically
- * for large-mean, low-variance samples (cycle counts around 1e12
- * +/- 10 would report a variance of 0), while Welford's update keeps
- * full precision in the centered second moment.
- */
-class RunningStat
-{
-  public:
-    RunningStat() = default;
-
-    /** Record one sample. */
-    void add(double x);
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    /** Population variance (0 for fewer than two samples). */
-    double variance() const;
-    void reset();
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double mean_ = 0.0; ///< Welford running mean.
-    double m2_ = 0.0;   ///< Welford centered second moment.
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Histogram over non-negative integer samples.
@@ -172,35 +120,6 @@ class Histogram
     uint64_t overflow_ = 0;
     uint64_t count_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * A named collection of counters and running stats for end-of-run
- * reporting. Stats are owned by the registry and looked up by name.
- */
-class StatRegistry
-{
-  public:
-    /** Get (creating on first use) the counter with the given name. */
-    Counter &counter(const std::string &name);
-
-    /** Get (creating on first use) the running stat with @p name. */
-    RunningStat &runningStat(const std::string &name);
-
-    /** Names of all registered counters, sorted. */
-    std::vector<std::string> counterNames() const;
-
-    /** Names of all registered running stats, sorted. */
-    std::vector<std::string> runningStatNames() const;
-
-    /** Render all stats as "name = value" lines. */
-    std::string report() const;
-
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, RunningStat> runningStats_;
 };
 
 } // namespace util

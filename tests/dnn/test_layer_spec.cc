@@ -219,6 +219,26 @@ TEST(LayerKind, NamesAndSelection)
                               LayerSelect::All));
 }
 
+TEST(LayerSpec, ReadsImageByOrdinalThenIndex)
+{
+    // A stamped ordinal decides; an unstamped layer falls back to the
+    // index it is given and, given none, never reads the image.
+    LayerSpec conv = makeLayer(8, 3, 3, 4, 1, 1);
+    EXPECT_TRUE(conv.readsImage(0));
+    EXPECT_FALSE(conv.readsImage(1));
+    EXPECT_FALSE(conv.readsImage());
+    conv.ordinal = 0;
+    EXPECT_TRUE(conv.readsImage());
+    EXPECT_TRUE(conv.readsImage(2));
+    conv.ordinal = 3;
+    EXPECT_FALSE(conv.readsImage(0));
+
+    // Only a convolutional front reads the image.
+    LayerSpec fc = LayerSpec::fullyConnected("fc", 64, 8);
+    fc.ordinal = 0;
+    EXPECT_FALSE(fc.readsImage(0));
+}
+
 /** Geometry identity sweep: windows * stride relation. */
 class StrideSweep : public ::testing::TestWithParam<int>
 {

@@ -378,6 +378,35 @@ TEST(ModelZoo, PoolsNeverReshuffleThePricedStreams)
     EXPECT_EQ(expected, 8);
 }
 
+TEST(ModelZoo, OnlyTheConvolutionalFrontReadsTheImage)
+{
+    // LayerSpec::readsImage marks exactly the layers the rule it
+    // replaced did (list index 0 and convolutional) on every zoo
+    // network under every selection, with or without the index: the
+    // zoo stamps ordinals, so an engine that sees no index decides
+    // the same. FC selections start at a pooled ReLU output.
+    for (LayerSelect select :
+         {LayerSelect::Conv, LayerSelect::Fc, LayerSelect::All}) {
+        std::vector<Network> nets = makeAllNetworks(select);
+        nets.push_back(makeTinyNetwork(select));
+        for (const auto &net : nets) {
+            int image_layers = 0;
+            for (size_t i = 0; i < net.layers.size(); i++) {
+                const LayerSpec &layer = net.layers[i];
+                const bool rule =
+                    i == 0 && layer.kind == LayerKind::Conv;
+                EXPECT_EQ(layer.readsImage(static_cast<int>(i)), rule)
+                    << net.name << " " << layer.name;
+                EXPECT_EQ(layer.readsImage(), rule)
+                    << net.name << " " << layer.name;
+                image_layers += rule;
+            }
+            EXPECT_EQ(image_layers, select == LayerSelect::Fc ? 0 : 1)
+                << net.name;
+        }
+    }
+}
+
 TEST(ModelZoo, ChainCheckCatchesShapeBreaks)
 {
     // The gate: a network with a pool (pipeline-shaped) whose shapes

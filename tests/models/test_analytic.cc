@@ -69,6 +69,24 @@ TEST(TermCount, ZeroInputZeroesValueBasedCounts)
     EXPECT_GT(counts.stripes, 0.0);
 }
 
+TEST(TermCount, FcSelectionHasNoImageLayer)
+{
+    // An FC-selected network starts at fc6, whose input is a pooled
+    // ReLU output, not the image: Cnvlutin skips its zeros like
+    // every later layer's, so CVN equals ZN over the tail. The
+    // convolutional front keeps its dense image layer.
+    auto fc = dnn::makeAlexNet(dnn::LayerSelect::Fc);
+    dnn::ActivationSynthesizer fc_synth(fc);
+    auto tail = countNetworkTerms16(fc, fc_synth, sim::SampleSpec{8});
+    EXPECT_EQ(tail.cvn, tail.zn);
+
+    auto conv = dnn::makeAlexNet(dnn::LayerSelect::Conv);
+    dnn::ActivationSynthesizer conv_synth(conv);
+    auto front = countNetworkTerms16(conv, conv_synth,
+                                     sim::SampleSpec{8});
+    EXPECT_GT(front.cvn, front.zn);
+}
+
 TEST(TermCount, OrderingInvariants)
 {
     // PRA-red <= PRA-fp16 <= 16/p * stripes ... and everything is

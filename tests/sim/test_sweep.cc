@@ -147,8 +147,6 @@ TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
     // PalletDriver's local weight planes): runNetwork prices the
     // same over a cached and an uncached source, and equals a
     // per-layer simulateLayer loop on freshly synthesized workloads.
-    // terms overrides runNetwork (the first-layer CVN rule needs
-    // network context), so it is held to the source equality only.
     // Every kind's weight-read declaration is checked on both shapes.
     auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
     SampleSpec sample{4};
@@ -199,36 +197,55 @@ TEST(EngineContract, EveryKindPricesOneWayOnEveryMachineShape)
                 EXPECT_EQ(weight_builds > 0, declared)
                     << net.layers[i].name;
             }
-            if (kind != "terms")
-                expectSameResults({uncached}, {loop}, "layer loop");
+            expectSameResults({uncached}, {loop}, "layer loop");
         }
     }
 }
 
-TEST(EngineAdapters, TermsTrimmingMatchesSynthesizer)
+TEST(EngineAdapters, TermsSeriesMatchTensorCounts)
 {
-    // The terms engine re-derives the trimmed stream from the raw
-    // one; its pra-red counts must agree with counts taken on the
-    // synthesizer's own trimmed stream (same mask, same anchor).
-    auto net = dnn::makeTinyNetwork();
-    dnn::ActivationSynthesizer synth(net);
+    // Each terms series prices the one stream it reads (the trimmed
+    // one for pra-red, the raw one otherwise) from its brick planes.
+    // Layer by layer it must equal the tensor counter fed both
+    // synthesized streams, bit for bit, image-input rule included:
+    // Tiny's conv1 reads the image, AlexNet's FC tail does not.
+    const std::pair<const char *, double models::LayerTermCounts::*>
+        series[] = {{"dadn", &models::LayerTermCounts::dadn},
+                    {"zn", &models::LayerTermCounts::zn},
+                    {"cvn", &models::LayerTermCounts::cvn},
+                    {"stripes", &models::LayerTermCounts::stripes},
+                    {"pra", &models::LayerTermCounts::praRaw},
+                    {"pra-red", &models::LayerTermCounts::praTrimmed}};
     SampleSpec sample{4};
-    auto engine = models::builtinEngines().create(
-        "terms", {{"series", "pra-red"}});
-    NetworkResult via_engine =
-        engine->runNetwork(net, WorkloadSource(synth), AccelConfig{},
-                           sample, util::InnerExecutor());
-
-    double expected = 0.0;
-    for (size_t i = 0; i < net.layers.size(); i++) {
-        auto counts = models::countLayerTerms16(
-            net.layers[i],
-            synth.synthesizeFixed16(static_cast<int>(i)),
-            synth.synthesizeFixed16Trimmed(static_cast<int>(i)),
-            i == 0, sample);
-        expected += counts.praTrimmed;
+    for (const dnn::Network &net :
+         {dnn::makeTinyNetwork(dnn::LayerSelect::All),
+          dnn::makeAlexNet(dnn::LayerSelect::Fc)}) {
+        dnn::ActivationSynthesizer synth(net);
+        for (const auto &[label, field] : series) {
+            SCOPED_TRACE(net.name + " terms:series=" + label);
+            auto engine = models::builtinEngines().create(
+                "terms", {{"series", label}});
+            NetworkResult via_engine = engine->runNetwork(
+                net, WorkloadSource(synth), AccelConfig{}, sample,
+                util::InnerExecutor());
+            size_t priced = 0;
+            for (size_t i = 0; i < net.layers.size(); i++) {
+                const dnn::LayerSpec &layer = net.layers[i];
+                if (!layer.priced())
+                    continue;
+                const int idx = static_cast<int>(i);
+                auto counts = models::countLayerTerms16(
+                    layer, synth.synthesizeFixed16(idx),
+                    synth.synthesizeFixed16Trimmed(idx),
+                    layer.readsImage(idx), sample);
+                ASSERT_LT(priced, via_engine.layers.size());
+                EXPECT_EQ(via_engine.layers[priced++].cycles,
+                          counts.*field)
+                    << layer.name;
+            }
+            EXPECT_EQ(priced, via_engine.layers.size());
+        }
     }
-    EXPECT_DOUBLE_EQ(via_engine.totalCycles(), expected);
 }
 
 TEST(Sweep, ParallelBitIdenticalToSequential)

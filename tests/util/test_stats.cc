@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for counters, running stats and histograms.
+ * Tests for the unit-width and log-spaced histograms.
  */
 
 #include <gtest/gtest.h>
@@ -10,95 +10,6 @@
 namespace pra {
 namespace util {
 namespace {
-
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.increment();
-    c.increment(5);
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.min(), 0.0);
-    EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStat, TracksMoments)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 6.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_NEAR(s.variance(), 8.0 / 3.0, 1e-12);
-}
-
-TEST(RunningStat, SingleSampleVarianceZero)
-{
-    RunningStat s;
-    s.add(5.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, WelfordSurvivesLargeMeanSmallVariance)
-{
-    // The naive sumSq/n - mean^2 formula cancels catastrophically
-    // here: sumSq ~ 3e24 has an ulp around 4e8, so the true spread
-    // (variance 200/3) vanishes entirely and the old implementation
-    // reported 0. Welford's algorithm keeps full precision.
-    RunningStat s;
-    s.add(1e12 - 10.0);
-    s.add(1e12);
-    s.add(1e12 + 10.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_NEAR(s.mean(), 1e12, 1e-3);
-    EXPECT_NEAR(s.variance(), 200.0 / 3.0, 1e-6);
-    EXPECT_EQ(s.min(), 1e12 - 10.0);
-    EXPECT_EQ(s.max(), 1e12 + 10.0);
-}
-
-TEST(RunningStat, WelfordMatchesDirectFormulaOnBenignData)
-{
-    RunningStat s;
-    double values[] = {1.5, -2.25, 7.0, 3.5, 0.0, -1.0};
-    double sum = 0.0;
-    for (double v : values) {
-        s.add(v);
-        sum += v;
-    }
-    double mean = sum / 6.0;
-    double direct = 0.0;
-    for (double v : values)
-        direct += (v - mean) * (v - mean);
-    direct /= 6.0;
-    EXPECT_NEAR(s.variance(), direct, 1e-12);
-    EXPECT_DOUBLE_EQ(s.sum(), sum);
-    EXPECT_NEAR(s.mean(), mean, 1e-12);
-}
-
-TEST(RunningStat, ResetClearsWelfordState)
-{
-    RunningStat s;
-    s.add(1e12);
-    s.add(2e12);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.variance(), 0.0);
-    s.add(3.0);
-    s.add(5.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_NEAR(s.variance(), 1.0, 1e-12);
-}
 
 TEST(Histogram, CountsBucketsAndOverflow)
 {
@@ -255,28 +166,6 @@ TEST(HistogramDeathTest, RejectsUnpayableLayouts)
     EXPECT_DEATH(Histogram::logSpaced(0), "empty sample range");
     EXPECT_DEATH(Histogram::logSpaced(1024, 9), "sub_bits");
     EXPECT_DEATH(Histogram::logSpaced(1024, -1), "sub_bits");
-}
-
-TEST(StatRegistry, CreatesAndFindsStats)
-{
-    StatRegistry reg;
-    reg.counter("cycles").increment(10);
-    reg.counter("cycles").increment(5);
-    reg.runningStat("speedup").add(2.5);
-    EXPECT_EQ(reg.counter("cycles").value(), 15u);
-    EXPECT_EQ(reg.runningStat("speedup").count(), 1u);
-    EXPECT_EQ(reg.counterNames().size(), 1u);
-    EXPECT_EQ(reg.runningStatNames().size(), 1u);
-}
-
-TEST(StatRegistry, ReportContainsNames)
-{
-    StatRegistry reg;
-    reg.counter("nm_stalls").increment(3);
-    reg.runningStat("brick_cycles").add(4.0);
-    std::string report = reg.report();
-    EXPECT_NE(report.find("nm_stalls = 3"), std::string::npos);
-    EXPECT_NE(report.find("brick_cycles"), std::string::npos);
 }
 
 } // namespace

@@ -13,8 +13,10 @@
  * An engine spec is "kind[:key=value]*", e.g. "pragmatic:bits=2" or
  * "pragmatic-col:bits=2:ssr=1"; see --list-engines for kinds and
  * knobs. "--engines paper" (default) runs the paper's headline design
- * points; "--engines all" runs one default instance of every
- * registered kind. Results stream as CSV to --csv (default stdout),
+ * points; "--engines all" runs one default instance of each of the
+ * five kinds in the frozen core grid (dadn, pragmatic, pragmatic-col,
+ * stripes, terms; models::coreEngineGrid), not every registered kind.
+ * Results stream as CSV to --csv (default stdout),
  * with a speedup-vs-DaDN summary table on stderr when DaDN is in the
  * grid.
  *
