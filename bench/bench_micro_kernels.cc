@@ -235,7 +235,7 @@ BM_WeightPlanesBuild(benchmark::State &state)
     auto net = dnn::makeAlexNet();
     for (auto _ : state)
         benchmark::DoNotOptimize(sim::syntheticWeightPlanes(
-            net.layers[2], dnn::kBrickSize));
+            net.layers[2]));
     state.SetItemsProcessed(
         state.iterations() * net.layers[2].numFilters *
         net.layers[2].synapsesPerFilter());
@@ -384,7 +384,7 @@ BM_PropagatedWeightPlanesBuild(benchmark::State &state)
         return;
     for (auto _ : state)
         benchmark::DoNotOptimize(sim::propagatedWeightPlanes(
-            *layer, 0x5eed, dnn::kBrickSize));
+            *layer, 0x5eed));
     state.SetItemsProcessed(state.iterations() * layer->numFilters *
                             layer->synapsesPerFilter());
 }
@@ -436,7 +436,7 @@ BM_PalletSyncLayerTensor(benchmark::State &state)
     auto net = dnn::makeAlexNet();
     dnn::ActivationSynthesizer synth(net);
     auto tensor = synth.synthesizeFixed16Trimmed(2);
-    models::PragmaticTileConfig tile;
+    models::PragmaticConfig tile;
     tile.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
@@ -452,7 +452,7 @@ BM_PalletSyncLayerWorkload(benchmark::State &state)
     dnn::ActivationSynthesizer synth(net);
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(2));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticTileConfig tile;
+    models::PragmaticConfig tile;
     tile.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(
@@ -476,7 +476,7 @@ BM_FcLoweringPalletSync(benchmark::State &state)
     int fc8 = static_cast<int>(net.layers.size()) - 1;
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(fc8));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticTileConfig tile;
+    models::PragmaticConfig tile;
     tile.firstStageBits = static_cast<int>(state.range(0));
     for (auto _ : state)
         benchmark::DoNotOptimize(models::simulateLayerPalletSync(

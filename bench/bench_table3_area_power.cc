@@ -22,7 +22,8 @@ main(int argc, char **argv)
     // nothing, and any other flag is a mistake.
     util::ArgParser(argc, argv).checkUnknown({"smoke"}, &std::cout);
     std::printf("== Area and power, pallet synchronization ==\n"
-                "(reproduces Table III; see EXPERIMENTS.md)\n\n");
+                "(reproduces Table III; see README.md, \"Reproducing "
+                "paper figures\")\n\n");
 
     util::TextTable table({"design", "Area U.", "dArea U.", "Area T.",
                            "dArea T.", "Power T.", "dPower T.",

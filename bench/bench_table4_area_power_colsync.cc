@@ -20,7 +20,8 @@ main(int argc, char **argv)
     // nothing, and any other flag is a mistake.
     util::ArgParser(argc, argv).checkUnknown({"smoke"}, &std::cout);
     std::printf("== Area and power, column synchronization, PRA-2b ==\n"
-                "(reproduces Table IV; see EXPERIMENTS.md)\n\n");
+                "(reproduces Table IV; see README.md, \"Reproducing "
+                "paper figures\")\n\n");
 
     energy::AreaPower ddn = energy::dadnAreaPower();
     util::TextTable table({"design", "Area U.", "dArea U.", "Area T.",

@@ -257,7 +257,8 @@ speedupTable(const BenchOptions &opt,
 inline void
 banner(const std::string &title, const std::string &paper_ref)
 {
-    std::printf("== %s ==\n(reproduces %s; see EXPERIMENTS.md)\n\n",
+    std::printf("== %s ==\n(reproduces %s; see README.md, "
+                "\"Reproducing paper figures\")\n\n",
                 title.c_str(), paper_ref.c_str());
 }
 

@@ -37,7 +37,6 @@ class TermCountEngine : public sim::Engine
 
     explicit TermCountEngine(const sim::EngineKnobs &knobs);
 
-    std::string kind() const override { return "terms"; }
     std::string name() const override;
 
     /** PRA-red reads the trimmed stream; every other series the raw. */

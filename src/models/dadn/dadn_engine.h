@@ -21,7 +21,6 @@ class DadnEngine : public sim::Engine
   public:
     explicit DadnEngine(const sim::EngineKnobs &knobs);
 
-    std::string kind() const override { return "dadn"; }
     std::string name() const override { return "DaDN"; }
 
     sim::LayerResult

@@ -127,20 +127,15 @@ simulateImpl(const dnn::LayerSpec &layer,
 
     // The detector input: the raw stream, or its Diffy difference.
     // Diffy masks summarize a *different* tensor than the shared
-    // workload planes, so the plane path rebuilds them locally.
-    dnn::NeuronTensor diffed;
-    std::optional<sim::BrickPlanes> local_planes;
+    // workload planes, so it prices a local workload of its own.
+    std::optional<sim::LayerWorkload> diffed;
     if (config.diffy)
-        diffed = diffyTransform(input);
+        diffed.emplace(diffyTransform(input));
     sim::PalletDriver driver(layer, accel, sample,
-                             config.diffy ? diffed : input,
-                             config.diffy ? nullptr : workload);
-    const sim::BrickPlanes *planes = driver.brickPlanes();
-    if (config.diffy && accel.neuronLanes == dnn::kBrickSize) {
-        local_planes = sim::buildBrickPlanes(diffed);
-        planes = &*local_planes;
-    }
-    const MaskSource masks(driver.tiling(), driver.input(), planes);
+                             diffed ? diffed->tensor() : input,
+                             diffed ? &*diffed : workload);
+    const MaskSource masks(driver.tiling(), driver.input(),
+                           driver.brickPlanes());
     const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
     const size_t max_groups =
         static_cast<size_t>(accel.windowsPerPallet / gc);

@@ -32,7 +32,6 @@ class DynamicStripesEngine : public sim::Engine
   public:
     explicit DynamicStripesEngine(const sim::EngineKnobs &knobs);
 
-    std::string kind() const override { return "dynamic_stripes"; }
     std::string name() const override;
     sim::InputStream inputStream() const override;
     void checkMachine(const sim::AccelConfig &accel) const override

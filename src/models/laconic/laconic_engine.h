@@ -23,20 +23,12 @@ class LaconicEngine : public sim::Engine
   public:
     explicit LaconicEngine(const sim::EngineKnobs &knobs);
 
-    std::string kind() const override { return "laconic"; }
     std::string name() const override { return "Laconic"; }
     sim::InputStream inputStream() const override
     {
         return sim::InputStream::Fixed16Trimmed;
     }
-    /**
-     * The shared planes are brick-wide; a reshaped machine builds
-     * its own (sim::PalletDriver::weightPlanes).
-     */
-    bool readsSharedWeights(const sim::AccelConfig &accel) const override
-    {
-        return accel.neuronLanes == dnn::kBrickSize;
-    }
+    bool readsSharedWeights() const override { return true; }
 
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

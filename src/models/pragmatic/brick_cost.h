@@ -5,10 +5,10 @@
  *
  * Both engines fundamentally consume, per (window, synapse set), the
  * brick's PIP schedule length and its effectual-term (set-bit) count.
- * When the workload's packed brick planes apply (brick size == the
- * machine's neuron lanes), the term count is a single plane lookup
- * and the schedule length resolves from tables for *every*
- * first-stage width:
+ * On the workload path (every engine adapter), the term count is a
+ * single lookup in the workload's packed brick planes and the
+ * schedule length resolves from tables for *every* first-stage
+ * width:
  *
  *   cycles(L=0) == orPop   (distinct oneffset positions),
  *   cycles(L=4) == maxPop  (busiest lane), and
@@ -55,8 +55,8 @@ class BrickCostModel
      * Resolve brick costs for @p driver's stream at first-stage
      * width @p first_stage_bits (L): from the driver's brick planes
      * and, for L in 1..3, the workload's memoized cycle plane, or
-     * from the tensor when no planes apply. Must not outlive the
-     * driver.
+     * from the tensor on the plane-free tensor path. Must not outlive
+     * the driver.
      */
     BrickCostModel(const sim::PalletDriver &driver, int first_stage_bits)
         : tiling_(driver.tiling()), input_(driver.input()),

@@ -58,7 +58,7 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
                        const dnn::NeuronTensor &input,
                        const sim::LayerWorkload *workload,
                        const sim::AccelConfig &accel,
-                       const ColumnSyncConfig &config,
+                       const PragmaticConfig &config,
                        const sim::SampleSpec &sample)
 {
     sim::PalletDriver driver(layer, accel, sample, input, workload);
@@ -76,7 +76,8 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
     // Window coordinates of the current pallet's active columns.
     std::vector<sim::WindowCoord> col_coords;
 
-    SsrPool ssrs(config.ideal() ? 0 : config.ssrCount);
+    const bool ideal = config.ssrCount <= 0;
+    SsrPool ssrs(ideal ? 0 : config.ssrCount);
     int64_t last_read_done = 0;
 
     // Dispatcher pallet double-buffering state.
@@ -157,7 +158,7 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
     // Section V-E: SB is read as often as under pallet sync (the SSRs
     // absorb the repeats), so the shared sbReadSteps hold.
     sim::LayerResult result = driver.result(
-        config.ideal() ? "PRA-perCol-ideal" : "PRA-perCol",
+        ideal ? "PRA-perCol-ideal" : "PRA-perCol",
         sim::PalletTotals{stream_finish, 0, terms}, layer.numFilters);
     // Stall accounting: time beyond the busiest column's raw work.
     const double passes = static_cast<double>(tiling.passes());
@@ -175,7 +176,7 @@ sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,
                         const dnn::NeuronTensor &input,
                         const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample)
 {
     return simulateColumnSyncImpl(layer, input, nullptr, accel, config,
@@ -186,7 +187,7 @@ sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample)
 {
     return simulateColumnSyncImpl(layer, workload.tensor(), &workload,

@@ -27,6 +27,7 @@
 
 #include "dnn/layer_spec.h"
 #include "dnn/tensor.h"
+#include "models/pragmatic/pragmatic_config.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -35,22 +36,15 @@
 namespace pra {
 namespace models {
 
-/** Parameters of the per-column synchronization engine. */
-struct ColumnSyncConfig
-{
-    int firstStageBits = 2;  ///< L: first-stage shifter width.
-    int ssrCount = 1;        ///< Synapse set registers; 0 = infinite.
-    bool modelNmStalls = true; ///< Model the dispatcher pallet fetch.
-
-    bool ideal() const { return ssrCount <= 0; }
-};
-
-/** Simulate one layer under per-column synchronization. */
+/**
+ * Simulate one layer under per-column synchronization
+ * (firstStageBits, ssrCount and modelNmStalls of @p config apply).
+ */
 sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,
                         const dnn::NeuronTensor &input,
                         const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample);
 
 /**
@@ -63,7 +57,7 @@ sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const ColumnSyncConfig &config,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample);
 
 } // namespace models

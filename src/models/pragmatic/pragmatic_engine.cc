@@ -73,12 +73,6 @@ PragmaticEngine::PragmaticEngine(SyncScheme sync,
     }
 }
 
-std::string
-PragmaticEngine::kind() const
-{
-    return kindOf(config_.sync);
-}
-
 sim::InputStream
 PragmaticEngine::inputStream() const
 {
@@ -95,21 +89,12 @@ PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
                                const sim::SampleSpec &sample,
                                const util::InnerExecutor &exec) const
 {
-    sim::LayerResult result;
-    if (config_.sync == SyncScheme::Pallet) {
-        PragmaticTileConfig tile;
-        tile.firstStageBits = config_.firstStageBits;
-        tile.modelNmStalls = config_.modelNmStalls;
-        result = simulateLayerPalletSync(layer, workload, accel, tile,
-                                         sample, exec);
-    } else {
-        ColumnSyncConfig column;
-        column.firstStageBits = config_.firstStageBits;
-        column.ssrCount = config_.ssrCount;
-        column.modelNmStalls = config_.modelNmStalls;
-        result = simulateLayerColumnSync(layer, workload, accel, column,
-                                         sample);
-    }
+    sim::LayerResult result =
+        config_.sync == SyncScheme::Pallet
+            ? simulateLayerPalletSync(layer, workload, accel, config_,
+                                      sample, exec)
+            : simulateLayerColumnSync(layer, workload, accel, config_,
+                                      sample);
     result.engineName = config_.label();
     return result;
 }

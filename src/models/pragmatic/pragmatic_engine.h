@@ -17,31 +17,12 @@
 
 #include <string>
 
+#include "models/pragmatic/pragmatic_config.h"
 #include "sim/engine.h"
 #include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
-
-/** Neuron storage representation (paper Sections VI-B vs VI-F). */
-enum class Representation { Fixed16, Quant8 };
-
-/** Neuron lane synchronization scheme (Sections V-A4 vs V-E). */
-enum class SyncScheme { Pallet, PerColumn };
-
-/** A full Pragmatic design point. */
-struct PragmaticConfig
-{
-    int firstStageBits = 2;      ///< L (0..4); 4 == single-stage.
-    SyncScheme sync = SyncScheme::Pallet;
-    int ssrCount = 1;            ///< Per-column SSRs; 0 = ideal.
-    bool softwareTrim = true;    ///< Section V-F precision masking.
-    Representation representation = Representation::Fixed16;
-    bool modelNmStalls = true;
-
-    /** Short label, e.g. "PRA-2b" or "PRA-2b-1R". */
-    std::string label() const;
-};
 
 /** Pragmatic (either sync scheme) behind the Engine interface. */
 class PragmaticEngine : public sim::Engine
@@ -50,7 +31,6 @@ class PragmaticEngine : public sim::Engine
     /** @p sync selects which registry kind the knobs configure. */
     PragmaticEngine(SyncScheme sync, const sim::EngineKnobs &knobs);
 
-    std::string kind() const override;
     std::string name() const override { return config_.label(); }
     sim::InputStream inputStream() const override;
 

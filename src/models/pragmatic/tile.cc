@@ -18,14 +18,14 @@ simulateImpl(const dnn::LayerSpec &layer,
              const dnn::NeuronTensor &input,
              const sim::LayerWorkload *workload,
              const sim::AccelConfig &accel,
-             const PragmaticTileConfig &tile,
+             const PragmaticConfig &config,
              const sim::SampleSpec &sample,
              const util::InnerExecutor &exec)
 {
     sim::PalletDriver driver(layer, accel, sample, input, workload);
     const sim::LayerTiling &tiling = driver.tiling();
     const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
-    const BrickCostModel costs(driver, tile.firstStageBits);
+    const BrickCostModel costs(driver, config.firstStageBits);
 
     sim::PalletTotals totals = driver.forEachPallet(
         exec, [&](std::span<const sim::WindowCoord> columns,
@@ -45,7 +45,7 @@ simulateImpl(const dnn::LayerSpec &layer,
                 // Even an all-zero pallet step holds the pipeline for
                 // the SB read cycle.
                 int64_t set_cycles = std::max(1, max_cycles);
-                if (tile.modelNmStalls)
+                if (config.modelNmStalls)
                     nm.step(prev_process,
                             sim::nmFetchCycles(tiling, columns, set));
                 acc.processCycles += set_cycles;
@@ -62,10 +62,10 @@ sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const dnn::NeuronTensor &input,
                         const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample)
 {
-    return simulateImpl(layer, input, nullptr, accel, tile, sample,
+    return simulateImpl(layer, input, nullptr, accel, config, sample,
                         util::InnerExecutor());
 }
 
@@ -73,12 +73,12 @@ sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample,
                         const util::InnerExecutor &exec)
 {
     return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        tile, sample, exec);
+                        config, sample, exec);
 }
 
 } // namespace models

@@ -20,6 +20,7 @@
 
 #include "dnn/layer_spec.h"
 #include "dnn/tensor.h"
+#include "models/pragmatic/pragmatic_config.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -29,13 +30,6 @@
 namespace pra {
 namespace models {
 
-/** Parameters of a Pragmatic tile's datapath. */
-struct PragmaticTileConfig
-{
-    int firstStageBits = 2;   ///< L: first-stage shifter width.
-    bool modelNmStalls = true; ///< Model dispatcher/NM fetch overlap.
-};
-
 /**
  * Simulate one layer under pallet synchronization.
  *
@@ -43,14 +37,15 @@ struct PragmaticTileConfig
  * @param input  the layer's input neuron patterns (16-bit fixed point
  *               or 8-bit quantized codes; timing sees only bits).
  * @param accel  machine configuration.
- * @param tile   datapath configuration.
+ * @param config datapath configuration (firstStageBits and
+ *               modelNmStalls apply here).
  * @param sample pallet sampling policy.
  */
 sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const dnn::NeuronTensor &input,
                         const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample);
 
 /**
@@ -61,7 +56,7 @@ sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,
                         const sim::LayerWorkload &workload,
                         const sim::AccelConfig &accel,
-                        const PragmaticTileConfig &tile,
+                        const PragmaticConfig &config,
                         const sim::SampleSpec &sample,
                         const util::InnerExecutor &exec);
 

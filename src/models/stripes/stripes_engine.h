@@ -31,7 +31,6 @@ class StripesEngine : public sim::Engine
   public:
     explicit StripesEngine(const sim::EngineKnobs &knobs);
 
-    std::string kind() const override { return "stripes"; }
     std::string name() const override;
     sim::InputStream inputStream() const override;
 

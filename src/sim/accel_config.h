@@ -5,15 +5,18 @@
  * All modeled designs (DaDN, Stripes, Pragmatic) share the DaDianNao
  * organization: 16 tiles, 16 filters per tile, 16 neuron lanes, and a
  * central Neuron Memory (NM) broadcasting neuron bricks to the tiles.
- * The defaults reproduce the configuration of the paper's evaluation;
- * the struct exists so tests and the design-space example can shrink
- * or reshape the machine.
+ * The defaults reproduce the configuration of the paper's evaluation.
+ * Tile count and pallet width (the machine-shape ablation bench
+ * varies them) and the memory hierarchy (--memory) are settable. The
+ * brick is fixed at dnn::kBrickSize lanes: the width every packed
+ * operand plane, the PIP and the area model are built for.
  */
 
 #pragma once
 
 #include <cstdint>
 
+#include "dnn/tensor.h"
 #include "sim/memory/memory_config.h"
 
 namespace pra {
@@ -22,17 +25,18 @@ namespace sim {
 /** Machine-level configuration shared by every modeled design. */
 struct AccelConfig
 {
-    int tiles = 16;            ///< Tiles per chip.
-    int filtersPerTile = 16;   ///< Filter lanes per tile.
-    int neuronLanes = 16;      ///< Neurons per brick (brick size).
-    int windowsPerPallet = 16; ///< PIP columns / bricks per pallet.
-
+    static constexpr int filtersPerTile = 16; ///< Filter lanes per tile.
+    /** Neurons per brick: the packed planes' brick width. */
+    static constexpr int neuronLanes = dnn::kBrickSize;
     /**
      * Neurons per NM row. DaDN's NM supplies 256 16-bit neurons per
      * row access (4096 bits); a pallet with unit stride then spans at
      * most two adjacent rows (Section V-A4).
      */
-    int nmRowNeurons = 256;
+    static constexpr int nmRowNeurons = 256;
+
+    int tiles = 16;            ///< Tiles per chip.
+    int windowsPerPallet = 16; ///< PIP columns / bricks per pallet.
 
     /**
      * Memory-hierarchy design point (global buffer, double-buffered
@@ -57,9 +61,7 @@ struct AccelConfig
     bool
     valid() const
     {
-        return tiles > 0 && filtersPerTile > 0 && neuronLanes > 0 &&
-               windowsPerPallet > 0 && nmRowNeurons >= neuronLanes &&
-               memory.valid();
+        return tiles > 0 && windowsPerPallet > 0 && memory.valid();
     }
 };
 

@@ -42,9 +42,6 @@ class Engine
   public:
     virtual ~Engine() = default;
 
-    /** Registry kind this engine was created under, e.g. "stripes". */
-    virtual std::string kind() const = 0;
-
     /**
      * Variant label embedded in results, e.g. "PRA-2b". Distinct
      * knob settings of one kind produce distinct names.
@@ -55,17 +52,13 @@ class Engine
     virtual InputStream inputStream() const { return InputStream::None; }
 
     /**
-     * Whether simulateLayer on @p accel reads its workload's shared
-     * weight planes (LayerWorkload::weightPlanes). A sweep builds
-     * the planes ahead of the cells only for engines that say so; a
-     * wrong answer costs time, never a result bit, and the engine
-     * contract test holds every kind to it.
+     * Whether simulateLayer reads its workload's shared weight planes
+     * (LayerWorkload::weightPlanes). A sweep builds the planes ahead
+     * of the cells only for engines that say so; a wrong answer costs
+     * time, never a result bit, and the engine contract test holds
+     * every kind to it.
      */
-    virtual bool readsSharedWeights(const AccelConfig &accel) const
-    {
-        (void)accel;
-        return false;
-    }
+    virtual bool readsSharedWeights() const { return false; }
 
     /**
      * Reject, through util::fatal, a machine this engine cannot

@@ -141,7 +141,7 @@ reduceCodeRun(const uint16_t *__restrict codes, int n,
 }
 
 /**
- * Reduce @p layer's filters into weight planes with @p lanes channel
+ * Reduce @p layer's filters into weight planes, kBrickSize channel
  * lanes per set. @p filter_codes(filter, codes) must fill its span
  * (length layer.synapsesPerFilter(), flat (fy * Fx + fx) * I + c
  * layout — FilterTensor order) with filter @p filter's magnitude
@@ -151,20 +151,18 @@ reduceCodeRun(const uint16_t *__restrict codes, int n,
  */
 template <typename FilterCodes>
 WeightBrickPlanes
-buildWeightBrickPlanes(const dnn::LayerSpec &layer, int lanes,
+buildWeightBrickPlanes(const dnn::LayerSpec &layer,
                        FilterCodes &&filter_codes)
 {
     PRA_CHECK(layer.priced(),
               "weightBrickPlanes: pool layers carry no weights");
-    PRA_CHECK(lanes >= 1, "weightBrickPlanes: lanes must be positive");
     const int channels = layer.inputChannels;
-    const int bricks = (channels + lanes - 1) / lanes;
+    const int bricks = (channels + dnn::kBrickSize - 1) / dnn::kBrickSize;
     const int positions = layer.filterX * layer.filterY;
 
     WeightBrickPlanes planes;
-    planes.lanes = lanes;
     planes.numSets = positions * bricks;
-    size_t cells = static_cast<size_t>(planes.numSets) * lanes;
+    size_t cells = static_cast<size_t>(planes.numSets) * dnn::kBrickSize;
     planes.sumPop.assign(cells, 0);
     planes.maxPop.assign(cells, 0);
     planes.orMask.assign(cells, 0);
@@ -172,9 +170,10 @@ buildWeightBrickPlanes(const dnn::LayerSpec &layer, int lanes,
 
     // Stream one filter at a time, reducing its codes into the
     // per-(set, lane) accumulators. Channel c of kernel position pos
-    // is lane c % lanes of set pos * bricks + c / lanes, i.e. cell
-    // pos * bricks * lanes + c: a position's channels [0, I) are one
-    // contiguous run, and the padding lanes past I are never touched.
+    // is lane c % kBrickSize of set pos * bricks + c / kBrickSize,
+    // i.e. cell pos * bricks * kBrickSize + c: a position's channels
+    // [0, I) are one contiguous run, and the padding lanes past I are
+    // never touched.
     std::vector<uint16_t> codes(
         static_cast<size_t>(layer.synapsesPerFilter()));
     for (int f = 0; f < layer.numFilters; f++) {
@@ -195,21 +194,20 @@ buildWeightBrickPlanes(const dnn::LayerSpec &layer, int lanes,
 } // namespace
 
 WeightBrickPlanes
-syntheticWeightPlanes(const dnn::LayerSpec &layer, int lanes)
+syntheticWeightPlanes(const dnn::LayerSpec &layer)
 {
     return buildWeightBrickPlanes(
-        layer, lanes, [&layer](int filter, std::span<uint16_t> codes) {
+        layer, [&layer](int filter, std::span<uint16_t> codes) {
             dnn::synthesizeWeightCodes(layer, filter, codes);
         });
 }
 
 WeightBrickPlanes
-propagatedWeightPlanes(const dnn::LayerSpec &layer, uint64_t synth_seed,
-                       int lanes)
+propagatedWeightPlanes(const dnn::LayerSpec &layer, uint64_t synth_seed)
 {
     dnn::PropagatedWeightCodes source(layer, synth_seed);
     return buildWeightBrickPlanes(
-        layer, lanes, [&source](int filter, std::span<uint16_t> codes) {
+        layer, [&source](int filter, std::span<uint16_t> codes) {
             source.filterCodes(filter, codes);
         });
 }

@@ -126,9 +126,9 @@ LanePopPlanes buildLanePopPlanes(const dnn::NeuronTensor &tensor);
  * Packed weight-side planes of one layer: per (synapse set, channel
  * lane), reduced across *all* of the layer's filters. A synapse set
  * is a (fy, fx, channel-brick) coordinate in LayerTiling::setCoord
- * order — set s = ((fy * Fx) + fx) * ceil(I / lanes) + brick — and
- * lane l of set s covers input channel brickI + l (lanes beyond the
- * channel count hold zero).
+ * order — set s = ((fy * Fx) + fx) * ceil(I / kBrickSize) + brick —
+ * and lane l of set s covers input channel brickI + l (lanes beyond
+ * the channel count hold zero).
  *
  * Multi-pass layers (more filters than one pass holds) share one
  * all-filter reduction: maxPop/orMask/maxMag are then a worst-case-
@@ -138,8 +138,7 @@ LanePopPlanes buildLanePopPlanes(const dnn::NeuronTensor &tensor);
  */
 struct WeightBrickPlanes
 {
-    int numSets = 0; ///< Fx * Fy * ceil(I / lanes).
-    int lanes = 0;   ///< Channel lanes per set (machine neuron lanes).
+    int numSets = 0; ///< Fx * Fy * ceil(I / kBrickSize).
 
     std::vector<int32_t> sumPop; ///< Set-bit total across filters.
     std::vector<uint8_t> maxPop; ///< Max filter popcount (this lane).
@@ -149,7 +148,7 @@ struct WeightBrickPlanes
     size_t
     index(int set, int lane) const
     {
-        return static_cast<size_t>(set) * lanes + lane;
+        return static_cast<size_t>(set) * dnn::kBrickSize + lane;
     }
 };
 
@@ -159,8 +158,7 @@ struct WeightBrickPlanes
  * and profiled weight precision — no network or seed context, so the
  * tensor and workload engine paths derive bit-identical planes.
  */
-WeightBrickPlanes syntheticWeightPlanes(const dnn::LayerSpec &layer,
-                                        int lanes);
+WeightBrickPlanes syntheticWeightPlanes(const dnn::LayerSpec &layer);
 
 /**
  * Weight planes of the propagated reference filters: the exact
@@ -172,8 +170,7 @@ WeightBrickPlanes syntheticWeightPlanes(const dnn::LayerSpec &layer,
  * filter, not the whole layer.
  */
 WeightBrickPlanes propagatedWeightPlanes(const dnn::LayerSpec &layer,
-                                         uint64_t synth_seed,
-                                         int lanes);
+                                         uint64_t synth_seed);
 
 } // namespace sim
 } // namespace pra

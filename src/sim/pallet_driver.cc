@@ -14,7 +14,7 @@ PalletDriver::PalletDriver(const dnn::LayerSpec &layer,
                            const LayerWorkload *workload)
     : tiling_(layer, accel),
       plan_(planSample(tiling_.numPallets(), sample)), input_(input),
-      planes_(accel.neuronLanes == dnn::kBrickSize ? workload : nullptr)
+      planes_(workload)
 {
     PRA_CHECK(!plan_.indices.empty(), "pallet walk: layer has no pallets");
     // setCoord is pure index arithmetic, but every pallet visits every
@@ -32,8 +32,7 @@ PalletDriver::weightPlanes() const
         if (planes_) {
             weightPlanes_ = &planes_->weightPlanes(tiling_.layer());
         } else {
-            localWeights_ = syntheticWeightPlanes(
-                tiling_.layer(), tiling_.config().neuronLanes);
+            localWeights_ = syntheticWeightPlanes(tiling_.layer());
             weightPlanes_ = &localWeights_;
         }
     }

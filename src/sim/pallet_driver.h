@@ -75,15 +75,10 @@ class PalletDriver
         return setCoords_;
     }
 
-    /**
-     * The workload whose shared planes apply, or nullptr on the
-     * tensor path and on a reshaped machine: the packed planes
-     * summarize kBrickSize-channel bricks, so narrower lanes gather
-     * from the tensor instead.
-     */
+    /** The workload whose shared planes apply (nullptr: tensor path). */
     const LayerWorkload *planeWorkload() const { return planes_; }
 
-    /** The stream's shared planes, when they apply (else nullptr). */
+    /** The stream's shared planes (nullptr on the tensor path). */
     const BrickPlanes *brickPlanes() const
     {
         return planes_ ? &planes_->brickPlanes() : nullptr;
@@ -94,11 +89,10 @@ class PalletDriver
     }
 
     /**
-     * The layer's weight-side planes: the workload's shared planes
-     * when they apply, else a driver-local synthetic build at the
-     * machine's lane count (the shared requantized planes assume
-     * brick-width lanes). Built on first call and not synchronized:
-     * resolve them before forEachPallet.
+     * The layer's weight-side planes: the workload's shared planes,
+     * or on the tensor path a driver-local synthetic build. Built on
+     * first call and not synchronized: resolve them before
+     * forEachPallet.
      */
     const WeightBrickPlanes &weightPlanes() const;
 

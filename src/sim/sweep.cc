@@ -84,8 +84,7 @@ planGridPrefetch(const std::vector<dnn::Network> &networks,
             if (stream != InputStream::None &&
                 std::find(read.begin(), read.end(), stream) == read.end())
                 read.push_back(stream);
-            reads_weights = reads_weights ||
-                            engine->readsSharedWeights(options.accel);
+            reads_weights = reads_weights || engine->readsSharedWeights();
         }
         if (propagated && !read.empty())
             for (int b = 0; b < images; b++)

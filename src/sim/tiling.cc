@@ -14,8 +14,6 @@ LayerTiling::LayerTiling(const dnn::LayerSpec &layer,
 {
     PRA_CHECK(layer_.valid(), "LayerTiling: invalid layer");
     PRA_CHECK(config_.valid(), "LayerTiling: invalid config");
-    PRA_CHECK(config_.neuronLanes <= dnn::kBrickSize,
-                         "LayerTiling: neuronLanes exceeds brick size");
     int64_t windows = layer_.windows();
     numPallets_ = (windows + config_.windowsPerPallet - 1) /
                   config_.windowsPerPallet;

@@ -39,8 +39,8 @@ buildWeightPlanes(const dnn::LayerSpec &layer, ActivationMode mode,
 {
     return std::make_shared<const WeightBrickPlanes>(
         mode == ActivationMode::Propagated
-            ? propagatedWeightPlanes(layer, seed, dnn::kBrickSize)
-            : syntheticWeightPlanes(layer, dnn::kBrickSize));
+            ? propagatedWeightPlanes(layer, seed)
+            : syntheticWeightPlanes(layer));
 }
 
 /**

@@ -48,10 +48,10 @@ randomInput(const dnn::LayerSpec &layer, uint64_t seed,
     return t;
 }
 
-ColumnSyncConfig
+PragmaticConfig
 config(int ssrs, bool nm = false)
 {
-    ColumnSyncConfig c;
+    PragmaticConfig c;
     c.firstStageBits = 2;
     c.ssrCount = ssrs;
     c.modelNmStalls = nm;
@@ -68,7 +68,7 @@ TEST(ColumnSync, UniformInputMatchesPalletSync)
     for (auto &v : input.flat())
         v = 0b101;
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto pallet = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
@@ -81,7 +81,7 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
 {
     auto layer = evenLayer();
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
         auto input = randomInput(layer, seed);

@@ -226,7 +226,7 @@ TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)
     sim::AccelConfig accel;
     auto propagated_builder = [](const dnn::LayerSpec &l) {
         return std::make_shared<const sim::WeightBrickPlanes>(
-            sim::propagatedWeightPlanes(l, 0x5eed, dnn::kBrickSize));
+            sim::propagatedWeightPlanes(l, 0x5eed));
     };
     sim::LayerWorkload wl_a(input, propagated_builder);
     sim::LayerWorkload wl_b(input, propagated_builder);

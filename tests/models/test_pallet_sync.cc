@@ -51,7 +51,7 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0xffff);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
@@ -64,7 +64,7 @@ TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b100);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
@@ -77,7 +77,7 @@ TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
@@ -97,7 +97,7 @@ TEST(PalletSync, NeverSlowerThanDaDnOnRandomData)
     sim::AccelConfig accel;
     DadnModel dadn(accel);
     for (int l = 0; l <= 4; l++) {
-        PragmaticTileConfig tile;
+        PragmaticConfig tile;
         tile.firstStageBits = l;
         tile.modelNmStalls = false;
         auto result = simulateLayerPalletSync(layer, input, accel,
@@ -115,7 +115,7 @@ TEST(PalletSync, MonotoneInFirstStageBits)
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int l = 0; l <= 4; l++) {
-        PragmaticTileConfig tile;
+        PragmaticConfig tile;
         tile.firstStageBits = l;
         tile.modelNmStalls = false;
         auto result = simulateLayerPalletSync(layer, input, accel,
@@ -130,7 +130,7 @@ TEST(PalletSync, SamplingIsUnbiasedOnUniformData)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b1010);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto full = simulateLayerPalletSync(layer, input, accel, tile,
                                         sim::SampleSpec{0});
@@ -150,7 +150,7 @@ TEST(PalletSync, SamplingCloseOnRandomData)
                 ? static_cast<uint16_t>(rng.nextBounded(256))
                 : 0;
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto full = simulateLayerPalletSync(layer, input, accel, tile,
                                         sim::SampleSpec{0});
@@ -166,8 +166,8 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
     auto input = synth.synthesizeFixed16Trimmed(0);
     const auto &layer = net.layers[0]; // stride 4: visible stalls.
     sim::AccelConfig accel;
-    PragmaticTileConfig with;
-    PragmaticTileConfig without;
+    PragmaticConfig with;
+    PragmaticConfig without;
     without.modelNmStalls = false;
     auto stalled = simulateLayerPalletSync(layer, input, accel, with,
                                            sim::SampleSpec{32});
@@ -183,7 +183,7 @@ TEST(PalletSync, EffectualTermsScaleWithFilters)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b11);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     tile.modelNmStalls = false;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
@@ -199,7 +199,7 @@ TEST(PalletSync, SbReadsMatchDaDnSchedule)
     auto layer = evenLayer();
     auto input = constantInput(layer, 1);
     sim::AccelConfig accel;
-    PragmaticTileConfig tile;
+    PragmaticConfig tile;
     auto result = simulateLayerPalletSync(layer, input, accel, tile,
                                           sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);

@@ -132,21 +132,12 @@ TEST(PragmaticEngine, WorkloadPathBitIdenticalToTensorKernels)
                 synth, static_cast<int>(i), engine.inputStream());
             sim::LayerResult got = engine.simulateLayer(
                 layer, sim::LayerWorkload(input), accel, sample, exec);
-            sim::LayerResult want;
-            if (config.sync == SyncScheme::Pallet) {
-                PragmaticTileConfig tile;
-                tile.firstStageBits = config.firstStageBits;
-                tile.modelNmStalls = config.modelNmStalls;
-                want = simulateLayerPalletSync(layer, input, accel, tile,
-                                               sample);
-            } else {
-                ColumnSyncConfig column;
-                column.firstStageBits = config.firstStageBits;
-                column.ssrCount = config.ssrCount;
-                column.modelNmStalls = config.modelNmStalls;
-                want = simulateLayerColumnSync(layer, input, accel,
-                                               column, sample);
-            }
+            sim::LayerResult want =
+                config.sync == SyncScheme::Pallet
+                    ? simulateLayerPalletSync(layer, input, accel, config,
+                                              sample)
+                    : simulateLayerColumnSync(layer, input, accel, config,
+                                              sample);
             EXPECT_EQ(got.cycles, want.cycles);
             EXPECT_EQ(got.effectualTerms, want.effectualTerms);
             EXPECT_EQ(got.nmStallCycles, want.nmStallCycles);

@@ -104,17 +104,16 @@ requantizedReferenceCodes(const dnn::LayerSpec &layer,
  * Naive weight planes: every (set, lane) cell reduced on its own,
  * straight from the set-coordinate definition (set s is kernel
  * position s / bricks and channel brick s % bricks; lane l covers
- * channel brick * lanes + l, and lanes past the channel count stay
- * zero).
+ * channel brick * kBrickSize + l, and lanes past the channel count
+ * stay zero).
  */
 WeightBrickPlanes
-naiveWeightPlanes(const dnn::LayerSpec &layer, int lanes,
-                  const FilterCodes &codes)
+naiveWeightPlanes(const dnn::LayerSpec &layer, const FilterCodes &codes)
 {
+    const int lanes = dnn::kBrickSize;
     const int channels = layer.inputChannels;
     const int bricks = (channels + lanes - 1) / lanes;
     WeightBrickPlanes ref;
-    ref.lanes = lanes;
     ref.numSets = layer.filterX * layer.filterY * bricks;
     const size_t cells = static_cast<size_t>(ref.numSets) * lanes;
     ref.sumPop.assign(cells, 0);
@@ -147,17 +146,17 @@ void
 expectPlanesEqual(const WeightBrickPlanes &planes,
                   const WeightBrickPlanes &ref, int channels)
 {
-    ASSERT_EQ(planes.lanes, ref.lanes);
+    const int lanes = dnn::kBrickSize;
     ASSERT_EQ(planes.numSets, ref.numSets);
     EXPECT_EQ(planes.sumPop, ref.sumPop);
     EXPECT_EQ(planes.maxPop, ref.maxPop);
     EXPECT_EQ(planes.orMask, ref.orMask);
     EXPECT_EQ(planes.maxMag, ref.maxMag);
-    const int bricks = (channels + planes.lanes - 1) / planes.lanes;
+    const int bricks = (channels + lanes - 1) / lanes;
     int padding = 0;
     for (int s = 0; s < planes.numSets; s++)
-        for (int l = 0; l < planes.lanes; l++) {
-            if ((s % bricks) * planes.lanes + l < channels)
+        for (int l = 0; l < lanes; l++) {
+            if ((s % bricks) * lanes + l < channels)
                 continue;
             padding++;
             const size_t idx = planes.index(s, l);
@@ -166,7 +165,7 @@ expectPlanesEqual(const WeightBrickPlanes &planes,
             EXPECT_EQ(planes.orMask[idx], 0) << s << ',' << l;
             EXPECT_EQ(planes.maxMag[idx], 0) << s << ',' << l;
         }
-    const int per_position = bricks * planes.lanes - channels;
+    const int per_position = bricks * lanes - channels;
     EXPECT_EQ(padding, planes.numSets / bricks * per_position);
 }
 
@@ -224,88 +223,55 @@ TEST(OperandPlanes, LanePopPlanesMatchTensorPopcounts)
 TEST(OperandPlanes, SyntheticWeightPlanesMatchMaterializedCodes)
 {
     dnn::LayerSpec layer = weightLayer();
-    WeightBrickPlanes planes =
-        syntheticWeightPlanes(layer, dnn::kBrickSize);
+    WeightBrickPlanes planes = syntheticWeightPlanes(layer);
     ASSERT_EQ(planes.numSets, layer.filterX * layer.filterY * 2);
     expectPlanesEqual(planes,
-                      naiveWeightPlanes(layer, dnn::kBrickSize,
-                                        syntheticCodes(layer)),
+                      naiveWeightPlanes(layer, syntheticCodes(layer)),
                       layer.inputChannels);
 
     // Determinism: a second build is identical.
-    WeightBrickPlanes again =
-        syntheticWeightPlanes(layer, dnn::kBrickSize);
+    WeightBrickPlanes again = syntheticWeightPlanes(layer);
     EXPECT_EQ(planes.sumPop, again.sumPop);
     EXPECT_EQ(planes.orMask, again.orMask);
-}
-
-TEST(OperandPlanes, ReshapedLaneCountReindexesBricks)
-{
-    dnn::LayerSpec layer = weightLayer();
-    WeightBrickPlanes wide = syntheticWeightPlanes(layer, 16);
-    WeightBrickPlanes narrow = syntheticWeightPlanes(layer, 8);
-    // 24 channels: 2 bricks of 16 lanes, or 3 bricks of 8 lanes.
-    EXPECT_EQ(wide.numSets, layer.filterX * layer.filterY * 2);
-    EXPECT_EQ(narrow.numSets, layer.filterX * layer.filterY * 3);
-    // Same codes, different packing: total popcount mass agrees.
-    int64_t wide_sum = 0, narrow_sum = 0;
-    for (int32_t s : wide.sumPop)
-        wide_sum += s;
-    for (int32_t s : narrow.sumPop)
-        narrow_sum += s;
-    EXPECT_EQ(wide_sum, narrow_sum);
-    // The wide build's lanes beyond a partial brick stay zero.
-    for (int pos = 0; pos < layer.filterX * layer.filterY; pos++)
-        for (int l = 8; l < 16; l++) {
-            size_t idx = wide.index(pos * 2 + 1, l);
-            EXPECT_EQ(wide.sumPop[idx], 0);
-            EXPECT_EQ(wide.orMask[idx], 0);
-        }
 }
 
 TEST(OperandPlanes, PropagatedPlanesMatchRequantizedReferenceWeights)
 {
     dnn::LayerSpec layer = weightLayer();
     const uint64_t synth_seed = 0x5eed;
-    WeightBrickPlanes planes =
-        propagatedWeightPlanes(layer, synth_seed, dnn::kBrickSize);
+    WeightBrickPlanes planes = propagatedWeightPlanes(layer, synth_seed);
 
     expectPlanesEqual(
         planes,
-        naiveWeightPlanes(layer, dnn::kBrickSize,
+        naiveWeightPlanes(layer,
                           requantizedReferenceCodes(layer, synth_seed)),
         layer.inputChannels);
     // The requantized stream is not the synthetic one.
-    WeightBrickPlanes synth =
-        syntheticWeightPlanes(layer, dnn::kBrickSize);
+    WeightBrickPlanes synth = syntheticWeightPlanes(layer);
     EXPECT_NE(planes.sumPop, synth.sumPop);
 }
 
-TEST(OperandPlanes, WeightPlanesMatchNaiveReductionAcrossLaneWidths)
+TEST(OperandPlanes, WeightPlanesMatchNaiveReductionAcrossChannelCounts)
 {
-    // Channel counts that are not (21) and are (24 at 8 lanes) a
-    // multiple of the lane width: the flat per-position runs must
-    // land every channel in its (set, lane) cell and leave the
-    // padding lanes of each partial brick untouched.
+    // Channel counts below, at, between and at multiples of the brick
+    // width: the flat per-position runs must land every channel in
+    // its (set, lane) cell and leave the padding lanes of each
+    // partial brick untouched.
     const uint64_t synth_seed = 0x1a4e;
-    for (int channels : {21, 24})
-        for (int lanes : {16, 8, 5}) {
-            SCOPED_TRACE("channels " + std::to_string(channels) +
-                         ", lanes " + std::to_string(lanes));
-            dnn::LayerSpec layer = weightLayer();
-            layer.inputChannels = channels;
-            ASSERT_TRUE(layer.valid());
-            expectPlanesEqual(
-                syntheticWeightPlanes(layer, lanes),
-                naiveWeightPlanes(layer, lanes, syntheticCodes(layer)),
-                channels);
-            expectPlanesEqual(
-                propagatedWeightPlanes(layer, synth_seed, lanes),
-                naiveWeightPlanes(
-                    layer, lanes,
-                    requantizedReferenceCodes(layer, synth_seed)),
-                channels);
-        }
+    for (int channels : {5, 16, 21, 24, 32}) {
+        SCOPED_TRACE("channels " + std::to_string(channels));
+        dnn::LayerSpec layer = weightLayer();
+        layer.inputChannels = channels;
+        ASSERT_TRUE(layer.valid());
+        expectPlanesEqual(syntheticWeightPlanes(layer),
+                          naiveWeightPlanes(layer, syntheticCodes(layer)),
+                          channels);
+        expectPlanesEqual(
+            propagatedWeightPlanes(layer, synth_seed),
+            naiveWeightPlanes(layer,
+                              requantizedReferenceCodes(layer, synth_seed)),
+            channels);
+    }
 }
 
 } // namespace

@@ -401,7 +401,6 @@ void
 expectSamePlanes(const WeightBrickPlanes &a, const WeightBrickPlanes &b)
 {
     EXPECT_EQ(a.numSets, b.numSets);
-    EXPECT_EQ(a.lanes, b.lanes);
     EXPECT_EQ(a.sumPop, b.sumPop);
     EXPECT_EQ(a.maxPop, b.maxPop);
     EXPECT_EQ(a.orMask, b.orMask);
@@ -442,8 +441,7 @@ TEST(WorkloadCache, WeightPlanesSharedAcrossImagesAndStreams)
     }
     for (const WeightBrickPlanes *p : planes)
         EXPECT_EQ(p, planes[0]);
-    expectSamePlanes(*planes[0],
-                     syntheticWeightPlanes(layer, dnn::kBrickSize));
+    expectSamePlanes(*planes[0], syntheticWeightPlanes(layer));
     EXPECT_EQ(cache.hits(), hits);
     EXPECT_EQ(cache.misses(), misses);
 
@@ -483,10 +481,8 @@ TEST(WorkloadCache, PropagatedWeightPlanesKeyedBySeed)
     EXPECT_NE(&pa, &synthetic);
     EXPECT_NE(&pb, &synthetic);
 
-    expectSamePlanes(pa,
-                     propagatedWeightPlanes(layer, 0x5eed, dnn::kBrickSize));
-    expectSamePlanes(pb,
-                     propagatedWeightPlanes(layer, 0xbeef, dnn::kBrickSize));
+    expectSamePlanes(pa, propagatedWeightPlanes(layer, 0x5eed));
+    expectSamePlanes(pb, propagatedWeightPlanes(layer, 0xbeef));
     EXPECT_NE(pa.sumPop, pb.sumPop);
 }
 
@@ -507,8 +503,7 @@ TEST(WorkloadCache, WeightsResolveTheCellLayerWorkloadsShare)
               &cache.layer(synth, layer_idx, InputStream::Quant8,
                            ActivationMode::Propagated, 1)
                    ->weightPlanes(layer));
-    expectSamePlanes(*prefetched,
-                     propagatedWeightPlanes(layer, 0x5eed, dnn::kBrickSize));
+    expectSamePlanes(*prefetched, propagatedWeightPlanes(layer, 0x5eed));
 
     const WeightBrickPlanes &built =
         cache.layer(synth, layer_idx, InputStream::Fixed16Raw)
@@ -534,8 +529,7 @@ TEST(WorkloadCache, WeightPlanesOutliveTheCache)
         WorkloadCache cache;
         view = cache.layer(synth, layer_idx, InputStream::Fixed16Raw);
     }
-    expectSamePlanes(view->weightPlanes(layer),
-                     syntheticWeightPlanes(layer, dnn::kBrickSize));
+    expectSamePlanes(view->weightPlanes(layer), syntheticWeightPlanes(layer));
 }
 
 TEST(WorkloadCache, PalletSyncInvariantAcrossBlockCounts)
