@@ -294,15 +294,20 @@ ActivationSynthesizer::synthesizeRaw(int layer_idx, bool quantized,
     uint32_t noise_max =
         params.anchorLsb > 0 ? (1u << params.anchorLsb) - 1 : 0;
 
+    const util::Bernoulli zero(params.zeroFraction);
+    const util::Bernoulli dense_draw(params.denseFraction);
+    const util::Bernoulli noise_dense(params.noiseDense);
+    const util::Bernoulli noise_light(params.noiseLight);
+
     const int p = params.precisionBits;
     NeuronTensor tensor(layer.inputX, layer.inputY, layer.inputChannels);
     for (auto &value : tensor.flat()) {
-        if (rng.nextBool(params.zeroFraction)) {
+        if (zero(rng)) {
             value = 0;
             continue;
         }
         uint32_t core_value;
-        bool dense = rng.nextBool(params.denseFraction);
+        bool dense = dense_draw(rng);
         if (dense) {
             // Dense (heavy-tail) component: MSB at the window top,
             // uniform lower bits.
@@ -315,10 +320,10 @@ ActivationSynthesizer::synthesizeRaw(int layer_idx, bool quantized,
         }
         uint32_t v = core_value << params.anchorLsb;
         if (noise_max > 0) {
-            double noise_prob = dense ? params.noiseDense
-                                      : params.noiseLight;
+            const util::Bernoulli &noise =
+                dense ? noise_dense : noise_light;
             for (int b = 0; b < params.anchorLsb; b++)
-                if (rng.nextBool(noise_prob))
+                if (noise(rng))
                     v |= 1u << b;
         }
         value = static_cast<uint16_t>(v);

@@ -59,8 +59,9 @@ synthesizeWeightCodes(const LayerSpec &layer, int filter,
         h, static_cast<uint64_t>(layer.profiledWeightPrecision));
     h = util::fnv1aMix(h, static_cast<uint64_t>(filter));
     util::Xoshiro256 rng(h);
+    const util::Bernoulli zero(kWeightZeroFraction);
     for (uint16_t &code : out) {
-        if (rng.nextBool(kWeightZeroFraction)) {
+        if (zero(rng)) {
             code = 0;
             continue;
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,6 +36,12 @@ innerTasks(const GridOptions &options, size_t passes)
         return 1;
     return static_cast<int>((threads + passes - 1) / passes);
 }
+
+/**
+ * Network identities whose ungated streams and passes a threaded,
+ * cached grid queues at once (see priceGrid).
+ */
+constexpr size_t kNetworkWindow = 2;
 
 /**
  * One cell's passes in flight: its workload source (made by the
@@ -140,6 +147,40 @@ priceGrid(const std::vector<dnn::Network> &networks,
         cell.images.resize(static_cast<size_t>(images));
         cell.pending = images;
     }
+    // One countdown per network identity: its name and workload
+    // fingerprint, the cache's key prefix, so a duplicated network
+    // shares its twin's. It counts the (cell, image) passes of the
+    // identity's cells in [first, last) and, threaded, its prefetch
+    // tasks; the task that brings it to zero drops the identity's
+    // cache entries, which no pending task reads any more.
+    std::vector<size_t> identity(networks.size());
+    for (size_t n = 0; n < networks.size(); n++) {
+        identity[n] = n;
+        for (size_t m = 0; m < n; m++)
+            if (networks[m].name == networks[n].name &&
+                networks[m].workloadFingerprint() ==
+                    networks[n].workloadFingerprint()) {
+                identity[n] = m;
+                break;
+            }
+    }
+    std::vector<std::atomic<int>> left(networks.size());
+    for (size_t c = first; c < last; c++)
+        left[identity[c / engines.size()]] += images;
+    // Threaded, cached: queues the ungated work of the identities
+    // ranked [lo, hi) among those with passes (see below).
+    std::function<void(size_t, size_t)> queueRanks;
+    std::atomic<size_t> nextRank{0};
+    auto done = [&](size_t network) {
+        if (!options.cache ||
+            left[identity[network]].fetch_sub(1) != 1)
+            return;
+        cache.release(networks[network]);
+        if (queueRanks) {
+            const size_t rank = nextRank.fetch_add(1);
+            queueRanks(rank, rank + 1);
+        }
+    };
     // One (cell, image) pass. Each pass builds its own engine and
     // writes its own slot; the cell's source is private (cache off:
     // streams rebuilt per cell) or backed by the grid-wide cache.
@@ -165,11 +206,12 @@ priceGrid(const std::vector<dnn::Network> &networks,
         cell.images[static_cast<size_t>(image)] = engine->runNetwork(
             network, cell.source->withImage(image), options.accel,
             options.sample, exec);
-        if (cell.pending.fetch_sub(1) != 1)
-            return;
-        cell.source.reset();
-        cell.synth.reset();
-        fold(c, std::move(cell.images));
+        if (cell.pending.fetch_sub(1) == 1) {
+            cell.source.reset();
+            cell.synth.reset();
+            fold(c, std::move(cell.images));
+        }
+        done(c / engines.size());
     };
 
     if (options.threads <= 1) {
@@ -205,8 +247,12 @@ priceGrid(const std::vector<dnn::Network> &networks,
     auto submitPass = [&pool, &pass, &exec](size_t c, int image) {
         pool.submit([&pass, &exec, c, image] { pass(c, image, exec); });
     };
-    auto submitPrefetch = [&pool, &prefetch](const GridPrefetch &item) {
-        pool.submit([&prefetch, item] { prefetch(item); });
+    auto submitPrefetch = [&pool, &prefetch,
+                           &done](const GridPrefetch &item) {
+        pool.submit([&prefetch, &done, item] {
+            prefetch(item);
+            done(item.network);
+        });
     };
     // Gated: a cached propagated pass that reads a stream, and so its
     // (network, image) chain, which the plan then always holds.
@@ -217,6 +263,8 @@ priceGrid(const std::vector<dnn::Network> &networks,
     };
     const std::vector<GridPrefetch> plan = planGridPrefetch(
         networks, engines, registry, options, images, first, last);
+    for (const GridPrefetch &item : plan)
+        left[identity[item.network]]++;
     // Queue what a built chain unblocks: its streams, then its passes.
     auto afterChain = [&](const GridPrefetch &chain) {
         for (const GridPrefetch &item : plan)
@@ -230,33 +278,61 @@ priceGrid(const std::vector<dnn::Network> &networks,
             if (gated(c))
                 submitPass(c, chain.image);
     };
+    // The window: an identity's ungated streams and passes join the
+    // queue only while it ranks among the kNetworkWindow
+    // lowest-numbered identities with passes left, so the cache holds
+    // the inputs of at most that many networks besides the chains and
+    // weight planes. Each release queues the next rank's. With the
+    // cache off nothing is shared, and every rank is queued at once.
+    std::vector<size_t> rank(networks.size());
+    size_t ranks = 0;
+    for (size_t n = 0; n < networks.size(); n++)
+        if (identity[n] == n && left[n] > 0)
+            rank[n] = ranks++;
+    queueRanks = [&](size_t lo, size_t hi) {
+        auto within = [&](size_t n) {
+            return rank[identity[n]] >= lo && rank[identity[n]] < hi;
+        };
+        if (!chained)
+            for (const GridPrefetch &item : plan)
+                if (item.kind == GridPrefetch::Kind::Stream &&
+                    within(item.network))
+                    submitPrefetch(item);
+        for (size_t c = first; c < last; c++)
+            if (!gated(c) && within(c / engines.size()))
+                for (int i = 0; i < images; i++)
+                    submitPass(c, i);
+    };
+    const size_t window =
+        options.cache ? std::min(kNetworkWindow, ranks) : ranks;
+    nextRank = window;
     // Queue order: the chains (the longest builds), the weight
-    // planes, the ungated streams, then the ungated passes, with no
-    // join; each chain's streams and passes join the queue when the
-    // chain is built, in the order the chains finish. So a pass finds
-    // its inputs built or in flight instead of building them alone
-    // while other passes wait on it, and no worker ever blocks on a
-    // chain still being built. This cannot deadlock: a chain or
-    // weight-plane task waits on nothing; a stream task or pass waits
-    // at most on a stream, weight-plane or synthesizer build that is
-    // running and itself waits on nothing, because every chain it
-    // reads finished before it was queued; and a pass's submitFirst
-    // subtasks, run by it or by whichever worker helps drain the
-    // queue, wait on nothing else. The plan is empty with the cache
-    // off, and then every pass is ungated.
+    // planes, then the window's ungated streams and ungated passes,
+    // with no join; each chain's streams and passes join the queue
+    // when the chain is built, in the order the chains finish. So a
+    // pass finds its inputs built or in flight instead of building
+    // them alone while other passes wait on it, and no worker ever
+    // blocks on a chain still being built. This cannot deadlock: a
+    // chain or weight-plane task waits on nothing; a stream task or
+    // pass waits at most on a stream, weight-plane or synthesizer
+    // build that is running and itself waits on nothing, because
+    // every chain it reads finished before it was queued; a pass's
+    // submitFirst subtasks, run by it or by whichever worker helps
+    // drain the queue, wait on nothing else; and every queued
+    // identity's tasks are all queued, so its countdown reaches zero
+    // and queues the next rank. The plan is empty with the cache off,
+    // and then every pass is ungated.
     for (const GridPrefetch &item : plan) {
         if (item.kind == GridPrefetch::Kind::Chain)
-            pool.submit([&prefetch, &afterChain, item] {
+            pool.submit([&prefetch, &afterChain, &done, item] {
                 prefetch(item);
                 afterChain(item);
+                done(item.network);
             });
-        else if (!chained || item.kind != GridPrefetch::Kind::Stream)
+        else if (item.kind == GridPrefetch::Kind::Weights)
             submitPrefetch(item);
     }
-    for (size_t c = first; c < last; c++)
-        for (int i = 0; i < images; i++)
-            if (!gated(c))
-                submitPass(c, i);
+    queueRanks(0, window);
     pool.wait();
 }
 

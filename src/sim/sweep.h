@@ -11,7 +11,10 @@
  * All cells of a grid draw their synthesized streams from one
  * WorkloadCache (unless disabled), so each distinct (network,
  * representation, trim, seed, image) workload is built exactly once
- * no matter how many engines consume it.
+ * no matter how many engines consume it. Each network (name and
+ * workload fingerprint, so a duplicated network counts once) keeps a
+ * countdown of its passes and prefetch tasks; the task that ends it
+ * releases the network's cache entries, which no pending task reads.
  *
  * Scheduling is two-level: with threads > 1 every (cell, image) pass
  * is its own pool task, and when there are fewer passes than threads
@@ -23,8 +26,12 @@
  * the inputs build side by side instead of inside whichever pass
  * asks first. Propagated streams and the passes that read them wait
  * for their chain outside the queue: the chain's task queues them
- * once it is built. threads <= 1 is serial: cell by cell, image by
- * image.
+ * once it is built. Chains and weight planes are queued up front;
+ * the other streams and passes of a network are queued only while it
+ * is one of the two lowest-numbered networks with passes left, and
+ * each release queues the next network's. threads <= 1 is serial:
+ * cell by cell, image by image, each network released after its last
+ * cell.
  *
  * Determinism: streams depend only on (network, seed, image) —
  * identical whether cached or rebuilt — each pass writes its own
@@ -66,8 +73,11 @@ struct GridOptions
      */
     int threads = 1;
     /**
-     * Share workloads across the grid. Off, every cell builds its
-     * own inputs and nothing is prefetched.
+     * Share workloads across the grid; each network's entries are
+     * dropped after its last pass, and a threaded grid prefetches
+     * the streams of two networks at a time. Off, every cell builds
+     * its own inputs, nothing is prefetched, and every pass is
+     * queued at once.
      */
     bool cache = true;
     AccelConfig accel;        ///< Machine configuration.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 
 // The cycle planes memoize the Pragmatic brick schedule, so this one
 // sim/ file reaches up into models/pragmatic for the batched kernel;
@@ -301,6 +302,34 @@ WorkloadCache::chain(const dnn::ActivationSynthesizer &synth,
         return std::make_shared<const dnn::PropagatedChain>(
             dnn::propagateChain(synth, image));
     });
+}
+
+void
+WorkloadCache::release(const dnn::Network &network)
+{
+    const std::string &name = network.name;
+    const uint64_t fingerprint = network.workloadFingerprint();
+    // Every key leads with (name, fingerprint).
+    auto ofNetwork = [&](const auto &entry) {
+        return std::get<0>(entry.first) == name &&
+               std::get<1>(entry.first) == fingerprint;
+    };
+    // resolve() fulfils a promise through a pointer into its map, so
+    // an entry must be built before it may go.
+    auto built = [&](const auto &entry) {
+        if (!ofNetwork(entry))
+            return false;
+        PRA_CHECK(entry.second.future.wait_for(std::chrono::seconds(0)) ==
+                      std::future_status::ready,
+                  "WorkloadCache::release: an entry of " + name +
+                      " is still being built");
+        return true;
+    };
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::erase_if(synths_, built);
+    std::erase_if(chains_, built);
+    std::erase_if(layers_, built);
+    std::erase_if(weights_, ofNetwork);
 }
 
 std::shared_ptr<const WeightBrickPlanes>

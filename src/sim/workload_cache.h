@@ -28,6 +28,13 @@
  * prefetch tasks ahead of its cells, which then find them built or
  * in flight.
  *
+ * Lifetime: an entry lives until release() drops its network (name
+ * and fingerprint) or the cache goes. A sweep releases each network
+ * after the last pass and prefetch task that reads it, so a serial
+ * grid holds one network's entries at a time. Whatever the cache
+ * handed out stays valid after a release, because every holder
+ * co-owns it through its shared_ptr.
+ *
  * Every value-dependent engine in a sweep grid consumes some
  * synthesized stream of each layer — convolutional or
  * fully-connected alike (an FC layer's stream is its lowered
@@ -309,6 +316,16 @@ class WorkloadCache
      */
     std::shared_ptr<const dnn::PropagatedChain>
     chain(const dnn::ActivationSynthesizer &synth, int image = 0);
+
+    /**
+     * Drop every synthesizer, chain, layer and weight entry of
+     * @p network (its name and workload fingerprint, under any seed,
+     * image, stream or mode). What was handed out stays valid, since
+     * its holders co-own it; a later request builds the entry again
+     * (a layer request counts a miss). No build of @p network may be
+     * in flight: every dropped entry must be built (PRA_CHECKed).
+     */
+    void release(const dnn::Network &network);
 
     /**
      * Layer-workload requests served from / added to the cache so

@@ -125,7 +125,11 @@ class Xoshiro256
         return lo + static_cast<int64_t>(nextBounded(span));
     }
 
-    /** Bernoulli draw: true with probability @p p. */
+    /**
+     * Bernoulli draw: true with probability @p p. Loops that draw
+     * with one p many times use Bernoulli, which returns the same
+     * bits.
+     */
     bool nextBool(double p) { return nextDouble() < p; }
 
     /** Standard normal draw (Box-Muller, deterministic). */
@@ -161,6 +165,39 @@ class Xoshiro256
     /** Cached second Box-Muller variate, NaN when absent. */
     double gaussSpare_ = 0.0;
     bool hasSpare_ = false;
+};
+
+/**
+ * A Bernoulli(p) draw as an integer threshold on the 53 bits that
+ * nextDouble() uses: (next() >> 11) * 2^-53 < p holds exactly when
+ * (next() >> 11) < ceil(p * 2^53), since both scalings by 2^53 are
+ * exact. So a draw consumes the one next() of rng.nextBool(p) and
+ * returns the same bit, without the int-to-double conversion. Build
+ * it once per loop, not per draw.
+ */
+class Bernoulli
+{
+  public:
+    explicit Bernoulli(double p) : threshold_(thresholdOf(p)) {}
+
+    bool operator()(Xoshiro256 &rng) const
+    {
+        return (rng.next() >> 11) < threshold_;
+    }
+
+  private:
+    /** p <= 0 and NaN never draw true; p >= 1 always does. */
+    static uint64_t
+    thresholdOf(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+    }
+
+    uint64_t threshold_;
 };
 
 } // namespace util

@@ -316,19 +316,23 @@ TEST(Shard, SlicesConcatenateToTheFullSweep)
     auto full = runSweep(networks, grid, models::builtinEngines(),
                          tinyOptions(1));
 
-    for (int shards : {2, 3, 5}) {
-        std::vector<NetworkResult> concat;
-        for (int i = 0; i < shards; i++) {
-            SweepOptions options = tinyOptions(1);
-            options.shardIndex = i;
-            options.shardCount = shards;
-            auto slice = runSweep(networks, grid,
-                                  models::builtinEngines(), options);
-            concat.insert(concat.end(), slice.begin(), slice.end());
+    // At 4 threads, shards that split a network release it on a
+    // partial countdown: only the passes of that shard's cells.
+    for (int threads : {1, 4})
+        for (int shards : {2, 3, 5}) {
+            std::vector<NetworkResult> concat;
+            for (int i = 0; i < shards; i++) {
+                SweepOptions options = tinyOptions(threads);
+                options.shardIndex = i;
+                options.shardCount = shards;
+                auto slice = runSweep(networks, grid,
+                                      models::builtinEngines(), options);
+                concat.insert(concat.end(), slice.begin(), slice.end());
+            }
+            expectSameResults(full, concat,
+                              "threads=" + std::to_string(threads) +
+                                  " shards=" + std::to_string(shards));
         }
-        expectSameResults(full, concat,
-                          "shards=" + std::to_string(shards));
-    }
 }
 
 TEST(Shard, CsvBodiesConcatenateByteIdentically)

@@ -343,6 +343,71 @@ TEST(Sweep, PrefetchedCsvByteIdenticalAcrossThreadMatrix)
     }
 }
 
+TEST(Sweep, ReleasingEachNetworkNeverShowsInTheCsv)
+{
+    // Each network's cache entries go after its last pass, and a
+    // threaded grid queues the streams and passes of two networks at
+    // a time: neither may change a byte against the serial uncached
+    // CSV. Two networks run the full (threads, cache, batch) matrix
+    // with laconic's weight planes and a quant8 Pragmatic's third
+    // stream beside the trimmed readers. Two three-network grids run
+    // the cached points without laconic, whose FC weight planes would
+    // dominate the test's time: one holds Tiny twice around another
+    // network (one countdown across it), the other two selections of
+    // AlexNet (two countdowns); both queue a third network's work
+    // from a release.
+    const std::vector<EngineSelection> streams = {
+        {"dadn", {}},
+        {"pragmatic", {}},
+        {"pragmatic", {{"repr", "quant8"}}}};
+    std::vector<EngineSelection> weighted = streams;
+    weighted.push_back({"laconic", {}});
+    struct Case
+    {
+        std::string what;
+        std::vector<dnn::Network> networks;
+        std::vector<EngineSelection> grid;
+        std::vector<bool> caches;
+    };
+    const std::vector<Case> cases = {
+        {"tiny+alexnet",
+         {dnn::makeTinyNetwork(), dnn::makeAlexNet()},
+         weighted,
+         {true, false}},
+        {"tiny+alexnet fc+tiny",
+         {dnn::makeTinyNetwork(), dnn::makeAlexNet(dnn::LayerSelect::Fc),
+          dnn::makeTinyNetwork()},
+         streams,
+         {true}},
+        {"alexnet conv+alexnet fc+tiny",
+         {dnn::makeAlexNet(), dnn::makeAlexNet(dnn::LayerSelect::Fc),
+          dnn::makeTinyNetwork()},
+         streams,
+         {true}}};
+    for (const Case &c : cases)
+        for (int batch : {1, 3}) {
+            SweepOptions base;
+            base.sample.maxUnits = 4;
+            base.batch = batch;
+            base.cache = false;
+            const std::string serial = perLayerCsv(runSweep(
+                c.networks, c.grid, models::builtinEngines(), base));
+            for (int threads : {1, 4, 24})
+                for (bool cache : c.caches) {
+                    SweepOptions options = base;
+                    options.threads = threads;
+                    options.cache = cache;
+                    EXPECT_EQ(serial, perLayerCsv(runSweep(
+                                          c.networks, c.grid,
+                                          models::builtinEngines(),
+                                          options)))
+                        << c.what << " batch=" << batch
+                        << " threads=" << threads
+                        << " cache=" << (cache ? "on" : "off");
+                }
+        }
+}
+
 TEST(Sweep, PrefetchPlanNamesWhatTheCellsRead)
 {
     // Propagated {dadn, laconic, pragmatic-raw}: one chain per image,

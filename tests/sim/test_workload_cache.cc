@@ -532,6 +532,124 @@ TEST(WorkloadCache, WeightPlanesOutliveTheCache)
     expectSamePlanes(view->weightPlanes(layer), syntheticWeightPlanes(layer));
 }
 
+bool
+sameTensor(const dnn::NeuronTensor &a, const dnn::NeuronTensor &b)
+{
+    return a.sizeX() == b.sizeX() && a.sizeY() == b.sizeY() &&
+           a.sizeI() == b.sizeI() &&
+           std::ranges::equal(a.flat(), b.flat());
+}
+
+TEST(WorkloadCache, ReleaseKeepsWhatWasHandedOut)
+{
+    // A workload, its built weight planes and a workload whose planes
+    // were never asked for all outlive the release of their network;
+    // the next request builds the entry again, equal to the first,
+    // and counts a miss.
+    auto net = dnn::makeTinyNetwork();
+    dnn::ActivationSynthesizer synth(net, 0x5eed);
+    const int layer_idx = 1;
+    const dnn::LayerSpec &layer = net.layers[layer_idx];
+    WorkloadCache cache;
+    auto view = cache.layer(synth, layer_idx, InputStream::Fixed16Raw);
+    const WeightBrickPlanes &planes = view->weightPlanes(layer);
+    auto unbuilt = cache.layer(synth, layer_idx, InputStream::Quant8);
+    auto held_synth = cache.synthesizer(net, 0x5eed);
+    EXPECT_EQ(cache.misses(), 2);
+
+    cache.release(net);
+    EXPECT_TRUE(sameTensor(view->tensor(),
+                           synth.synthesizeFixed16(layer_idx)));
+    expectSamePlanes(planes, syntheticWeightPlanes(layer));
+    EXPECT_EQ(&view->weightPlanes(layer), &planes);
+    expectSamePlanes(unbuilt->weightPlanes(layer),
+                     syntheticWeightPlanes(layer));
+    EXPECT_EQ(held_synth->network().name, net.name);
+
+    auto rebuilt = cache.layer(synth, layer_idx, InputStream::Fixed16Raw);
+    EXPECT_NE(rebuilt.get(), view.get());
+    EXPECT_TRUE(sameTensor(rebuilt->tensor(), view->tensor()));
+    EXPECT_NE(&rebuilt->weightPlanes(layer), &planes);
+    expectSamePlanes(rebuilt->weightPlanes(layer), planes);
+    EXPECT_NE(cache.synthesizer(net, 0x5eed).get(), held_synth.get());
+    EXPECT_EQ(cache.misses(), 3);
+    EXPECT_EQ(cache.hits(), 0);
+}
+
+TEST(WorkloadCache, ReleaseDropsChainsAndSparesOtherNetworks)
+{
+    // Releasing one network drops its chains under every seed and
+    // image, and nothing of another network, nor of another selection
+    // sharing its name.
+    auto all_net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
+    auto fc_net = dnn::makeTinyNetwork(dnn::LayerSelect::Fc);
+    auto alexnet = dnn::makeAlexNet();
+    dnn::ActivationSynthesizer tiny(all_net, 0x5eed);
+    dnn::ActivationSynthesizer reseeded(all_net, 0xbeef);
+    dnn::ActivationSynthesizer fc(fc_net, 0x5eed);
+    dnn::ActivationSynthesizer alex(alexnet, 0x5eed);
+    WorkloadCache cache;
+    auto chain = cache.chain(tiny, 1);
+    auto other_seed = cache.chain(reseeded);
+    auto fc_view = cache.layer(fc, 0, InputStream::Fixed16Trimmed);
+    auto alex_view = cache.layer(alex, 0, InputStream::Fixed16Raw);
+    auto alex_weights =
+        cache.weights(alex, 0, ActivationMode::Synthetic);
+    auto alex_synth = cache.synthesizer(alexnet, 0x5eed);
+
+    cache.release(all_net);
+    EXPECT_EQ(cache.layer(fc, 0, InputStream::Fixed16Trimmed).get(),
+              fc_view.get());
+    EXPECT_EQ(cache.layer(alex, 0, InputStream::Fixed16Raw).get(),
+              alex_view.get());
+    EXPECT_EQ(cache.weights(alex, 0, ActivationMode::Synthetic).get(),
+              alex_weights.get());
+    EXPECT_EQ(cache.synthesizer(alexnet, 0x5eed).get(), alex_synth.get());
+    EXPECT_EQ(cache.hits(), 2);
+
+    auto again = cache.chain(tiny, 1);
+    EXPECT_NE(again.get(), chain.get());
+    ASSERT_EQ(again->inputs.size(), chain->inputs.size());
+    for (size_t l = 0; l < chain->inputs.size(); l++)
+        EXPECT_TRUE(sameTensor(again->inputs[l], chain->inputs[l])) << l;
+    EXPECT_NE(cache.chain(reseeded).get(), other_seed.get());
+}
+
+TEST(WorkloadCache, ReleaseWhileWorkersResolveAnotherNetwork)
+{
+    // Workers resolve AlexNet's streams while the calling thread
+    // builds, releases and rebuilds Tiny's: AlexNet keeps one entry
+    // per key, and every Tiny round rebuilds equal bytes.
+    auto tiny_net = dnn::makeTinyNetwork();
+    auto alexnet = dnn::makeAlexNet();
+    dnn::ActivationSynthesizer tiny(tiny_net, 0x5eed);
+    dnn::ActivationSynthesizer alex(alexnet, 0x5eed);
+    const dnn::NeuronTensor expected = tiny.synthesizeFixed16(0);
+    WorkloadCache cache;
+    const int requests = 24;
+    std::vector<std::shared_ptr<const LayerWorkload>> views(requests);
+    {
+        util::ThreadPool pool(4);
+        for (int t = 0; t < requests; t++)
+            pool.submit([&cache, &alex, &views, t] {
+                views[static_cast<size_t>(t)] =
+                    cache.layer(alex, t % 2, InputStream::Fixed16Raw);
+            });
+        for (int round = 0; round < 8; round++) {
+            auto view = cache.layer(tiny, 0, InputStream::Fixed16Raw);
+            EXPECT_TRUE(sameTensor(view->tensor(), expected)) << round;
+            cache.release(tiny_net);
+        }
+        pool.wait();
+    }
+    for (int t = 0; t < requests; t++)
+        EXPECT_EQ(views[static_cast<size_t>(t)].get(),
+                  views[static_cast<size_t>(t % 2)].get())
+            << t;
+    EXPECT_EQ(cache.misses(), 2 + 8);
+    EXPECT_EQ(cache.hits(), requests - 2);
+}
+
 TEST(WorkloadCache, PalletSyncInvariantAcrossBlockCounts)
 {
     // Pallet-block splitting must be exact: any inner task count

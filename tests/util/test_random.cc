@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/random.h"
 
@@ -102,6 +103,29 @@ TEST(Xoshiro256, BernoulliProbability)
         if (rng.nextBool(0.3))
             hits++;
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+TEST(Bernoulli, DrawsWhatNextBoolDraws)
+{
+    // The integer threshold must return nextBool's bit from the same
+    // one next() at every edge: p <= 0 and NaN never, p >= 1 always,
+    // the smallest and largest p in between, an exact half, and
+    // random p.
+    std::vector<double> probabilities = {
+        0.0,  -0.25, std::ldexp(1.0, -60), 0.5, std::nextafter(1.0, 0.0),
+        1.0,  1.5,   std::nan(""),         std::ldexp(1.0, -53),
+        0.3};
+    Xoshiro256 pick(17);
+    for (int i = 0; i < 32; i++)
+        probabilities.push_back(pick.nextDouble());
+    for (double p : probabilities) {
+        Xoshiro256 a(23);
+        Xoshiro256 b(23);
+        const Bernoulli draw(p);
+        for (int i = 0; i < 20000; i++)
+            ASSERT_EQ(draw(a), b.nextBool(p)) << "p=" << p << " i=" << i;
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
 }
 
 TEST(Xoshiro256, GaussianMoments)
