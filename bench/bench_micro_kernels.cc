@@ -6,7 +6,8 @@
  * pass's blocked convolution and pooling, the propagated weight
  * planes, and the workload-cache substrate (brick-plane
  * construction, plane-served vs tensor-served pallet-sync layer
- * simulation). These gate the simulator's own throughput, not the
+ * simulation, a plane-served Laconic layer), and the serving fleet's
+ * arrival cursor. These gate the simulator's own throughput, not the
  * modeled hardware.
  */
 
@@ -24,10 +25,12 @@
 #include "dnn/reference.h"
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
+#include "models/laconic/laconic.h"
 #include "models/pragmatic/pip.h"
 #include "models/pragmatic/schedule.h"
 #include "models/pragmatic/tile.h"
 #include "sim/operand_planes.h"
+#include "sim/serving/arrival.h"
 #include "sim/workload_cache.h"
 #include "util/random.h"
 
@@ -484,6 +487,48 @@ BM_FcLoweringPalletSync(benchmark::State &state)
             sim::SampleSpec{0}, util::InnerExecutor()));
 }
 BENCHMARK(BM_FcLoweringPalletSync)->DenseRange(0, 4, 2);
+
+/**
+ * One Laconic layer (AlexNet conv2) served from a shared workload
+ * whose lane-pop and weight planes are built outside the timed
+ * region: the per-set column reduction and its 16-lane weight
+ * product.
+ */
+void
+BM_LaconicLayerWorkload(benchmark::State &state)
+{
+    auto net = dnn::makeAlexNet();
+    dnn::ActivationSynthesizer synth(net);
+    const dnn::LayerSpec &conv2 = net.layers[1];
+    sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(1));
+    workload.lanePopPlanes();
+    workload.weightPlanes(conv2);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(models::simulateLayerLaconic(
+            conv2, workload, sim::AccelConfig{}, sim::SampleSpec{16},
+            util::InnerExecutor()));
+}
+BENCHMARK(BM_LaconicLayerWorkload)->Unit(benchmark::kMicrosecond);
+
+/** Read 1M Poisson arrivals through the serving fleet's cursor. */
+void
+BM_ArrivalCursor(benchmark::State &state)
+{
+    const int count = 1'000'000;
+    sim::ArrivalSpec spec;
+    spec.kind = sim::ArrivalKind::Poisson;
+    for (auto _ : state) {
+        sim::ArrivalCursor cursor(spec, count, 8);
+        uint64_t last = 0;
+        while (cursor.remaining() > 0) {
+            last = cursor.cycle();
+            cursor.advance();
+        }
+        benchmark::DoNotOptimize(last);
+    }
+    state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_ArrivalCursor)->Unit(benchmark::kMillisecond);
 
 void
 BM_WorkloadCacheHit(benchmark::State &state)

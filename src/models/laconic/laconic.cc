@@ -16,11 +16,13 @@ namespace models {
 
 namespace {
 
+/** One brick's per-lane neuron popcounts, missing lanes zero. */
+using LanePops = std::array<uint8_t, dnn::kBrickSize>;
+
 /**
- * Per-lane neuron popcounts of one brick: the shared per-lane plane
- * when one applies, else popcounts over a zero-copy brick view.
- * Fills @p out with the brick's real lanes and returns their count
- * (0 for a padding brick).
+ * Per-lane neuron popcounts of one brick: the shared per-lane plane's
+ * row when one applies, else popcounts over a zero-copy brick view,
+ * written into @p scratch. Returns nullptr for a padding brick.
  */
 class LanePopSource
 {
@@ -32,31 +34,54 @@ class LanePopSource
     {
     }
 
-    int
-    pops(const sim::WindowCoord &w, const sim::SynapseSetCoord &s,
-         int real_lanes, uint8_t *out) const
+    const uint8_t *
+    row(const sim::WindowCoord &w, const sim::SynapseSetCoord &s,
+        LanePops &scratch) const
     {
         if (planes_) {
             const std::optional<sim::InputColumn> at =
                 tiling_.inputColumn(w, s);
             if (!at)
-                return 0;
-            size_t base = planes_->index(
-                at->x, at->y, s.brickI / dnn::kBrickSize, 0);
-            std::copy_n(planes_->pop.data() + base,
-                        static_cast<size_t>(real_lanes), out);
-            return real_lanes;
+                return nullptr;
+            return planes_->pop.data() +
+                   planes_->index(at->x, at->y,
+                                  s.brickI / dnn::kBrickSize, 0);
         }
         auto view = tiling_.gatherBrickView(src_, w, s);
+        if (view.empty())
+            return nullptr;
+        scratch.fill(0);
         for (size_t l = 0; l < view.size(); l++)
-            out[l] = static_cast<uint8_t>(util::popcount16(view[l]));
-        return static_cast<int>(view.size());
+            scratch[l] = static_cast<uint8_t>(util::popcount16(view[l]));
+        return scratch.data();
     }
 
   private:
     const sim::LayerTiling &tiling_;
     const dnn::NeuronTensor &src_;
     const sim::LanePopPlanes *planes_;
+};
+
+/**
+ * One synapse set's neuron popcounts reduced over a pallet's columns:
+ * per lane, the busiest column and the column total. A flat 16-lane
+ * loop with no branch, so the compiler keeps each in vector
+ * registers. The sum is int32: a 16-bit one would wrap past 4096
+ * all-ones columns.
+ */
+struct ColumnReduction
+{
+    std::array<uint8_t, dnn::kBrickSize> max{};
+    std::array<int32_t, dnn::kBrickSize> sum{};
+
+    void
+    add(const uint8_t *__restrict pops)
+    {
+        for (int l = 0; l < dnn::kBrickSize; l++) {
+            max[l] = std::max(max[l], pops[l]);
+            sum[l] += pops[l];
+        }
+    }
 };
 
 sim::LayerResult
@@ -78,27 +103,29 @@ simulateImpl(const dnn::LayerSpec &layer,
     sim::PalletTotals totals = driver.forEachPallet(
         exec, [&](std::span<const sim::WindowCoord> columns,
                   sim::PalletTotals &acc) {
-            std::array<uint8_t, dnn::kBrickSize> pops{};
+            LanePops scratch{};
             for (size_t s = 0; s < sets.size(); s++) {
-                const sim::SynapseSetCoord &set = sets[s];
-                const int real_lanes = std::min(
-                    accel.neuronLanes, layer.inputChannels - set.brickI);
+                ColumnReduction cols;
+                for (const sim::WindowCoord &w : columns)
+                    if (const uint8_t *pops =
+                            acts.row(w, sets[s], scratch))
+                        cols.add(pops);
+                // Both weight factors depend on (set, lane) only and
+                // are non-negative, so the column max and sum factor
+                // out of the per-(column, lane) max and sum exactly.
                 const size_t widx = wgt.index(static_cast<int>(s), 0);
-                int64_t step = 0;
-                for (const sim::WindowCoord &w : columns) {
-                    int n = acts.pops(w, set, real_lanes, pops.data());
-                    for (int l = 0; l < n; l++) {
-                        const int64_t a = pops[static_cast<size_t>(l)];
-                        if (a == 0)
-                            continue;
-                        const size_t wl = widx + static_cast<size_t>(l);
-                        step = std::max(step, a * wgt.maxPop[wl]);
-                        acc.terms += a * wgt.sumPop[wl];
-                    }
-                }
+                const uint8_t *wgt_max = wgt.maxPop.data() + widx;
+                const int32_t *wgt_sum = wgt.sumPop.data() + widx;
                 // The one-cycle SB-read floor every pallet-synced
                 // model shares.
-                acc.processCycles += std::max<int64_t>(1, step);
+                int32_t step = 1;
+                int64_t terms = 0;
+                for (int l = 0; l < dnn::kBrickSize; l++) {
+                    step = std::max(step, cols.max[l] * wgt_max[l]);
+                    terms += int64_t{cols.sum[l]} * wgt_sum[l];
+                }
+                acc.processCycles += step;
+                acc.terms += terms;
             }
         });
     // wgtSumPop already sums every filter (hence every pass), so the

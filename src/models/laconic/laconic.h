@@ -26,7 +26,20 @@
  *   terms += actPop(col, lane) x wgtSumPop(set, lane)
  *
  * summed over one pass (the sum already covers every filter, hence
- * every pass). Weight popcounts come from the shared weight-side
+ * every pass).
+ *
+ * Both weight factors depend on (set, lane) only and are
+ * non-negative, so each reduction over columns factors exactly, in
+ * integers:
+ *
+ *   step  = max over lanes of wgtMaxPop(set, lane) x
+ *               max over columns of actPop(col, lane)
+ *   terms = sum over lanes of wgtSumPop(set, lane) x
+ *               sum over columns of actPop(col, lane)
+ *
+ * The model reduces each set's columns into a 16-lane max and a
+ * 16-lane sum first, then takes one 16-lane product with the weight
+ * planes. Weight popcounts come from the shared weight-side
  * planes (sim/operand_planes.h): the deterministic synthetic codes,
  * or the requantized reference weights under --activations=propagated.
  */

@@ -127,16 +127,13 @@ namespace {
  */
 void
 reduceCodeRun(const uint16_t *__restrict codes, int n,
-              int32_t *__restrict sum_pop, uint8_t *__restrict max_pop,
-              uint16_t *__restrict or_mask, uint16_t *__restrict max_mag)
+              int32_t *__restrict sum_pop, uint8_t *__restrict max_pop)
 {
     for (int c = 0; c < n; c++) {
-        const uint16_t code = codes[c];
-        const uint8_t p = static_cast<uint8_t>(util::popcount16(code));
+        const uint8_t p =
+            static_cast<uint8_t>(util::popcount16(codes[c]));
         sum_pop[c] += p;
         max_pop[c] = std::max(max_pop[c], p);
-        or_mask[c] |= code;
-        max_mag[c] = std::max(max_mag[c], code);
     }
 }
 
@@ -165,8 +162,6 @@ buildWeightBrickPlanes(const dnn::LayerSpec &layer,
     size_t cells = static_cast<size_t>(planes.numSets) * dnn::kBrickSize;
     planes.sumPop.assign(cells, 0);
     planes.maxPop.assign(cells, 0);
-    planes.orMask.assign(cells, 0);
-    planes.maxMag.assign(cells, 0);
 
     // Stream one filter at a time, reducing its codes into the
     // per-(set, lane) accumulators. Channel c of kernel position pos
@@ -183,9 +178,7 @@ buildWeightBrickPlanes(const dnn::LayerSpec &layer,
             reduceCodeRun(codes.data() +
                               static_cast<size_t>(pos) * channels,
                           channels, planes.sumPop.data() + run,
-                          planes.maxPop.data() + run,
-                          planes.orMask.data() + run,
-                          planes.maxMag.data() + run);
+                          planes.maxPop.data() + run);
         }
     }
     return planes;

@@ -18,9 +18,7 @@
  *
  *  - weight side: WeightBrickPlanes summarize the filter operand per
  *    *synapse-set lane* (set, lane), reduced across filters — term
- *    counts (sum of popcounts), essential-bit positions (OR mask and
- *    max popcount), and the per-group max magnitude a precision
- *    detector would latch.
+ *    counts (sum of popcounts) and the busiest filter's popcount.
  *
  * Every plane is an exact, value-deterministic reduction of its
  * operand tensor: results are bit-identical whether an engine reads
@@ -131,8 +129,8 @@ LanePopPlanes buildLanePopPlanes(const dnn::NeuronTensor &tensor);
  * the channel count hold zero).
  *
  * Multi-pass layers (more filters than one pass holds) share one
- * all-filter reduction: maxPop/orMask/maxMag are then a worst-case-
- * pass bound rather than per-pass exact, which is the approximation
+ * all-filter reduction: maxPop is then a worst-case-pass bound rather
+ * than per-pass exact, which is the approximation
  * weight-aware engines price (sumPop stays exact — it is the total
  * weight-side term count across every filter).
  */
@@ -142,8 +140,6 @@ struct WeightBrickPlanes
 
     std::vector<int32_t> sumPop; ///< Set-bit total across filters.
     std::vector<uint8_t> maxPop; ///< Max filter popcount (this lane).
-    std::vector<uint16_t> orMask; ///< OR of codes across filters.
-    std::vector<uint16_t> maxMag; ///< Max code magnitude across filters.
 
     size_t
     index(int set, int lane) const

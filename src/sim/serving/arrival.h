@@ -91,6 +91,7 @@ class ArrivalCursor
     void refill();
 
     ArrivalSpec spec_;
+    uint64_t prefix_; ///< The spec-only part of every draw's seed.
     int count_;
     size_t lookahead_;
     int next_ = 0;
@@ -98,6 +99,7 @@ class ArrivalCursor
     uint64_t last_ = 0;         ///< Cycle of request drawn_ - 1.
     std::vector<uint64_t> buf_; ///< Cycles from request next_ - pos_.
     size_t pos_ = 0;
+    std::vector<double> gaps_; ///< One refill's gaps, before rounding.
 };
 
 } // namespace sim

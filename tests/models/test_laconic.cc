@@ -153,21 +153,71 @@ referenceCycles(const dnn::LayerSpec &layer,
     return static_cast<int64_t>(tiling.passes()) * cycles;
 }
 
+/**
+ * Both paths, the workload one split across a 3-thread pool, against
+ * the brute-force reference.
+ */
+void
+expectBothPathsMatchReference(const dnn::LayerSpec &layer,
+                              const dnn::NeuronTensor &input,
+                              const sim::AccelConfig &accel)
+{
+    auto codes = materializeCodes(layer);
+    const double terms =
+        static_cast<double>(referenceTerms(layer, input, accel, codes));
+    const double cycles = static_cast<double>(
+        referenceCycles(layer, input, accel, codes));
+    util::ThreadPool pool(3);
+    util::InnerExecutor exec(&pool, 3);
+    sim::LayerWorkload workload(input);
+    sim::LayerResult tensor =
+        simulateLayerLaconic(layer, input, accel, sim::SampleSpec{0});
+    sim::LayerResult planes = simulateLayerLaconic(
+        layer, workload, accel, sim::SampleSpec{0}, exec);
+    for (const sim::LayerResult &got : {tensor, planes}) {
+        EXPECT_EQ(got.effectualTerms, terms);
+        EXPECT_EQ(got.cycles, cycles);
+        EXPECT_EQ(got.nmStallCycles, 0.0);
+    }
+}
+
 TEST(Laconic, MatchesBruteForcePerTermReference)
 {
+    // Stride 2, pad 1 and a partial second channel brick (24
+    // channels); 20 windows, so 3 and 32 leave a partial pallet.
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 0x1ac01);
+    for (int width : {1, 3, 16, 32}) {
+        SCOPED_TRACE(width);
+        sim::AccelConfig accel;
+        accel.windowsPerPallet = width;
+        expectBothPathsMatchReference(layer, input, accel);
+    }
+}
+
+TEST(Laconic, ColumnSumsPastSixteenBits)
+{
+    // 4608 all-ones columns in one pallet: each lane's column sum is
+    // 16 x 4608 = 73728, past what a 16-bit accumulator holds.
+    dnn::LayerSpec layer;
+    layer.name = "laconic-wide";
+    layer.inputX = 72;
+    layer.inputY = 64;
+    layer.inputChannels = 16;
+    layer.filterX = 1;
+    layer.filterY = 1;
+    layer.numFilters = 4;
+    layer.stride = 1;
+    layer.pad = 0;
+    layer.profiledPrecision = 8;
+    ASSERT_TRUE(layer.valid());
+    dnn::NeuronTensor input(layer.inputX, layer.inputY,
+                            layer.inputChannels);
+    std::fill(input.flat().begin(), input.flat().end(), uint16_t{0xffff});
     sim::AccelConfig accel;
-    auto codes = materializeCodes(layer);
-    sim::LayerResult got = simulateLayerLaconic(layer, input, accel,
-                                                sim::SampleSpec{0});
-    EXPECT_EQ(got.effectualTerms,
-              static_cast<double>(
-                  referenceTerms(layer, input, accel, codes)));
-    EXPECT_EQ(got.cycles,
-              static_cast<double>(
-                  referenceCycles(layer, input, accel, codes)));
-    EXPECT_EQ(got.nmStallCycles, 0.0);
+    accel.windowsPerPallet = 8192;
+    ASSERT_EQ(sim::LayerTiling(layer, accel).numPallets(), 1);
+    expectBothPathsMatchReference(layer, input, accel);
 }
 
 TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
@@ -189,17 +239,8 @@ TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
     ASSERT_TRUE(layer.valid());
     dnn::NeuronTensor input = randomInput(layer, 0x1ac02);
     sim::AccelConfig accel;
-    sim::LayerTiling tiling(layer, accel);
-    ASSERT_EQ(tiling.passes(), 2);
-    auto codes = materializeCodes(layer);
-    sim::LayerResult got = simulateLayerLaconic(layer, input, accel,
-                                                sim::SampleSpec{0});
-    EXPECT_EQ(got.effectualTerms,
-              static_cast<double>(
-                  referenceTerms(layer, input, accel, codes)));
-    EXPECT_EQ(got.cycles,
-              static_cast<double>(
-                  referenceCycles(layer, input, accel, codes)));
+    ASSERT_EQ(sim::LayerTiling(layer, accel).passes(), 2);
+    expectBothPathsMatchReference(layer, input, accel);
 }
 
 TEST(Laconic, WorkloadPathBitIdenticalToTensorPath)

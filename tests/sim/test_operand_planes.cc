@@ -118,8 +118,6 @@ naiveWeightPlanes(const dnn::LayerSpec &layer, const FilterCodes &codes)
     const size_t cells = static_cast<size_t>(ref.numSets) * lanes;
     ref.sumPop.assign(cells, 0);
     ref.maxPop.assign(cells, 0);
-    ref.orMask.assign(cells, 0);
-    ref.maxMag.assign(cells, 0);
     for (int s = 0; s < ref.numSets; s++)
         for (int l = 0; l < lanes; l++) {
             const int c = (s % bricks) * lanes + l;
@@ -129,19 +127,16 @@ naiveWeightPlanes(const dnn::LayerSpec &layer, const FilterCodes &codes)
                               static_cast<size_t>(c);
             const size_t idx = ref.index(s, l);
             for (const auto &filter : codes) {
-                const uint16_t code = filter[at];
-                const int p = std::popcount(code);
+                const int p = std::popcount(filter[at]);
                 ref.sumPop[idx] += p;
                 ref.maxPop[idx] = static_cast<uint8_t>(
                     std::max<int>(ref.maxPop[idx], p));
-                ref.orMask[idx] |= code;
-                ref.maxMag[idx] = std::max(ref.maxMag[idx], code);
             }
         }
     return ref;
 }
 
-/** All four planes of @p planes equal @p ref; padding lanes are 0. */
+/** Both planes of @p planes equal @p ref; padding lanes are 0. */
 void
 expectPlanesEqual(const WeightBrickPlanes &planes,
                   const WeightBrickPlanes &ref, int channels)
@@ -150,8 +145,6 @@ expectPlanesEqual(const WeightBrickPlanes &planes,
     ASSERT_EQ(planes.numSets, ref.numSets);
     EXPECT_EQ(planes.sumPop, ref.sumPop);
     EXPECT_EQ(planes.maxPop, ref.maxPop);
-    EXPECT_EQ(planes.orMask, ref.orMask);
-    EXPECT_EQ(planes.maxMag, ref.maxMag);
     const int bricks = (channels + lanes - 1) / lanes;
     int padding = 0;
     for (int s = 0; s < planes.numSets; s++)
@@ -162,8 +155,6 @@ expectPlanesEqual(const WeightBrickPlanes &planes,
             const size_t idx = planes.index(s, l);
             EXPECT_EQ(planes.sumPop[idx], 0) << s << ',' << l;
             EXPECT_EQ(planes.maxPop[idx], 0) << s << ',' << l;
-            EXPECT_EQ(planes.orMask[idx], 0) << s << ',' << l;
-            EXPECT_EQ(planes.maxMag[idx], 0) << s << ',' << l;
         }
     const int per_position = bricks * lanes - channels;
     EXPECT_EQ(padding, planes.numSets / bricks * per_position);
@@ -232,7 +223,7 @@ TEST(OperandPlanes, SyntheticWeightPlanesMatchMaterializedCodes)
     // Determinism: a second build is identical.
     WeightBrickPlanes again = syntheticWeightPlanes(layer);
     EXPECT_EQ(planes.sumPop, again.sumPop);
-    EXPECT_EQ(planes.orMask, again.orMask);
+    EXPECT_EQ(planes.maxPop, again.maxPop);
 }
 
 TEST(OperandPlanes, PropagatedPlanesMatchRequantizedReferenceWeights)

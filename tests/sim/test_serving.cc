@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
@@ -93,32 +94,35 @@ TEST(Arrival, CursorLookaheadReadsThePrefixSumOfGaps)
     // Request i arrives at gap(0) + ... + gap(i). Every look-ahead
     // slot the cursor exposes must agree with that sum, through its
     // block refills and up to the end of the trace.
-    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Uniform}) {
-        ArrivalSpec spec;
-        spec.kind = kind;
-        spec.meanGapCycles = 333.3;
-        const int count = 300;
-        std::vector<uint64_t> sums;
-        uint64_t now = 0;
-        for (int i = 0; i < count; i++)
-            sums.push_back(now += arrivalGap(spec, i));
-        for (int lookahead : {1, 3, 8, 100, 400}) {
-            ArrivalCursor cursor(spec, count, lookahead);
-            for (int i = 0; i < count; i++) {
-                ASSERT_EQ(cursor.index(), i);
-                ASSERT_EQ(cursor.remaining(), count - i);
-                const int ahead =
-                    std::min(lookahead, cursor.remaining());
-                for (int k = 0; k < ahead; k++)
-                    ASSERT_EQ(cursor.cycle(k),
-                              sums[static_cast<size_t>(i + k)])
-                        << "lookahead " << lookahead << " at " << i
-                        << " + " << k;
-                cursor.advance();
+    // Neither count is a multiple of the cursor's 64-draw block.
+    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Uniform})
+        for (int count : {300, 1001}) {
+            SCOPED_TRACE(std::string(arrivalKindName(kind)) + " x " +
+                         std::to_string(count));
+            ArrivalSpec spec;
+            spec.kind = kind;
+            spec.meanGapCycles = 333.3;
+            std::vector<uint64_t> sums;
+            uint64_t now = 0;
+            for (int i = 0; i < count; i++)
+                sums.push_back(now += arrivalGap(spec, i));
+            for (int lookahead : {1, 3, 8, 100, 200, 400}) {
+                ArrivalCursor cursor(spec, count, lookahead);
+                for (int i = 0; i < count; i++) {
+                    ASSERT_EQ(cursor.index(), i);
+                    ASSERT_EQ(cursor.remaining(), count - i);
+                    const int ahead =
+                        std::min(lookahead, cursor.remaining());
+                    for (int k = 0; k < ahead; k++)
+                        ASSERT_EQ(cursor.cycle(k),
+                                  sums[static_cast<size_t>(i + k)])
+                            << "lookahead " << lookahead << " at " << i
+                            << " + " << k;
+                    cursor.advance();
+                }
+                EXPECT_EQ(cursor.remaining(), 0);
             }
-            EXPECT_EQ(cursor.remaining(), 0);
         }
-    }
 }
 
 TEST(Arrival, PoissonGapsAverageNearTheMean)

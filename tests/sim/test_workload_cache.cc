@@ -403,8 +403,6 @@ expectSamePlanes(const WeightBrickPlanes &a, const WeightBrickPlanes &b)
     EXPECT_EQ(a.numSets, b.numSets);
     EXPECT_EQ(a.sumPop, b.sumPop);
     EXPECT_EQ(a.maxPop, b.maxPop);
-    EXPECT_EQ(a.orMask, b.orMask);
-    EXPECT_EQ(a.maxMag, b.maxMag);
 }
 
 TEST(WorkloadCache, WeightPlanesSharedAcrossImagesAndStreams)
