@@ -428,26 +428,10 @@ BENCHMARK_CAPTURE(BM_PoolForward, alexnet_pool1, &dnn::makeAlexNet,
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * One pallet-sync layer, first-stage width from the range argument:
- * the tensor path rederives every brick schedule, the workload path
- * serves term counts and L=0/L=4 schedule lengths from the shared
- * planes.
+ * One pallet-sync layer (AlexNet conv3), first-stage width from the
+ * range argument, served from a workload whose brick planes are built
+ * outside the timed region.
  */
-void
-BM_PalletSyncLayerTensor(benchmark::State &state)
-{
-    auto net = dnn::makeAlexNet();
-    dnn::ActivationSynthesizer synth(net);
-    auto tensor = synth.synthesizeFixed16Trimmed(2);
-    models::PragmaticConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[2], tensor, sim::AccelConfig{}, tile,
-            sim::SampleSpec{16}));
-}
-BENCHMARK(BM_PalletSyncLayerTensor)->DenseRange(0, 4, 2);
-
 void
 BM_PalletSyncLayerWorkload(benchmark::State &state)
 {

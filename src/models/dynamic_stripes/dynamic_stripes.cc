@@ -56,43 +56,6 @@ diffyTransform(const dnn::NeuronTensor &input)
 }
 
 /**
- * Per-brick detector masks: the shared orMask plane when one
- * applies, else the same reduction over a zero-copy brick view
- * (bit-identical by construction — summarizeBrick is the single
- * reduction both paths share).
- */
-class MaskSource
-{
-  public:
-    MaskSource(const sim::LayerTiling &tiling,
-               const dnn::NeuronTensor &src,
-               const sim::BrickPlanes *planes)
-        : tiling_(tiling), src_(src), planes_(planes)
-    {
-    }
-
-    uint16_t
-    mask(const sim::WindowCoord &w, const sim::SynapseSetCoord &s) const
-    {
-        if (planes_) {
-            const std::optional<sim::InputColumn> at =
-                tiling_.inputColumn(w, s);
-            if (!at)
-                return 0;
-            return planes_->orMask[planes_->index(
-                at->x, at->y, s.brickI / dnn::kBrickSize)];
-        }
-        return sim::summarizeBrick(tiling_.gatherBrickView(src_, w, s))
-            .orMask;
-    }
-
-  private:
-    const sim::LayerTiling &tiling_;
-    const dnn::NeuronTensor &src_;
-    const sim::BrickPlanes *planes_;
-};
-
-/**
  * The static layer-wide configuration: exactly Stripes at the
  * profiled precision, or — leading-bit-only detection — at the top
  * of the synthesis window (see the header comment).
@@ -109,14 +72,15 @@ layerWideResult(const dnn::LayerSpec &layer,
     return StripesModel(accel).layerResult(layer, precision);
 }
 
+} // namespace
+
 sim::LayerResult
-simulateImpl(const dnn::LayerSpec &layer,
-             const dnn::NeuronTensor &input,
-             const sim::LayerWorkload *workload,
-             const sim::AccelConfig &accel,
-             const DynamicStripesConfig &config,
-             const sim::SampleSpec &sample,
-             const util::InnerExecutor &exec)
+simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
+                            const sim::LayerWorkload &workload,
+                            const sim::AccelConfig &accel,
+                            const DynamicStripesConfig &config,
+                            const sim::SampleSpec &sample,
+                            const util::InnerExecutor &exec)
 {
     if (config.layerWide)
         return layerWideResult(layer, accel, config);
@@ -130,12 +94,10 @@ simulateImpl(const dnn::LayerSpec &layer,
     // workload planes, so it prices a local workload of its own.
     std::optional<sim::LayerWorkload> diffed;
     if (config.diffy)
-        diffed.emplace(diffyTransform(input));
+        diffed.emplace(diffyTransform(workload.tensor()));
     sim::PalletDriver driver(layer, accel, sample,
-                             diffed ? diffed->tensor() : input,
-                             diffed ? &*diffed : workload);
-    const MaskSource masks(driver.tiling(), driver.input(),
-                           driver.brickPlanes());
+                             diffed ? *diffed : workload);
+    const uint16_t *masks = driver.workload().brickPlanes().orMask.data();
     const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
     const size_t max_groups =
         static_cast<size_t>(accel.windowsPerPallet / gc);
@@ -164,9 +126,12 @@ simulateImpl(const dnn::LayerSpec &layer,
                     const int first = g * gc;
                     const int last = std::min(first + gc, active);
                     uint16_t m = 0;
-                    for (int c = first; c < last; c++)
-                        m |= masks.mask(columns[static_cast<size_t>(c)],
-                                        set);
+                    for (int c = first; c < last; c++) {
+                        const int64_t brick = driver.brickIndex(
+                            columns[static_cast<size_t>(c)], set);
+                        if (brick >= 0)
+                            m |= masks[brick];
+                    }
                     const int p = fixedpoint::dynamicPrecision(
                         m, config.leadingBit);
                     group_prec[static_cast<size_t>(g)] = p;
@@ -208,31 +173,6 @@ simulateImpl(const dnn::LayerSpec &layer,
                 acc.processCycles += pallet_done;
         });
     return driver.result("DynamicStripes", totals, layer.numFilters);
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const dnn::NeuronTensor &input,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample)
-{
-    return simulateImpl(layer, input, nullptr, accel, config, sample,
-                        util::InnerExecutor());
-}
-
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec)
-{
-    return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        config, sample, exec);
 }
 
 } // namespace models

@@ -47,7 +47,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -83,20 +82,9 @@ void checkDynamicStripesMachine(const DynamicStripesConfig &config,
                                 const sim::AccelConfig &accel);
 
 /**
- * Price one layer from its input tensor (tensor path: every brick
- * mask rederived through the shared summarizeBrick reduction).
- */
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const dnn::NeuronTensor &input,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample);
-
-/**
- * Same result from a shared workload (plane path: brick masks served
- * from the workload's orMask plane when the machine's lanes match
- * kBrickSize). Bit-identical to the tensor overload.
+ * Price one layer from its workload: each brick's detector mask is
+ * the workload's orMask plane entry (for Diffy, the plane of a local
+ * workload over the difference stream).
  */
 sim::LayerResult
 simulateLayerDynamicStripes(const dnn::LayerSpec &layer,

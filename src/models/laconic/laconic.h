@@ -47,7 +47,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
 #include "sim/sampling.h"
@@ -58,19 +57,9 @@ namespace pra {
 namespace models {
 
 /**
- * Price one layer from its input tensor (every neuron-brick lane
- * popcount rederived from a zero-copy brick view).
- */
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const dnn::NeuronTensor &input,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample);
-
-/**
- * Same result from a shared workload (lane popcounts served from the
- * workload's per-lane plane when the machine's lanes match
- * kBrickSize). Bit-identical to the tensor overload.
+ * Price one layer from its workload: per-lane neuron popcounts from
+ * the workload's lane-pop plane, weight popcounts from its weight
+ * planes.
  */
 sim::LayerResult
 simulateLayerLaconic(const dnn::LayerSpec &layer,

@@ -5,8 +5,8 @@
  *
  * Both engines fundamentally consume, per (window, synapse set), the
  * brick's PIP schedule length and its effectual-term (set-bit) count.
- * On the workload path (every engine adapter), the term count is a
- * single lookup in the workload's packed brick planes and the
+ * The brick is the one the driver's brickIndex names; its term count
+ * is a single lookup in the workload's packed brick planes and the
  * schedule length resolves from tables for *every* first-stage
  * width:
  *
@@ -21,17 +21,15 @@
  * planes are force-disabled (sim::setCyclePlanesEnabled) the
  * intermediate widths fall back to the orPop == maxPop monotonicity
  * short-circuit and, only where the bounds disagree, the cycle-by-
- * cycle schedule on a zero-copy view of the input tensor — the
+ * cycle schedule on a zero-copy view of the workload's tensor — the
  * identities and the monotonicity are asserted by the schedule test
- * suite, and both paths are bit-identical by construction.
+ * suite, and both ways are bit-identical by construction.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "dnn/tensor.h"
 #include "models/pragmatic/schedule.h"
 #include "sim/pallet_driver.h"
 #include "sim/tiling.h"
@@ -53,20 +51,16 @@ class BrickCostModel
 
     /**
      * Resolve brick costs for @p driver's stream at first-stage
-     * width @p first_stage_bits (L): from the driver's brick planes
-     * and, for L in 1..3, the workload's memoized cycle plane, or
-     * from the tensor on the plane-free tensor path. Must not outlive
+     * width @p first_stage_bits (L): from the workload's brick planes
+     * and, for L in 1..3, its memoized cycle plane. Must not outlive
      * the driver.
      */
     BrickCostModel(const sim::PalletDriver &driver, int first_stage_bits)
-        : tiling_(driver.tiling()), input_(driver.input()),
-          planes_(driver.brickPlanes()),
-          cycles_(planes_ && first_stage_bits >= 1 &&
+        : driver_(driver), planes_(driver.workload().brickPlanes()),
+          cycles_(first_stage_bits >= 1 &&
                           first_stage_bits < kMaxFirstStageBits &&
                           sim::cyclePlanesEnabled()
-                      ? driver.planeWorkload()
-                            ->cyclePlane(first_stage_bits)
-                            .data()
+                      ? driver.workload().cyclePlane(first_stage_bits).data()
                       : nullptr),
           bits_(first_stage_bits)
     {
@@ -75,40 +69,32 @@ class BrickCostModel
     Cost
     brick(const sim::WindowCoord &w, const sim::SynapseSetCoord &s) const
     {
-        if (planes_) {
-            const std::optional<sim::InputColumn> at =
-                tiling_.inputColumn(w, s);
-            if (!at)
-                return {};
-            size_t idx =
-                planes_->index(at->x, at->y, s.brickI / dnn::kBrickSize);
-            Cost cost;
-            cost.terms = planes_->pop[idx];
-            int max_pop = planes_->maxPop[idx];
-            if (bits_ == 0)
-                cost.cycles = planes_->orPop[idx];
-            else if (bits_ >= kMaxFirstStageBits)
-                cost.cycles = max_pop;
-            else if (cycles_)
-                cost.cycles = cycles_[idx];
-            else if (planes_->orPop[idx] == max_pop)
-                cost.cycles = max_pop;
-            else
-                cost.cycles = brickScheduleCycles(
-                    tiling_.gatherBrickView(input_, w, s), bits_);
-            return cost;
-        }
-        auto view = tiling_.gatherBrickView(input_, w, s);
+        const int64_t at = driver_.brickIndex(w, s);
+        if (at < 0)
+            return {};
+        const size_t idx = static_cast<size_t>(at);
         Cost cost;
-        cost.terms = sim::summarizeBrick(view).pop;
-        cost.cycles = brickScheduleCycles(view, bits_);
+        cost.terms = planes_.pop[idx];
+        int max_pop = planes_.maxPop[idx];
+        if (bits_ == 0)
+            cost.cycles = planes_.orPop[idx];
+        else if (bits_ >= kMaxFirstStageBits)
+            cost.cycles = max_pop;
+        else if (cycles_)
+            cost.cycles = cycles_[idx];
+        else if (planes_.orPop[idx] == max_pop)
+            cost.cycles = max_pop;
+        else
+            cost.cycles = brickScheduleCycles(
+                driver_.tiling().gatherBrickView(
+                    driver_.workload().tensor(), w, s),
+                bits_);
         return cost;
     }
 
   private:
-    const sim::LayerTiling &tiling_;
-    const dnn::NeuronTensor &input_;
-    const sim::BrickPlanes *planes_;
+    const sim::PalletDriver &driver_;
+    const sim::BrickPlanes &planes_;
     const uint8_t *cycles_;
     int bits_;
 };

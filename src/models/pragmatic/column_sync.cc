@@ -53,15 +53,16 @@ class SsrPool
     std::vector<int64_t> allCopied_;
 };
 
+} // namespace
+
 sim::LayerResult
-simulateColumnSyncImpl(const dnn::LayerSpec &layer,
-                       const dnn::NeuronTensor &input,
-                       const sim::LayerWorkload *workload,
-                       const sim::AccelConfig &accel,
-                       const PragmaticConfig &config,
-                       const sim::SampleSpec &sample)
+simulateLayerColumnSync(const dnn::LayerSpec &layer,
+                        const sim::LayerWorkload &workload,
+                        const sim::AccelConfig &accel,
+                        const PragmaticConfig &config,
+                        const sim::SampleSpec &sample)
 {
-    sim::PalletDriver driver(layer, accel, sample, input, workload);
+    sim::PalletDriver driver(layer, accel, sample, workload);
     const sim::LayerTiling &tiling = driver.tiling();
     const sim::SamplePlan &plan = driver.plan();
     const int columns = accel.windowsPerPallet;
@@ -168,30 +169,6 @@ simulateColumnSyncImpl(const dnn::LayerSpec &layer,
         0.0, passes * plan.scale *
                  (static_cast<double>(stream_finish) - busiest));
     return result;
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample)
-{
-    return simulateColumnSyncImpl(layer, input, nullptr, accel, config,
-                                  sample);
-}
-
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const sim::LayerWorkload &workload,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample)
-{
-    return simulateColumnSyncImpl(layer, workload.tensor(), &workload,
-                                  accel, config, sample);
 }
 
 } // namespace models

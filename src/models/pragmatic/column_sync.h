@@ -26,7 +26,6 @@
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "models/pragmatic/pragmatic_config.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
@@ -38,20 +37,10 @@ namespace models {
 
 /**
  * Simulate one layer under per-column synchronization
- * (firstStageBits, ssrCount and modelNmStalls of @p config apply).
- */
-sim::LayerResult
-simulateLayerColumnSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample);
-
-/**
- * Workload-view variant: identical result, resolving brick costs
- * through the precomputed planes where possible. Column sync carries
- * SSR/dispatcher state across the whole pallet stream, so it does
- * not block-split (no InnerExecutor parameter).
+ * (firstStageBits, ssrCount and modelNmStalls of @p config apply),
+ * resolving brick costs through the workload's planes. Column sync
+ * carries SSR/dispatcher state across the whole pallet stream, so it
+ * does not block-split (no InnerExecutor parameter).
  */
 sim::LayerResult
 simulateLayerColumnSync(const dnn::LayerSpec &layer,

@@ -35,10 +35,10 @@ class PragmaticEngine : public sim::Engine
     sim::InputStream inputStream() const override;
 
     /**
-     * Prices the layer off the workload's shared brick planes and
-     * (for pallet sync, whose pallets are independent) splits it
-     * across @p exec. Bit-identical to the plane-free tensor kernels
-     * simulateLayerPalletSync / simulateLayerColumnSync.
+     * Prices the layer through simulateLayerPalletSync or
+     * simulateLayerColumnSync, off the workload's shared brick
+     * planes, and (for pallet sync, whose pallets are independent)
+     * splits it across @p exec.
      */
     sim::LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

@@ -11,18 +11,15 @@
 namespace pra {
 namespace models {
 
-namespace {
-
 sim::LayerResult
-simulateImpl(const dnn::LayerSpec &layer,
-             const dnn::NeuronTensor &input,
-             const sim::LayerWorkload *workload,
-             const sim::AccelConfig &accel,
-             const PragmaticConfig &config,
-             const sim::SampleSpec &sample,
-             const util::InnerExecutor &exec)
+simulateLayerPalletSync(const dnn::LayerSpec &layer,
+                        const sim::LayerWorkload &workload,
+                        const sim::AccelConfig &accel,
+                        const PragmaticConfig &config,
+                        const sim::SampleSpec &sample,
+                        const util::InnerExecutor &exec)
 {
-    sim::PalletDriver driver(layer, accel, sample, input, workload);
+    sim::PalletDriver driver(layer, accel, sample, workload);
     const sim::LayerTiling &tiling = driver.tiling();
     const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
     const BrickCostModel costs(driver, config.firstStageBits);
@@ -54,31 +51,6 @@ simulateImpl(const dnn::LayerSpec &layer,
             acc.stallCycles += nm.totalStalls();
         });
     return driver.result("PRA-pallet", totals, layer.numFilters);
-}
-
-} // namespace
-
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample)
-{
-    return simulateImpl(layer, input, nullptr, accel, config, sample,
-                        util::InnerExecutor());
-}
-
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const sim::LayerWorkload &workload,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample,
-                        const util::InnerExecutor &exec)
-{
-    return simulateImpl(layer, workload.tensor(), &workload, accel,
-                        config, sample, exec);
 }
 
 } // namespace models

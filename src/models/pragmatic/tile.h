@@ -10,16 +10,15 @@
  * the current one; the residue shows up as stall cycles
  * (Section V-A4).
  *
- * The workload-view overload consumes the precomputed per-brick
- * planes (term counts and L=0/L=4 schedule lengths) and can split the
- * sampled pallets into blocks across an InnerExecutor; the walk and
- * its block split are sim::PalletDriver's (sim/pallet_driver.h).
+ * The model consumes the workload's per-brick planes through
+ * BrickCostModel and can split the sampled pallets into blocks across
+ * an InnerExecutor; the walk and its block split are
+ * sim::PalletDriver's (sim/pallet_driver.h).
  */
 
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "models/pragmatic/pragmatic_config.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
@@ -33,24 +32,15 @@ namespace models {
 /**
  * Simulate one layer under pallet synchronization.
  *
- * @param layer  layer geometry.
- * @param input  the layer's input neuron patterns (16-bit fixed point
- *               or 8-bit quantized codes; timing sees only bits).
- * @param accel  machine configuration.
- * @param config datapath configuration (firstStageBits and
- *               modelNmStalls apply here).
- * @param sample pallet sampling policy.
- */
-sim::LayerResult
-simulateLayerPalletSync(const dnn::LayerSpec &layer,
-                        const dnn::NeuronTensor &input,
-                        const sim::AccelConfig &accel,
-                        const PragmaticConfig &config,
-                        const sim::SampleSpec &sample);
-
-/**
- * Workload-view variant: same result, served from the shared planes
- * where possible and split across @p exec (see the file comment).
+ * @param layer    layer geometry.
+ * @param workload the layer's input neuron patterns (16-bit fixed
+ *                 point or 8-bit quantized codes; timing sees only
+ *                 bits) and their planes.
+ * @param accel    machine configuration.
+ * @param config   datapath configuration (firstStageBits and
+ *                 modelNmStalls apply here).
+ * @param sample   pallet sampling policy.
+ * @param exec     splits the sampled pallets into blocks.
  */
 sim::LayerResult
 simulateLayerPalletSync(const dnn::LayerSpec &layer,

@@ -78,7 +78,10 @@ parseEngineSpec(const std::string &spec)
         if (eq == std::string::npos || eq == 0)
             util::fatal("bad engine knob '" + pair + "' in '" + spec +
                         "' (expected key=value)");
-        sel.knobs[pair.substr(0, eq)] = pair.substr(eq + 1);
+        const std::string key = pair.substr(0, eq);
+        if (!sel.knobs.emplace(key, pair.substr(eq + 1)).second)
+            util::fatal("engine knob '" + key + "' repeated in '" + spec +
+                        "'");
     }
     return sel;
 }

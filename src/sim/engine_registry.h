@@ -79,7 +79,8 @@ class EngineRegistry
 /**
  * Parse an engine-spec string into a selection. The syntax is
  * "kind[:key=value]*", e.g. "pragmatic:bits=2" or
- * "pragmatic-col:bits=2:ssr=1".
+ * "pragmatic-col:bits=2:ssr=1". fatal() on a malformed knob or a
+ * key given twice.
  */
 EngineSelection parseEngineSpec(const std::string &spec);
 

@@ -21,9 +21,9 @@
  *    counts (sum of popcounts) and the busiest filter's popcount.
  *
  * Every plane is an exact, value-deterministic reduction of its
- * operand tensor: results are bit-identical whether an engine reads
- * the shared planes or rederives a brick lane by lane from the tensor
- * (summarizeBrick is that single shared reduction). The synthetic
+ * operand tensor (summarizeBrick is the one brick reduction), so a
+ * plane entry equals the same summary rederived lane by lane from a
+ * brick view, which is how the engine tests check them. The synthetic
  * (seed-independent, dnn/weight_synth.h) and propagated (requantized
  * reference filters) weight sources stream filter by filter through
  * one reducer, without materializing all filters at once.
@@ -42,10 +42,10 @@ namespace pra {
 namespace sim {
 
 /**
- * The packed summary of one brick's lanes — the single reduction all
- * plane builders and tensor-path fallbacks share. Missing lanes
- * (padding, partial channel bricks) count as zero, so a short or
- * empty span is equivalent to its zero-padded gather.
+ * The packed summary of one brick's lanes — the single reduction every
+ * plane builder shares. Missing lanes (padding, partial channel
+ * bricks) count as zero, so a short or empty span is equivalent to
+ * its zero-padded gather.
  */
 struct BrickSummary
 {
@@ -151,8 +151,8 @@ struct WeightBrickPlanes
 /**
  * Weight planes of the deterministic synthetic weight streams
  * (dnn/weight_synth.h): a pure function of the layer name, geometry,
- * and profiled weight precision — no network or seed context, so the
- * tensor and workload engine paths derive bit-identical planes.
+ * and profiled weight precision — no network or seed context, so every
+ * synthetic workload of a layer derives bit-identical planes.
  */
 WeightBrickPlanes syntheticWeightPlanes(const dnn::LayerSpec &layer);
 

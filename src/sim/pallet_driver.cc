@@ -10,11 +10,12 @@ namespace sim {
 PalletDriver::PalletDriver(const dnn::LayerSpec &layer,
                            const AccelConfig &accel,
                            const SampleSpec &sample,
-                           const dnn::NeuronTensor &input,
-                           const LayerWorkload *workload)
+                           const LayerWorkload &workload)
     : tiling_(layer, accel),
-      plan_(planSample(tiling_.numPallets(), sample)), input_(input),
-      planes_(workload)
+      plan_(planSample(tiling_.numPallets(), sample)),
+      workload_(workload), sizeX_(workload.tensor().sizeX()),
+      bricksPerColumn_((workload.tensor().sizeI() + dnn::kBrickSize - 1) /
+                       dnn::kBrickSize)
 {
     PRA_CHECK(!plan_.indices.empty(), "pallet walk: layer has no pallets");
     // setCoord is pure index arithmetic, but every pallet visits every
@@ -23,20 +24,6 @@ PalletDriver::PalletDriver(const dnn::LayerSpec &layer,
     setCoords_.reserve(static_cast<size_t>(num_sets));
     for (int64_t s = 0; s < num_sets; s++)
         setCoords_.push_back(tiling_.setCoord(s));
-}
-
-const WeightBrickPlanes &
-PalletDriver::weightPlanes() const
-{
-    if (!weightPlanes_) {
-        if (planes_) {
-            weightPlanes_ = &planes_->weightPlanes(tiling_.layer());
-        } else {
-            localWeights_ = syntheticWeightPlanes(tiling_.layer());
-            weightPlanes_ = &localWeights_;
-        }
-    }
-    return *weightPlanes_;
 }
 
 LayerResult

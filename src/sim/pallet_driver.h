@@ -6,7 +6,8 @@
  * Pragmatic under pallet sync, Dynamic-Stripes and Laconic differ
  * only in what one pallet costs. PalletDriver owns the rest of the
  * walk: the layer's tiling and pallet sample, the synapse-set
- * coordinates, the stream's operand planes, the split of the sampled
+ * coordinates, the one rule that maps a (window, set) visit to its
+ * brick's position in the stream's planes, the split of the sampled
  * pallets into InnerExecutor blocks, each pallet's active columns,
  * and the LayerResult fields every pallet-synced engine fills the
  * same way. An engine hands forEachPallet() its per-pallet body.
@@ -24,15 +25,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/accel_config.h"
 #include "sim/layer_result.h"
-#include "sim/operand_planes.h"
 #include "sim/sampling.h"
 #include "sim/tiling.h"
 #include "sim/workload_cache.h"
@@ -54,20 +54,15 @@ class PalletDriver
 {
   public:
     /**
-     * @param input    the stream the engine prices; must outlive the
-     *                 driver.
-     * @param workload the workload whose planes summarize @p input,
-     *                 or nullptr to resolve every brick from the
-     *                 tensor.
+     * @param workload the stream the engine prices, whose planes
+     *                 serve every brick; must outlive the driver.
      */
     PalletDriver(const dnn::LayerSpec &layer, const AccelConfig &accel,
-                 const SampleSpec &sample,
-                 const dnn::NeuronTensor &input,
-                 const LayerWorkload *workload);
+                 const SampleSpec &sample, const LayerWorkload &workload);
 
     const LayerTiling &tiling() const { return tiling_; }
     const SamplePlan &plan() const { return plan_; }
-    const dnn::NeuronTensor &input() const { return input_; }
+    const LayerWorkload &workload() const { return workload_; }
 
     /** Coordinate of set s, for all s in [0, numSynapseSets). */
     const std::vector<SynapseSetCoord> &setCoords() const
@@ -75,26 +70,21 @@ class PalletDriver
         return setCoords_;
     }
 
-    /** The workload whose shared planes apply (nullptr: tensor path). */
-    const LayerWorkload *planeWorkload() const { return planes_; }
-
-    /** The stream's shared planes (nullptr on the tensor path). */
-    const BrickPlanes *brickPlanes() const
-    {
-        return planes_ ? &planes_->brickPlanes() : nullptr;
-    }
-    const LanePopPlanes *lanePopPlanes() const
-    {
-        return planes_ ? &planes_->lanePopPlanes() : nullptr;
-    }
-
     /**
-     * The layer's weight-side planes: the workload's shared planes,
-     * or on the tensor path a driver-local synthetic build. Built on
-     * first call and not synchronized: resolve them before
-     * forEachPallet.
+     * Flat position of the brick window @p w reads at set @p s, or -1
+     * where the window reads padding: BrickPlanes::index of
+     * inputColumn(w, s) and the set's channel brick. The brick's
+     * lane-pop row starts at brickIndex * kBrickSize.
      */
-    const WeightBrickPlanes &weightPlanes() const;
+    int64_t
+    brickIndex(const WindowCoord &w, const SynapseSetCoord &s) const
+    {
+        const std::optional<InputColumn> at = tiling_.inputColumn(w, s);
+        if (!at)
+            return -1;
+        return (int64_t{at->y} * sizeX_ + at->x) * bricksPerColumn_ +
+               s.brickI / dnn::kBrickSize;
+    }
 
     /**
      * Price every sampled pallet: body(columns, totals) adds pallet
@@ -122,11 +112,10 @@ class PalletDriver
   private:
     LayerTiling tiling_;
     SamplePlan plan_;
-    const dnn::NeuronTensor &input_;
-    const LayerWorkload *planes_;
+    const LayerWorkload &workload_;
+    int64_t sizeX_;           ///< The stream's (and planes') columns.
+    int64_t bricksPerColumn_; ///< ceil(channels / kBrickSize).
     std::vector<SynapseSetCoord> setCoords_;
-    mutable const WeightBrickPlanes *weightPlanes_ = nullptr;
-    mutable WeightBrickPlanes localWeights_;
 };
 
 template <typename Body>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <iterator>
 #include <queue>
@@ -748,6 +749,22 @@ parseServingFlags(const util::ArgParser &args,
         static_cast<uint64_t>(timeout);
     options.serving.requests = args.getCount(
         "requests", smoke ? 64 : 512, 1, "a positive trace length");
+    // The arrival clock is a uint64 cycle count. A Poisson gap never
+    // exceeds 53 ln 2 mean gaps (its uniform is at least 2^-53) plus
+    // one cycle of rounding, so the slowest rate bounds the trace end.
+    const double slowest = *std::min_element(
+        options.offeredPerSecond.begin(), options.offeredPerSecond.end());
+    const double span =
+        static_cast<double>(options.serving.requests) *
+        (kCyclesPerSecond / slowest * 53.0 * std::log(2.0) + 1.0);
+    if (!(span < 0x1p63)) {
+        char rate[32];
+        std::snprintf(rate, sizeof rate, "%g", slowest);
+        util::fatal(std::string("--traffic=") + rate + " with --requests=" +
+                    std::to_string(options.serving.requests) +
+                    " can run the arrival clock past 2^63 cycles; "
+                    "raise the rate or shorten the trace");
+    }
 }
 
 std::vector<ServingReport>

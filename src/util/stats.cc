@@ -8,18 +8,8 @@
 namespace pra {
 namespace util {
 
-Histogram::Histogram(uint32_t max_value)
-{
-    PRA_CHECK(static_cast<uint64_t>(max_value) + 1 <= kMaxUnitBuckets,
-              "Histogram: unit-bucket range too large to allocate; "
-              "use Histogram::logSpaced for wide (cycle-scale) "
-              "sample ranges");
-    maxValue_ = max_value;
-    buckets_.assign(static_cast<size_t>(max_value) + 1, 0);
-}
-
 Histogram::Histogram(uint64_t max_value, int sub_bits)
-    : maxValue_(max_value), subBits_(sub_bits), logSpaced_(true)
+    : maxValue_(max_value), subBits_(sub_bits)
 {
     buckets_.assign(indexFor(max_value) + 1, 0);
 }
@@ -46,7 +36,7 @@ Histogram::bucketLow(uint32_t index) const
 {
     PRA_CHECK(index < buckets_.size(), "Histogram bucket out of range");
     const uint64_t unit = uint64_t{2} << subBits_;
-    if (!logSpaced_ || index < unit)
+    if (index < unit)
         return index;
     // Invert indexFor: index = (shift << subBits) + (value >> shift)
     // with (value >> shift) in [S, 2S).
@@ -61,7 +51,7 @@ Histogram::bucketHigh(uint32_t index) const
 {
     PRA_CHECK(index < buckets_.size(), "Histogram bucket out of range");
     const uint64_t unit = uint64_t{2} << subBits_;
-    if (!logSpaced_ || index < unit)
+    if (index < unit)
         return index;
     const uint64_t shift = (index >> subBits_) - 1;
     return bucketLow(index) + (uint64_t{1} << shift) - 1;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Histograms for the simulators' latency statistics: a plain value
- * type with unit-width or log-spaced buckets.
+ * type with log-spaced buckets.
  */
 
 #pragma once
@@ -15,34 +15,21 @@ namespace pra {
 namespace util {
 
 /**
- * Histogram over non-negative integer samples.
+ * Histogram over non-negative integer samples, with HDR-style
+ * log-spaced buckets (logSpaced()): exact unit buckets up to
+ * 2 * 2^subBits, then 2^subBits geometrically growing buckets per
+ * power of two, so a maxValue of 2^40 cycles costs a few KB instead
+ * of the 8 TB one bucket per value would. Every bucket's relative
+ * width is below 2^-subBits, which bounds the percentile error the
+ * coarsening introduces.
  *
- * Two bucket layouts share one interface:
- *
- *  - **unit-width** (the historical constructor): buckets [0,
- *    maxValue], one value each. Exact, but the bucket array scales
- *    with maxValue, so the constructor rejects ranges whose array
- *    would not comfortably fit in memory (kMaxUnitBuckets).
- *  - **log-spaced** (logSpaced()): HDR-style buckets — exact up to
- *    2 * 2^subBits, then 2^subBits geometrically growing buckets per
- *    power of two, so a maxValue of 2^40 cycles costs a few KB
- *    instead of 8 TB. Every bucket's relative width is below
- *    2^-subBits, which bounds the percentile error the coarsening
- *    introduces.
- *
- * In both layouts samples above maxValue land in a saturating
- * overflow bucket and report as maxValue + 1 from percentile() — a
- * loud sentinel rather than a silently wrong in-range value.
+ * Samples above maxValue land in a saturating overflow bucket and
+ * report as maxValue + 1 from percentile() — a loud sentinel rather
+ * than a silently wrong in-range value.
  */
 class Histogram
 {
   public:
-    /** Largest unit-bucket array the constructor will allocate. */
-    static constexpr uint64_t kMaxUnitBuckets = uint64_t{1} << 24;
-
-    /** @param max_value largest sample with a dedicated bucket. */
-    explicit Histogram(uint32_t max_value = 64);
-
     /**
      * A log-spaced histogram covering [0, max_value] with
      * 2^sub_bits buckets per power of two (sub_bits in [0, 8]);
@@ -72,7 +59,6 @@ class Histogram
 
     /** Largest sample with a dedicated bucket. */
     uint64_t maxValue() const { return maxValue_; }
-    bool isLogSpaced() const { return logSpaced_; }
 
     /** Smallest sample value bucket @p index covers. */
     uint64_t bucketLow(uint32_t index) const;
@@ -82,10 +68,10 @@ class Histogram
     /**
      * Upper bound of the smallest bucket b such that at least
      * @p fraction of the recorded weight lies in buckets <= b,
-     * clamped to maxValue. Exact for unit buckets (bucket == value);
-     * for log-spaced buckets a conservative (never understated)
-     * value within 2^-subBits relative error. Overflowed samples
-     * saturate to maxValue + 1.
+     * clamped to maxValue. Exact below 2 * 2^subBits (bucket ==
+     * value); above, a conservative (never understated) value within
+     * 2^-subBits relative error. Overflowed samples saturate to
+     * maxValue + 1.
      */
     uint64_t percentile(double fraction) const;
 
@@ -98,8 +84,6 @@ class Histogram
     size_t
     indexFor(uint64_t sample) const
     {
-        if (!logSpaced_)
-            return static_cast<size_t>(sample);
         // HDR layout: exact unit buckets below 2 * S (S = 2^subBits);
         // above that, the top subBits+1 significant bits select the
         // bucket — 2^subBits buckets per power of two, relative width
@@ -116,7 +100,6 @@ class Histogram
     std::vector<uint64_t> buckets_;
     uint64_t maxValue_ = 0;
     int subBits_ = 0;
-    bool logSpaced_ = false;
     uint64_t overflow_ = 0;
     uint64_t count_ = 0;
     double sum_ = 0.0;

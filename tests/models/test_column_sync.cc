@@ -12,10 +12,31 @@
 #include "models/pragmatic/tile.h"
 #include "sim/tiling.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace models {
 namespace {
+
+/** Price @p input under pallet sync, serially, through its workload. */
+sim::LayerResult
+palletSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
+           const sim::AccelConfig &accel, const PragmaticConfig &config,
+           const sim::SampleSpec &sample)
+{
+    return simulateLayerPalletSync(layer, sim::LayerWorkload(input), accel,
+                                   config, sample, util::InnerExecutor());
+}
+
+/** Price @p input under column sync through its workload. */
+sim::LayerResult
+columnSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
+           const sim::AccelConfig &accel, const PragmaticConfig &config,
+           const sim::SampleSpec &sample)
+{
+    return simulateLayerColumnSync(layer, sim::LayerWorkload(input), accel,
+                                   config, sample);
+}
 
 dnn::LayerSpec
 evenLayer()
@@ -70,10 +91,9 @@ TEST(ColumnSync, UniformInputMatchesPalletSync)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto pallet = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
-    auto column = simulateLayerColumnSync(layer, input, accel,
-                                          config(1), sim::SampleSpec{0});
+    auto pallet = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto column = columnSync(layer, input, accel, config(1),
+                             sim::SampleSpec{0});
     EXPECT_NEAR(column.cycles, pallet.cycles, pallet.cycles * 0.02);
 }
 
@@ -85,11 +105,10 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
     tile.modelNmStalls = false;
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
         auto input = randomInput(layer, seed);
-        auto pallet = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
-        auto column = simulateLayerColumnSync(layer, input, accel,
-                                              config(1),
-                                              sim::SampleSpec{0});
+        auto pallet = palletSync(layer, input, accel, tile,
+                                 sim::SampleSpec{0});
+        auto column = columnSync(layer, input, accel, config(1),
+                                 sim::SampleSpec{0});
         // A small slack term covers pipeline fill at the stream head.
         EXPECT_LE(column.cycles, pallet.cycles * 1.02) << seed;
     }
@@ -102,15 +121,14 @@ TEST(ColumnSync, MonotoneInSsrCount)
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int ssrs : {1, 2, 4, 8, 16}) {
-        auto result = simulateLayerColumnSync(layer, input, accel,
-                                              config(ssrs),
-                                              sim::SampleSpec{0});
+        auto result = columnSync(layer, input, accel, config(ssrs),
+                                 sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev * 1.0001) << ssrs;
         prev = result.cycles;
     }
     // Ideal (infinite SSRs) is the floor.
-    auto ideal = simulateLayerColumnSync(layer, input, accel,
-                                         config(0), sim::SampleSpec{0});
+    auto ideal = columnSync(layer, input, accel, config(0),
+                            sim::SampleSpec{0});
     EXPECT_LE(ideal.cycles, prev * 1.0001);
 }
 
@@ -120,10 +138,9 @@ TEST(ColumnSync, SixteenSsrsNearIdeal)
     auto layer = evenLayer();
     auto input = randomInput(layer, 11);
     sim::AccelConfig accel;
-    auto r16 = simulateLayerColumnSync(layer, input, accel, config(16),
-                                       sim::SampleSpec{0});
-    auto ideal = simulateLayerColumnSync(layer, input, accel, config(0),
-                                         sim::SampleSpec{0});
+    auto r16 = columnSync(layer, input, accel, config(16), sim::SampleSpec{0});
+    auto ideal = columnSync(layer, input, accel, config(0),
+                            sim::SampleSpec{0});
     EXPECT_NEAR(r16.cycles / ideal.cycles, 1.0, 0.05);
 }
 
@@ -135,8 +152,8 @@ TEST(ColumnSync, WorstCaseStillMatchesDaDn)
     for (auto &v : input.flat())
         v = 0xffff;
     sim::AccelConfig accel;
-    auto result = simulateLayerColumnSync(layer, input, accel,
-                                          config(1), sim::SampleSpec{0});
+    auto result = columnSync(layer, input, accel, config(1),
+                             sim::SampleSpec{0});
     DadnModel dadn(accel);
     // Columns all take 16 cycles per set: identical to DaDN plus the
     // one-cycle SB pipeline fill.
@@ -149,8 +166,8 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
     auto layer = evenLayer();
     auto input = randomInput(layer, 13);
     sim::AccelConfig accel;
-    auto ideal = simulateLayerColumnSync(layer, input, accel, config(0),
-                                         sim::SampleSpec{0});
+    auto ideal = columnSync(layer, input, accel, config(0),
+                            sim::SampleSpec{0});
     // The busiest single column is a hard lower bound; with B sets
     // per pallet the total can't beat pallets * sets (1 cycle min).
     sim::LayerTiling tiling(layer, accel);
@@ -164,11 +181,10 @@ TEST(ColumnSync, EngineNames)
     auto layer = evenLayer();
     auto input = randomInput(layer, 17);
     sim::AccelConfig accel;
-    auto r1 = simulateLayerColumnSync(layer, input, accel, config(1),
-                                      sim::SampleSpec{16});
+    auto r1 = columnSync(layer, input, accel, config(1), sim::SampleSpec{16});
     EXPECT_EQ(r1.engineName, "PRA-perCol");
-    auto ideal = simulateLayerColumnSync(layer, input, accel,
-                                         config(0), sim::SampleSpec{16});
+    auto ideal = columnSync(layer, input, accel, config(0),
+                            sim::SampleSpec{16});
     EXPECT_EQ(ideal.engineName, "PRA-perCol-ideal");
 }
 
@@ -179,12 +195,10 @@ TEST(ColumnSync, NmModelOnlyAddsCycles)
     auto input = synth.synthesizeFixed16Trimmed(0);
     const auto &layer = net.layers[0];
     sim::AccelConfig accel;
-    auto with = simulateLayerColumnSync(layer, input, accel,
-                                        config(1, true),
-                                        sim::SampleSpec{32});
-    auto without = simulateLayerColumnSync(layer, input, accel,
-                                           config(1, false),
-                                           sim::SampleSpec{32});
+    auto with = columnSync(layer, input, accel, config(1, true),
+                           sim::SampleSpec{32});
+    auto without = columnSync(layer, input, accel, config(1, false),
+                              sim::SampleSpec{32});
     EXPECT_GE(with.cycles, without.cycles);
 }
 
@@ -199,11 +213,9 @@ TEST_P(SsrSweep, GainOverOneSsrIsBounded)
     auto layer = evenLayer();
     auto input = randomInput(layer, 23, 0.6, 1u << 12);
     sim::AccelConfig accel;
-    auto base = simulateLayerColumnSync(layer, input, accel, config(1),
-                                        sim::SampleSpec{0});
-    auto more = simulateLayerColumnSync(layer, input, accel,
-                                        config(ssrs),
-                                        sim::SampleSpec{0});
+    auto base = columnSync(layer, input, accel, config(1), sim::SampleSpec{0});
+    auto more = columnSync(layer, input, accel, config(ssrs),
+                           sim::SampleSpec{0});
     double gain = base.cycles / more.cycles;
     EXPECT_GE(gain, 0.999);
     EXPECT_LE(gain, 1.6); // Section VI-C: one SSR is nearly enough.

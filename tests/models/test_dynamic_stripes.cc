@@ -181,8 +181,13 @@ TEST(DynamicStripes, MatchesBruteForceReferenceAcrossKnobGrid)
 {
     dnn::LayerSpec layer = partialLayer();
     dnn::NeuronTensor input = randomInput(layer, 0xd511a);
+    sim::LayerWorkload workload(input);
     sim::AccelConfig accel;
     sim::LayerTiling tiling(layer, accel);
+    // The workload path, serially and split across a 3-thread pool.
+    util::ThreadPool pool(3);
+    const util::InnerExecutor execs[] = {util::InnerExecutor(),
+                                         util::InnerExecutor(&pool, 3)};
     for (int gc : {1, 4, 16})
         for (int regs : {0, 1, 2})
             for (bool lb : {false, true})
@@ -195,49 +200,25 @@ TEST(DynamicStripes, MatchesBruteForceReferenceAcrossKnobGrid)
                     ReferenceTotals want = referenceSimulate(
                         layer, diffy ? diffyReference(input) : input,
                         accel, config);
-                    sim::LayerResult got =
-                        simulateLayerDynamicStripes(
-                            layer, input, accel, config,
-                            sim::SampleSpec{0});
-                    SCOPED_TRACE("g=" + std::to_string(gc) +
-                                 " r=" + std::to_string(regs) +
-                                 " lb=" + std::to_string(lb) +
-                                 " diffy=" + std::to_string(diffy));
-                    EXPECT_EQ(got.cycles,
-                              static_cast<double>(tiling.passes()) *
-                                  static_cast<double>(want.cycles));
-                    EXPECT_EQ(got.effectualTerms,
-                              static_cast<double>(want.terms) *
-                                  layer.numFilters);
-                    EXPECT_EQ(got.nmStallCycles, 0.0);
+                    for (const util::InnerExecutor &exec : execs) {
+                        sim::LayerResult got = simulateLayerDynamicStripes(
+                            layer, workload, accel, config,
+                            sim::SampleSpec{0}, exec);
+                        SCOPED_TRACE("g=" + std::to_string(gc) +
+                                     " r=" + std::to_string(regs) +
+                                     " lb=" + std::to_string(lb) +
+                                     " diffy=" + std::to_string(diffy) +
+                                     " tasks=" +
+                                     std::to_string(exec.maxTasks()));
+                        EXPECT_EQ(got.cycles,
+                                  static_cast<double>(tiling.passes()) *
+                                      static_cast<double>(want.cycles));
+                        EXPECT_EQ(got.effectualTerms,
+                                  static_cast<double>(want.terms) *
+                                      layer.numFilters);
+                        EXPECT_EQ(got.nmStallCycles, 0.0);
+                    }
                 }
-}
-
-TEST(DynamicStripes, WorkloadPathBitIdenticalToTensorPath)
-{
-    dnn::LayerSpec layer = partialLayer();
-    dnn::NeuronTensor input = randomInput(layer, 0xd511b);
-    sim::AccelConfig accel;
-    util::ThreadPool pool(3);
-    util::InnerExecutor exec(&pool, 3);
-    sim::LayerWorkload workload(input);
-    for (int gc : {1, 4, 16})
-        for (bool lb : {false, true})
-            for (bool diffy : {false, true}) {
-                DynamicStripesConfig config;
-                config.groupColumns = gc;
-                config.columnRegisters = 1;
-                config.leadingBit = lb;
-                config.diffy = diffy;
-                sim::LayerResult a = simulateLayerDynamicStripes(
-                    layer, input, accel, config, sim::SampleSpec{0});
-                sim::LayerResult b = simulateLayerDynamicStripes(
-                    layer, workload, accel, config, sim::SampleSpec{0},
-                    exec);
-                EXPECT_EQ(a.cycles, b.cycles) << gc;
-                EXPECT_EQ(a.effectualTerms, b.effectualTerms) << gc;
-                EXPECT_EQ(a.sbReadSteps, b.sbReadSteps) << gc;
-            }
 }
 
 TEST(DynamicStripes, LayerWideIsBitIdenticalToStripesAcrossPaperGrid)

@@ -154,13 +154,13 @@ referenceCycles(const dnn::LayerSpec &layer,
 }
 
 /**
- * Both paths, the workload one split across a 3-thread pool, against
- * the brute-force reference.
+ * The workload path, serially and split across a 3-thread pool,
+ * against the brute-force reference.
  */
 void
-expectBothPathsMatchReference(const dnn::LayerSpec &layer,
-                              const dnn::NeuronTensor &input,
-                              const sim::AccelConfig &accel)
+expectMatchesReference(const dnn::LayerSpec &layer,
+                       const dnn::NeuronTensor &input,
+                       const sim::AccelConfig &accel)
 {
     auto codes = materializeCodes(layer);
     const double terms =
@@ -168,13 +168,11 @@ expectBothPathsMatchReference(const dnn::LayerSpec &layer,
     const double cycles = static_cast<double>(
         referenceCycles(layer, input, accel, codes));
     util::ThreadPool pool(3);
-    util::InnerExecutor exec(&pool, 3);
     sim::LayerWorkload workload(input);
-    sim::LayerResult tensor =
-        simulateLayerLaconic(layer, input, accel, sim::SampleSpec{0});
-    sim::LayerResult planes = simulateLayerLaconic(
-        layer, workload, accel, sim::SampleSpec{0}, exec);
-    for (const sim::LayerResult &got : {tensor, planes}) {
+    for (const util::InnerExecutor &exec :
+         {util::InnerExecutor(), util::InnerExecutor(&pool, 3)}) {
+        sim::LayerResult got = simulateLayerLaconic(
+            layer, workload, accel, sim::SampleSpec{0}, exec);
         EXPECT_EQ(got.effectualTerms, terms);
         EXPECT_EQ(got.cycles, cycles);
         EXPECT_EQ(got.nmStallCycles, 0.0);
@@ -191,7 +189,7 @@ TEST(Laconic, MatchesBruteForcePerTermReference)
         SCOPED_TRACE(width);
         sim::AccelConfig accel;
         accel.windowsPerPallet = width;
-        expectBothPathsMatchReference(layer, input, accel);
+        expectMatchesReference(layer, input, accel);
     }
 }
 
@@ -217,7 +215,7 @@ TEST(Laconic, ColumnSumsPastSixteenBits)
     sim::AccelConfig accel;
     accel.windowsPerPallet = 8192;
     ASSERT_EQ(sim::LayerTiling(layer, accel).numPallets(), 1);
-    expectBothPathsMatchReference(layer, input, accel);
+    expectMatchesReference(layer, input, accel);
 }
 
 TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
@@ -240,24 +238,7 @@ TEST(Laconic, MultiPassPricesWorstCasePassButExactTerms)
     dnn::NeuronTensor input = randomInput(layer, 0x1ac02);
     sim::AccelConfig accel;
     ASSERT_EQ(sim::LayerTiling(layer, accel).passes(), 2);
-    expectBothPathsMatchReference(layer, input, accel);
-}
-
-TEST(Laconic, WorkloadPathBitIdenticalToTensorPath)
-{
-    dnn::LayerSpec layer = partialLayer();
-    dnn::NeuronTensor input = randomInput(layer, 0x1ac03);
-    sim::AccelConfig accel;
-    util::ThreadPool pool(3);
-    util::InnerExecutor exec(&pool, 3);
-    sim::LayerWorkload workload(input);
-    sim::LayerResult a =
-        simulateLayerLaconic(layer, input, accel, sim::SampleSpec{0});
-    sim::LayerResult b = simulateLayerLaconic(
-        layer, workload, accel, sim::SampleSpec{0}, exec);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.effectualTerms, b.effectualTerms);
-    EXPECT_EQ(a.sbReadSteps, b.sbReadSteps);
+    expectMatchesReference(layer, input, accel);
 }
 
 TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)

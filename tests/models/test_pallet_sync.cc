@@ -11,10 +11,21 @@
 #include "models/pragmatic/tile.h"
 #include "sim/tiling.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace pra {
 namespace models {
 namespace {
+
+/** Price @p input under pallet sync, serially, through its workload. */
+sim::LayerResult
+palletSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
+           const sim::AccelConfig &accel, const PragmaticConfig &config,
+           const sim::SampleSpec &sample)
+{
+    return simulateLayerPalletSync(layer, sim::LayerWorkload(input), accel,
+                                   config, sample, util::InnerExecutor());
+}
 
 dnn::LayerSpec
 evenLayer()
@@ -53,8 +64,7 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
     DadnModel dadn(accel);
     EXPECT_DOUBLE_EQ(result.cycles, dadn.layerCycles(layer));
 }
@@ -66,8 +76,7 @@ TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
     DadnModel dadn(accel);
     EXPECT_DOUBLE_EQ(dadn.layerCycles(layer) / result.cycles, 16.0);
 }
@@ -79,8 +88,7 @@ TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.cycles,
                      static_cast<double>(tiling.numPallets() *
@@ -100,8 +108,8 @@ TEST(PalletSync, NeverSlowerThanDaDnOnRandomData)
         PragmaticConfig tile;
         tile.firstStageBits = l;
         tile.modelNmStalls = false;
-        auto result = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
+        auto result = palletSync(layer, input, accel, tile,
+                                 sim::SampleSpec{0});
         EXPECT_LE(result.cycles, dadn.layerCycles(layer) + 1e-9) << l;
     }
 }
@@ -118,8 +126,8 @@ TEST(PalletSync, MonotoneInFirstStageBits)
         PragmaticConfig tile;
         tile.firstStageBits = l;
         tile.modelNmStalls = false;
-        auto result = simulateLayerPalletSync(layer, input, accel,
-                                              tile, sim::SampleSpec{0});
+        auto result = palletSync(layer, input, accel, tile,
+                                 sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev) << l;
         prev = result.cycles;
     }
@@ -132,10 +140,8 @@ TEST(PalletSync, SamplingIsUnbiasedOnUniformData)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto full = simulateLayerPalletSync(layer, input, accel, tile,
-                                        sim::SampleSpec{0});
-    auto sampled = simulateLayerPalletSync(layer, input, accel, tile,
-                                           sim::SampleSpec{4});
+    auto full = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto sampled = palletSync(layer, input, accel, tile, sim::SampleSpec{4});
     EXPECT_DOUBLE_EQ(full.cycles, sampled.cycles);
     EXPECT_GT(sampled.sampleScale, 1.0);
 }
@@ -152,10 +158,8 @@ TEST(PalletSync, SamplingCloseOnRandomData)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto full = simulateLayerPalletSync(layer, input, accel, tile,
-                                        sim::SampleSpec{0});
-    auto sampled = simulateLayerPalletSync(layer, input, accel, tile,
-                                           sim::SampleSpec{8});
+    auto full = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto sampled = palletSync(layer, input, accel, tile, sim::SampleSpec{8});
     EXPECT_NEAR(sampled.cycles / full.cycles, 1.0, 0.1);
 }
 
@@ -169,10 +173,8 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
     PragmaticConfig with;
     PragmaticConfig without;
     without.modelNmStalls = false;
-    auto stalled = simulateLayerPalletSync(layer, input, accel, with,
-                                           sim::SampleSpec{32});
-    auto clean = simulateLayerPalletSync(layer, input, accel, without,
-                                         sim::SampleSpec{32});
+    auto stalled = palletSync(layer, input, accel, with, sim::SampleSpec{32});
+    auto clean = palletSync(layer, input, accel, without, sim::SampleSpec{32});
     EXPECT_GE(stalled.cycles, clean.cycles);
     EXPECT_GE(stalled.nmStallCycles, 0.0);
     EXPECT_DOUBLE_EQ(clean.nmStallCycles, 0.0);
@@ -185,8 +187,7 @@ TEST(PalletSync, EffectualTermsScaleWithFilters)
     sim::AccelConfig accel;
     PragmaticConfig tile;
     tile.modelNmStalls = false;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
     // Every neuron use contributes 2 essential bits x 256 filters.
     double uses = static_cast<double>(layer.windows()) *
                   layer.filterX * layer.filterY * layer.inputChannels;
@@ -200,8 +201,7 @@ TEST(PalletSync, SbReadsMatchDaDnSchedule)
     auto input = constantInput(layer, 1);
     sim::AccelConfig accel;
     PragmaticConfig tile;
-    auto result = simulateLayerPalletSync(layer, input, accel, tile,
-                                          sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.sbReadSteps,
                      static_cast<double>(tiling.numPallets() *

@@ -1,21 +1,25 @@
 /**
  * @file
  * Tests for the Pragmatic registry engines ("pragmatic" and
- * "pragmatic-col") priced end to end on synthetic workloads.
+ * "pragmatic-col") priced end to end on synthetic workloads, and for
+ * the brick costs both price from.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/engines.h"
-#include "models/pragmatic/column_sync.h"
+#include "models/pragmatic/brick_cost.h"
 #include "models/pragmatic/pragmatic_engine.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/schedule.h"
+#include "sim/operand_planes.h"
+#include "sim/pallet_driver.h"
+#include "sim/tiling.h"
 #include "sim/workload_cache.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace pra {
@@ -98,52 +102,81 @@ TEST(PragmaticEngine, SeedChangesWorkloadNotShape)
     EXPECT_NEAR(ra.totalCycles() / rb.totalCycles(), 1.0, 0.15);
 }
 
-TEST(PragmaticEngine, WorkloadPathBitIdenticalToTensorKernels)
+/**
+ * Every (window, set) visit of @p layer: BrickCostModel::brick must
+ * equal the schedule length and term count rederived from the
+ * tensor's brick view, at every first-stage width, with the cycle
+ * planes on and off.
+ */
+void
+expectBrickCostsMatchBrickViews(const dnn::LayerSpec &layer,
+                                const dnn::NeuronTensor &input)
 {
-    // The engine prices off the workload's brick and cycle planes
-    // (split across a pool for pallet sync); the plane-free tensor
-    // kernels are the oracle it must match exactly.
+    sim::LayerWorkload workload(input);
+    sim::PalletDriver driver(layer, sim::AccelConfig{}, sim::SampleSpec{0},
+                             workload);
+    const sim::LayerTiling &tiling = driver.tiling();
+    for (bool planes : {true, false}) {
+        sim::setCyclePlanesEnabled(planes);
+        for (int bits = 0; bits <= kMaxFirstStageBits; bits++) {
+            SCOPED_TRACE(layer.name + " L=" + std::to_string(bits) +
+                         " cycle planes " + (planes ? "on" : "off"));
+            const BrickCostModel costs(driver, bits);
+            int64_t visits = 0;
+            int64_t mismatches = 0;
+            for (int64_t wi = 0; wi < layer.windows(); wi++) {
+                const sim::WindowCoord w = tiling.windowCoord(wi);
+                for (const sim::SynapseSetCoord &s : driver.setCoords()) {
+                    auto view = tiling.gatherBrickView(input, w, s);
+                    BrickCostModel::Cost got = costs.brick(w, s);
+                    visits++;
+                    if (got.cycles != brickScheduleCycles(view, bits) ||
+                        got.terms != sim::summarizeBrick(view).pop)
+                        mismatches++;
+                }
+            }
+            EXPECT_GT(visits, 0);
+            EXPECT_EQ(mismatches, 0) << "of " << visits << " visits";
+        }
+    }
+    sim::setCyclePlanesEnabled(true);
+}
+
+TEST(PragmaticEngine, BrickCostsMatchBrickViewsOnEveryVisit)
+{
+    // Tiny's priced layers: 8 channels (one partial brick), 24, and
+    // the lowered 1 x 1 x 800 fc input.
     auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
     dnn::ActivationSynthesizer synth(net, 0x5eed);
-    sim::AccelConfig accel;
-    sim::SampleSpec sample{16};
-    util::ThreadPool pool(3);
-    util::InnerExecutor exec(&pool, 3);
-    std::vector<std::string> specs;
-    for (int bits : {1, 2, 3}) {
-        for (int nmstalls : {0, 1}) {
-            std::string knobs = ":bits=" + std::to_string(bits) +
-                                ":nmstalls=" + std::to_string(nmstalls);
-            specs.push_back("pragmatic" + knobs);
-            specs.push_back("pragmatic-col" + knobs + ":ssr=0");
-            specs.push_back("pragmatic-col" + knobs + ":ssr=1");
-        }
+    for (size_t i = 0; i < net.layers.size(); i++) {
+        if (!net.layers[i].priced())
+            continue;
+        expectBrickCostsMatchBrickViews(
+            net.layers[i],
+            sim::synthesizeStream(synth, static_cast<int>(i),
+                                  sim::InputStream::Fixed16Trimmed));
     }
-    for (const std::string &spec : specs) {
-        auto created = builtinEngines().create(sim::parseEngineSpec(spec));
-        const auto &engine = dynamic_cast<const PragmaticEngine &>(*created);
-        const PragmaticConfig &config = engine.config();
-        for (size_t i = 0; i < net.layers.size(); i++) {
-            const dnn::LayerSpec &layer = net.layers[i];
-            if (!layer.priced())
-                continue;
-            SCOPED_TRACE(spec + " on " + layer.name);
-            dnn::NeuronTensor input = sim::synthesizeStream(
-                synth, static_cast<int>(i), engine.inputStream());
-            sim::LayerResult got = engine.simulateLayer(
-                layer, sim::LayerWorkload(input), accel, sample, exec);
-            sim::LayerResult want =
-                config.sync == SyncScheme::Pallet
-                    ? simulateLayerPalletSync(layer, input, accel, config,
-                                              sample)
-                    : simulateLayerColumnSync(layer, input, accel, config,
-                                              sample);
-            EXPECT_EQ(got.cycles, want.cycles);
-            EXPECT_EQ(got.effectualTerms, want.effectualTerms);
-            EXPECT_EQ(got.nmStallCycles, want.nmStallCycles);
-            EXPECT_EQ(got.sbReadSteps, want.sbReadSteps);
-        }
-    }
+    // Stride 2 and pad 1 (padding visits) over 24 channels (a partial
+    // second brick), with full-width random values so the L=0 and L=4
+    // bounds often disagree and the fallback schedule runs.
+    dnn::LayerSpec layer;
+    layer.name = "strided";
+    layer.inputX = 9;
+    layer.inputY = 7;
+    layer.inputChannels = 24;
+    layer.filterX = 3;
+    layer.filterY = 3;
+    layer.numFilters = 20;
+    layer.stride = 2;
+    layer.pad = 1;
+    layer.profiledPrecision = 8;
+    ASSERT_TRUE(layer.valid());
+    dnn::NeuronTensor input(layer.inputX, layer.inputY,
+                            layer.inputChannels);
+    util::Xoshiro256 rng(0xb41c);
+    for (auto &v : input.flat())
+        v = static_cast<uint16_t>(rng.nextBounded(65536));
+    expectBrickCostsMatchBrickViews(layer, input);
 }
 
 TEST(PragmaticEngineDeathTest, InvalidAccelConfigPanics)

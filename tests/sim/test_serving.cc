@@ -22,6 +22,7 @@
 #include "sim/serving/serving_sim.h"
 #include "sim/sweep.h"
 #include "tests/sim/batch_oracle.h"
+#include "util/args.h"
 #include "util/stats.h"
 
 namespace pra {
@@ -1091,6 +1092,36 @@ TEST(ServingSweepDeathTest, RejectsBadConfigBeforeBuildingCurves)
                                  models::builtinEngines(),
                                  no_instances),
                  "instance");
+}
+
+TEST(ServingSweepDeathTest, RejectsTracesPastTheArrivalClock)
+{
+    // At 1e-9 images/s, 64 requests arrive ~1e18 cycles apart and
+    // the uint64 arrival clock would wrap; the flags fail before a
+    // simulation starts. The slowest of several rates governs.
+    auto parse = [](std::vector<const char *> argv) {
+        argv.insert(argv.begin(), "prog");
+        return util::ArgParser(static_cast<int>(argv.size()),
+                               argv.data());
+    };
+    ServingSweepOptions options;
+    EXPECT_EXIT(parseServingFlags(parse({"--smoke", "--traffic=1e-9"}),
+                                  "1", options),
+                ::testing::ExitedWithCode(1), "past 2\\^63 cycles");
+    EXPECT_EXIT(parseServingFlags(parse({"--traffic=1000,1e-9",
+                                         "--requests=64"}),
+                                  "1", options),
+                ::testing::ExitedWithCode(1), "--traffic=1e-09");
+    // 1e-6 with the smoke trace stays inside the bound and serves
+    // every request.
+    parseServingFlags(parse({"--smoke", "--traffic=1e-6"}), "1", options);
+    options.sample.maxUnits = 2;
+    auto reports = runServingSweep({dnn::makeTinyNetwork()},
+                                   {{"dadn", {}}},
+                                   models::builtinEngines(), options);
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].requests, 64);
+    EXPECT_EQ(reports[0].completed, 64);
 }
 
 } // namespace

@@ -114,6 +114,10 @@ TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
     EXPECT_DEATH(registry.create("warp-drive"), "unknown engine");
     EXPECT_DEATH(registry.create("dadn", {{"bogus", "1"}}),
                  "unknown knob");
+    // A repeated knob is an error, not a silent last-one-wins.
+    EXPECT_EXIT(parseEngineSpec("pragmatic:bits=2:bits=3"),
+                ::testing::ExitedWithCode(1),
+                "engine knob 'bits' repeated in 'pragmatic:bits=2:bits=3'");
 }
 
 TEST(EngineRegistry, ParseEngineListExpandsGridsAndSpecs)

@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the unit-width and log-spaced histograms.
+ * Tests for the log-spaced histogram. The cases over small values
+ * use ranges below 2 * 2^sub_bits, where every bucket holds exactly
+ * one value.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,7 @@ namespace {
 
 TEST(Histogram, CountsBucketsAndOverflow)
 {
-    Histogram h(4);
+    Histogram h = Histogram::logSpaced(4, 2);
     h.add(0);
     h.add(2, 3);
     h.add(4);
@@ -27,7 +29,7 @@ TEST(Histogram, CountsBucketsAndOverflow)
 
 TEST(Histogram, MeanIncludesWeights)
 {
-    Histogram h(10);
+    Histogram h = Histogram::logSpaced(10, 3);
     h.add(2, 2);
     h.add(8, 2);
     EXPECT_DOUBLE_EQ(h.mean(), 5.0);
@@ -35,7 +37,7 @@ TEST(Histogram, MeanIncludesWeights)
 
 TEST(Histogram, Percentiles)
 {
-    Histogram h(10);
+    Histogram h = Histogram::logSpaced(10, 3);
     for (uint64_t v = 1; v <= 10; v++)
         h.add(v);
     EXPECT_EQ(h.percentile(0.1), 1u);
@@ -45,13 +47,13 @@ TEST(Histogram, Percentiles)
 
 TEST(Histogram, PercentileOfEmptyIsZero)
 {
-    Histogram h(4);
+    Histogram h = Histogram::logSpaced(4, 2);
     EXPECT_EQ(h.percentile(0.5), 0u);
 }
 
 TEST(Histogram, ResetClearsEverything)
 {
-    Histogram h(4);
+    Histogram h = Histogram::logSpaced(4, 2);
     h.add(1);
     h.add(100);
     h.reset();
@@ -60,10 +62,9 @@ TEST(Histogram, ResetClearsEverything)
     EXPECT_EQ(h.bucket(1), 0u);
 }
 
-TEST(Histogram, UnitLayoutReportsExactBounds)
+TEST(Histogram, SmallRangeReportsExactBounds)
 {
-    Histogram h(8);
-    EXPECT_FALSE(h.isLogSpaced());
+    Histogram h = Histogram::logSpaced(8, 3);
     EXPECT_EQ(h.maxValue(), 8u);
     EXPECT_EQ(h.numBuckets(), 9u);
     for (uint32_t i = 0; i <= 8; i++) {
@@ -77,7 +78,7 @@ TEST(Histogram, OverflowPercentileSaturatesLoudly)
     // Overflowed samples report as maxValue + 1 — a sentinel outside
     // the histogram's range — rather than a silently wrong in-range
     // value.
-    Histogram unit(4);
+    Histogram unit = Histogram::logSpaced(4, 2);
     unit.add(100);
     EXPECT_EQ(unit.percentile(1.0), 5u);
     unit.add(2);
@@ -92,8 +93,6 @@ TEST(Histogram, OverflowPercentileSaturatesLoudly)
 
 TEST(Histogram, LogSpacedIsExactBelowTwiceTheSubBucketCount)
 {
-    Histogram h = Histogram::logSpaced(uint64_t{1} << 20, 5);
-    EXPECT_TRUE(h.isLogSpaced());
     // Values below 2 * 2^5 = 64 get unit buckets: exact percentiles.
     for (uint64_t v : {0u, 1u, 33u, 63u}) {
         Histogram single = Histogram::logSpaced(uint64_t{1} << 20, 5);
@@ -154,15 +153,13 @@ TEST(Histogram, LogSpacedResetClearsEverything)
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.overflow(), 0u);
     EXPECT_EQ(h.percentile(0.5), 0u);
-    EXPECT_TRUE(h.isLogSpaced()); // Layout survives reset.
+    // The layout survives reset.
+    EXPECT_EQ(h.numBuckets(),
+              Histogram::logSpaced(uint64_t{1} << 20).numBuckets());
 }
 
 TEST(HistogramDeathTest, RejectsUnpayableLayouts)
 {
-    // A unit-bucket range that large must be a loud error steering
-    // the caller to logSpaced, not a multi-GB allocation.
-    EXPECT_DEATH(Histogram(uint32_t{1} << 25),
-                 "unit-bucket range too large");
     EXPECT_DEATH(Histogram::logSpaced(0), "empty sample range");
     EXPECT_DEATH(Histogram::logSpaced(1024, 9), "sub_bits");
     EXPECT_DEATH(Histogram::logSpaced(1024, -1), "sub_bits");
