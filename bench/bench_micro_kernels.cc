@@ -14,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,8 +31,10 @@
 #include "models/pragmatic/pip.h"
 #include "models/pragmatic/schedule.h"
 #include "models/pragmatic/tile.h"
+#include "sim/nm_model.h"
 #include "sim/operand_planes.h"
 #include "sim/serving/arrival.h"
+#include "sim/tiling.h"
 #include "sim/workload_cache.h"
 #include "util/random.h"
 
@@ -97,13 +101,14 @@ BENCHMARK(BM_BrickSchedule)->DenseRange(0, 4);
  * on real AlexNet conv2 input bricks (27 x 27 x 96: six bricks per
  * column), across the intermediate first-stage widths the cycle
  * planes memoize. One row-kernel iteration schedules every brick of
- * one tensor y-row; the serial twin walks the same row brick by
- * brick. items_per_second is bricks scheduled per second for both.
+ * one tensor y-row at every width of @p widths; the serial twin walks
+ * the same row brick by brick at one width. items_per_second is
+ * (brick, width) schedules per second for all of them, so the
+ * three-width case compares directly with the one-width ones.
  */
 void
-BM_ScheduleCyclesRow(benchmark::State &state)
+scheduleRowBench(benchmark::State &state, models::ScheduleWidths widths)
 {
-    int l = static_cast<int>(state.range(0));
     auto net = dnn::makeAlexNet();
     dnn::ActivationSynthesizer synth(net);
     auto tensor = synth.synthesizeFixed16Trimmed(1);
@@ -111,18 +116,42 @@ BM_ScheduleCyclesRow(benchmark::State &state)
     const int channels = tensor.sizeI();
     const int bricks = (channels + 15) / 16;
     const size_t row_len = static_cast<size_t>(columns) * channels;
-    std::vector<uint8_t> out(static_cast<size_t>(columns) * bricks);
+    std::vector<uint8_t> planes[3];
+    std::array<std::span<uint8_t>, 3> out;
+    for (int l = 1; l <= 3; l++)
+        if (widths & models::scheduleWidth(l)) {
+            planes[l - 1].resize(static_cast<size_t>(columns) * bricks);
+            out[l - 1] = planes[l - 1];
+        }
     size_t y = 0;
     for (auto _ : state) {
         models::scheduleCyclesRow(
             tensor.flat().subspan(y * row_len, row_len), columns,
-            channels, l, out);
-        benchmark::DoNotOptimize(out.data());
+            channels, widths, out);
+        benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
         y = (y + 1) % tensor.sizeY();
     }
-    state.SetItemsProcessed(state.iterations() * columns * bricks);
+    state.SetItemsProcessed(state.iterations() * columns * bricks *
+                            std::popcount(widths));
+}
+
+/** One width, L = range(0). */
+void
+BM_ScheduleCyclesRow(benchmark::State &state)
+{
+    scheduleRowBench(state, models::scheduleWidth(
+                                static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_ScheduleCyclesRow)->DenseRange(1, 3);
+
+/** All three widths in one pass, as the paper grid's planes build. */
+void
+BM_ScheduleCyclesRowAllWidths(benchmark::State &state)
+{
+    scheduleRowBench(state, models::kAllScheduleWidths);
+}
+BENCHMARK(BM_ScheduleCyclesRowAllWidths);
 
 void
 BM_ScheduleCyclesPerBrickSerial(benchmark::State &state)
@@ -426,6 +455,33 @@ BENCHMARK_CAPTURE(BM_PoolForward, googlenet_inception_3a_pool,
 BENCHMARK_CAPTURE(BM_PoolForward, alexnet_pool1, &dnn::makeAlexNet,
                   "pool1")
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The NM row count of one pallet step (sim/nm_model.h), over one
+ * AlexNet conv2 pallet at every synapse set, as the pallet-sync
+ * engine asks it with NM stalls modeled. items_per_second is steps
+ * (pallet, set) priced per second.
+ */
+void
+BM_NmFetchCycles(benchmark::State &state)
+{
+    auto net = dnn::makeAlexNet();
+    sim::LayerTiling tiling(net.layers[1], sim::AccelConfig{});
+    std::vector<sim::WindowCoord> columns;
+    tiling.palletColumns(1, columns);
+    std::vector<sim::SynapseSetCoord> sets;
+    for (int64_t s = 0; s < tiling.numSynapseSets(); s++)
+        sets.push_back(tiling.setCoord(s));
+    for (auto _ : state) {
+        int rows = 0;
+        for (const sim::SynapseSetCoord &set : sets)
+            rows += sim::nmFetchCycles(tiling, columns, set);
+        benchmark::DoNotOptimize(rows);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(sets.size()));
+}
+BENCHMARK(BM_NmFetchCycles);
 
 /**
  * One pallet-sync layer (AlexNet conv3), first-stage width from the

@@ -14,8 +14,11 @@
  *   cycles(L=4) == maxPop  (busiest lane), and
  *   cycles(L=1..3)         from the workload's memoized cycle plane
  *                          (exact brickScheduleCycles per brick,
- *                          built once per (workload, L) by the
- *                          batched scheduleCyclesRow kernel)
+ *                          built by the batched scheduleCyclesRow
+ *                          kernel: once per workload for all the
+ *                          widths its grid reads, else once per
+ *                          (workload, L); see
+ *                          PragmaticEngine::cycleWidths)
  *
  * so brick() is a pure table lookup on the hot path. When the cycle
  * planes are force-disabled (sim::setCyclePlanesEnabled) the

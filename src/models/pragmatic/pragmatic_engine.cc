@@ -82,6 +82,14 @@ PragmaticEngine::inputStream() const
                                 : sim::InputStream::Fixed16Raw;
 }
 
+ScheduleWidths
+PragmaticEngine::cycleWidths() const
+{
+    const int bits = config_.firstStageBits;
+    return bits >= 1 && bits < kMaxFirstStageBits ? scheduleWidth(bits)
+                                                  : 0;
+}
+
 sim::LayerResult
 PragmaticEngine::simulateLayer(const dnn::LayerSpec &layer,
                                const sim::LayerWorkload &workload,

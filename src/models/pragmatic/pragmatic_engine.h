@@ -35,6 +35,12 @@ class PragmaticEngine : public sim::Engine
     sim::InputStream inputStream() const override;
 
     /**
+     * {L} at the intermediate widths L = 1..3; L = 0 and 4 read the
+     * brick planes (see brick_cost.h).
+     */
+    ScheduleWidths cycleWidths() const override;
+
+    /**
      * Prices the layer through simulateLayerPalletSync or
      * simulateLayerColumnSync, off the workload's shared brick
      * planes, and (for pallet sync, whose pallets are independent)

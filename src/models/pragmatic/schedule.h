@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,26 +48,51 @@ int brickScheduleCycles(std::span<const uint16_t> neurons,
                         int first_stage_bits);
 
 /**
+ * A set of the intermediate first-stage widths 1..3, the ones the
+ * packed brick planes cannot answer (L=0 is orPop, L=4 is maxPop):
+ * bit L stands for width L.
+ */
+using ScheduleWidths = unsigned;
+
+/** The one-width set {@p first_stage_bits}. */
+constexpr ScheduleWidths
+scheduleWidth(int first_stage_bits)
+{
+    return 1u << first_stage_bits;
+}
+
+/** Every intermediate width: {1, 2, 3}. */
+inline constexpr ScheduleWidths kAllScheduleWidths =
+    scheduleWidth(1) | scheduleWidth(2) | scheduleWidth(3);
+
+/**
  * Batched schedule kernel: cycles for every brick of one channel-major
- * row of neurons in a single call.
+ * row of neurons, at every first-stage width of @p widths, in a single
+ * call.
  *
  * @p row is @p columns consecutive (x) positions of @p channels
  * contiguous channel values each — exactly one y-row of a
  * NeuronTensor — and each position carves into ceil(channels / 16)
  * bricks (the last one partial when channels is not a multiple of 16;
- * missing lanes count as zero, as gathers pad them). @p out receives
- * columns * ceil(channels / 16) cycle counts in (x, brick) order.
+ * missing lanes count as zero, as gathers pad them). For every width
+ * L in @p widths (a non-empty subset of kAllScheduleWidths),
+ * @p out[L - 1] receives columns * ceil(channels / 16) cycle counts in
+ * (x, brick) order; the other spans of @p out are not touched.
  *
- * Exactly equivalent to brickScheduleCycles() per brick — the drain
- * loop is the same policy expressed branchlessly over a fixed 16-lane
- * array (a lane fires iff its lowest pending oneffset falls inside
- * the reach window above the global minimum) — but without the
- * per-brick span setup, so plane builders can walk a whole tensor at
- * memory speed. Property-tested against the serial kernel.
+ * Exactly equivalent to brickScheduleCycles() per brick and width —
+ * the drain loop is the same policy expressed branchlessly over the
+ * brick's 16 lanes as two 8-lane vectors (a lane fires iff its lowest
+ * pending oneffset falls inside the reach window above the global
+ * minimum) — but
+ * without the per-brick span setup, so plane builders can walk a
+ * whole tensor at memory speed. Each brick is loaded once and every
+ * width drains it in lock step, so the widths' dependency chains
+ * overlap; a one-width set overlaps four bricks' chains instead.
+ * Property-tested against the serial kernel.
  */
 void scheduleCyclesRow(std::span<const uint16_t> row, int columns,
-                       int channels, int first_stage_bits,
-                       std::span<uint8_t> out);
+                       int channels, ScheduleWidths widths,
+                       const std::array<std::span<uint8_t>, 3> &out);
 
 /** One cycle of a schedule trace (for validation and visualization). */
 struct ScheduleCycle

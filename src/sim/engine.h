@@ -61,6 +61,16 @@ class Engine
     virtual bool readsSharedWeights() const { return false; }
 
     /**
+     * The schedule widths whose cycle planes
+     * (LayerWorkload::cyclePlane) simulateLayer reads while the
+     * planes are enabled. A cached grid builds each network's set in
+     * one pass (WorkloadCache::planCycleWidths); like
+     * readsSharedWeights, a wrong answer costs time, never a result
+     * bit, and the engine contract test holds every kind to it.
+     */
+    virtual models::ScheduleWidths cycleWidths() const { return 0; }
+
+    /**
      * Reject, through util::fatal, a machine this engine cannot
      * price. Sweeps call it once per selection on the calling thread
      * before any pass starts, so a bad pairing exits once instead of

@@ -1,7 +1,6 @@
 #include "sim/nm_model.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -14,23 +13,26 @@ nmFetchCycles(const LayerTiling &tiling,
               std::span<const WindowCoord> columns,
               const SynapseSetCoord &set)
 {
-    const AccelConfig &config = tiling.config();
-    std::vector<int64_t> rows;
-    rows.reserve(config.windowsPerPallet * 2);
+    // A brick never straddles a row, and the walk visits rows in
+    // address order (see the header), so the distinct rows are the
+    // row changes along it.
+    static_assert(AccelConfig::nmRowNeurons % AccelConfig::neuronLanes ==
+                      0,
+                  "a brick must fit in one NM row");
+    int rows = 0;
+    int64_t last_row = -1;
     for (const WindowCoord &w : columns) {
-        int64_t addr = tiling.brickNmAddress(w, set);
+        const int64_t addr = tiling.brickNmAddress(w, set);
         if (addr < 0)
             continue; // Padding brick: no NM access.
-        int64_t first_row = addr / config.nmRowNeurons;
-        int64_t last_row = (addr + config.neuronLanes - 1) /
-                           config.nmRowNeurons;
-        for (int64_t r = first_row; r <= last_row; r++)
-            rows.push_back(r);
+        const int64_t row = addr / AccelConfig::nmRowNeurons;
+        PRA_DCHECK(row >= last_row,
+                   "nmFetchCycles: pallet bricks out of address order");
+        rows += row != last_row;
+        last_row = row;
     }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     // Even an all-padding step costs one dispatch cycle.
-    return std::max<int>(1, static_cast<int>(rows.size()));
+    return std::max(1, rows);
 }
 
 int64_t

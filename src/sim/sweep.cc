@@ -129,19 +129,27 @@ priceGrid(const std::vector<dnn::Network> &networks,
               "priceGrid: cell range out of the grid");
     // Validate every selection and its machine up front, so knob
     // errors surface before any pass starts; note which engines read
-    // a stream (and so, propagated, their network's chain).
+    // a stream (and so, propagated, their network's chain) and which
+    // schedule widths they read.
     std::vector<bool> reads_stream;
+    std::vector<models::ScheduleWidths> widths;
     for (const auto &sel : engines) {
         std::unique_ptr<Engine> engine = registry.create(sel);
         engine->checkMachine(options.accel);
         reads_stream.push_back(
             canonicalStream(engine->inputStream(), options.activations) !=
             InputStream::None);
+        widths.push_back(engine->cycleWidths());
     }
     if (first == last)
         return;
 
+    // Each network's cached workloads build the schedule widths its
+    // cells read in one pass, and no other width.
     WorkloadCache cache;
+    for (size_t c = first; c < last; c++)
+        cache.planCycleWidths(networks[c / engines.size()],
+                              widths[c % engines.size()]);
     std::vector<CellPasses> cells(last - first);
     for (auto &cell : cells) {
         cell.images.resize(static_cast<size_t>(images));

@@ -11,10 +11,13 @@
  * All cells of a grid draw their synthesized streams from one
  * WorkloadCache (unless disabled), so each distinct (network,
  * representation, trim, seed, image) workload is built exactly once
- * no matter how many engines consume it. Each network (name and
- * workload fingerprint, so a duplicated network counts once) keeps a
- * countdown of its passes and prefetch tasks; the task that ends it
- * releases the network's cache entries, which no pending task reads.
+ * no matter how many engines consume it, and each of those
+ * workloads builds the schedule-cycle planes of every width its
+ * network's engines read (Engine::cycleWidths) in one pass. Each
+ * network (name and workload fingerprint, so a duplicated network
+ * counts once) keeps a countdown of its passes and prefetch tasks;
+ * the task that ends it releases the network's cache entries, which
+ * no pending task reads.
  *
  * Scheduling is two-level: with threads > 1 every (cell, image) pass
  * is its own pool task, and when there are fewer passes than threads

@@ -112,24 +112,5 @@ LayerTiling::gatherBrickView(const dnn::NeuronTensor &input,
                                      static_cast<size_t>(lanes));
 }
 
-int64_t
-LayerTiling::brickNmAddress(const WindowCoord &w,
-                            const SynapseSetCoord &s) const
-{
-    const std::optional<InputColumn> at = inputColumn(w, s);
-    if (!at)
-        return -1;
-    // NM stores neurons brick-interleaved: consecutive x positions of
-    // the same channel brick are adjacent, so a unit-stride pallet's
-    // 16 bricks fall into one or two rows (Section V-A4).
-    int64_t brick_index =
-        (static_cast<int64_t>(s.brickI / config_.neuronLanes) *
-             layer_.inputY +
-         at->y) *
-            layer_.inputX +
-        at->x;
-    return brick_index * config_.neuronLanes;
-}
-
 } // namespace sim
 } // namespace pra

@@ -159,10 +159,26 @@ class LayerTiling
 
     /**
      * First flat NM address (in neurons) of the brick, or -1 when the
-     * whole brick lies in padding (no NM access needed).
+     * whole brick lies in padding (no NM access needed). Inline: the
+     * NM row count asks it for every brick of every pallet step.
      */
-    int64_t brickNmAddress(const WindowCoord &w,
-                           const SynapseSetCoord &s) const;
+    int64_t
+    brickNmAddress(const WindowCoord &w, const SynapseSetCoord &s) const
+    {
+        const std::optional<InputColumn> at = inputColumn(w, s);
+        if (!at)
+            return -1;
+        // NM stores neurons brick-interleaved: consecutive x positions
+        // of the same channel brick are adjacent, so a unit-stride
+        // pallet's bricks fall into one or two rows (Section V-A4).
+        const int64_t brick_index =
+            (static_cast<int64_t>(s.brickI / config_.neuronLanes) *
+                 layer_.inputY +
+             at->y) *
+                layer_.inputX +
+            at->x;
+        return brick_index * config_.neuronLanes;
+    }
 
   private:
     dnn::LayerSpec layer_;

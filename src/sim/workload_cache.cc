@@ -1,14 +1,11 @@
 #include "sim/workload_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 
-// The cycle planes memoize the Pragmatic brick schedule, so this one
-// sim/ file reaches up into models/pragmatic for the batched kernel;
-// everything builds into the single pra_core library.
-#include "models/pragmatic/schedule.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -170,6 +167,17 @@ LayerWorkload::weightPlanes(const dnn::LayerSpec &layer) const
     return *weightPlanes_;
 }
 
+LayerWorkload::LayerWorkload(dnn::NeuronTensor tensor,
+                             WeightPlaneBuilder weight_builder,
+                             models::ScheduleWidths cycle_widths)
+    : tensor_(std::move(tensor)),
+      weightBuilder_(std::move(weight_builder)),
+      cycleWidths_(cycle_widths)
+{
+    PRA_CHECK((cycle_widths & ~models::kAllScheduleWidths) == 0,
+              "LayerWorkload: cycle widths must lie in 1..3");
+}
+
 std::span<const uint8_t>
 LayerWorkload::cyclePlane(int first_stage_bits) const
 {
@@ -178,28 +186,43 @@ LayerWorkload::cyclePlane(int first_stage_bits) const
                          "memoized (L=0/4 live in the brick planes)");
     PRA_CHECK(!tensor_.empty(),
                          "cyclePlane: empty workload has no planes");
-    const int slot = first_stage_bits - 1;
-    std::call_once(cyclesOnce_[slot], [this, first_stage_bits, slot] {
-        const int channels = tensor_.sizeI();
-        const int columns = tensor_.sizeX();
-        const int bricks = (channels + dnn::kBrickSize - 1) /
-                           dnn::kBrickSize;
-        std::vector<uint8_t> plane(static_cast<size_t>(columns) *
-                                   tensor_.sizeY() * bricks);
-        // One batched kernel call per y-row: the tensor's
-        // channel-major layout keeps a row's lanes contiguous, so the
-        // kernel walks it with no per-brick gather.
-        const size_t row_len = static_cast<size_t>(columns) * channels;
-        const size_t out_len = static_cast<size_t>(columns) * bricks;
-        for (int y = 0; y < tensor_.sizeY(); y++)
-            models::scheduleCyclesRow(
-                tensor_.flat().subspan(y * row_len, row_len), columns,
-                channels, first_stage_bits,
-                std::span<uint8_t>(plane.data() + y * out_len,
-                                   out_len));
-        cycles_[slot] = std::move(plane);
-    });
-    return cycles_[slot];
+    const models::ScheduleWidths width =
+        models::scheduleWidth(first_stage_bits);
+    if (cycleWidths_ & width)
+        std::call_once(cycleSetOnce_,
+                       [this] { buildCyclePlanes(cycleWidths_); });
+    else
+        std::call_once(cyclesOnce_[first_stage_bits - 1],
+                       [this, width] { buildCyclePlanes(width); });
+    return cycles_[first_stage_bits - 1];
+}
+
+void
+LayerWorkload::buildCyclePlanes(models::ScheduleWidths widths) const
+{
+    const int channels = tensor_.sizeI();
+    const int columns = tensor_.sizeX();
+    const int bricks = (channels + dnn::kBrickSize - 1) /
+                       dnn::kBrickSize;
+    // One batched kernel call per y-row: the tensor's channel-major
+    // layout keeps a row's lanes contiguous, so the kernel walks it
+    // with no per-brick gather.
+    const size_t row_len = static_cast<size_t>(columns) * channels;
+    const size_t out_len = static_cast<size_t>(columns) * bricks;
+    for (int l = 1; l <= 3; l++)
+        if (widths & models::scheduleWidth(l))
+            cycles_[l - 1].resize(out_len * tensor_.sizeY());
+    for (int y = 0; y < tensor_.sizeY(); y++) {
+        std::array<std::span<uint8_t>, 3> out;
+        for (int l = 1; l <= 3; l++)
+            if (widths & models::scheduleWidth(l))
+                out[l - 1] = std::span<uint8_t>(
+                    cycles_[l - 1].data() + y * out_len, out_len);
+        models::scheduleCyclesRow(
+            tensor_.flat().subspan(y * row_len, row_len), columns,
+            channels, widths, out);
+    }
+    cyclesBuilt_.fetch_or(widths, std::memory_order_release);
 }
 
 template <typename V, typename Key, typename Build>
@@ -258,6 +281,7 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
     LayerKey key{network.name, network.workloadFingerprint(),
                  synth.seed(), layer_idx, streamModeTag(stream, mode),
                  image};
+    const models::ScheduleWidths widths = plannedCycleWidths(network);
     return resolve(layers_, key, true, [&] {
         dnn::NeuronTensor tensor;
         if (mode == ActivationMode::Propagated) {
@@ -276,9 +300,11 @@ WorkloadCache::layer(const dnn::ActivationSynthesizer &synth,
         std::shared_ptr<WeightCell> cell =
             weightCell(network, layer_idx, mode, synth.seed());
         return std::make_shared<const LayerWorkload>(
-            std::move(tensor), [cell](const dnn::LayerSpec &layer) {
+            std::move(tensor),
+            [cell](const dnn::LayerSpec &layer) {
                 return cell->resolve(layer);
-            });
+            },
+            widths);
     });
 }
 
@@ -356,6 +382,23 @@ WorkloadCache::weightCell(const dnn::Network &network, int layer_idx,
     if (!cell)
         cell = std::make_shared<WeightCell>(mode, seed);
     return cell;
+}
+
+void
+WorkloadCache::planCycleWidths(const dnn::Network &network,
+                               models::ScheduleWidths widths)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    cycleWidths_[{network.name, network.workloadFingerprint()}] |= widths;
+}
+
+models::ScheduleWidths
+WorkloadCache::plannedCycleWidths(const dnn::Network &network) const
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto it =
+        cycleWidths_.find({network.name, network.workloadFingerprint()});
+    return it == cycleWidths_.end() ? 0 : it->second;
 }
 
 int64_t

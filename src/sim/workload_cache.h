@@ -76,10 +76,20 @@
  * Pragmatic engines, and every sweep cell sharing the workload. The
  * planes are an exact memoization, not an approximation: results are
  * bit-identical with them on or off (setCyclePlanesEnabled).
+ *
+ * A grid tells its cache which widths each network's engines read
+ * (planCycleWidths, from Engine::cycleWidths). The cache's workloads
+ * then build that whole set in one pass over the tensor, on the
+ * first cyclePlane() call for any width of it, with each brick loaded
+ * once and every width drained in lock step. Only the widths the grid
+ * reads are built; any other width, and every width of a workload
+ * with no set (uncached sources, a cache with no plan), builds alone
+ * on first use.
  */
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -89,12 +99,18 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dnn/activation_synth.h"
 #include "dnn/network.h"
 #include "dnn/propagate.h"
 #include "dnn/tensor.h"
+// The cycle planes memoize the Pragmatic brick schedule, so the
+// workload reaches up into models/pragmatic for the batched kernel
+// and its width sets; everything builds into the one pra_core
+// library.
+#include "models/pragmatic/schedule.h"
 #include "sim/operand_planes.h"
 
 namespace pra {
@@ -195,13 +211,15 @@ class LayerWorkload
         std::function<std::shared_ptr<const WeightBrickPlanes>(
             const dnn::LayerSpec &)>;
 
-    /** Wrap a synthesized stream (empty tensor = no-input view). */
+    /**
+     * Wrap a synthesized stream (empty tensor = no-input view). The
+     * schedule widths @p cycle_widths (a subset of
+     * models::kAllScheduleWidths) build together, in one pass, on the
+     * first cyclePlane() call for any of them.
+     */
     explicit LayerWorkload(dnn::NeuronTensor tensor,
-                           WeightPlaneBuilder weight_builder = {})
-        : tensor_(std::move(tensor)),
-          weightBuilder_(std::move(weight_builder))
-    {
-    }
+                           WeightPlaneBuilder weight_builder = {},
+                           models::ScheduleWidths cycle_widths = 0);
 
     const dnn::NeuronTensor &tensor() const { return tensor_; }
 
@@ -239,12 +257,23 @@ class LayerWorkload
      * answer BrickCostModel serves instead of rerunning the serial
      * schedule per (window, synapse-set) visit. Only the widths the
      * packed planes cannot already answer are valid here: 1 <=
-     * first_stage_bits <= 3 (L=0 is orPop, L=4 is maxPop). Must not
-     * be called on an empty (no-input) workload.
+     * first_stage_bits <= 3 (L=0 is orPop, L=4 is maxPop). A width
+     * in the constructor's set builds the whole set in one pass under
+     * one once-flag; any other width builds alone. Must not be called
+     * on an empty (no-input) workload.
      */
     std::span<const uint8_t> cyclePlane(int first_stage_bits) const;
 
+    /** The widths whose cycle planes have been built so far. */
+    models::ScheduleWidths cyclePlanesBuilt() const
+    {
+        return cyclesBuilt_.load(std::memory_order_acquire);
+    }
+
   private:
+    /** Build the cycle planes of @p widths in one pass. */
+    void buildCyclePlanes(models::ScheduleWidths widths) const;
+
     dnn::NeuronTensor tensor_;
     WeightPlaneBuilder weightBuilder_;
     mutable std::once_flag planesOnce_;
@@ -253,9 +282,16 @@ class LayerWorkload
     mutable LanePopPlanes lanePops_;
     mutable std::once_flag weightOnce_;
     mutable std::shared_ptr<const WeightBrickPlanes> weightPlanes_;
-    /** Slot l holds the plane for first_stage_bits == l + 1. */
+    /** Built together on first use of any of them. */
+    const models::ScheduleWidths cycleWidths_;
+    mutable std::once_flag cycleSetOnce_;
+    /**
+     * Slot l holds the plane for first_stage_bits == l + 1; slot
+     * l's once-flag builds it alone when l + 1 is outside the set.
+     */
     mutable std::once_flag cyclesOnce_[3];
     mutable std::vector<uint8_t> cycles_[3];
+    mutable std::atomic<models::ScheduleWidths> cyclesBuilt_{0};
 };
 
 /**
@@ -326,6 +362,16 @@ class WorkloadCache
      * in flight: every dropped entry must be built (PRA_CHECKed).
      */
     void release(const dnn::Network &network);
+
+    /**
+     * Add @p widths to the schedule widths read from @p network's
+     * (name and fingerprint) workloads: every layer() workload of the
+     * network built afterwards builds all of them in one pass
+     * (LayerWorkload's cycle_widths). A grid plans its networks
+     * before its first pass; the plan outlives release().
+     */
+    void planCycleWidths(const dnn::Network &network,
+                         models::ScheduleWidths widths);
 
     /**
      * Layer-workload requests served from / added to the cache so
@@ -403,11 +449,18 @@ class WorkloadCache
                                            ActivationMode mode,
                                            uint64_t seed);
 
+    /** planCycleWidths' union for @p network (0 when unplanned). */
+    models::ScheduleWidths
+    plannedCycleWidths(const dnn::Network &network) const;
+
     mutable std::mutex mutex_;
     std::map<SynthKey, Entry<const dnn::ActivationSynthesizer>> synths_;
     std::map<ChainKey, Entry<const dnn::PropagatedChain>> chains_;
     std::map<LayerKey, Entry<const LayerWorkload>> layers_;
     std::map<WeightKey, std::shared_ptr<WeightCell>> weights_;
+    /** (name, workload fingerprint) -> planCycleWidths' union. */
+    std::map<std::pair<std::string, uint64_t>, models::ScheduleWidths>
+        cycleWidths_;
     int64_t hits_ = 0;
     int64_t misses_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <set>
 #include <span>
@@ -204,12 +205,47 @@ TEST(Schedule, FirstStageShiftsWithinReach)
     }
 }
 
-TEST(ScheduleRow, MatchesSerialKernelOnRandomRows)
+/** Every non-empty set of the intermediate widths 1..3. */
+std::vector<ScheduleWidths>
+allWidthSets()
+{
+    std::vector<ScheduleWidths> sets;
+    for (ScheduleWidths w = 1; w <= kAllScheduleWidths >> 1; w++)
+        sets.push_back(w << 1);
+    return sets;
+}
+
+/**
+ * Run the row kernel at @p widths into one fresh plane per width
+ * (0xcc-filled, so an unwritten brick shows); widths outside the set
+ * get an empty span.
+ */
+std::array<std::vector<uint8_t>, 3>
+runRow(std::span<const uint16_t> row, int columns, int channels,
+       ScheduleWidths widths)
+{
+    const size_t bricks =
+        static_cast<size_t>(columns) * ((channels + 15) / 16);
+    std::array<std::vector<uint8_t>, 3> planes;
+    std::array<std::span<uint8_t>, 3> out;
+    for (int l = 1; l <= 3; l++) {
+        if (!(widths & scheduleWidth(l)))
+            continue;
+        planes[l - 1].assign(bricks, 0xcc);
+        out[l - 1] = planes[l - 1];
+    }
+    scheduleCyclesRow(row, columns, channels, widths, out);
+    return planes;
+}
+
+TEST(ScheduleRow, EveryWidthSetMatchesSerialKernelOnRandomRows)
 {
     // The batched row kernel is the serial kernel expressed
-    // branchlessly: every brick of every random row must agree for
-    // every first-stage width, including partial last bricks
-    // (channels not a multiple of 16) and single-channel columns.
+    // branchlessly, with every width of its set drained in lock step
+    // over one brick load: every brick of every random row must agree
+    // with brickScheduleCycles at each width of every width set,
+    // including partial last bricks (1..40 channels, so channels not
+    // a multiple of 16) and single-channel columns.
     util::Xoshiro256 rng(0x8888);
     for (int trial = 0; trial < 200; trial++) {
         int columns = 1 + static_cast<int>(rng.nextBounded(7));
@@ -217,30 +253,37 @@ TEST(ScheduleRow, MatchesSerialKernelOnRandomRows)
         int bricks = (channels + 15) / 16;
         std::vector<uint16_t> row(
             static_cast<size_t>(columns) * channels);
-        for (auto &n : row) {
-            // Mix dense and sparse columns so orPop == maxPop bricks
-            // and genuinely divergent bricks both occur.
-            n = rng.nextBool(0.3)
+        // Mix dense and sparse columns so orPop == maxPop bricks,
+        // genuinely divergent bricks and all-zero bricks all occur.
+        const double zero = trial % 4 == 0 ? 0.9 : 0.3;
+        for (auto &n : row)
+            n = rng.nextBool(zero)
                     ? 0
                     : static_cast<uint16_t>(rng.nextBounded(65536));
-        }
-        for (int l = 0; l <= 4; l++) {
-            std::vector<uint8_t> out(
-                static_cast<size_t>(columns) * bricks, 0xcc);
-            scheduleCyclesRow(row, columns, channels, l, out);
-            for (int x = 0; x < columns; x++) {
-                for (int b = 0; b < bricks; b++) {
-                    int lanes = std::min(16, channels - b * 16);
-                    std::span<const uint16_t> brick(
-                        row.data() +
-                            static_cast<size_t>(x) * channels +
-                            b * 16,
-                        static_cast<size_t>(lanes));
-                    EXPECT_EQ(out[static_cast<size_t>(x) * bricks + b],
-                              brickScheduleCycles(brick, l))
-                        << "columns=" << columns
-                        << " channels=" << channels << " x=" << x
-                        << " brick=" << b << " l=" << l;
+        for (ScheduleWidths widths : allWidthSets()) {
+            auto planes = runRow(row, columns, channels, widths);
+            for (int l = 1; l <= 3; l++) {
+                if (!(widths & scheduleWidth(l))) {
+                    EXPECT_TRUE(planes[l - 1].empty());
+                    continue;
+                }
+                for (int x = 0; x < columns; x++) {
+                    for (int b = 0; b < bricks; b++) {
+                        int lanes = std::min(16, channels - b * 16);
+                        std::span<const uint16_t> brick(
+                            row.data() +
+                                static_cast<size_t>(x) * channels +
+                                b * 16,
+                            static_cast<size_t>(lanes));
+                        EXPECT_EQ(planes[l - 1][static_cast<size_t>(x) *
+                                                    bricks +
+                                                b],
+                                  brickScheduleCycles(brick, l))
+                            << "columns=" << columns
+                            << " channels=" << channels << " x=" << x
+                            << " brick=" << b << " l=" << l
+                            << " widths=" << widths;
+                    }
                 }
             }
         }
@@ -249,18 +292,21 @@ TEST(ScheduleRow, MatchesSerialKernelOnRandomRows)
 
 TEST(ScheduleRow, ZeroAndWorstCaseRows)
 {
+    // All-zero bricks take 0 cycles and 0xffff bricks the full 16 at
+    // every width of every set, partial last bricks included.
     std::vector<uint16_t> zeros(3 * 20, 0);
-    std::vector<uint8_t> out(3 * 2, 0xcc);
-    scheduleCyclesRow(zeros, 3, 20, 2, out);
-    for (uint8_t cycles : out)
-        EXPECT_EQ(cycles, 0);
-
-    std::vector<uint16_t> ones(2 * 16, 0xffff);
-    std::vector<uint8_t> worst(2, 0);
-    for (int l = 0; l <= 4; l++) {
-        scheduleCyclesRow(ones, 2, 16, l, worst);
-        EXPECT_EQ(worst[0], 16) << l;
-        EXPECT_EQ(worst[1], 16) << l;
+    std::vector<uint16_t> ones(2 * 20, 0xffff);
+    for (ScheduleWidths widths : allWidthSets()) {
+        auto none = runRow(zeros, 3, 20, widths);
+        auto worst = runRow(ones, 2, 20, widths);
+        for (int l = 1; l <= 3; l++) {
+            if (!(widths & scheduleWidth(l)))
+                continue;
+            EXPECT_EQ(none[l - 1], std::vector<uint8_t>(3 * 2, 0))
+                << widths;
+            EXPECT_EQ(worst[l - 1], std::vector<uint8_t>(2 * 2, 16))
+                << widths;
+        }
     }
 }
 
@@ -268,14 +314,30 @@ TEST(ScheduleRow, RejectsBadArguments)
 {
     std::vector<uint16_t> row(32, 1);
     std::vector<uint8_t> out(2);
-    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, 5, out),
+    const std::array<std::span<uint8_t>, 3> at2 = {
+        std::span<uint8_t>(), std::span<uint8_t>(out),
+        std::span<uint8_t>()};
+    // Widths outside 1..3, or none at all.
+    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, scheduleWidth(0), at2),
                  "first-stage");
-    EXPECT_DEATH(scheduleCyclesRow(row, 0, 16, 2, out), "empty row");
-    // Row or output extents that disagree with columns x channels.
-    EXPECT_DEATH(scheduleCyclesRow(row, 3, 16, 2, out),
+    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, scheduleWidth(4), at2),
+                 "first-stage");
+    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, 0, at2), "first-stage");
+    EXPECT_DEATH(scheduleCyclesRow(row, 0, 16, scheduleWidth(2), at2),
+                 "empty row");
+    // Row or output extents that disagree with columns x channels,
+    // and a width of the set with no output.
+    EXPECT_DEATH(scheduleCyclesRow(row, 3, 16, scheduleWidth(2), at2),
                  "row extent");
     std::vector<uint8_t> short_out(1);
-    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, 2, short_out),
+    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16, scheduleWidth(2),
+                                   {std::span<uint8_t>(),
+                                    std::span<uint8_t>(short_out),
+                                    std::span<uint8_t>()}),
+                 "output extent");
+    EXPECT_DEATH(scheduleCyclesRow(row, 2, 16,
+                                   scheduleWidth(2) | scheduleWidth(3),
+                                   at2),
                  "output extent");
 }
 

@@ -171,6 +171,8 @@ TEST(EngineContract, EveryKindPricesOneWay)
         // its calls: an engine must read the shared weight planes on
         // exactly the layers where it declares the read (a sweep
         // builds them ahead of the cells on its word).
+        // Likewise, the cycle planes it builds are exactly the
+        // widths it declares.
         const bool declared = engine->readsSharedWeights();
         NetworkResult loop;
         loop.networkName = net.name;
@@ -179,20 +181,47 @@ TEST(EngineContract, EveryKindPricesOneWay)
             if (!net.layers[i].priced())
                 continue;
             int weight_builds = 0;
+            const LayerWorkload workload(
+                synthesizeStream(*synth, static_cast<int>(i),
+                                 engine->inputStream()),
+                [&weight_builds](const dnn::LayerSpec &layer) {
+                    weight_builds++;
+                    return std::make_shared<const WeightBrickPlanes>(
+                        syntheticWeightPlanes(layer));
+                });
             loop.layers.push_back(engine->simulateLayer(
-                net.layers[i],
-                LayerWorkload(
-                    synthesizeStream(*synth, static_cast<int>(i),
-                                     engine->inputStream()),
-                    [&weight_builds](const dnn::LayerSpec &layer) {
-                        weight_builds++;
-                        return std::make_shared<const WeightBrickPlanes>(
-                            syntheticWeightPlanes(layer));
-                    }),
-                accel, sample, util::InnerExecutor()));
+                net.layers[i], workload, accel, sample,
+                util::InnerExecutor()));
             EXPECT_EQ(weight_builds > 0, declared) << net.layers[i].name;
+            EXPECT_EQ(workload.cyclePlanesBuilt(), engine->cycleWidths())
+                << net.layers[i].name;
         }
         expectSameResults({uncached}, {loop}, "layer loop");
+    }
+}
+
+TEST(EngineContract, PragmaticDeclaresTheCycleWidthItReads)
+{
+    // Both Pragmatic kinds at every first-stage width: the memoized
+    // cycle plane of L = 1..3 is read (and so built) exactly when the
+    // engine declares it, and L = 0 and 4 read none.
+    auto net = dnn::makeTinyNetwork();
+    dnn::ActivationSynthesizer synth(net);
+    for (const char *kind : {"pragmatic", "pragmatic-col"}) {
+        for (int bits = 0; bits <= 4; bits++) {
+            SCOPED_TRACE(std::string(kind) + " bits=" +
+                         std::to_string(bits));
+            auto engine = models::builtinEngines().create(
+                kind, {{"bits", std::to_string(bits)}});
+            EXPECT_EQ(engine->cycleWidths(),
+                      bits >= 1 && bits <= 3 ? models::scheduleWidth(bits)
+                                             : 0u);
+            const LayerWorkload workload(
+                synthesizeStream(synth, 0, engine->inputStream()));
+            engine->simulateLayer(net.layers[0], workload, AccelConfig{},
+                                  SampleSpec{4}, util::InnerExecutor());
+            EXPECT_EQ(workload.cyclePlanesBuilt(), engine->cycleWidths());
+        }
     }
 }
 
@@ -536,7 +565,9 @@ TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
     // not, and the grids CI sweeps at --smoke caps — the core
     // "--engines=all" grid with the cache on and off, the
     // dynamic_stripes/laconic knob grid on four threads, and the
-    // column-sync L-sweep.
+    // column-sync L-sweep — and the paper grid on four threads with
+    // the cache on, whose cells share each workload's fused L = 1..3
+    // plane build.
     struct Case
     {
         std::string name;
@@ -571,6 +602,8 @@ TEST(Sweep, CyclePlanesOffByteIdenticalCsv)
              "pragmatic-col:bits=0,pragmatic-col:bits=1,pragmatic-col:"
              "bits=2,pragmatic-col:bits=3,pragmatic-col:bits=4"),
          smoke},
+        {"paper cache=on threads=4", models::parseEngineList("paper"),
+         smoke_threaded},
     };
     std::vector<dnn::Network> networks = {dnn::makeTinyNetwork()};
     ASSERT_TRUE(cyclePlanesEnabled()); // Planes are the default.

@@ -11,6 +11,8 @@
 #include <bit>
 #include <memory>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "dnn/activation_synth.h"
@@ -204,6 +206,132 @@ TEST(BrickPlanesDeathTest, CyclePlaneRejectsNonMemoizedWidths)
     EXPECT_DEATH(workload.cyclePlane(4), "intermediate");
     LayerWorkload empty{dnn::NeuronTensor()};
     EXPECT_DEATH(empty.cyclePlane(2), "empty workload");
+    // Nor can a workload build them as part of its width set.
+    for (int l : {0, 4})
+        EXPECT_DEATH(LayerWorkload(synth.synthesizeFixed16(0), {},
+                                   models::scheduleWidth(l)),
+                     "1\\.\\.3");
+}
+
+/** A random stream with partial bricks and all-zero columns. */
+dnn::NeuronTensor
+randomStream(uint64_t seed)
+{
+    util::Xoshiro256 rng(seed);
+    dnn::NeuronTensor tensor(7, 5, 40);
+    for (auto &v : tensor.flat())
+        v = rng.nextBool(0.4)
+                ? 0
+                : static_cast<uint16_t>(rng.nextBounded(65536));
+    return tensor;
+}
+
+/** The plane each width builds on its own. */
+std::vector<std::vector<uint8_t>>
+perWidthPlanes(const dnn::NeuronTensor &tensor)
+{
+    std::vector<std::vector<uint8_t>> planes;
+    for (int l = 1; l <= 3; l++) {
+        LayerWorkload alone{dnn::NeuronTensor(tensor)};
+        std::span<const uint8_t> plane = alone.cyclePlane(l);
+        EXPECT_EQ(alone.cyclePlanesBuilt(), models::scheduleWidth(l));
+        planes.emplace_back(plane.begin(), plane.end());
+    }
+    return planes;
+}
+
+TEST(BrickPlanes, WidthSetsBuildTogetherAndMatchPerWidthBuilds)
+{
+    // A workload built with a width set builds the whole set on the
+    // first cyclePlane() call for any width of it, and each plane
+    // equals that width's lone build; a width outside the set still
+    // builds on demand, alone.
+    const dnn::NeuronTensor tensor = randomStream(0x5e75);
+    const auto alone = perWidthPlanes(tensor);
+    const models::ScheduleWidths w1 = models::scheduleWidth(1);
+    const models::ScheduleWidths w2 = models::scheduleWidth(2);
+    const models::ScheduleWidths w3 = models::scheduleWidth(3);
+    for (models::ScheduleWidths set :
+         {models::kAllScheduleWidths, w2, w1 | w3}) {
+        SCOPED_TRACE("widths=" + std::to_string(set));
+        LayerWorkload workload(dnn::NeuronTensor(tensor), {}, set);
+        EXPECT_EQ(workload.cyclePlanesBuilt(), 0u);
+        const int first = std::countr_zero(set);
+        workload.cyclePlane(first);
+        EXPECT_EQ(workload.cyclePlanesBuilt(), set);
+        for (int l = 1; l <= 3; l++) {
+            std::span<const uint8_t> plane = workload.cyclePlane(l);
+            EXPECT_TRUE(std::equal(plane.begin(), plane.end(),
+                                   alone[l - 1].begin(),
+                                   alone[l - 1].end()))
+                << "l=" << l;
+            // Widths outside the set build only when asked for.
+            const models::ScheduleWidths asked =
+                set | (models::kAllScheduleWidths &
+                       ~(~0u << (l + 1)));
+            EXPECT_EQ(workload.cyclePlanesBuilt(), asked) << "l=" << l;
+        }
+    }
+}
+
+TEST(BrickPlanes, ConcurrentWidthRequestsShareOneSetBuild)
+{
+    // Three threads asking one workload for L = 1, 2 and 3 at once
+    // get the per-width planes: the set builds once, under one
+    // once-flag, and nobody reads a plane still being written.
+    const dnn::NeuronTensor tensor = randomStream(0xc0c0);
+    const auto alone = perWidthPlanes(tensor);
+    for (int round = 0; round < 20; round++) {
+        LayerWorkload workload(dnn::NeuronTensor(tensor), {},
+                               models::kAllScheduleWidths);
+        std::vector<std::vector<uint8_t>> got(3);
+        std::vector<std::thread> threads;
+        for (int l = 1; l <= 3; l++)
+            threads.emplace_back([&workload, &got, l] {
+                std::span<const uint8_t> plane = workload.cyclePlane(l);
+                got[l - 1].assign(plane.begin(), plane.end());
+            });
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_EQ(got, alone) << "round " << round;
+        EXPECT_EQ(workload.cyclePlanesBuilt(),
+                  models::kAllScheduleWidths);
+    }
+}
+
+TEST(WorkloadCache, PlannedWidthsReachItsWorkloads)
+{
+    // planCycleWidths sets the width set of every layer() workload of
+    // the network; other networks, uncached sources and an unplanned
+    // cache build width by width.
+    auto net = dnn::makeTinyNetwork();
+    auto other = dnn::makeAlexNet();
+    WorkloadCache cache;
+    const models::ScheduleWidths w1 = models::scheduleWidth(1);
+    const models::ScheduleWidths w3 = models::scheduleWidth(3);
+    cache.planCycleWidths(net, w1);
+    cache.planCycleWidths(net, w3); // Plans accumulate.
+    cache.planCycleWidths(net, 0);
+    auto synth = cache.synthesizer(net, 0x5eed);
+    auto workload =
+        cache.layer(*synth, 0, InputStream::Fixed16Trimmed);
+    workload->cyclePlane(3);
+    EXPECT_EQ(workload->cyclePlanesBuilt(), w1 | w3);
+    auto uncached =
+        WorkloadSource(*synth).layer(0, InputStream::Fixed16Trimmed);
+    uncached->cyclePlane(3);
+    EXPECT_EQ(uncached->cyclePlanesBuilt(), w3);
+    auto other_synth = cache.synthesizer(other, 0x5eed);
+    auto unplanned =
+        cache.layer(*other_synth, 1, InputStream::Fixed16Trimmed);
+    unplanned->cyclePlane(3);
+    EXPECT_EQ(unplanned->cyclePlanesBuilt(), w3);
+    // The plan outlives a release.
+    cache.release(net);
+    synth = cache.synthesizer(net, 0x5eed);
+    workload = cache.layer(*synth, 0, InputStream::Fixed16Trimmed);
+    workload->cyclePlane(1);
+    EXPECT_EQ(workload->cyclePlanesBuilt(), w1 | w3);
 }
 
 TEST(WorkloadCache, CyclePlanesToggleRoundTrips)
