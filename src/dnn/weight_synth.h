@@ -19,9 +19,9 @@
  *  - Synthetic (synthesizeWeightCodes): counter-seeded per
  *    (layer name, weight precision, filter) from the fixed
  *    kWeightStreamSeed — a pure function of the layer, with no
- *    network or run-seed context. This is what makes the tensor and
- *    workload overloads of weight-aware engines bit-identical: both
- *    can rederive the same codes from the LayerSpec alone.
+ *    network or run-seed context. So a cached workload, an uncached
+ *    one and a test's reference all rederive the same codes from the
+ *    LayerSpec alone.
  *
  *  - Propagated (PropagatedWeightCodes): the exact
  *    synthesizeFilters(layer, seed ^ kPropagationFilterSalt) weights

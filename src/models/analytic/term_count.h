@@ -16,6 +16,10 @@
  *
  * For the 8-bit quantized stream the baseline is 8 terms per product;
  * the ideal zero-skip engine and PRA are counted the same way.
+ *
+ * One counter serves both figures and the `terms` engine: it sums
+ * each sampled window's bricks from the stream's brick planes
+ * (sim::BrickPlanes), one stream per call.
  */
 
 #pragma once
@@ -23,7 +27,6 @@
 #include "dnn/activation_synth.h"
 #include "dnn/layer_spec.h"
 #include "dnn/network.h"
-#include "dnn/tensor.h"
 #include "sim/sampling.h"
 #include "sim/workload_cache.h"
 
@@ -42,28 +45,19 @@ struct LayerTermCounts
 };
 
 /**
- * Count terms for one 16-bit fixed-point layer.
+ * Count terms for one layer of one stream, accumulated
+ * brick-at-a-time from the workload's per-brick term planes.
+ *
+ * Each series is exact when @p stream is the one it reads: zn, cvn
+ * and praRaw count the raw stream, praTrimmed the trimmed one (both
+ * pra fields hold the stream's essential bits), and dadn and stripes
+ * depend on no value.
  *
  * @param layer    geometry and profiled precision.
- * @param raw      untrimmed input neurons.
- * @param trimmed  the same neurons after Section V-F masking.
+ * @param stream   the layer's input neurons.
  * @param reads_image CVN cannot skip zeros in the image input
  *                 (dnn::LayerSpec::readsImage).
  * @param sample   window sampling policy (unit = window).
- */
-LayerTermCounts
-countLayerTerms16(const dnn::LayerSpec &layer,
-                  const dnn::NeuronTensor &raw,
-                  const dnn::NeuronTensor &trimmed,
-                  bool reads_image, const sim::SampleSpec &sample);
-
-/**
- * Counts of one stream, accumulated brick-at-a-time from the
- * workload's per-brick term planes. Each series is exact when
- * @p stream is the one it reads: zn, cvn and praRaw count the raw
- * stream, praTrimmed the trimmed one (both pra fields hold the
- * stream's essential bits), and dadn and stripes depend on no value.
- * An exact series equals the tensor overload's bit for bit.
  */
 LayerTermCounts
 countLayerTerms16(const dnn::LayerSpec &layer,
@@ -80,7 +74,10 @@ struct NetworkTerms16
     double praRed = 0.0;
 };
 
-/** Compute Figure 2's series for one network. */
+/**
+ * Compute Figure 2's series for one network: each priced layer's raw
+ * stream gives every series but PRA-red, its trimmed stream PRA-red.
+ */
 NetworkTerms16 countNetworkTerms16(const dnn::Network &network,
                                    const dnn::ActivationSynthesizer &synth,
                                    const sim::SampleSpec &sample);
@@ -92,7 +89,10 @@ struct NetworkTerms8
     double pra = 0.0;      ///< Essential bits of the 8-bit codes.
 };
 
-/** Compute Figure 3's series for one network. */
+/**
+ * Compute Figure 3's series for one network from each priced layer's
+ * Quant8 stream.
+ */
 NetworkTerms8 countNetworkTerms8(const dnn::Network &network,
                                  const dnn::ActivationSynthesizer &synth,
                                  const sim::SampleSpec &sample);

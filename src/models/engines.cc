@@ -22,8 +22,7 @@ registerBuiltinEngines(sim::EngineRegistry &registry)
         });
     registry.registerEngine(
         "stripes",
-        "bit-serial Stripes baseline [precision=0..16 "
-        "repr=fixed16|quant8]",
+        "bit-serial Stripes baseline [repr=fixed16|quant8]",
         [](const sim::EngineKnobs &knobs) {
             return std::make_unique<StripesEngine>(knobs);
         });

@@ -10,30 +10,18 @@ namespace models {
 
 StripesEngine::StripesEngine(const sim::EngineKnobs &knobs)
 {
-    sim::requireKnownKnobs("stripes", knobs, {"precision", "repr"});
-    precisionOverride_ =
-        static_cast<int>(sim::knobInt(knobs, "precision", 0));
-    if (precisionOverride_ < 0 || precisionOverride_ > 16)
-        util::fatal("stripes: precision must be in 0..16");
+    sim::requireKnownKnobs("stripes", knobs, {"repr"});
     std::string repr = sim::knobString(knobs, "repr", "fixed16");
     if (repr == "quant8")
         quant8_ = true;
     else if (repr != "fixed16")
         util::fatal("stripes: repr must be fixed16 or quant8");
-    if (quant8_ && precisionOverride_ != 0)
-        util::fatal("stripes: repr=quant8 derives per-layer "
-                    "precisions from the code stream; a fixed "
-                    "precision override contradicts it");
 }
 
 std::string
 StripesEngine::name() const
 {
-    if (quant8_)
-        return "Stripes-q8";
-    if (precisionOverride_ == 0)
-        return "Stripes";
-    return "Stripes-p" + std::to_string(precisionOverride_);
+    return quant8_ ? "Stripes-q8" : "Stripes";
 }
 
 sim::InputStream
@@ -53,7 +41,7 @@ StripesEngine::simulateLayer(const dnn::LayerSpec &layer,
 {
     (void)exec;
     (void)sample; // Stripes cycle counts are exact; nothing to sample.
-    int precision;
+    int precision = layer.profiledPrecision;
     if (quant8_) {
         // The bits needed by the layer's largest activation code —
         // the quantized analogue of profiled precision (Figure 12).
@@ -61,9 +49,6 @@ StripesEngine::simulateLayer(const dnn::LayerSpec &layer,
         for (uint16_t code : workload.tensor().flat())
             max_code = std::max(max_code, code);
         precision = std::max(1, fixedpoint::significantBits(max_code));
-    } else {
-        precision = precisionOverride_ == 0 ? layer.profiledPrecision
-                                            : precisionOverride_;
     }
     sim::LayerResult lr =
         StripesModel(accel).layerResult(layer, precision);

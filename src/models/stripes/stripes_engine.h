@@ -3,17 +3,14 @@
  * Engine-registry adapter for the Stripes baseline (kind "stripes").
  *
  * Knobs:
- *   precision=N  fixed serial precision for every layer (1..16);
- *                0 (default) uses each layer's profiled precision.
  *   repr=fixed16|quant8
  *                fixed16 (default): value-independent, per-layer
- *                profiled (or overridden) precisions. quant8: the
- *                paper's Figure 12 configuration — Stripes runs the
- *                8-bit code stream at the per-layer precision its
- *                largest code actually needs, so the engine consumes
- *                the Quant8 input stream (synthetic or propagated)
- *                and derives the precision from it. Incompatible
- *                with a precision override.
+ *                profiled precisions. quant8: the paper's Figure 12
+ *                configuration — Stripes runs the 8-bit code stream
+ *                at the per-layer precision its largest code actually
+ *                needs, so the engine consumes the Quant8 input
+ *                stream (synthetic or propagated) and derives the
+ *                precision from it.
  */
 
 #pragma once
@@ -42,8 +39,7 @@ class StripesEngine : public sim::Engine
                   const util::InnerExecutor &exec) const override;
 
   private:
-    int precisionOverride_ = 0; ///< 0 = per-layer profiled precision.
-    bool quant8_ = false;       ///< Price the 8-bit code stream.
+    bool quant8_ = false; ///< Price the 8-bit code stream.
 };
 
 } // namespace models

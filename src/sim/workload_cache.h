@@ -38,11 +38,9 @@
  * Every value-dependent engine in a sweep grid consumes some
  * synthesized stream of each layer — convolutional or
  * fully-connected alike (an FC layer's stream is its lowered
- * 1 x 1 x I input column); cache keys carry the network's workload
- * fingerprint, so different layer selections of one network never
- * share entries. Without sharing, each grid cell re-synthesizes its
- * streams from scratch, so sweep cost grows with the grid size
- * instead of with the number of *distinct* workloads.
+ * 1 x 1 x I input column). Without sharing, each grid cell
+ * re-synthesizes its streams from scratch, so sweep cost grows with
+ * the grid size instead of with the number of *distinct* workloads.
  * The cache synthesizes each (network, stream, seed) workload once
  * and hands every consumer an immutable std::shared_ptr view.
  *

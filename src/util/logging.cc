@@ -6,60 +6,10 @@
 namespace pra {
 namespace util {
 
-namespace {
-LogLevel g_level = LogLevel::Warn;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-void
-logMessage(LogLevel level, const std::string &msg)
-{
-    if (static_cast<int>(level) > static_cast<int>(g_level))
-        return;
-    const char *tag = "";
-    switch (level) {
-      case LogLevel::Warn:
-        tag = "warn: ";
-        break;
-      case LogLevel::Inform:
-        tag = "info: ";
-        break;
-      case LogLevel::Debug:
-        tag = "debug: ";
-        break;
-      default:
-        break;
-    }
-    std::fprintf(stderr, "%s%s\n", tag, msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    logMessage(LogLevel::Inform, msg);
-}
-
 void
 warn(const std::string &msg)
 {
-    logMessage(LogLevel::Warn, msg);
-}
-
-void
-debug(const std::string &msg)
-{
-    logMessage(LogLevel::Debug, msg);
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void

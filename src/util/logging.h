@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: fatal() is for user errors (bad
  * configuration, invalid arguments) and exits cleanly; panic() is for
- * internal invariant violations and aborts. inform() and warn() report
- * status without stopping the simulation.
+ * internal invariant violations and aborts. warn() reports a
+ * questionable condition without stopping the simulation.
  */
 
 #pragma once
@@ -17,29 +17,11 @@
 namespace pra {
 namespace util {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Quiet = 0, Warn = 1, Inform = 2, Debug = 3 };
-
-/** Get the current global verbosity. */
-LogLevel logLevel();
-
-/** Set the global verbosity (affects inform/warn/debug output). */
-void setLogLevel(LogLevel level);
-
 /**
- * Emit a message to stderr at the given level, prefixed with its
- * severity tag. No-op if the global verbosity is lower than @p level.
+ * Something is questionable but the run can continue: prints
+ * "warn: " and @p msg on stderr.
  */
-void logMessage(LogLevel level, const std::string &msg);
-
-/** Informative status message (not a problem). */
-void inform(const std::string &msg);
-
-/** Something is questionable but the run can continue. */
 void warn(const std::string &msg);
-
-/** Verbose debugging output. */
-void debug(const std::string &msg);
 
 /**
  * Report an unrecoverable *user* error (bad configuration, bad

@@ -8,6 +8,7 @@
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/analytic/term_count.h"
+#include "tests/models/term_count_oracle.h"
 
 namespace pra {
 namespace models {
@@ -18,10 +19,9 @@ TEST(TermCount, DadnCountsSixteenPerProduct)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[0];
-    auto raw = synth.synthesizeFixed16(0);
-    auto trimmed = synth.synthesizeFixed16Trimmed(0);
-    auto counts = countLayerTerms16(layer, raw, trimmed, true,
-                                    sim::SampleSpec{0});
+    auto counts = countLayerTerms16(
+        layer, sim::LayerWorkload(synth.synthesizeFixed16(0)), true,
+        sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.dadn, 16.0 * layer.products());
 }
 
@@ -30,10 +30,9 @@ TEST(TermCount, StripesCountsPrecisionPerProduct)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[1]; // p == 7.
-    auto raw = synth.synthesizeFixed16(1);
-    auto trimmed = synth.synthesizeFixed16Trimmed(1);
-    auto counts = countLayerTerms16(layer, raw, trimmed, false,
-                                    sim::SampleSpec{0});
+    auto counts = countLayerTerms16(
+        layer, sim::LayerWorkload(synth.synthesizeFixed16(1)), false,
+        sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.stripes,
                      static_cast<double>(layer.profiledPrecision) *
                          layer.products());
@@ -44,13 +43,10 @@ TEST(TermCount, FirstLayerCvnEqualsDadn)
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
     const auto &layer = net.layers[0];
-    auto raw = synth.synthesizeFixed16(0);
-    auto trimmed = synth.synthesizeFixed16Trimmed(0);
-    auto first = countLayerTerms16(layer, raw, trimmed, true,
-                                   sim::SampleSpec{0});
+    const sim::LayerWorkload raw(synth.synthesizeFixed16(0));
+    auto first = countLayerTerms16(layer, raw, true, sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(first.cvn, first.dadn);
-    auto later = countLayerTerms16(layer, raw, trimmed, false,
-                                   sim::SampleSpec{0});
+    auto later = countLayerTerms16(layer, raw, false, sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(later.cvn, later.zn);
 }
 
@@ -60,8 +56,8 @@ TEST(TermCount, ZeroInputZeroesValueBasedCounts)
     const auto &layer = net.layers[0];
     dnn::NeuronTensor zeros(layer.inputX, layer.inputY,
                             layer.inputChannels);
-    auto counts = countLayerTerms16(layer, zeros, zeros, false,
-                                    sim::SampleSpec{0});
+    auto counts = countLayerTerms16(layer, sim::LayerWorkload(zeros),
+                                    false, sim::SampleSpec{0});
     EXPECT_DOUBLE_EQ(counts.zn, 0.0);
     EXPECT_DOUBLE_EQ(counts.praRaw, 0.0);
     EXPECT_DOUBLE_EQ(counts.praTrimmed, 0.0);
@@ -138,6 +134,37 @@ TEST(TermCount, QuantizedOrderingAndMagnitudes)
     EXPECT_LT(rel.zeroSkip, 1.0);
     EXPECT_GT(rel.pra, 0.1);
     EXPECT_LT(rel.pra, 0.6);
+}
+
+TEST(TermCount, NetworkCountsMatchElementWalk)
+{
+    // Both figures count from the brick planes; the element walk over
+    // the synthesized tensors must give the same relative series bit
+    // for bit, sampled and in full. Tiny's conv1 reads the image (CVN
+    // stays dense there), AlexNet's FC tail does not, and the 8-bit
+    // counts check the halved 16-bit baseline against 8 per product.
+    for (const dnn::Network &net :
+         {dnn::makeTinyNetwork(dnn::LayerSelect::All),
+          dnn::makeAlexNet(dnn::LayerSelect::Fc)}) {
+        dnn::ActivationSynthesizer synth(net);
+        for (int units : {0, 4}) {
+            SCOPED_TRACE(net.name + " units=" + std::to_string(units));
+            const sim::SampleSpec sample{units};
+            NetworkTerms16 planes16 =
+                countNetworkTerms16(net, synth, sample);
+            NetworkTerms16 walk16 = walkNetworkTerms16(net, synth, sample);
+            EXPECT_EQ(planes16.zn, walk16.zn);
+            EXPECT_EQ(planes16.cvn, walk16.cvn);
+            EXPECT_EQ(planes16.stripes, walk16.stripes);
+            EXPECT_EQ(planes16.praFp16, walk16.praFp16);
+            EXPECT_EQ(planes16.praRed, walk16.praRed);
+
+            NetworkTerms8 planes8 = countNetworkTerms8(net, synth, sample);
+            NetworkTerms8 walk8 = walkNetworkTerms8(net, synth, sample);
+            EXPECT_EQ(planes8.zeroSkip, walk8.zeroSkip);
+            EXPECT_EQ(planes8.pra, walk8.pra);
+        }
+    }
 }
 
 TEST(TermCount, SamplingApproximatesFullCount)

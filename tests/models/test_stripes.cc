@@ -126,15 +126,6 @@ TEST(Stripes, RunUsesProfiledPrecisions)
                      ref.layerCycles(net.layers[0], 9));
 }
 
-TEST(Stripes, ExplicitPrecisionOverride)
-{
-    auto net = dnn::makeTinyNetwork();
-    auto slow = priceStripes(net, "stripes:precision=8");
-    auto fast = priceStripes(net, "stripes:precision=4");
-    EXPECT_EQ(slow.engineName, "Stripes-p8");
-    EXPECT_DOUBLE_EQ(slow.totalCycles() / fast.totalCycles(), 2.0);
-}
-
 TEST(Stripes, Quant8PrecisionsAreInByteRange)
 {
     // repr=quant8 serializes each layer at the bits its largest code

@@ -17,6 +17,7 @@
 #include "sim/operand_planes.h"
 #include "sim/serving/serving_sim.h"
 #include "sim/sweep.h"
+#include "tests/models/term_count_oracle.h"
 
 namespace pra {
 namespace sim {
@@ -90,8 +91,6 @@ TEST(EngineRegistry, KnobsSelectVariants)
               "PRA-2b-1R");
     EXPECT_EQ(registry.create("terms", {{"series", "zn"}})->name(),
               "terms-zn");
-    EXPECT_EQ(registry.create("stripes", {{"precision", "8"}})->name(),
-              "Stripes-p8");
 }
 
 TEST(EngineRegistry, ParseEngineSpec)
@@ -113,6 +112,8 @@ TEST(EngineRegistryDeathTest, RejectsUnknownKindAndKnob)
     const auto &registry = models::builtinEngines();
     EXPECT_DEATH(registry.create("warp-drive"), "unknown engine");
     EXPECT_DEATH(registry.create("dadn", {{"bogus", "1"}}),
+                 "unknown knob");
+    EXPECT_DEATH(registry.create("stripes", {{"precision", "8"}}),
                  "unknown knob");
     // A repeated knob is an error, not a silent last-one-wins.
     EXPECT_EXIT(parseEngineSpec("pragmatic:bits=2:bits=3"),
@@ -229,7 +230,7 @@ TEST(EngineAdapters, TermsSeriesMatchTensorCounts)
 {
     // Each terms series prices the one stream it reads (the trimmed
     // one for pra-red, the raw one otherwise) from its brick planes.
-    // Layer by layer it must equal the tensor counter fed both
+    // Layer by layer it must equal the element walk over both
     // synthesized streams, bit for bit, image-input rule included:
     // Tiny's conv1 reads the image, AlexNet's FC tail does not.
     const std::pair<const char *, double models::LayerTermCounts::*>
@@ -257,7 +258,7 @@ TEST(EngineAdapters, TermsSeriesMatchTensorCounts)
                 if (!layer.priced())
                     continue;
                 const int idx = static_cast<int>(i);
-                auto counts = models::countLayerTerms16(
+                auto counts = models::walkLayerTerms16(
                     layer, synth.synthesizeFixed16(idx),
                     synth.synthesizeFixed16Trimmed(idx),
                     layer.readsImage(idx), sample);
