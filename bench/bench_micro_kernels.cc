@@ -30,7 +30,7 @@
 #include "models/laconic/laconic.h"
 #include "models/pragmatic/pip.h"
 #include "models/pragmatic/schedule.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "sim/nm_model.h"
 #include "sim/operand_planes.h"
 #include "sim/serving/arrival.h"
@@ -495,11 +495,12 @@ BM_PalletSyncLayerWorkload(benchmark::State &state)
     dnn::ActivationSynthesizer synth(net);
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(2));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
+    const models::PragmaticEngine engine(
+        models::SyncScheme::Pallet,
+        {{"bits", std::to_string(state.range(0))}});
     for (auto _ : state)
-        benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[2], workload, sim::AccelConfig{}, tile,
+        benchmark::DoNotOptimize(engine.simulateLayer(
+            net.layers[2], workload, sim::AccelConfig{},
             sim::SampleSpec{16}, util::InnerExecutor()));
 }
 BENCHMARK(BM_PalletSyncLayerWorkload)->DenseRange(0, 4, 2);
@@ -519,11 +520,12 @@ BM_FcLoweringPalletSync(benchmark::State &state)
     int fc8 = static_cast<int>(net.layers.size()) - 1;
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(fc8));
     workload.brickPlanes(); // Build outside the timed region.
-    models::PragmaticConfig tile;
-    tile.firstStageBits = static_cast<int>(state.range(0));
+    const models::PragmaticEngine engine(
+        models::SyncScheme::Pallet,
+        {{"bits", std::to_string(state.range(0))}});
     for (auto _ : state)
-        benchmark::DoNotOptimize(models::simulateLayerPalletSync(
-            net.layers[fc8], workload, sim::AccelConfig{}, tile,
+        benchmark::DoNotOptimize(engine.simulateLayer(
+            net.layers[fc8], workload, sim::AccelConfig{},
             sim::SampleSpec{0}, util::InnerExecutor()));
 }
 BENCHMARK(BM_FcLoweringPalletSync)->DenseRange(0, 4, 2);
@@ -543,8 +545,9 @@ BM_LaconicLayerWorkload(benchmark::State &state)
     sim::LayerWorkload workload(synth.synthesizeFixed16Trimmed(1));
     workload.lanePopPlanes();
     workload.weightPlanes(conv2);
+    const models::LaconicEngine engine({});
     for (auto _ : state)
-        benchmark::DoNotOptimize(models::simulateLayerLaconic(
+        benchmark::DoNotOptimize(engine.simulateLayer(
             conv2, workload, sim::AccelConfig{}, sim::SampleSpec{16},
             util::InnerExecutor()));
 }

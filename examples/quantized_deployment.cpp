@@ -9,6 +9,7 @@
  *   ./quantized_deployment [--network=googlenet] [--units=48]
  */
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <utility>

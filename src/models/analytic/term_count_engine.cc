@@ -86,7 +86,6 @@ TermCountEngine::simulateLayer(const dnn::LayerSpec &layer,
         layer, workload, layer.readsImage(), sample);
     sim::LayerResult lr;
     lr.layerName = layer.name;
-    lr.engineName = name();
     lr.cycles = selectSeries(counts, series_);
     lr.effectualTerms = lr.cycles;
     return lr;

@@ -7,16 +7,16 @@
 namespace pra {
 namespace models {
 
-DadnModel::DadnModel(const sim::AccelConfig &config)
-    : config_(config)
+DadnEngine::DadnEngine(const sim::EngineKnobs &knobs)
 {
-    PRA_CHECK(config_.valid(), "DadnModel: invalid config");
+    sim::requireKnownKnobs("dadn", knobs, {});
 }
 
 double
-DadnModel::layerCycles(const dnn::LayerSpec &layer) const
+DadnEngine::layerCycles(const dnn::LayerSpec &layer,
+                        const sim::AccelConfig &accel)
 {
-    sim::LayerTiling tiling(layer, config_);
+    sim::LayerTiling tiling(layer, accel);
     // One cycle per (window, synapse set); windows are processed one
     // brick per cycle, bit-parallel.
     return static_cast<double>(tiling.passes()) *
@@ -25,12 +25,18 @@ DadnModel::layerCycles(const dnn::LayerSpec &layer) const
 }
 
 sim::LayerResult
-DadnModel::layerResult(const dnn::LayerSpec &layer) const
+DadnEngine::simulateLayer(const dnn::LayerSpec &layer,
+                          const sim::LayerWorkload &workload,
+                          const sim::AccelConfig &accel,
+                          const sim::SampleSpec &sample,
+                          const util::InnerExecutor &exec) const
 {
+    (void)workload;
+    (void)exec;
+    (void)sample; // DaDN cycle counts are exact; nothing to sample.
     sim::LayerResult lr;
     lr.layerName = layer.name;
-    lr.engineName = "DaDN";
-    lr.cycles = layerCycles(layer);
+    lr.cycles = layerCycles(layer, accel);
     // Every term is processed, effectual or not; count the
     // effectual ones as 16 per product upper bound is handled by
     // the analytic module. Here: products * 16 terms processed.
@@ -40,8 +46,8 @@ DadnModel::layerResult(const dnn::LayerSpec &layer) const
 }
 
 int64_t
-DadnModel::nfuBrickDot(std::span<const uint16_t> neurons,
-                       std::span<const int16_t> synapses)
+DadnEngine::nfuBrickDot(std::span<const uint16_t> neurons,
+                        std::span<const int16_t> synapses)
 {
     PRA_CHECK(neurons.size() == synapses.size(),
                          "nfuBrickDot: lane count mismatch");
@@ -64,19 +70,20 @@ DadnModel::nfuBrickDot(std::span<const uint16_t> neurons,
 }
 
 int64_t
-DadnModel::computeWindow(const dnn::LayerSpec &layer,
-                         const dnn::NeuronTensor &input,
-                         const dnn::FilterTensor &filter,
-                         int window_x, int window_y) const
+DadnEngine::computeWindow(const dnn::LayerSpec &layer,
+                          const sim::AccelConfig &accel,
+                          const dnn::NeuronTensor &input,
+                          const dnn::FilterTensor &filter,
+                          int window_x, int window_y)
 {
-    sim::LayerTiling tiling(layer, config_);
+    sim::LayerTiling tiling(layer, accel);
     sim::WindowCoord w{window_x, window_y};
     int64_t acc = 0;
     for (int64_t s = 0; s < tiling.numSynapseSets(); s++) {
         sim::SynapseSetCoord coord = tiling.setCoord(s);
         auto neurons = tiling.gatherBrick(input, w, coord);
         int16_t synapses[dnn::kBrickSize] = {};
-        int lanes = std::min(config_.neuronLanes,
+        int lanes = std::min(accel.neuronLanes,
                              layer.inputChannels - coord.brickI);
         for (int lane = 0; lane < lanes; lane++)
             synapses[lane] = filter.at(coord.fx, coord.fy,

@@ -1,12 +1,14 @@
 /**
  * @file
- * DaDianNao (DaDN) baseline model (paper Section IV-B).
+ * DaDianNao (DaDN) baseline model (paper Section IV-B), registry kind
+ * "dadn" (no knobs).
  *
  * DaDN is the bit-parallel reference design: each cycle a tile reads
  * one 16-neuron brick and 16 synapse bricks and computes 256 products.
  * Its execution time is value-independent: one cycle per
  * (window, synapse set) pair per filter pass, so
- *   cycles = passes * windows * bricksPerWindow.
+ *   cycles = passes * windows * bricksPerWindow,
+ * and the engine requests no neuron stream.
  *
  * The functional half models the NFU datapath (per-lane multipliers
  * feeding a 16-input adder tree per filter) and must match the golden
@@ -17,30 +19,37 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "dnn/layer_spec.h"
 #include "dnn/tensor.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
 /** Cycle-count and functional model of the DaDN accelerator. */
-class DadnModel
+class DadnEngine : public sim::Engine
 {
   public:
-    explicit DadnModel(const sim::AccelConfig &config = {});
+    explicit DadnEngine(const sim::EngineKnobs &knobs);
+
+    std::string name() const override { return "DaDN"; }
+
+    /** Cycles, 16 terms per product and SB reads of one layer. */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
 
     /**
-     * Cycles for one conv layer. DaDN performance does not depend on
-     * neuron values, only geometry.
+     * Cycles for one conv layer on @p accel. DaDN performance does
+     * not depend on neuron values, only geometry.
      */
-    double layerCycles(const dnn::LayerSpec &layer) const;
-
-    /** Full per-layer result (cycles, terms, SB reads) for one layer. */
-    sim::LayerResult layerResult(const dnn::LayerSpec &layer) const;
+    static double layerCycles(const dnn::LayerSpec &layer,
+                              const sim::AccelConfig &accel);
 
     /**
      * Functional NFU step: multiply a neuron brick against one
@@ -52,20 +61,16 @@ class DadnModel
 
     /**
      * Functional model of a full window: iterates the layer's synapse
-     * sets exactly as the hardware schedule does and accumulates
-     * nfuBrickDot() partial sums; equals the reference window dot.
+     * sets exactly as the hardware schedule on @p accel does and
+     * accumulates nfuBrickDot() partial sums; equals the reference
+     * window dot.
      */
-    int64_t computeWindow(const dnn::LayerSpec &layer,
-                          const dnn::NeuronTensor &input,
-                          const dnn::FilterTensor &filter,
-                          int window_x, int window_y) const;
-
-    const sim::AccelConfig &config() const { return config_; }
-
-  private:
-    sim::AccelConfig config_;
+    static int64_t computeWindow(const dnn::LayerSpec &layer,
+                                 const sim::AccelConfig &accel,
+                                 const dnn::NeuronTensor &input,
+                                 const dnn::FilterTensor &filter,
+                                 int window_x, int window_y);
 };
 
 } // namespace models
 } // namespace pra
-

@@ -19,13 +19,71 @@
 namespace pra {
 namespace models {
 
+DynamicStripesEngine::DynamicStripesEngine(const sim::EngineKnobs &knobs)
+{
+    sim::requireKnownKnobs(
+        "dynamic_stripes", knobs,
+        {"granularity", "column-regs", "leading-bit", "diffy"});
+    std::string granularity =
+        sim::knobString(knobs, "granularity", "16");
+    if (granularity == "layer") {
+        config_.layerWide = true;
+    } else {
+        // Divisibility against windowsPerPallet is a property of the
+        // machine (checkMachine); positivity is a property of the
+        // flag and fails here.
+        config_.groupColumns =
+            static_cast<int>(sim::knobInt(knobs, "granularity", 16));
+        if (config_.groupColumns < 1)
+            util::fatal("dynamic_stripes: granularity must be a "
+                        "positive column count or \"layer\"");
+    }
+    config_.columnRegisters =
+        static_cast<int>(sim::knobInt(knobs, "column-regs", 0));
+    if (config_.columnRegisters < 0)
+        util::fatal("dynamic_stripes: column-regs must be >= 0");
+    config_.leadingBit = sim::knobBool(knobs, "leading-bit", false);
+    config_.diffy = sim::knobBool(knobs, "diffy", false);
+    if (config_.layerWide && config_.diffy)
+        util::fatal("dynamic_stripes: diffy needs runtime detection; "
+                    "it cannot combine with granularity=layer");
+    if (config_.layerWide && config_.columnRegisters > 0)
+        util::fatal("dynamic_stripes: column-regs buffer runtime "
+                    "groups; they cannot combine with "
+                    "granularity=layer");
+}
+
+std::string
+DynamicStripesEngine::name() const
+{
+    std::string n = config_.layerWide
+                        ? "DS-layer"
+                        : "DS-g" + std::to_string(config_.groupColumns);
+    if (config_.columnRegisters > 0)
+        n += "-r" + std::to_string(config_.columnRegisters);
+    if (config_.leadingBit)
+        n += "-lb";
+    if (config_.diffy)
+        n += "-diffy";
+    return n;
+}
+
+sim::InputStream
+DynamicStripesEngine::inputStream() const
+{
+    // The layer-wide configuration is static (profiled precisions);
+    // every runtime configuration reads the trimmed value stream its
+    // detectors would see.
+    return config_.layerWide ? sim::InputStream::None
+                             : sim::InputStream::Fixed16Trimmed;
+}
+
 void
-checkDynamicStripesMachine(const DynamicStripesConfig &config,
-                           const sim::AccelConfig &accel)
+DynamicStripesEngine::checkMachine(const sim::AccelConfig &accel) const
 {
     const int wpp = accel.windowsPerPallet;
-    const int gc = config.groupColumns;
-    if (!config.layerWide && (gc < 1 || wpp % gc != 0))
+    const int gc = config_.groupColumns;
+    if (!config_.layerWide && (gc < 1 || wpp % gc != 0))
         util::fatal("dynamic_stripes: granularity must be a positive "
                     "divisor of windowsPerPallet (" +
                     std::to_string(wpp) + "); got " +
@@ -69,31 +127,30 @@ layerWideResult(const dnn::LayerSpec &layer,
     if (config.leadingBit)
         precision = std::min(16, dnn::synthesisAnchor(layer) +
                                      layer.profiledPrecision);
-    return StripesModel(accel).layerResult(layer, precision);
+    return StripesEngine::layerResult(layer, accel, precision);
 }
 
 } // namespace
 
 sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec)
+DynamicStripesEngine::simulateLayer(const dnn::LayerSpec &layer,
+                                    const sim::LayerWorkload &workload,
+                                    const sim::AccelConfig &accel,
+                                    const sim::SampleSpec &sample,
+                                    const util::InnerExecutor &exec) const
 {
-    if (config.layerWide)
-        return layerWideResult(layer, accel, config);
-    checkDynamicStripesMachine(config, accel);
-    const int gc = config.groupColumns;
-    const int regs = config.columnRegisters;
+    if (config_.layerWide)
+        return layerWideResult(layer, accel, config_);
+    checkMachine(accel);
+    const int gc = config_.groupColumns;
+    const int regs = config_.columnRegisters;
     PRA_CHECK(regs >= 0, "dynamic_stripes: negative column registers");
 
     // The detector input: the raw stream, or its Diffy difference.
     // Diffy masks summarize a *different* tensor than the shared
     // workload planes, so it prices a local workload of its own.
     std::optional<sim::LayerWorkload> diffed;
-    if (config.diffy)
+    if (config_.diffy)
         diffed.emplace(diffyTransform(workload.tensor()));
     sim::PalletDriver driver(layer, accel, sample,
                              diffed ? *diffed : workload);
@@ -133,7 +190,7 @@ simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
                             m |= masks[brick];
                     }
                     const int p = fixedpoint::dynamicPrecision(
-                        m, config.leadingBit);
+                        m, config_.leadingBit);
                     group_prec[static_cast<size_t>(g)] = p;
                     // Every member column streams the group's
                     // precision over the brick's real lanes.
@@ -172,7 +229,7 @@ simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
             if (regs > 0)
                 acc.processCycles += pallet_done;
         });
-    return driver.result("DynamicStripes", totals, layer.numFilters);
+    return driver.result(totals, layer.numFilters);
 }
 
 } // namespace models

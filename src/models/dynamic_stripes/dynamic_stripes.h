@@ -36,22 +36,33 @@
  *    tests pin); with leadingBit on, the precision widens to the top
  *    of the synthesis window (profiled precision + anchor — the
  *    layer-wide worst case a leading-bit-only detector latches).
- *    Value-independent, so the engine adapter declares no input
- *    stream; diffy and column registers don't apply.
+ *    Value-independent, so the engine declares no input stream;
+ *    diffy and column registers don't apply.
  *
  * Effectual terms count the streamed bit-slices: per set and column,
  * (group precision) x (real channel lanes of the brick), times the
  * filter count — the DS analogue of Stripes' products() x precision.
+ *
+ * Registry kind "dynamic_stripes". Knobs:
+ *   granularity=N|layer
+ *                columns per runtime precision-detection group
+ *                (default 16); must be a positive divisor of the
+ *                machine's windowsPerPallet. "layer" selects the
+ *                static layer-wide configuration — exactly Stripes at
+ *                the profiled precision — which is value-independent
+ *                and rejects diffy and column registers.
+ *   column-regs=N
+ *                per-group run-ahead registers (default 0 = lockstep).
+ *   leading-bit=0|1
+ *                detect only the group's leading bit (default 0).
+ *   diffy=0|1    detect over the spatial-difference stream (default 0).
  */
 
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
-#include "sim/sampling.h"
-#include "sim/workload_cache.h"
-#include "util/thread_pool.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
@@ -73,26 +84,37 @@ struct DynamicStripesConfig
     bool diffy = false;
 };
 
-/**
- * fatal() unless @p config runs on @p accel: a runtime group's column
- * count must divide the machine's windowsPerPallet. The layer-wide
- * configuration runs on every machine.
- */
-void checkDynamicStripesMachine(const DynamicStripesConfig &config,
-                                const sim::AccelConfig &accel);
+/** The Dynamic-Stripes cycle model (see file comment). */
+class DynamicStripesEngine : public sim::Engine
+{
+  public:
+    explicit DynamicStripesEngine(const sim::EngineKnobs &knobs);
 
-/**
- * Price one layer from its workload: each brick's detector mask is
- * the workload's orMask plane entry (for Diffy, the plane of a local
- * workload over the difference stream).
- */
-sim::LayerResult
-simulateLayerDynamicStripes(const dnn::LayerSpec &layer,
-                            const sim::LayerWorkload &workload,
-                            const sim::AccelConfig &accel,
-                            const DynamicStripesConfig &config,
-                            const sim::SampleSpec &sample,
-                            const util::InnerExecutor &exec);
+    std::string name() const override;
+    sim::InputStream inputStream() const override;
+
+    /**
+     * fatal() unless a runtime group's column count divides the
+     * machine's windowsPerPallet. The layer-wide configuration runs
+     * on every machine.
+     */
+    void checkMachine(const sim::AccelConfig &accel) const override;
+
+    /**
+     * Each brick's detector mask is the workload's orMask plane entry
+     * (for Diffy, the plane of a local workload over the difference
+     * stream).
+     */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
+
+  private:
+    DynamicStripesConfig config_;
+};
 
 } // namespace models
 } // namespace pra

@@ -1,11 +1,11 @@
 #include "models/engines.h"
 
 #include "models/analytic/term_count_engine.h"
-#include "models/dadn/dadn_engine.h"
-#include "models/dynamic_stripes/dynamic_stripes_engine.h"
-#include "models/laconic/laconic_engine.h"
+#include "models/dadn/dadn.h"
+#include "models/dynamic_stripes/dynamic_stripes.h"
+#include "models/laconic/laconic.h"
 #include "models/pragmatic/pragmatic_engine.h"
-#include "models/stripes/stripes_engine.h"
+#include "models/stripes/stripes.h"
 #include "util/args.h"
 #include "util/logging.h"
 

@@ -3,7 +3,7 @@
  * The built-in engine registry: every cycle/term model in src/models
  * registered behind the sim::Engine interface.
  *
- * Kinds (see each adapter header for knobs):
+ * Kinds (see each engine's header for knobs):
  *   dadn             bit-parallel DaDianNao baseline
  *   stripes          bit-serial Stripes baseline
  *   dynamic_stripes  Stripes with runtime per-group precision

@@ -38,12 +38,17 @@ struct ColumnReduction
 
 } // namespace
 
+LaconicEngine::LaconicEngine(const sim::EngineKnobs &knobs)
+{
+    sim::requireKnownKnobs("laconic", knobs, {});
+}
+
 sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const sim::LayerWorkload &workload,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample,
-                     const util::InnerExecutor &exec)
+LaconicEngine::simulateLayer(const dnn::LayerSpec &layer,
+                             const sim::LayerWorkload &workload,
+                             const sim::AccelConfig &accel,
+                             const sim::SampleSpec &sample,
+                             const util::InnerExecutor &exec) const
 {
     sim::PalletDriver driver(layer, accel, sample, workload);
     const std::vector<sim::SynapseSetCoord> &sets = driver.setCoords();
@@ -82,7 +87,7 @@ simulateLayerLaconic(const dnn::LayerSpec &layer,
         });
     // wgtSumPop already sums every filter (hence every pass), so the
     // term total takes no passes or numFilters factor.
-    return driver.result("Laconic", totals, 1.0);
+    return driver.result(totals, 1.0);
 }
 
 } // namespace models

@@ -42,31 +42,46 @@
  * planes. Weight popcounts come from the shared weight-side
  * planes (sim/operand_planes.h): the deterministic synthetic codes,
  * or the requantized reference weights under --activations=propagated.
+ *
+ * Registry kind "laconic", no knobs: the datapath is fully
+ * determined by the machine geometry and the two operand streams —
+ * the trimmed neuron values and the per-layer profiled-precision
+ * weight codes served by the shared weight-side planes.
  */
 
 #pragma once
 
 #include "dnn/layer_spec.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
-#include "sim/sampling.h"
-#include "sim/workload_cache.h"
-#include "util/thread_pool.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
-/**
- * Price one layer from its workload: per-lane neuron popcounts from
- * the workload's lane-pop plane, weight popcounts from its weight
- * planes.
- */
-sim::LayerResult
-simulateLayerLaconic(const dnn::LayerSpec &layer,
-                     const sim::LayerWorkload &workload,
-                     const sim::AccelConfig &accel,
-                     const sim::SampleSpec &sample,
-                     const util::InnerExecutor &exec);
+/** The Laconic accelerator's cycle model (see file comment). */
+class LaconicEngine : public sim::Engine
+{
+  public:
+    explicit LaconicEngine(const sim::EngineKnobs &knobs);
+
+    std::string name() const override { return "Laconic"; }
+    sim::InputStream inputStream() const override
+    {
+        return sim::InputStream::Fixed16Trimmed;
+    }
+    bool readsSharedWeights() const override { return true; }
+
+    /**
+     * Per-lane neuron popcounts from the workload's lane-pop plane,
+     * weight popcounts from its weight planes.
+     */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
+};
 
 } // namespace models
 } // namespace pra

@@ -1,5 +1,9 @@
 #include "models/stripes/stripes.h"
 
+#include <algorithm>
+#include <string>
+
+#include "fixedpoint/fixed_point.h"
 #include "sim/tiling.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -7,19 +11,58 @@
 namespace pra {
 namespace models {
 
-StripesModel::StripesModel(const sim::AccelConfig &config)
-    : config_(config)
+StripesEngine::StripesEngine(const sim::EngineKnobs &knobs)
 {
-    PRA_CHECK(config_.valid(), "StripesModel: invalid config");
+    sim::requireKnownKnobs("stripes", knobs, {"repr"});
+    std::string repr = sim::knobString(knobs, "repr", "fixed16");
+    if (repr == "quant8")
+        quant8_ = true;
+    else if (repr != "fixed16")
+        util::fatal("stripes: repr must be fixed16 or quant8");
+}
+
+std::string
+StripesEngine::name() const
+{
+    return quant8_ ? "Stripes-q8" : "Stripes";
+}
+
+sim::InputStream
+StripesEngine::inputStream() const
+{
+    // Only the quantized variant is value-dependent: it reads the
+    // code stream to find the precision each layer actually needs.
+    return quant8_ ? sim::InputStream::Quant8 : sim::InputStream::None;
+}
+
+sim::LayerResult
+StripesEngine::simulateLayer(const dnn::LayerSpec &layer,
+                             const sim::LayerWorkload &workload,
+                             const sim::AccelConfig &accel,
+                             const sim::SampleSpec &sample,
+                             const util::InnerExecutor &exec) const
+{
+    (void)exec;
+    (void)sample; // Stripes cycle counts are exact; nothing to sample.
+    int precision = layer.profiledPrecision;
+    if (quant8_) {
+        // The bits needed by the layer's largest activation code —
+        // the quantized analogue of profiled precision (Figure 12).
+        uint16_t max_code = 0;
+        for (uint16_t code : workload.tensor().flat())
+            max_code = std::max(max_code, code);
+        precision = std::max(1, fixedpoint::significantBits(max_code));
+    }
+    return layerResult(layer, accel, precision);
 }
 
 double
-StripesModel::layerCycles(const dnn::LayerSpec &layer,
-                          int precision) const
+StripesEngine::layerCycles(const dnn::LayerSpec &layer,
+                           const sim::AccelConfig &accel, int precision)
 {
     PRA_CHECK(precision >= 1 && precision <= 16,
-                         "StripesModel: precision out of range");
-    sim::LayerTiling tiling(layer, config_);
+              "StripesEngine: precision out of range");
+    sim::LayerTiling tiling(layer, accel);
     // Each synapse set costs `precision` serial cycles for the whole
     // pallet of 16 windows.
     return static_cast<double>(tiling.passes()) *
@@ -29,25 +72,24 @@ StripesModel::layerCycles(const dnn::LayerSpec &layer,
 }
 
 sim::LayerResult
-StripesModel::layerResult(const dnn::LayerSpec &layer,
-                          int precision) const
+StripesEngine::layerResult(const dnn::LayerSpec &layer,
+                           const sim::AccelConfig &accel, int precision)
 {
     sim::LayerResult lr;
     lr.layerName = layer.name;
-    lr.engineName = "Stripes";
-    lr.cycles = layerCycles(layer, precision);
+    lr.cycles = layerCycles(layer, accel, precision);
     lr.effectualTerms = static_cast<double>(layer.products()) *
                         precision;
     lr.sbReadSteps = static_cast<double>(layer.windows()) *
-                     sim::LayerTiling(layer, config_)
+                     sim::LayerTiling(layer, accel)
                          .numSynapseSets() /
-                     config_.windowsPerPallet;
+                     accel.windowsPerPallet;
     return lr;
 }
 
 int64_t
-StripesModel::serialMultiply(int16_t synapse, uint16_t neuron,
-                             int precision, int window_lsb)
+StripesEngine::serialMultiply(int16_t synapse, uint16_t neuron,
+                              int precision, int window_lsb)
 {
     PRA_CHECK(precision >= 1 && precision <= 16,
                          "serialMultiply: precision out of range");

@@ -1,12 +1,23 @@
 /**
  * @file
- * Stripes (STR) baseline model (paper Section I and [4]).
+ * Stripes (STR) baseline model (paper Section I and [4]), registry
+ * kind "stripes".
  *
  * Stripes processes neurons bit-serially over the layer's profiled
  * precision p while processing 16 windows in parallel, so a synapse
  * set costs p cycles for a whole pallet instead of DaDN's 16 cycles
  * (one per window): ideal speedup 16/p. Stripes is value-independent
  * beyond the per-layer precision.
+ *
+ * Knobs:
+ *   repr=fixed16|quant8
+ *                fixed16 (default): value-independent, per-layer
+ *                profiled precisions. quant8: the paper's Figure 12
+ *                configuration — Stripes runs the 8-bit code stream
+ *                at the per-layer precision its largest code actually
+ *                needs, so the engine consumes the Quant8 input
+ *                stream (synthetic or propagated) and derives the
+ *                precision from it.
  *
  * The functional half models the serial-parallel multiplier: one
  * neuron bit ANDed with the full synapse per cycle, accumulated with a
@@ -18,29 +29,43 @@
 #include <cstdint>
 
 #include "dnn/layer_spec.h"
-#include "fixedpoint/precision.h"
-#include "sim/accel_config.h"
-#include "sim/layer_result.h"
+#include "sim/engine.h"
+#include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
 /** Cycle-count and functional model of the Stripes accelerator. */
-class StripesModel
+class StripesEngine : public sim::Engine
 {
   public:
-    explicit StripesModel(const sim::AccelConfig &config = {});
+    explicit StripesEngine(const sim::EngineKnobs &knobs);
 
-    /** Cycles for one layer at serial precision @p precision. */
-    double layerCycles(const dnn::LayerSpec &layer,
-                       int precision) const;
+    std::string name() const override;
+    sim::InputStream inputStream() const override;
+
+    /**
+     * The layer at its profiled precision, or under repr=quant8 at
+     * the precision its largest activation code needs.
+     */
+    sim::LayerResult
+    simulateLayer(const dnn::LayerSpec &layer,
+                  const sim::LayerWorkload &workload,
+                  const sim::AccelConfig &accel,
+                  const sim::SampleSpec &sample,
+                  const util::InnerExecutor &exec) const override;
+
+    /** Cycles for one layer on @p accel at serial precision @p precision. */
+    static double layerCycles(const dnn::LayerSpec &layer,
+                              const sim::AccelConfig &accel, int precision);
 
     /**
      * Full per-layer result (cycles, terms, SB reads) for one layer
-     * at serial precision @p precision.
+     * on @p accel at serial precision @p precision.
      */
-    sim::LayerResult layerResult(const dnn::LayerSpec &layer,
-                                 int precision) const;
+    static sim::LayerResult layerResult(const dnn::LayerSpec &layer,
+                                        const sim::AccelConfig &accel,
+                                        int precision);
 
     /**
      * Functional serial-parallel multiply: process the @p precision
@@ -51,12 +76,9 @@ class StripesModel
     static int64_t serialMultiply(int16_t synapse, uint16_t neuron,
                                   int precision, int window_lsb = 0);
 
-    const sim::AccelConfig &config() const { return config_; }
-
   private:
-    sim::AccelConfig config_;
+    bool quant8_ = false; ///< Price the 8-bit code stream.
 };
 
 } // namespace models
 } // namespace pra
-

@@ -2,14 +2,16 @@
  * @file
  * The unified simulation-engine interface.
  *
- * Every cycle/term model in src/models adapts to this interface so
- * that sweeps, benches and tools can treat "a thing that simulates a
- * layer" uniformly: DaDN and Stripes (value-independent baselines),
- * the Pragmatic pallet- and column-sync engines, and the analytic
- * term-count model. Adapters wrap the existing models without
- * changing their math; an engine is identified by its registry
- * *kind* (e.g. "pragmatic") and a variant *name* derived from its
- * knobs (e.g. "PRA-2b-1R").
+ * Every cycle/term model in src/models is one class implementing
+ * this interface, so that sweeps, benches and tools can treat "a
+ * thing that simulates a layer" uniformly: DaDN and Stripes
+ * (value-independent baselines), Dynamic-Stripes, the Pragmatic
+ * pallet- and column-sync engines, Laconic, and the analytic
+ * term-count model. Each class parses its knobs in its constructor,
+ * names itself and prices a layer in its model's own .h/.cc pair; an
+ * engine is identified by its registry *kind* (e.g. "pragmatic") and
+ * a variant *name* derived from its knobs (e.g. "PRA-2b-1R"), which
+ * runNetwork stamps once on the NetworkResult.
  *
  * Engines consume immutable LayerWorkload views (stream tensor plus
  * lazily built operand planes) handed out by a WorkloadSource, so a
@@ -87,8 +89,8 @@ class Engine
      * the stream announced by inputStream() (empty for
      * value-independent engines), optionally splitting it into
      * deterministic blocks across @p exec; the result must not depend
-     * on the executor. The returned LayerResult has layerName and
-     * engineName filled in.
+     * on the executor. The returned LayerResult has layerName filled
+     * in.
      */
     virtual LayerResult
     simulateLayer(const dnn::LayerSpec &layer,

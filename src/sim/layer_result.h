@@ -50,7 +50,6 @@ namespace sim {
 struct LayerResult
 {
     std::string layerName;
-    std::string engineName;
 
     double cycles = 0.0;         ///< Compute cycles, NM stalls incl.
     double effectualTerms = 0.0; ///< Non-zero terms processed (scaled).

@@ -1,7 +1,5 @@
 #include "sim/pallet_driver.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace pra {
@@ -27,12 +25,11 @@ PalletDriver::PalletDriver(const dnn::LayerSpec &layer,
 }
 
 LayerResult
-PalletDriver::result(std::string engine, const PalletTotals &totals,
+PalletDriver::result(const PalletTotals &totals,
                      double term_weight) const
 {
     LayerResult result;
     result.layerName = tiling_.layer().name;
-    result.engineName = std::move(engine);
     result.sampleScale = plan_.scale;
     const double passes = static_cast<double>(tiling_.passes());
     result.cycles = passes * plan_.scale *

@@ -106,8 +106,7 @@ class PalletDriver
      * stands for: numFilters when the count covers one filter lane,
      * 1 when it already sums every filter.
      */
-    LayerResult result(std::string engine, const PalletTotals &totals,
-                       double term_weight) const;
+    LayerResult result(const PalletTotals &totals, double term_weight) const;
 
   private:
     LayerTiling tiling_;

@@ -66,16 +66,6 @@ cyclePlanesEnabled()
     return g_cyclePlanesEnabled.load(std::memory_order_relaxed);
 }
 
-const char *
-activationModeName(ActivationMode mode)
-{
-    switch (mode) {
-      case ActivationMode::Synthetic: return "synthetic";
-      case ActivationMode::Propagated: return "propagated";
-    }
-    util::fatal("activationModeName: bad mode");
-}
-
 ActivationMode
 parseActivationMode(const std::string &text)
 {

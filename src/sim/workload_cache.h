@@ -151,9 +151,6 @@ enum class ActivationMode { Synthetic, Propagated };
 void setCyclePlanesEnabled(bool enabled);
 bool cyclePlanesEnabled();
 
-/** Mode name as accepted by --activations ("synthetic"/"propagated"). */
-const char *activationModeName(ActivationMode mode);
-
 /** Parse an --activations= value; fatal() on anything else. */
 ActivationMode parseActivationMode(const std::string &text);
 

@@ -10,8 +10,6 @@
 
 #pragma once
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 
 namespace pra {

@@ -67,7 +67,7 @@ stripesWindow(const dnn::LayerSpec &layer,
         for (int lane = 0; lane < lanes; lane++) {
             int16_t w =
                 filter.at(coord.fx, coord.fy, coord.brickI + lane);
-            acc += StripesModel::serialMultiply(w, neurons[lane], 16);
+            acc += StripesEngine::serialMultiply(w, neurons[lane], 16);
         }
     }
     return acc;
@@ -82,7 +82,7 @@ TEST_P(FunctionalEquivalence, AllDatapathsAgreeOnTinyNetwork)
     int l = GetParam();
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
-    DadnModel dadn;
+    const sim::AccelConfig accel;
     for (size_t li = 0; li < net.layers.size(); li++) {
         const auto &layer = net.layers[li];
         auto input = synth.synthesizeFixed16(static_cast<int>(li));
@@ -98,9 +98,9 @@ TEST_P(FunctionalEquivalence, AllDatapathsAgreeOnTinyNetwork)
                               want)
                         << layer.name << " PIP L=" << l;
                     if (l == 2) { // Value-independent paths run once.
-                        EXPECT_EQ(dadn.computeWindow(layer, input,
-                                                     filters[f], wx,
-                                                     wy),
+                        EXPECT_EQ(DadnEngine::computeWindow(
+                                      layer, accel, input, filters[f],
+                                      wx, wy),
                                   want);
                         EXPECT_EQ(stripesWindow(layer, input,
                                                 filters[f], wx, wy),

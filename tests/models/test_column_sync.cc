@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/column_sync.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "sim/tiling.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -18,24 +19,38 @@ namespace pra {
 namespace models {
 namespace {
 
-/** Price @p input under pallet sync, serially, through its workload. */
+/** Price @p input on @p engine, serially, through its workload. */
 sim::LayerResult
-palletSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
-           const sim::AccelConfig &accel, const PragmaticConfig &config,
-           const sim::SampleSpec &sample)
+price(const PragmaticEngine &engine, const dnn::LayerSpec &layer,
+      const dnn::NeuronTensor &input, const sim::AccelConfig &accel,
+      const sim::SampleSpec &sample)
 {
-    return simulateLayerPalletSync(layer, sim::LayerWorkload(input), accel,
-                                   config, sample, util::InnerExecutor());
+    return engine.simulateLayer(layer, sim::LayerWorkload(input), accel,
+                                sample, util::InnerExecutor());
 }
 
-/** Price @p input under column sync through its workload. */
+/** Price @p input on the "pragmatic" engine, NM stalls off. */
+sim::LayerResult
+palletSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
+           const sim::AccelConfig &accel, const sim::SampleSpec &sample)
+{
+    return price(PragmaticEngine(SyncScheme::Pallet, {{"nmstalls", "0"}}),
+                 layer, input, accel, sample);
+}
+
+/**
+ * Price @p input on the "pragmatic-col" engine with @p ssrs synapse
+ * set registers (0 = ideal) and the NM stall model on iff @p nm.
+ */
 sim::LayerResult
 columnSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
-           const sim::AccelConfig &accel, const PragmaticConfig &config,
-           const sim::SampleSpec &sample)
+           const sim::AccelConfig &accel, int ssrs,
+           const sim::SampleSpec &sample, bool nm = false)
 {
-    return simulateLayerColumnSync(layer, sim::LayerWorkload(input), accel,
-                                   config, sample);
+    return price(PragmaticEngine(SyncScheme::PerColumn,
+                                 {{"ssr", std::to_string(ssrs)},
+                                  {"nmstalls", nm ? "1" : "0"}}),
+                 layer, input, accel, sample);
 }
 
 dnn::LayerSpec
@@ -69,16 +84,6 @@ randomInput(const dnn::LayerSpec &layer, uint64_t seed,
     return t;
 }
 
-PragmaticConfig
-config(int ssrs, bool nm = false)
-{
-    PragmaticConfig c;
-    c.firstStageBits = 2;
-    c.ssrCount = ssrs;
-    c.modelNmStalls = nm;
-    return c;
-}
-
 TEST(ColumnSync, UniformInputMatchesPalletSync)
 {
     // When every brick costs the same, columns stay in lockstep and
@@ -89,10 +94,8 @@ TEST(ColumnSync, UniformInputMatchesPalletSync)
     for (auto &v : input.flat())
         v = 0b101;
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto pallet = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
-    auto column = columnSync(layer, input, accel, config(1),
+    auto pallet = palletSync(layer, input, accel, sim::SampleSpec{0});
+    auto column = columnSync(layer, input, accel, 1,
                              sim::SampleSpec{0});
     EXPECT_NEAR(column.cycles, pallet.cycles, pallet.cycles * 0.02);
 }
@@ -101,13 +104,11 @@ TEST(ColumnSync, NeverSlowerThanPalletSync)
 {
     auto layer = evenLayer();
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
         auto input = randomInput(layer, seed);
-        auto pallet = palletSync(layer, input, accel, tile,
+        auto pallet = palletSync(layer, input, accel,
                                  sim::SampleSpec{0});
-        auto column = columnSync(layer, input, accel, config(1),
+        auto column = columnSync(layer, input, accel, 1,
                                  sim::SampleSpec{0});
         // A small slack term covers pipeline fill at the stream head.
         EXPECT_LE(column.cycles, pallet.cycles * 1.02) << seed;
@@ -121,13 +122,13 @@ TEST(ColumnSync, MonotoneInSsrCount)
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int ssrs : {1, 2, 4, 8, 16}) {
-        auto result = columnSync(layer, input, accel, config(ssrs),
+        auto result = columnSync(layer, input, accel, ssrs,
                                  sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev * 1.0001) << ssrs;
         prev = result.cycles;
     }
     // Ideal (infinite SSRs) is the floor.
-    auto ideal = columnSync(layer, input, accel, config(0),
+    auto ideal = columnSync(layer, input, accel, 0,
                             sim::SampleSpec{0});
     EXPECT_LE(ideal.cycles, prev * 1.0001);
 }
@@ -138,8 +139,8 @@ TEST(ColumnSync, SixteenSsrsNearIdeal)
     auto layer = evenLayer();
     auto input = randomInput(layer, 11);
     sim::AccelConfig accel;
-    auto r16 = columnSync(layer, input, accel, config(16), sim::SampleSpec{0});
-    auto ideal = columnSync(layer, input, accel, config(0),
+    auto r16 = columnSync(layer, input, accel, 16, sim::SampleSpec{0});
+    auto ideal = columnSync(layer, input, accel, 0,
                             sim::SampleSpec{0});
     EXPECT_NEAR(r16.cycles / ideal.cycles, 1.0, 0.05);
 }
@@ -152,13 +153,12 @@ TEST(ColumnSync, WorstCaseStillMatchesDaDn)
     for (auto &v : input.flat())
         v = 0xffff;
     sim::AccelConfig accel;
-    auto result = columnSync(layer, input, accel, config(1),
+    auto result = columnSync(layer, input, accel, 1,
                              sim::SampleSpec{0});
-    DadnModel dadn(accel);
+    const double dadn = DadnEngine::layerCycles(layer, accel);
     // Columns all take 16 cycles per set: identical to DaDN plus the
     // one-cycle SB pipeline fill.
-    EXPECT_NEAR(result.cycles, dadn.layerCycles(layer),
-                dadn.layerCycles(layer) * 0.01);
+    EXPECT_NEAR(result.cycles, dadn, dadn * 0.01);
 }
 
 TEST(ColumnSync, IdealBoundedByBusiestColumn)
@@ -166,7 +166,7 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
     auto layer = evenLayer();
     auto input = randomInput(layer, 13);
     sim::AccelConfig accel;
-    auto ideal = columnSync(layer, input, accel, config(0),
+    auto ideal = columnSync(layer, input, accel, 0,
                             sim::SampleSpec{0});
     // The busiest single column is a hard lower bound; with B sets
     // per pallet the total can't beat pallets * sets (1 cycle min).
@@ -176,18 +176,6 @@ TEST(ColumnSync, IdealBoundedByBusiestColumn)
                                   tiling.numSynapseSets()));
 }
 
-TEST(ColumnSync, EngineNames)
-{
-    auto layer = evenLayer();
-    auto input = randomInput(layer, 17);
-    sim::AccelConfig accel;
-    auto r1 = columnSync(layer, input, accel, config(1), sim::SampleSpec{16});
-    EXPECT_EQ(r1.engineName, "PRA-perCol");
-    auto ideal = columnSync(layer, input, accel, config(0),
-                            sim::SampleSpec{16});
-    EXPECT_EQ(ideal.engineName, "PRA-perCol-ideal");
-}
-
 TEST(ColumnSync, NmModelOnlyAddsCycles)
 {
     auto net = dnn::makeAlexNet();
@@ -195,10 +183,9 @@ TEST(ColumnSync, NmModelOnlyAddsCycles)
     auto input = synth.synthesizeFixed16Trimmed(0);
     const auto &layer = net.layers[0];
     sim::AccelConfig accel;
-    auto with = columnSync(layer, input, accel, config(1, true),
-                           sim::SampleSpec{32});
-    auto without = columnSync(layer, input, accel, config(1, false),
-                              sim::SampleSpec{32});
+    auto with = columnSync(layer, input, accel, 1, sim::SampleSpec{32},
+                           true);
+    auto without = columnSync(layer, input, accel, 1, sim::SampleSpec{32});
     EXPECT_GE(with.cycles, without.cycles);
 }
 
@@ -213,8 +200,8 @@ TEST_P(SsrSweep, GainOverOneSsrIsBounded)
     auto layer = evenLayer();
     auto input = randomInput(layer, 23, 0.6, 1u << 12);
     sim::AccelConfig accel;
-    auto base = columnSync(layer, input, accel, config(1), sim::SampleSpec{0});
-    auto more = columnSync(layer, input, accel, config(ssrs),
+    auto base = columnSync(layer, input, accel, 1, sim::SampleSpec{0});
+    auto more = columnSync(layer, input, accel, ssrs,
                            sim::SampleSpec{0});
     double gain = base.cycles / more.cycles;
     EXPECT_GE(gain, 0.999);

@@ -29,23 +29,23 @@ priceDadn(const dnn::Network &net, uint64_t seed = 0x5eed)
 
 TEST(Dadn, LayerCyclesFormula)
 {
-    DadnModel dadn;
     auto net = dnn::makeAlexNet();
     const auto &conv2 = net.layers[1];
     // cycles = passes * windows * bricksPerWindow.
     double expected = 1.0 * conv2.windows() *
                       static_cast<double>(conv2.bricksPerWindow());
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(conv2), expected);
+    EXPECT_DOUBLE_EQ(DadnEngine::layerCycles(conv2, sim::AccelConfig{}),
+                     expected);
 }
 
 TEST(Dadn, MultiPassLayers)
 {
-    DadnModel dadn;
     auto net = dnn::makeAlexNet();
     const auto &conv3 = net.layers[2]; // 384 filters -> 2 passes.
     double one_pass = static_cast<double>(conv3.windows()) *
                       static_cast<double>(conv3.bricksPerWindow());
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(conv3), 2.0 * one_pass);
+    EXPECT_DOUBLE_EQ(DadnEngine::layerCycles(conv3, sim::AccelConfig{}),
+                     2.0 * one_pass);
 }
 
 TEST(Dadn, ValueIndependence)
@@ -69,7 +69,7 @@ TEST(Dadn, NfuBrickDotMatchesPlainDot)
     int64_t expected = 0;
     for (int i = 0; i < 16; i++)
         expected += static_cast<int64_t>(synapses[i]) * neurons[i];
-    EXPECT_EQ(DadnModel::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(DadnEngine::nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, NfuHandlesExtremes)
@@ -77,22 +77,22 @@ TEST(Dadn, NfuHandlesExtremes)
     std::vector<uint16_t> neurons(16, 0xffff);
     std::vector<int16_t> synapses(16, -32768);
     int64_t expected = 16LL * -32768 * 0xffff;
-    EXPECT_EQ(DadnModel::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(DadnEngine::nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, ComputeWindowMatchesReference)
 {
     auto net = dnn::makeTinyNetwork();
     dnn::ActivationSynthesizer synth(net);
-    DadnModel dadn;
+    const sim::AccelConfig accel;
     for (size_t li = 0; li < net.layers.size(); li++) {
         const auto &layer = net.layers[li];
         auto input = synth.synthesizeFixed16(static_cast<int>(li));
         auto filters = dnn::synthesizeFilters(layer);
         for (int wy = 0; wy < layer.outY(); wy += 5) {
             for (int wx = 0; wx < layer.outX(); wx += 5) {
-                EXPECT_EQ(dadn.computeWindow(layer, input, filters[0],
-                                             wx, wy),
+                EXPECT_EQ(DadnEngine::computeWindow(layer, accel, input,
+                                                    filters[0], wx, wy),
                           dnn::referenceWindowDot(layer, input,
                                                   filters[0], wx, wy))
                     << layer.name;
@@ -120,10 +120,9 @@ TEST(Dadn, SmallerMachineIsSlower)
 {
     sim::AccelConfig small;
     small.tiles = 4;
-    DadnModel big;
-    DadnModel little(small);
     auto layer = dnn::makeAlexNet().layers[2];
-    EXPECT_GT(little.layerCycles(layer), big.layerCycles(layer));
+    EXPECT_GT(DadnEngine::layerCycles(layer, small),
+              DadnEngine::layerCycles(layer, sim::AccelConfig{}));
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "dnn/activation_synth.h"
@@ -200,10 +201,15 @@ TEST(DynamicStripes, MatchesBruteForceReferenceAcrossKnobGrid)
                     ReferenceTotals want = referenceSimulate(
                         layer, diffy ? diffyReference(input) : input,
                         accel, config);
+                    const DynamicStripesEngine engine(
+                        {{"granularity", std::to_string(gc)},
+                         {"column-regs", std::to_string(regs)},
+                         {"leading-bit", lb ? "1" : "0"},
+                         {"diffy", diffy ? "1" : "0"}});
                     for (const util::InnerExecutor &exec : execs) {
-                        sim::LayerResult got = simulateLayerDynamicStripes(
-                            layer, workload, accel, config,
-                            sim::SampleSpec{0}, exec);
+                        sim::LayerResult got = engine.simulateLayer(
+                            layer, workload, accel, sim::SampleSpec{0},
+                            exec);
                         SCOPED_TRACE("g=" + std::to_string(gc) +
                                      " r=" + std::to_string(regs) +
                                      " lb=" + std::to_string(lb) +
@@ -265,7 +271,7 @@ TEST(DynamicStripes, LayerWideLeadingBitWidensToSynthesisWindowTop)
             std::min(16, dnn::synthesisAnchor(layer) +
                              layer.profiledPrecision);
         sim::LayerResult want =
-            StripesModel(accel).layerResult(layer, precision);
+            StripesEngine::layerResult(layer, accel, precision);
         sim::LayerResult got = ds->simulateLayer(
             layer, sim::LayerWorkload(dnn::NeuronTensor()), accel,
             sim::SampleSpec{0}, util::InnerExecutor());

@@ -169,9 +169,10 @@ expectMatchesReference(const dnn::LayerSpec &layer,
         referenceCycles(layer, input, accel, codes));
     util::ThreadPool pool(3);
     sim::LayerWorkload workload(input);
+    const LaconicEngine engine({});
     for (const util::InnerExecutor &exec :
          {util::InnerExecutor(), util::InnerExecutor(&pool, 3)}) {
-        sim::LayerResult got = simulateLayerLaconic(
+        sim::LayerResult got = engine.simulateLayer(
             layer, workload, accel, sim::SampleSpec{0}, exec);
         EXPECT_EQ(got.effectualTerms, terms);
         EXPECT_EQ(got.cycles, cycles);
@@ -254,11 +255,12 @@ TEST(Laconic, PropagatedWeightPlanesAreDeterministicAndDistinct)
     sim::LayerWorkload wl_b(input, propagated_builder);
     sim::LayerWorkload wl_synth(input);
     util::InnerExecutor serial;
-    sim::LayerResult a = simulateLayerLaconic(
+    const LaconicEngine engine({});
+    sim::LayerResult a = engine.simulateLayer(
         layer, wl_a, accel, sim::SampleSpec{0}, serial);
-    sim::LayerResult b = simulateLayerLaconic(
+    sim::LayerResult b = engine.simulateLayer(
         layer, wl_b, accel, sim::SampleSpec{0}, serial);
-    sim::LayerResult synth = simulateLayerLaconic(
+    sim::LayerResult synth = engine.simulateLayer(
         layer, wl_synth, accel, sim::SampleSpec{0}, serial);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.effectualTerms, b.effectualTerms);

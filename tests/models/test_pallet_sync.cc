@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "models/dadn/dadn.h"
-#include "models/pragmatic/tile.h"
+#include "models/pragmatic/pragmatic_engine.h"
 #include "sim/tiling.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -17,15 +19,22 @@ namespace pra {
 namespace models {
 namespace {
 
-/** Price @p input under pallet sync, serially, through its workload. */
+/**
+ * Price @p input on the "pragmatic" engine built from @p knobs,
+ * serially, through its workload.
+ */
 sim::LayerResult
 palletSync(const dnn::LayerSpec &layer, const dnn::NeuronTensor &input,
-           const sim::AccelConfig &accel, const PragmaticConfig &config,
+           const sim::AccelConfig &accel, const sim::EngineKnobs &knobs,
            const sim::SampleSpec &sample)
 {
-    return simulateLayerPalletSync(layer, sim::LayerWorkload(input), accel,
-                                   config, sample, util::InnerExecutor());
+    return PragmaticEngine(SyncScheme::Pallet, knobs)
+        .simulateLayer(layer, sim::LayerWorkload(input), accel, sample,
+                       util::InnerExecutor());
 }
+
+/** No NM stall model, so cycles are the schedule's alone. */
+const sim::EngineKnobs kNoStalls = {{"nmstalls", "0"}};
 
 dnn::LayerSpec
 evenLayer()
@@ -62,11 +71,9 @@ TEST(PalletSync, WorstCaseEqualsDaDn)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0xffff);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
-    DadnModel dadn(accel);
-    EXPECT_DOUBLE_EQ(result.cycles, dadn.layerCycles(layer));
+    auto result = palletSync(layer, input, accel, kNoStalls,
+                             sim::SampleSpec{0});
+    EXPECT_DOUBLE_EQ(result.cycles, DadnEngine::layerCycles(layer, accel));
 }
 
 TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
@@ -74,11 +81,10 @@ TEST(PalletSync, SingleBitNeuronsGiveSixteenX)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b100);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
-    DadnModel dadn(accel);
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(layer) / result.cycles, 16.0);
+    auto result = palletSync(layer, input, accel, kNoStalls,
+                             sim::SampleSpec{0});
+    EXPECT_DOUBLE_EQ(DadnEngine::layerCycles(layer, accel) / result.cycles,
+                     16.0);
 }
 
 TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
@@ -86,9 +92,8 @@ TEST(PalletSync, AllZeroInputStillPaysOneCyclePerSet)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, kNoStalls,
+                             sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.cycles,
                      static_cast<double>(tiling.numPallets() *
@@ -103,14 +108,14 @@ TEST(PalletSync, NeverSlowerThanDaDnOnRandomData)
     for (auto &v : input.flat())
         v = static_cast<uint16_t>(rng.nextBounded(65536));
     sim::AccelConfig accel;
-    DadnModel dadn(accel);
     for (int l = 0; l <= 4; l++) {
-        PragmaticConfig tile;
-        tile.firstStageBits = l;
-        tile.modelNmStalls = false;
-        auto result = palletSync(layer, input, accel, tile,
-                                 sim::SampleSpec{0});
-        EXPECT_LE(result.cycles, dadn.layerCycles(layer) + 1e-9) << l;
+        auto result = palletSync(
+            layer, input, accel,
+            {{"bits", std::to_string(l)}, {"nmstalls", "0"}},
+            sim::SampleSpec{0});
+        EXPECT_LE(result.cycles,
+                  DadnEngine::layerCycles(layer, accel) + 1e-9)
+            << l;
     }
 }
 
@@ -123,11 +128,10 @@ TEST(PalletSync, MonotoneInFirstStageBits)
     sim::AccelConfig accel;
     double prev = 1e18;
     for (int l = 0; l <= 4; l++) {
-        PragmaticConfig tile;
-        tile.firstStageBits = l;
-        tile.modelNmStalls = false;
-        auto result = palletSync(layer, input, accel, tile,
-                                 sim::SampleSpec{0});
+        auto result = palletSync(
+            layer, input, accel,
+            {{"bits", std::to_string(l)}, {"nmstalls", "0"}},
+            sim::SampleSpec{0});
         EXPECT_LE(result.cycles, prev) << l;
         prev = result.cycles;
     }
@@ -138,10 +142,10 @@ TEST(PalletSync, SamplingIsUnbiasedOnUniformData)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b1010);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto full = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
-    auto sampled = palletSync(layer, input, accel, tile, sim::SampleSpec{4});
+    auto full =
+        palletSync(layer, input, accel, kNoStalls, sim::SampleSpec{0});
+    auto sampled =
+        palletSync(layer, input, accel, kNoStalls, sim::SampleSpec{4});
     EXPECT_DOUBLE_EQ(full.cycles, sampled.cycles);
     EXPECT_GT(sampled.sampleScale, 1.0);
 }
@@ -156,10 +160,10 @@ TEST(PalletSync, SamplingCloseOnRandomData)
                 ? static_cast<uint16_t>(rng.nextBounded(256))
                 : 0;
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto full = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
-    auto sampled = palletSync(layer, input, accel, tile, sim::SampleSpec{8});
+    auto full =
+        palletSync(layer, input, accel, kNoStalls, sim::SampleSpec{0});
+    auto sampled =
+        palletSync(layer, input, accel, kNoStalls, sim::SampleSpec{8});
     EXPECT_NEAR(sampled.cycles / full.cycles, 1.0, 0.1);
 }
 
@@ -170,11 +174,9 @@ TEST(PalletSync, NmStallsOnlyAddCycles)
     auto input = synth.synthesizeFixed16Trimmed(0);
     const auto &layer = net.layers[0]; // stride 4: visible stalls.
     sim::AccelConfig accel;
-    PragmaticConfig with;
-    PragmaticConfig without;
-    without.modelNmStalls = false;
-    auto stalled = palletSync(layer, input, accel, with, sim::SampleSpec{32});
-    auto clean = palletSync(layer, input, accel, without, sim::SampleSpec{32});
+    auto stalled = palletSync(layer, input, accel, {}, sim::SampleSpec{32});
+    auto clean =
+        palletSync(layer, input, accel, kNoStalls, sim::SampleSpec{32});
     EXPECT_GE(stalled.cycles, clean.cycles);
     EXPECT_GE(stalled.nmStallCycles, 0.0);
     EXPECT_DOUBLE_EQ(clean.nmStallCycles, 0.0);
@@ -185,9 +187,8 @@ TEST(PalletSync, EffectualTermsScaleWithFilters)
     auto layer = evenLayer();
     auto input = constantInput(layer, 0b11);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    tile.modelNmStalls = false;
-    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, kNoStalls,
+                             sim::SampleSpec{0});
     // Every neuron use contributes 2 essential bits x 256 filters.
     double uses = static_cast<double>(layer.windows()) *
                   layer.filterX * layer.filterY * layer.inputChannels;
@@ -200,8 +201,7 @@ TEST(PalletSync, SbReadsMatchDaDnSchedule)
     auto layer = evenLayer();
     auto input = constantInput(layer, 1);
     sim::AccelConfig accel;
-    PragmaticConfig tile;
-    auto result = palletSync(layer, input, accel, tile, sim::SampleSpec{0});
+    auto result = palletSync(layer, input, accel, {}, sim::SampleSpec{0});
     sim::LayerTiling tiling(layer, accel);
     EXPECT_DOUBLE_EQ(result.sbReadSteps,
                      static_cast<double>(tiling.numPallets() *

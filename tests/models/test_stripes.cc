@@ -40,8 +40,8 @@ TEST(Stripes, SerialMultiplyMatchesProductWithinWindow)
             static_cast<int16_t>(rng.nextInRange(-32768, 32767));
         auto neuron = static_cast<uint16_t>(
             rng.nextBounded(1u << precision));
-        EXPECT_EQ(StripesModel::serialMultiply(synapse, neuron,
-                                               precision),
+        EXPECT_EQ(StripesEngine::serialMultiply(synapse, neuron,
+                                                precision),
                   static_cast<int64_t>(synapse) * neuron);
     }
 }
@@ -53,7 +53,7 @@ TEST(Stripes, SerialMultiplyWithAnchoredWindow)
     int lsb = 3;
     int precision = 6;
     uint16_t neuron = static_cast<uint16_t>(0b101101 << lsb);
-    EXPECT_EQ(StripesModel::serialMultiply(100, neuron, precision, lsb),
+    EXPECT_EQ(StripesEngine::serialMultiply(100, neuron, precision, lsb),
               100LL * neuron);
 }
 
@@ -62,19 +62,18 @@ TEST(Stripes, SerialMultiplyTruncatesOutsideWindow)
     // Bits above the window are not processed: Stripes depends on the
     // profiled precision being sufficient.
     uint16_t neuron = 0b1000'0001; // bit 7 outside a 4-bit window.
-    EXPECT_EQ(StripesModel::serialMultiply(10, neuron, 4, 0), 10);
+    EXPECT_EQ(StripesEngine::serialMultiply(10, neuron, 4, 0), 10);
 }
 
 TEST(Stripes, LayerCyclesFormula)
 {
-    StripesModel stripes;
     auto layer = dnn::makeAlexNet().layers[1]; // p == 8.
     sim::AccelConfig accel;
     sim::LayerTiling tiling(layer, accel);
     double expected = static_cast<double>(tiling.passes()) *
                       static_cast<double>(tiling.numPallets()) *
                       static_cast<double>(tiling.numSynapseSets()) * 8.0;
-    EXPECT_DOUBLE_EQ(stripes.layerCycles(layer, 8), expected);
+    EXPECT_DOUBLE_EQ(StripesEngine::layerCycles(layer, accel, 8), expected);
 }
 
 TEST(Stripes, IdealSpeedupSixteenOverP)
@@ -93,10 +92,9 @@ TEST(Stripes, IdealSpeedupSixteenOverP)
     layer.pad = 0;
     layer.profiledPrecision = 8;
     ASSERT_EQ(layer.windows() % 16, 0); // 16x16 windows.
-    DadnModel dadn;
-    StripesModel stripes;
-    EXPECT_DOUBLE_EQ(dadn.layerCycles(layer) /
-                         stripes.layerCycles(layer, 8),
+    const sim::AccelConfig accel;
+    EXPECT_DOUBLE_EQ(DadnEngine::layerCycles(layer, accel) /
+                         StripesEngine::layerCycles(layer, accel, 8),
                      16.0 / 8.0);
 }
 
@@ -105,10 +103,9 @@ TEST(Stripes, PartialPalletsLoseSomeThroughput)
     // With windows not divisible by 16 the ceil() costs Stripes a
     // little, exactly as in hardware.
     auto layer = dnn::makeAlexNet().layers[2]; // 13x13 windows.
-    DadnModel dadn;
-    StripesModel stripes;
-    double speedup =
-        dadn.layerCycles(layer) / stripes.layerCycles(layer, 8);
+    const sim::AccelConfig accel;
+    double speedup = DadnEngine::layerCycles(layer, accel) /
+                     StripesEngine::layerCycles(layer, accel, 8);
     EXPECT_LT(speedup, 2.0);
     EXPECT_GT(speedup, 1.8);
 }
@@ -119,11 +116,11 @@ TEST(Stripes, RunUsesProfiledPrecisions)
     auto result = priceStripes(net, "stripes");
     ASSERT_EQ(result.layers.size(), 5u);
     // conv3 (p == 5) must be relatively faster than conv1 (p == 9).
-    StripesModel ref;
+    const sim::AccelConfig accel;
     EXPECT_DOUBLE_EQ(result.layers[2].cycles,
-                     ref.layerCycles(net.layers[2], 5));
+                     StripesEngine::layerCycles(net.layers[2], accel, 5));
     EXPECT_DOUBLE_EQ(result.layers[0].cycles,
-                     ref.layerCycles(net.layers[0], 9));
+                     StripesEngine::layerCycles(net.layers[0], accel, 9));
 }
 
 TEST(Stripes, Quant8PrecisionsAreInByteRange)
@@ -133,13 +130,13 @@ TEST(Stripes, Quant8PrecisionsAreInByteRange)
     auto net = dnn::makeAlexNet();
     auto result = priceStripes(net, "stripes:repr=quant8");
     ASSERT_EQ(result.layers.size(), net.layers.size());
-    StripesModel ref;
+    const sim::AccelConfig accel;
     std::vector<int> precisions;
     for (size_t i = 0; i < net.layers.size(); i++) {
         int matched = 0;
         for (int p = 1; p <= 8 && matched == 0; p++) {
             if (result.layers[i].cycles ==
-                ref.layerResult(net.layers[i], p).cycles)
+                StripesEngine::layerResult(net.layers[i], accel, p).cycles)
                 matched = p;
         }
         EXPECT_NE(matched, 0) << net.layers[i].name;
@@ -150,10 +147,10 @@ TEST(Stripes, Quant8PrecisionsAreInByteRange)
 
 TEST(Stripes, PrecisionBoundsChecked)
 {
-    StripesModel stripes;
     auto layer = dnn::makeTinyNetwork().layers[0];
-    EXPECT_DEATH(stripes.layerCycles(layer, 0), "precision");
-    EXPECT_DEATH(stripes.layerCycles(layer, 17), "precision");
+    const sim::AccelConfig accel;
+    EXPECT_DEATH(StripesEngine::layerCycles(layer, accel, 0), "precision");
+    EXPECT_DEATH(StripesEngine::layerCycles(layer, accel, 17), "precision");
 }
 
 /** Stripes never beats 16/p nor loses to DaDN across precisions. */
@@ -164,11 +161,10 @@ class StripesPrecisions : public ::testing::TestWithParam<int>
 TEST_P(StripesPrecisions, SpeedupBounded)
 {
     int p = GetParam();
-    DadnModel dadn;
-    StripesModel stripes;
+    const sim::AccelConfig accel;
     for (const auto &layer : dnn::makeVggM().layers) {
-        double speedup =
-            dadn.layerCycles(layer) / stripes.layerCycles(layer, p);
+        double speedup = DadnEngine::layerCycles(layer, accel) /
+                         StripesEngine::layerCycles(layer, accel, p);
         EXPECT_LE(speedup, 16.0 / p + 1e-9);
         EXPECT_GE(speedup, 16.0 / p * 0.5); // Pallet rounding bound.
     }

@@ -48,6 +48,7 @@ expectSameResults(const std::vector<NetworkResult> &expected,
         for (size_t l = 0; l < expected[i].layers.size(); l++) {
             const auto &a = expected[i].layers[l];
             const auto &b = actual[i].layers[l];
+            EXPECT_EQ(a.layerName, b.layerName) << what;
             EXPECT_EQ(a.cycles, b.cycles) << what;
             EXPECT_EQ(a.effectualTerms, b.effectualTerms) << what;
             EXPECT_EQ(a.nmStallCycles, b.nmStallCycles) << what;
@@ -148,8 +149,9 @@ TEST(EngineContract, EveryKindPricesOneWay)
 {
     // Every registered kind: runNetwork prices the same over a cached
     // and an uncached source, and equals a per-layer simulateLayer
-    // loop on freshly synthesized workloads. Every kind's weight-read
-    // declaration is checked too.
+    // loop on freshly synthesized workloads, each result labelled
+    // with its layer's name. Every kind's weight-read declaration is
+    // checked too.
     auto net = dnn::makeTinyNetwork(dnn::LayerSelect::All);
     SampleSpec sample{4};
     const AccelConfig accel;
@@ -193,6 +195,8 @@ TEST(EngineContract, EveryKindPricesOneWay)
             loop.layers.push_back(engine->simulateLayer(
                 net.layers[i], workload, accel, sample,
                 util::InnerExecutor()));
+            // The one per-layer label a result carries.
+            EXPECT_EQ(loop.layers.back().layerName, net.layers[i].name);
             EXPECT_EQ(weight_builds > 0, declared) << net.layers[i].name;
             EXPECT_EQ(workload.cyclePlanesBuilt(), engine->cycleWidths())
                 << net.layers[i].name;

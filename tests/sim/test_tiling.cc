@@ -18,7 +18,9 @@ dnn::LayerSpec
 layer13x13()
 {
     dnn::LayerSpec spec;
-    spec.name = "l";
+    // Not `= "l"`: that trips GCC 12's -Wrestrict false positive
+    // (GCC bug 105651).
+    spec.name.assign(1, 'l');
     spec.inputX = 13;
     spec.inputY = 13;
     spec.inputChannels = 48;
