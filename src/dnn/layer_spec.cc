@@ -6,17 +6,6 @@
 namespace pra {
 namespace dnn {
 
-const char *
-layerKindName(LayerKind kind)
-{
-    switch (kind) {
-      case LayerKind::Conv: return "conv";
-      case LayerKind::FullyConnected: return "fc";
-      case LayerKind::Pool: return "pool";
-    }
-    util::fatal("layerKindName: bad kind");
-}
-
 bool
 layerSelected(LayerKind kind, LayerSelect select)
 {

@@ -49,9 +49,6 @@ enum class LayerKind
 /** Pooling reduction for LayerKind::Pool. */
 enum class PoolOp { Max, Avg };
 
-/** Human-readable kind name ("conv", "fc", "pool"). */
-const char *layerKindName(LayerKind kind);
-
 /**
  * Which layer kinds a workload includes. Conv is the default
  * everywhere so pre-existing sweeps and figures are unchanged.

@@ -409,12 +409,6 @@ parseNetworkList(const std::string &list, LayerSelect select)
     return networks;
 }
 
-std::vector<std::string>
-networkNames()
-{
-    return {"alexnet", "nin", "googlenet", "vggm", "vggs", "vgg19"};
-}
-
 Network
 makeNetworkByName(const std::string &name, LayerSelect select)
 {

@@ -74,9 +74,6 @@ std::vector<Network> parseNetworkList(const std::string &list,
                                       LayerSelect select =
                                           LayerSelect::Conv);
 
-/** Names accepted by makeNetworkByName(). */
-std::vector<std::string> networkNames();
-
 /**
  * Parse a --layers= value: "conv", "fc" or "all"; fatal() otherwise.
  */

@@ -53,15 +53,6 @@ Network::workloadFingerprint() const
     return h;
 }
 
-int
-Network::countLayers(LayerKind kind) const
-{
-    int count = 0;
-    for (const auto &layer : layers)
-        count += layer.kind == kind;
-    return count;
-}
-
 namespace {
 
 std::string

@@ -57,9 +57,6 @@ struct Network
      */
     int64_t totalProducts() const;
 
-    /** Number of layers of @p kind. */
-    int countLayers(LayerKind kind) const;
-
     /**
      * True when every layer's input shape matches the output of its
      * producers: each layer consumes the previous layer's output (or

@@ -58,14 +58,14 @@ BlockedConvolution::BlockedConvolution(const LayerSpec &layer,
       numFilters_(layer.numFilters), synapses_(layer.synapsesPerFilter()),
       singleWindow_(outX_ == 1 && outY_ == 1)
 {
-    PRA_CHECK(layer.valid(), "referenceConvolution: bad layer");
+    PRA_CHECK(layer.valid(), "BlockedConvolution: bad layer");
     PRA_CHECK(input.sizeX() == layer.inputX &&
                   input.sizeY() == layer.inputY &&
                   input.sizeI() == layer.inputChannels,
-              "referenceConvolution: input shape mismatch");
+              "BlockedConvolution: input shape mismatch");
     PRA_CHECK(input.size() <= std::numeric_limits<uint32_t>::max() /
                                   kFilterBlock,
-              "referenceConvolution: input too large to index");
+              "BlockedConvolution: input too large to index");
     const uint16_t *in = input.flat().data();
     if (singleWindow_) {
         // Window (0, 0): copy each in-range tap's channel column to
@@ -319,33 +319,6 @@ referenceWindowDot(const LayerSpec &layer, const NeuronTensor &input,
         }
     }
     return acc;
-}
-
-OutputTensor
-referenceConvolution(const LayerSpec &layer, const NeuronTensor &input,
-                     const std::vector<FilterTensor> &filters,
-                     ConvolutionIsa isa)
-{
-    BlockedConvolution kernel(layer, input);
-    PRA_CHECK(static_cast<int>(filters.size()) == layer.numFilters,
-              "referenceConvolution: filter count mismatch");
-    for (const FilterTensor &filter : filters)
-        PRA_CHECK(filter.sizeX() == layer.filterX &&
-                      filter.sizeY() == layer.filterY &&
-                      filter.sizeI() == layer.inputChannels,
-                  "referenceConvolution: filter shape mismatch");
-    size_t f = 0;
-    size_t s = 0;
-    return kernel.run(
-        [&] {
-            const int16_t w = filters[f].flat()[s];
-            if (++s == filters[f].size()) {
-                s = 0;
-                f++;
-            }
-            return w;
-        },
-        isa);
 }
 
 } // namespace dnn

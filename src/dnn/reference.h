@@ -1,9 +1,12 @@
 /**
  * @file
- * Reference (golden) convolution used to validate the functional
- * models of every accelerator: DaDN's bit-parallel NFU, Stripes'
- * serial-parallel units and Pragmatic's PIPs must all produce exactly
- * these output sums.
+ * The exact convolution: BlockedConvolution, the zero-skipping kernel
+ * of the propagated forward pass, and referenceWindowDot(), the
+ * scalar per-window sum it is tested against. The functional models
+ * of every accelerator (DaDN's NFU, Stripes' serial-parallel units,
+ * Pragmatic's PIPs) must produce exactly these output sums; the
+ * tests compare them with BlockedConvolution through the FilterTensor
+ * adapter in tests/dnn/reference_oracle.h.
  */
 
 #pragma once
@@ -45,11 +48,12 @@ enum class ConvolutionIsa
 ConvolutionIsa bestConvolutionIsa();
 
 /** "avx2" or "baseline": the name of bestConvolutionIsa(). */
+// pra-lint: allow(test-only-api) perfbench prints it (ROADMAP step 7)
 const char *blockedConvolutionIsa();
 
 /**
- * The blocked, zero-skipping convolution kernel behind
- * referenceConvolution() and the propagated forward pass.
+ * The blocked, zero-skipping convolution kernel behind the
+ * propagated forward pass.
  *
  * Construction indexes the input's non-zero activations pixel by
  * pixel, once. run() then streams the layer's filters through in
@@ -162,23 +166,6 @@ class BlockedConvolution
                        int first, OutputTensor &output,
                        ConvolutionIsa isa) const;
 };
-
-/**
- * Compute the layer's output with exact 64-bit accumulation:
- * o(k,l,f) = sum over (x,y,i) of s_f(x,y,i) * n(x*?S offsets), with
- * zero padding (paper Section IV-A). No activation function is
- * applied: the accelerators compare pre-activation partial sums.
- * A thin adapter over BlockedConvolution.
- *
- * @param layer   geometry (input size must match @p input).
- * @param input   the input neuron array.
- * @param filters one FilterTensor per output filter.
- * @param isa     the kernel variant to run.
- */
-OutputTensor referenceConvolution(const LayerSpec &layer,
-                                  const NeuronTensor &input,
-                                  const std::vector<FilterTensor> &filters,
-                                  ConvolutionIsa isa = bestConvolutionIsa());
 
 /**
  * Dot product of one window position against one filter; the quantum

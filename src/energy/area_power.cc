@@ -42,7 +42,6 @@ constexpr std::array<std::pair<int, Anchor>, 3> kPragmaticColumn = {{
 }};
 
 constexpr double kMemoryArea = 65.2;     // Derived: chip - 16*unit.
-constexpr double kMemoryPowerShare = 0.45; // Calibration choice.
 constexpr int kUnits = 16;
 
 AreaPower
@@ -62,18 +61,6 @@ double
 memoryArea()
 {
     return kMemoryArea;
-}
-
-double
-memoryPowerShare()
-{
-    return kMemoryPowerShare;
-}
-
-double
-memoryPower()
-{
-    return kMemoryPowerShare * kDadn.chipPower;
 }
 
 AreaPower

@@ -42,15 +42,6 @@ struct AreaPower
 /** Memory blocks' (NM + SB + NBin/NBout) area in mm^2 (~65.2). */
 double memoryArea();
 
-/**
- * Fraction of DaDN's chip power attributed to the memory blocks;
- * a calibration constant documented in DESIGN.md.
- */
-double memoryPowerShare();
-
-/** Memory blocks' power in W (constant across designs). */
-double memoryPower();
-
 /** DaDianNao baseline. */
 AreaPower dadnAreaPower();
 

@@ -69,14 +69,6 @@ pragmaticPipArea(int first_stage_bits, const PrimitiveCosts &costs)
 }
 
 double
-ssrComponentArea(const PrimitiveCosts &costs)
-{
-    // 16 synapse bricks of 16 x 16-bit synapses plus the 4-bit
-    // consumed-columns down counter (Section V-E).
-    return (kIpUnits * 16.0 + 4.0) * costs.regBit;
-}
-
-double
 dadnUnitAreaEstimate(const PrimitiveCosts &costs)
 {
     double mults = kIpUnits * multiplier16Area(costs);

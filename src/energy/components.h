@@ -52,9 +52,6 @@ double stripesSipArea(const PrimitiveCosts &costs = {});
 double pragmaticPipArea(int first_stage_bits,
                         const PrimitiveCosts &costs = {});
 
-/** One synapse set register (256 synapses x 16 bits), um^2. */
-double ssrComponentArea(const PrimitiveCosts &costs = {});
-
 /** DaDianNao unit (256 multipliers + 16 trees + pipeline), mm^2. */
 double dadnUnitAreaEstimate(const PrimitiveCosts &costs = {});
 

@@ -48,20 +48,6 @@ dynamicPrecision(uint16_t mask, bool leading_bit_only)
 }
 
 double
-essentialBitFraction(std::span<const uint16_t> values, int width)
-{
-    PRA_CHECK(width > 0 && width <= 16,
-                         "essentialBitFraction: bad width");
-    if (values.empty())
-        return 0.0;
-    uint64_t set_bits = 0;
-    for (uint16_t v : values)
-        set_bits += static_cast<uint64_t>(essentialBits(v));
-    return static_cast<double>(set_bits) /
-           (static_cast<double>(values.size()) * width);
-}
-
-double
 essentialBitFractionNonZero(std::span<const uint16_t> values, int width)
 {
     PRA_CHECK(width > 0 && width <= 16,
@@ -91,19 +77,6 @@ zeroFraction(std::span<const uint16_t> values)
             zeros++;
     return static_cast<double>(zeros) /
            static_cast<double>(values.size());
-}
-
-int64_t
-shiftAddMultiply(int16_t synapse, uint16_t neuron)
-{
-    int64_t acc = 0;
-    uint16_t rest = neuron;
-    while (rest != 0) {
-        int pos = std::countr_zero(rest);
-        acc += static_cast<int64_t>(synapse) << pos;
-        rest = static_cast<uint16_t>(rest & (rest - 1));
-    }
-    return acc;
 }
 
 } // namespace fixedpoint

@@ -9,7 +9,8 @@
  * depends only on the neuron bit patterns, never on the synapses.
  *
  * The *essential bits* of a neuron (paper Section II) are its set bits:
- * each one generates a non-zero term in a shift-and-add multiplier.
+ * each one generates a non-zero term in a shift-and-add multiplier
+ * (modelled by the test oracle in tests/fixedpoint/fixed_point_oracle.h).
  */
 
 #pragma once
@@ -55,29 +56,15 @@ int significantBits(uint16_t value);
 int dynamicPrecision(uint16_t mask, bool leading_bit_only);
 
 /**
- * Average fraction of set bits per value over @p values, measured
- * against a @p width-bit representation (paper Table I, "All").
- */
-double essentialBitFraction(std::span<const uint16_t> values, int width);
-
-/**
- * Same as essentialBitFraction() but over the non-zero values only
- * (paper Table I, "NZ"). Returns 0 when there are no non-zero values.
+ * Average fraction of set bits per non-zero value over @p values,
+ * measured against a @p width-bit representation (paper Table I,
+ * "NZ"). Returns 0 when there are no non-zero values.
  */
 double essentialBitFractionNonZero(std::span<const uint16_t> values,
                                    int width);
 
 /** Fraction of zero values in @p values (0 when empty). */
 double zeroFraction(std::span<const uint16_t> values);
-
-/**
- * Multiply a signed synapse by an unsigned neuron using the
- * shift-and-add decomposition n*s = sum over set bits i of (s << i).
- * This is the arithmetic a PIP performs spread over cycles; it must
- * (and does) equal the ordinary product. Used as a self-checking
- * primitive by the functional models.
- */
-int64_t shiftAddMultiply(int16_t synapse, uint16_t neuron);
 
 } // namespace fixedpoint
 } // namespace pra

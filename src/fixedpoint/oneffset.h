@@ -50,13 +50,6 @@ struct Oneffset
 std::vector<Oneffset> encodeOneffsets(uint16_t neuron);
 
 /**
- * Rebuild the positional value from an oneffset list; the inverse of
- * encodeOneffsets(). Panics on malformed lists (duplicate powers,
- * missing eon).
- */
-uint16_t decodeOneffsets(const std::vector<Oneffset> &offsets);
-
-/**
  * Cycle-accurate model of a hardware oneffset generator: a 16-bit
  * leading-one detector that consumes one set bit per next() call.
  * Mirrors encodeOneffsets() output one entry at a time.
@@ -88,14 +81,6 @@ class OneffsetStream
     bool isZeroNeuron_ = false;
     bool done_ = true;
 };
-
-/**
- * Storage cost in bits of the oneffset representation of @p neuron:
- * 5 bits per entry (4-bit pow + eon). The paper notes this can exceed
- * 16 bits, which is why the representation is generated on the fly
- * rather than stored (Section V-A1).
- */
-int oneffsetStorageBits(uint16_t neuron);
 
 } // namespace fixedpoint
 } // namespace pra

@@ -16,12 +16,6 @@ PrecisionWindow::mask() const
     return static_cast<uint16_t>(m << lsb);
 }
 
-uint16_t
-trimToWindow(uint16_t neuron, const PrecisionWindow &window)
-{
-    return static_cast<uint16_t>(neuron & window.mask());
-}
-
 PrecisionWindow
 profileWindow(std::span<const uint16_t> values, double tolerance)
 {
@@ -56,19 +50,6 @@ profileWindow(std::span<const uint16_t> values, double tolerance)
     }
     window.lsb = lsb;
     return window;
-}
-
-double
-trimLossFraction(std::span<const uint16_t> values,
-                 const PrecisionWindow &window)
-{
-    double total = 0.0;
-    double lost = 0.0;
-    for (uint16_t v : values) {
-        total += static_cast<double>(v);
-        lost += static_cast<double>(v - trimToWindow(v, window));
-    }
-    return total > 0.0 ? lost / total : 0.0;
 }
 
 } // namespace fixedpoint

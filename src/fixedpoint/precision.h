@@ -41,9 +41,6 @@ struct PrecisionWindow
     bool operator==(const PrecisionWindow &other) const = default;
 };
 
-/** Trim a neuron to the window: the hardware's AND-gate masking. */
-uint16_t trimToWindow(uint16_t neuron, const PrecisionWindow &window);
-
 /**
  * Profile the precision window needed by a set of neuron values.
  *
@@ -55,13 +52,6 @@ uint16_t trimToWindow(uint16_t neuron, const PrecisionWindow &window);
  */
 PrecisionWindow profileWindow(std::span<const uint16_t> values,
                               double tolerance = 0.01);
-
-/**
- * Fraction of the values' total magnitude lost when trimming each to
- * @p window; the quantity profileWindow() bounds by its tolerance.
- */
-double trimLossFraction(std::span<const uint16_t> values,
-                        const PrecisionWindow &window);
 
 } // namespace fixedpoint
 } // namespace pra

@@ -1,8 +1,6 @@
 #include "models/dadn/dadn.h"
 
 #include "sim/tiling.h"
-#include "util/check.h"
-#include "util/logging.h"
 
 namespace pra {
 namespace models {
@@ -43,56 +41,6 @@ DadnEngine::simulateLayer(const dnn::LayerSpec &layer,
     lr.effectualTerms = static_cast<double>(layer.products()) * 16.0;
     lr.sbReadSteps = lr.cycles;
     return lr;
-}
-
-int64_t
-DadnEngine::nfuBrickDot(std::span<const uint16_t> neurons,
-                        std::span<const int16_t> synapses)
-{
-    PRA_CHECK(neurons.size() == synapses.size(),
-                         "nfuBrickDot: lane count mismatch");
-    // Lane multipliers.
-    int64_t products[dnn::kBrickSize] = {};
-    PRA_CHECK(neurons.size() <= dnn::kBrickSize,
-                         "nfuBrickDot: too many lanes");
-    for (size_t lane = 0; lane < neurons.size(); lane++) {
-        products[lane] = static_cast<int64_t>(synapses[lane]) *
-                         static_cast<int64_t>(neurons[lane]);
-    }
-    // Adder tree: pairwise reduction as in hardware.
-    size_t width = dnn::kBrickSize;
-    while (width > 1) {
-        for (size_t i = 0; i < width / 2; i++)
-            products[i] = products[2 * i] + products[2 * i + 1];
-        width /= 2;
-    }
-    return products[0];
-}
-
-int64_t
-DadnEngine::computeWindow(const dnn::LayerSpec &layer,
-                          const sim::AccelConfig &accel,
-                          const dnn::NeuronTensor &input,
-                          const dnn::FilterTensor &filter,
-                          int window_x, int window_y)
-{
-    sim::LayerTiling tiling(layer, accel);
-    sim::WindowCoord w{window_x, window_y};
-    int64_t acc = 0;
-    for (int64_t s = 0; s < tiling.numSynapseSets(); s++) {
-        sim::SynapseSetCoord coord = tiling.setCoord(s);
-        auto neurons = tiling.gatherBrick(input, w, coord);
-        int16_t synapses[dnn::kBrickSize] = {};
-        int lanes = std::min(accel.neuronLanes,
-                             layer.inputChannels - coord.brickI);
-        for (int lane = 0; lane < lanes; lane++)
-            synapses[lane] = filter.at(coord.fx, coord.fy,
-                                       coord.brickI + lane);
-        acc += nfuBrickDot(std::span<const uint16_t>(neurons),
-                           std::span<const int16_t>(synapses,
-                                                    dnn::kBrickSize));
-    }
-    return acc;
 }
 
 } // namespace models

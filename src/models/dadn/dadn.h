@@ -8,27 +8,20 @@
  * Its execution time is value-independent: one cycle per
  * (window, synapse set) pair per filter pass, so
  *   cycles = passes * windows * bricksPerWindow,
- * and the engine requests no neuron stream.
- *
- * The functional half models the NFU datapath (per-lane multipliers
- * feeding a 16-input adder tree per filter) and must match the golden
- * reference convolution exactly.
+ * and the engine requests no neuron stream. The NFU's functional
+ * model is a test oracle (tests/models/datapath_oracle.h).
  */
 
 #pragma once
 
-#include <cstdint>
-#include <span>
-
 #include "dnn/layer_spec.h"
-#include "dnn/tensor.h"
 #include "sim/engine.h"
 #include "sim/engine_registry.h"
 
 namespace pra {
 namespace models {
 
-/** Cycle-count and functional model of the DaDN accelerator. */
+/** Cycle-count model of the DaDN accelerator. */
 class DadnEngine : public sim::Engine
 {
   public:
@@ -50,26 +43,6 @@ class DadnEngine : public sim::Engine
      */
     static double layerCycles(const dnn::LayerSpec &layer,
                               const sim::AccelConfig &accel);
-
-    /**
-     * Functional NFU step: multiply a neuron brick against one
-     * filter's synapse brick and reduce through the adder tree;
-     * returns the partial sum contribution.
-     */
-    static int64_t nfuBrickDot(std::span<const uint16_t> neurons,
-                               std::span<const int16_t> synapses);
-
-    /**
-     * Functional model of a full window: iterates the layer's synapse
-     * sets exactly as the hardware schedule on @p accel does and
-     * accumulates nfuBrickDot() partial sums; equals the reference
-     * window dot.
-     */
-    static int64_t computeWindow(const dnn::LayerSpec &layer,
-                                 const sim::AccelConfig &accel,
-                                 const dnn::NeuronTensor &input,
-                                 const dnn::FilterTensor &filter,
-                                 int window_x, int window_y);
 };
 
 } // namespace models

@@ -87,28 +87,5 @@ StripesEngine::layerResult(const dnn::LayerSpec &layer,
     return lr;
 }
 
-int64_t
-StripesEngine::serialMultiply(int16_t synapse, uint16_t neuron,
-                              int precision, int window_lsb)
-{
-    PRA_CHECK(precision >= 1 && precision <= 16,
-                         "serialMultiply: precision out of range");
-    PRA_CHECK(window_lsb >= 0 && window_lsb < 16,
-                         "serialMultiply: bad window lsb");
-    int64_t acc = 0;
-    // One neuron bit per cycle, LSB of the window first; the AND
-    // gates either pass the synapse into the adder or inject zero,
-    // and the accumulator applies the growing shift.
-    for (int cycle = 0; cycle < precision; cycle++) {
-        int bit_pos = window_lsb + cycle;
-        if (bit_pos > 15)
-            break;
-        bool bit = (neuron >> bit_pos) & 1;
-        int64_t term = bit ? static_cast<int64_t>(synapse) : 0;
-        acc += term << bit_pos;
-    }
-    return acc;
-}
-
 } // namespace models
 } // namespace pra

@@ -19,14 +19,11 @@
  *                stream (synthetic or propagated) and derives the
  *                precision from it.
  *
- * The functional half models the serial-parallel multiplier: one
- * neuron bit ANDed with the full synapse per cycle, accumulated with a
- * growing shift — exactly the paper's Figure 4b datapath.
+ * The serial-parallel multiplier's functional model (paper Figure 4b)
+ * is a test oracle (tests/models/datapath_oracle.h).
  */
 
 #pragma once
-
-#include <cstdint>
 
 #include "dnn/layer_spec.h"
 #include "sim/engine.h"
@@ -35,7 +32,7 @@
 namespace pra {
 namespace models {
 
-/** Cycle-count and functional model of the Stripes accelerator. */
+/** Cycle-count model of the Stripes accelerator. */
 class StripesEngine : public sim::Engine
 {
   public:
@@ -66,15 +63,6 @@ class StripesEngine : public sim::Engine
     static sim::LayerResult layerResult(const dnn::LayerSpec &layer,
                                         const sim::AccelConfig &accel,
                                         int precision);
-
-    /**
-     * Functional serial-parallel multiply: process the @p precision
-     * bits of @p neuron's precision window (starting at
-     * @p window_lsb), one bit per cycle, against the full synapse.
-     * Equals synapse * neuron when the neuron fits its window.
-     */
-    static int64_t serialMultiply(int16_t synapse, uint16_t neuron,
-                                  int precision, int window_lsb = 0);
 
   private:
     bool quant8_ = false; ///< Price the 8-bit code stream.

@@ -53,6 +53,7 @@ struct ArrivalSpec
  * The gap (in cycles, >= 1) between request @p index and request
  * @p index + 1 — a pure function of (spec, index); see file comment.
  */
+// pra-lint: allow(test-only-api) the trace's definition, the cursor's oracle
 uint64_t arrivalGap(const ArrivalSpec &spec, int index);
 
 /**

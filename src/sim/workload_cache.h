@@ -148,6 +148,7 @@ enum class ActivationMode { Synthetic, Propagated };
  * grids both ways and compare the CSV bytes. Not synchronized with
  * in-flight simulations: flip it only between runs.
  */
+// pra-lint: allow(test-only-api) a test hook until the benchmark change
 void setCyclePlanesEnabled(bool enabled);
 bool cyclePlanesEnabled();
 

@@ -69,12 +69,14 @@ ArgParser::ArgParser(int argc, const char *const *argv)
             fatal("empty flag name: '" + arg + "'");
         // Values attach with '='; a bare "--name" is a boolean. The
         // "--name value" form is deliberately unsupported: it is
-        // ambiguous against positional arguments.
+        // ambiguous against positional arguments. A flag given twice
+        // is an error, not last-one-wins.
         auto eq = body.find('=');
-        if (eq != std::string::npos)
-            flags_[body.substr(0, eq)] = body.substr(eq + 1);
-        else
-            flags_[body] = "";
+        std::string name = body.substr(0, eq);
+        std::string value =
+            eq == std::string::npos ? "" : body.substr(eq + 1);
+        if (!flags_.emplace(name, value).second)
+            fatal("flag --" + name + " given more than once");
     }
 }
 

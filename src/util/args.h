@@ -29,7 +29,7 @@ std::vector<std::string> splitList(const std::string &list);
 class ArgParser
 {
   public:
-    /** Parse argv; fatal() on malformed flags. */
+    /** Parse argv; fatal() on malformed or repeated flags. */
     ArgParser(int argc, const char *const *argv);
 
     bool has(const std::string &name) const;

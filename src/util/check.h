@@ -6,7 +6,7 @@
  * active in release builds — the simulator's numbers are meaningless if
  * its invariants do not hold — and lazily materializes the message, so
  * hot paths (per-element tensor accesses, inner scheduling loops) never
- * pay a std::string construction on the success path. All three macros
+ * pay a std::string construction on the success path. Both macros
  * report through util::panic(), which aborts, making every invariant
  * death-testable with EXPECT_DEATH.
  *
@@ -17,30 +17,7 @@
 
 #pragma once
 
-#include <sstream>
-#include <string>
-
 #include "util/logging.h"
-
-namespace pra {
-namespace util {
-namespace detail {
-
-/** Render "msg: lhs_text (lhs) != rhs_text (rhs)" for PRA_CHECK_EQ. */
-template <typename L, typename R>
-std::string
-formatCheckEq(const char *lhs_text, const char *rhs_text, const L &lhs,
-              const R &rhs, const char *msg)
-{
-    std::ostringstream out;
-    out << msg << ": " << lhs_text << " (" << lhs << ") != " << rhs_text
-        << " (" << rhs << ")";
-    return out.str();
-}
-
-} // namespace detail
-} // namespace util
-} // namespace pra
 
 /**
  * Check an internal invariant; panic (abort) with @p msg when @p cond
@@ -51,19 +28,6 @@ formatCheckEq(const char *lhs_text, const char *rhs_text, const L &lhs,
     do {                                                                  \
         if (!(cond)) [[unlikely]]                                         \
             ::pra::util::panic((msg));                                    \
-    } while (0)
-
-/**
- * Check two expressions for equality; on failure panic with @p msg
- * plus both expression texts and their streamed values.
- */
-#define PRA_CHECK_EQ(lhs, rhs, msg)                                       \
-    do {                                                                  \
-        const auto &pra_check_lhs = (lhs);                                \
-        const auto &pra_check_rhs = (rhs);                                \
-        if (!(pra_check_lhs == pra_check_rhs)) [[unlikely]]               \
-            ::pra::util::panic(::pra::util::detail::formatCheckEq(        \
-                #lhs, #rhs, pra_check_lhs, pra_check_rhs, (msg)));        \
     } while (0)
 
 /*

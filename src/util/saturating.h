@@ -28,17 +28,6 @@ saturatingAdd(uint64_t a, uint64_t b)
                : a + b;
 }
 
-/** a * b, clamped to UINT64_MAX instead of wrapping. */
-inline constexpr uint64_t
-saturatingMul(uint64_t a, uint64_t b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    return a > std::numeric_limits<uint64_t>::max() / b
-               ? std::numeric_limits<uint64_t>::max()
-               : a * b;
-}
-
 /** a << shift, clamped to UINT64_MAX instead of losing high bits. */
 inline constexpr uint64_t
 saturatingShl(uint64_t a, int shift)

@@ -14,6 +14,18 @@ namespace pra {
 namespace dnn {
 namespace {
 
+/** Human-readable kind name ("conv", "fc", "pool"). */
+const char *
+layerKindName(LayerKind kind)
+{
+    switch (kind) {
+      case LayerKind::Conv: return "conv";
+      case LayerKind::FullyConnected: return "fc";
+      case LayerKind::Pool: return "pool";
+    }
+    return "?";
+}
+
 LayerSpec
 makeLayer(int in, int channels, int f, int filters, int stride, int pad)
 {

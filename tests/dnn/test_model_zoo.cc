@@ -11,6 +11,23 @@ namespace pra {
 namespace dnn {
 namespace {
 
+/** Number of layers of @p kind in @p net. */
+int
+countLayers(const Network &net, LayerKind kind)
+{
+    int count = 0;
+    for (const auto &layer : net.layers)
+        count += layer.kind == kind;
+    return count;
+}
+
+/** The lower-case names makeNetworkByName() accepts, in paper order. */
+std::vector<std::string>
+networkNames()
+{
+    return {"alexnet", "nin", "googlenet", "vggm", "vggs", "vgg19"};
+}
+
 TEST(ModelZoo, SixNetworksInPaperOrder)
 {
     auto nets = makeAllNetworks();
@@ -127,6 +144,9 @@ TEST(ModelZoo, LookupByNameAndAliases)
     EXPECT_EQ(makeNetworkByName("google").name, "GoogLeNet");
     EXPECT_EQ(makeNetworkByName("tiny").name, "Tiny");
     EXPECT_EQ(networkNames().size(), 6u);
+    const auto all = makeAllNetworks();
+    for (size_t i = 0; i < networkNames().size(); i++)
+        EXPECT_EQ(makeNetworkByName(networkNames()[i]).name, all[i].name);
 }
 
 TEST(ModelZoo, UnknownNameIsFatal)
@@ -170,7 +190,7 @@ TEST(ModelZoo, DefaultSelectionIsConvOnly)
     // default selection and an explicit Conv selection agree, and
     // neither contains an FC layer.
     for (const auto &net : makeAllNetworks()) {
-        EXPECT_EQ(net.countLayers(LayerKind::FullyConnected), 0)
+        EXPECT_EQ(countLayers(net, LayerKind::FullyConnected), 0)
             << net.name;
     }
     auto imp = makeAlexNet();
@@ -215,7 +235,7 @@ TEST(ModelZoo, FcSelectionSkipsGlobalPoolingNetworks)
     EXPECT_EQ(nets[3].name, "VGG_19");
     for (const auto &net : nets) {
         EXPECT_TRUE(net.valid()) << net.name;
-        EXPECT_EQ(net.countLayers(LayerKind::Conv), 0) << net.name;
+        EXPECT_EQ(countLayers(net, LayerKind::Conv), 0) << net.name;
     }
     // Conv and All keep all six.
     EXPECT_EQ(makeAllNetworks(LayerSelect::Conv).size(), 6u);
@@ -279,8 +299,8 @@ TEST(ModelZoo, FcSelectionsAreValidNetworks)
     }
     // All == Conv + Fc, in execution order with the FC tail last.
     auto all = makeAlexNet(LayerSelect::All);
-    EXPECT_EQ(all.countLayers(LayerKind::Conv), 5);
-    EXPECT_EQ(all.countLayers(LayerKind::FullyConnected), 3);
+    EXPECT_EQ(countLayers(all, LayerKind::Conv), 5);
+    EXPECT_EQ(countLayers(all, LayerKind::FullyConnected), 3);
     EXPECT_EQ(all.layers.front().name, "conv1");
     EXPECT_EQ(all.layers.back().name, "fc8");
 }
@@ -307,7 +327,7 @@ TEST(ModelZoo, AllSelectionsArePoolBridgedPipelines)
         std::string why;
         EXPECT_TRUE(net.chainConsistent(&why)) << net.name << ": "
                                                << why;
-        EXPECT_GT(net.countLayers(LayerKind::Pool), 0) << net.name;
+        EXPECT_GT(countLayers(net, LayerKind::Pool), 0) << net.name;
     }
     auto tiny = makeTinyNetwork(LayerSelect::All);
     std::string why;

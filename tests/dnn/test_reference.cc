@@ -12,6 +12,7 @@
 #include "dnn/model_zoo.h"
 #include "dnn/propagate.h"
 #include "dnn/reference.h"
+#include "tests/dnn/reference_oracle.h"
 #include "util/random.h"
 
 namespace pra {

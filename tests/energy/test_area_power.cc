@@ -11,6 +11,23 @@ namespace pra {
 namespace energy {
 namespace {
 
+/**
+ * Fraction of DaDN's chip power attributed to the memory blocks; a
+ * calibration choice that no area/power figure reads.
+ */
+double
+memoryPowerShare()
+{
+    return 0.45;
+}
+
+/** Memory blocks' power in W (constant across designs). */
+double
+memoryPower()
+{
+    return memoryPowerShare() * 18.8; // DaDN's Table III chip power.
+}
+
 TEST(AreaPower, DadnAnchors)
 {
     AreaPower ddn = dadnAreaPower();

@@ -14,6 +14,15 @@ namespace pra {
 namespace energy {
 namespace {
 
+/** One synapse set register (256 synapses x 16 bits), um^2. */
+double
+ssrComponentArea(const PrimitiveCosts &costs = {})
+{
+    // 16 synapse bricks of 16 x 16-bit synapses plus the 4-bit
+    // consumed-columns down counter (Section V-E).
+    return (256 * 16.0 + 4.0) * costs.regBit;
+}
+
 TEST(Components, TreeWidthFollowsSectionVD)
 {
     EXPECT_EQ(pipTreeWidth(0), 16);

@@ -7,6 +7,7 @@
 
 #include "fixedpoint/fixed_point.h"
 #include "fixedpoint/oneffset.h"
+#include "tests/fixedpoint/fixed_point_oracle.h"
 #include "util/random.h"
 
 namespace pra {

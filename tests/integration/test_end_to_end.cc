@@ -11,12 +11,12 @@
 #include "dnn/activation_synth.h"
 #include "dnn/model_zoo.h"
 #include "dnn/reference.h"
-#include "models/dadn/dadn.h"
 #include "models/pragmatic/pip.h"
 #include "models/engines.h"
-#include "models/stripes/stripes.h"
 #include "sim/sweep.h"
 #include "sim/tiling.h"
+#include "tests/dnn/reference_oracle.h"
+#include "tests/models/datapath_oracle.h"
 
 namespace pra {
 namespace models {
@@ -67,7 +67,7 @@ stripesWindow(const dnn::LayerSpec &layer,
         for (int lane = 0; lane < lanes; lane++) {
             int16_t w =
                 filter.at(coord.fx, coord.fy, coord.brickI + lane);
-            acc += StripesEngine::serialMultiply(w, neurons[lane], 16);
+            acc += serialMultiply(w, neurons[lane], 16);
         }
     }
     return acc;
@@ -98,9 +98,8 @@ TEST_P(FunctionalEquivalence, AllDatapathsAgreeOnTinyNetwork)
                               want)
                         << layer.name << " PIP L=" << l;
                     if (l == 2) { // Value-independent paths run once.
-                        EXPECT_EQ(DadnEngine::computeWindow(
-                                      layer, accel, input, filters[f],
-                                      wx, wy),
+                        EXPECT_EQ(computeWindow(layer, accel, input,
+                                                filters[f], wx, wy),
                                   want);
                         EXPECT_EQ(stripesWindow(layer, input,
                                                 filters[f], wx, wy),

@@ -11,6 +11,7 @@
 #include "models/dadn/dadn.h"
 #include "models/engines.h"
 #include "sim/tiling.h"
+#include "tests/models/datapath_oracle.h"
 #include "util/thread_pool.h"
 
 namespace pra {
@@ -69,7 +70,7 @@ TEST(Dadn, NfuBrickDotMatchesPlainDot)
     int64_t expected = 0;
     for (int i = 0; i < 16; i++)
         expected += static_cast<int64_t>(synapses[i]) * neurons[i];
-    EXPECT_EQ(DadnEngine::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, NfuHandlesExtremes)
@@ -77,7 +78,7 @@ TEST(Dadn, NfuHandlesExtremes)
     std::vector<uint16_t> neurons(16, 0xffff);
     std::vector<int16_t> synapses(16, -32768);
     int64_t expected = 16LL * -32768 * 0xffff;
-    EXPECT_EQ(DadnEngine::nfuBrickDot(neurons, synapses), expected);
+    EXPECT_EQ(nfuBrickDot(neurons, synapses), expected);
 }
 
 TEST(Dadn, ComputeWindowMatchesReference)
@@ -91,8 +92,8 @@ TEST(Dadn, ComputeWindowMatchesReference)
         auto filters = dnn::synthesizeFilters(layer);
         for (int wy = 0; wy < layer.outY(); wy += 5) {
             for (int wx = 0; wx < layer.outX(); wx += 5) {
-                EXPECT_EQ(DadnEngine::computeWindow(layer, accel, input,
-                                                    filters[0], wx, wy),
+                EXPECT_EQ(computeWindow(layer, accel, input, filters[0],
+                                        wx, wy),
                           dnn::referenceWindowDot(layer, input,
                                                   filters[0], wx, wy))
                     << layer.name;

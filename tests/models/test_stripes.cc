@@ -13,6 +13,7 @@
 #include "models/engines.h"
 #include "models/stripes/stripes.h"
 #include "sim/tiling.h"
+#include "tests/models/datapath_oracle.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -40,8 +41,7 @@ TEST(Stripes, SerialMultiplyMatchesProductWithinWindow)
             static_cast<int16_t>(rng.nextInRange(-32768, 32767));
         auto neuron = static_cast<uint16_t>(
             rng.nextBounded(1u << precision));
-        EXPECT_EQ(StripesEngine::serialMultiply(synapse, neuron,
-                                                precision),
+        EXPECT_EQ(serialMultiply(synapse, neuron, precision),
                   static_cast<int64_t>(synapse) * neuron);
     }
 }
@@ -53,7 +53,7 @@ TEST(Stripes, SerialMultiplyWithAnchoredWindow)
     int lsb = 3;
     int precision = 6;
     uint16_t neuron = static_cast<uint16_t>(0b101101 << lsb);
-    EXPECT_EQ(StripesEngine::serialMultiply(100, neuron, precision, lsb),
+    EXPECT_EQ(serialMultiply(100, neuron, precision, lsb),
               100LL * neuron);
 }
 
@@ -62,7 +62,7 @@ TEST(Stripes, SerialMultiplyTruncatesOutsideWindow)
     // Bits above the window are not processed: Stripes depends on the
     // profiled precision being sufficient.
     uint16_t neuron = 0b1000'0001; // bit 7 outside a 4-bit window.
-    EXPECT_EQ(StripesEngine::serialMultiply(10, neuron, 4, 0), 10);
+    EXPECT_EQ(serialMultiply(10, neuron, 4, 0), 10);
 }
 
 TEST(Stripes, LayerCyclesFormula)

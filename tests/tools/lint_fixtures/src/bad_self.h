@@ -1,3 +1,4 @@
 #pragma once
 
+// pra-lint: allow(test-only-api) declared only to seed self-contained
 int selfContainedValue();

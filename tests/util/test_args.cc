@@ -198,6 +198,17 @@ TEST(ArgParserDeathTest, UnknownFlagStillFailsWhenHelpIsOffered)
                 "unknown flag --smke.*did you mean --smoke");
 }
 
+TEST(ArgParserDeathTest, RepeatedFlagIsFatal)
+{
+    // Regression: "--threads=1 --threads=4" used to run on 4 threads.
+    EXPECT_EXIT(parse({"--threads=1", "--threads=4"}),
+                ::testing::ExitedWithCode(1),
+                "flag --threads given more than once");
+    EXPECT_EXIT(parse({"--smoke", "--units=2", "--smoke"}),
+                ::testing::ExitedWithCode(1),
+                "flag --smoke given more than once");
+}
+
 TEST(ArgParserDeathTest, HelpIsUnknownWithoutAHelpStream)
 {
     EXPECT_EXIT(parse({"--help"}).checkUnknown({"smoke"}),

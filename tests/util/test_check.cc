@@ -55,29 +55,6 @@ TEST(PraCheck, ConditionEvaluatedExactlyOnce)
     EXPECT_EQ(evals, 1);
 }
 
-TEST(PraCheckEq, EqualValuesPass)
-{
-    PRA_CHECK_EQ(2 + 2, 4, "sums");
-    PRA_CHECK_EQ(std::string("a"), std::string("a"), "strings compare");
-}
-
-TEST(PraCheckEqDeathTest, UnequalValuesReportBothSides)
-{
-    // The failure message carries both expression texts and their
-    // streamed values: "msg: lhs_text (lhs) != rhs_text (rhs)".
-    EXPECT_DEATH(PRA_CHECK_EQ(2 + 2, 5, "bad math"),
-                 R"(panic: bad math: 2 \+ 2 \(4\) != 5 \(5\))");
-}
-
-TEST(PraCheckEq, OperandsEvaluatedExactlyOnce)
-{
-    int lhs_evals = 0;
-    int rhs_evals = 0;
-    PRA_CHECK_EQ(++lhs_evals, ++rhs_evals, "operands run once");
-    EXPECT_EQ(lhs_evals, 1);
-    EXPECT_EQ(rhs_evals, 1);
-}
-
 TEST(PraDcheckDeathTest, EnabledDcheckPanics)
 {
     EXPECT_DEATH(PRA_DCHECK(false, "debug contract"),

@@ -15,6 +15,15 @@ namespace {
 
 constexpr uint64_t kMax = UINT64_C(0xffffffffffffffff);
 
+/** a * b, clamped to UINT64_MAX instead of wrapping. */
+constexpr uint64_t
+saturatingMul(uint64_t a, uint64_t b)
+{
+    if (a == 0 || b == 0)
+        return 0;
+    return a > kMax / b ? kMax : a * b;
+}
+
 TEST(SaturatingAdd, PlainSumsAreExact)
 {
     EXPECT_EQ(saturatingAdd(0, 0), 0u);

@@ -23,13 +23,14 @@ give a reason; unexplained suppressions are rejected in review.
 
 Findings print as ``path:line: [rule] message`` so they are clickable
 in editors and CI logs. The seeded-violation fixtures live in
-``tests/tools/lint_fixtures/`` (one violation per rule plus a
-suppressed file that must stay silent); ``--self-test`` fails if any
+``tests/tools/lint_fixtures/`` (one violation per rule plus
+``suppressed_*`` files that must stay silent); ``--self-test`` fails if any
 rule fires more or less than exactly once there, so the linter itself
 cannot rot.
 """
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -266,6 +267,160 @@ def check_arg_unknown(rel, raw, code):
     )
 
 
+# test-only-api reads references in perfbench/ too; it is never linted.
+REFERENCE_DIRS = SCAN_DIRS + ("perfbench",)
+
+# A quote after a word character is a digit separator (0b1000'0001).
+STRING_RX = re.compile(r'"(?:\\.|[^"\\])*"|(?<!\w)\'(?:\\.|[^\'\\])*\'')
+SCOPE_TOKEN_RX = re.compile(r"[{};]")
+CALL_RX = re.compile(r"([A-Za-z_]\w*)\s*\(")
+WORD_RX = re.compile(r"[A-Za-z_]\w*")
+ACCESS_RX = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
+ATTRIBUTE_RX = re.compile(r"\[\[.*?\]\]", re.DOTALL)
+CLASS_HEAD_RX = re.compile(
+    r"^\s*(?:template\s*<.*>\s*)?(?:class|struct|union|enum)\b", re.DOTALL
+)
+# Words before a '(' that do not name a declared function.
+NOT_A_FUNCTION = {
+    "alignas", "alignof", "bool", "char", "decltype", "double", "float",
+    "int", "long", "noexcept", "operator", "requires", "short", "sizeof",
+    "static_assert", "void",
+}
+# Words that may precede a function name without being its return type.
+SPECIFIERS = {"constexpr", "explicit", "extern", "inline", "static", "virtual"}
+
+
+def code_text(raw):
+    """``(code, directives)`` of a file, comments and string and
+    character literals blanked: ``code`` with its preprocessor lines
+    blanked too (offsets kept), ``directives`` those lines alone."""
+    code, directives = [], []
+    continued = False
+    for line in strip_comments(raw):
+        line = STRING_RX.sub(lambda m: " " * len(m.group()), line)
+        directive = continued or line.lstrip().startswith("#")
+        continued = directive and line.rstrip().endswith("\\")
+        code.append(" " * len(line) if directive else line)
+        if directive:
+            directives.append(line)
+    return "\n".join(code), "\n".join(directives)
+
+
+def function_name(head, in_class):
+    """``(offset, qualified)`` of the function that the declaration or
+    definition ``head`` names, or None. In a class body only static
+    members count; ``qualified`` marks an out-of-class ``C::f``."""
+    m = CALL_RX.search(head)
+    if not m or m.group(1) in NOT_A_FUNCTION:
+        return None
+    prefix = ATTRIBUTE_RX.sub(" ", ACCESS_RX.sub(" ", head[: m.start()]))
+    words = WORD_RX.findall(prefix)
+    if (
+        "=" in prefix
+        or prefix.rstrip().endswith("~")
+        or {"using", "typedef", "friend", "return"} & set(words)
+        or not set(words) - SPECIFIERS
+        or (in_class and "static" not in words)
+    ):
+        return None
+    return m.start(1), prefix.rstrip().endswith("::")
+
+
+def function_declarations(code):
+    """``(name, offset, qualified)`` of each free function and static
+    member function declared or defined at namespace or class scope
+    of ``code`` (see code_text)."""
+    decls = []
+    stack = []  # "namespace", "class" or "body" per open brace
+    start = 0
+    for m in SCOPE_TOKEN_RX.finditer(code):
+        pos = m.start()
+        if m.group() == "}":
+            if stack:
+                stack.pop()
+            start = pos + 1
+            continue
+        head = code[start:pos]
+        if "body" not in stack:
+            found = function_name(head, bool(stack) and stack[-1] == "class")
+            if found:
+                offset, qualified = found
+                name = WORD_RX.match(head, offset).group()
+                decls.append((name, start + offset, qualified))
+        if m.group() == "{":
+            if "body" in stack:
+                kind = "body"
+            elif re.search(r"\b(namespace|extern)\b", head):
+                kind = "namespace"
+            elif CLASS_HEAD_RX.match(ACCESS_RX.sub(" ", head)):
+                kind = "class"
+            else:
+                kind = "body"
+            stack.append(kind)
+        start = pos + 1
+    return decls
+
+
+@functools.lru_cache(maxsize=None)
+def test_only_findings(root):
+    """Map of header path -> [(line, message)] for test-only-api.
+
+    A free function or static member function declared in a src/
+    header is test-only when no file outside tests/ names it, other
+    than where a src/ file declares or defines it. Macro bodies count.
+    Matching is by name, so an overload or a same-named static of
+    another class keeps a function alive; a member access
+    (``x.name``) does not.
+    """
+    texts = {
+        rel: code_text(path.read_text(encoding="utf-8").split("\n"))
+        for path, rel in scan_files(root, REFERENCE_DIRS)
+        if not rel.startswith("tests/")
+    }
+    sites = {}  # src/ file -> offsets of its declarations, definitions
+    decls = {}  # (header, name) -> offset of its first declaration
+    for rel, (code, _) in texts.items():
+        if not rel.startswith("src/"):
+            continue
+        found = function_declarations(code)
+        sites[rel] = {offset for _, offset, _ in found}
+        if rel.endswith(".h"):
+            for name, offset, qualified in found:
+                if not qualified:
+                    decls.setdefault((rel, name), offset)
+    if not decls:
+        return {}
+    names = sorted({name for _, name in decls})
+    use_rx = re.compile(
+        r"(?<![\w.])(?<!->)(" + "|".join(map(re.escape, names)) + r")\b"
+    )
+    used = set()
+    for rel, (code, directives) in texts.items():
+        not_uses = sites.get(rel, ())
+        for m in use_rx.finditer(code):
+            if m.start() not in not_uses:
+                used.add(m.group(1))
+        used.update(m.group(1) for m in use_rx.finditer(directives))
+    findings = {}
+    for (header, name), offset in sorted(decls.items()):
+        if name in used:
+            continue
+        line = texts[header][0].count("\n", 0, offset) + 1
+        findings.setdefault(header, []).append(
+            (
+                line,
+                f"'{name}' has no reference outside tests/ and its own "
+                "declaration and definition: move it into a tests/ "
+                "header, or mark deliberate API with an allow comment",
+            )
+        )
+    return findings
+
+
+def check_test_only_api(rel, raw, code):
+    yield from test_only_findings(REPO_ROOT).get(rel, [])
+
+
 RULES = [
     (
         "wall-clock",
@@ -367,6 +522,15 @@ RULES = [
         "Every file constructing a util::ArgParser calls "
         "checkUnknown() so typoed flags fail loudly.",
     ),
+    (
+        "test-only-api",
+        lambda rel: rel.startswith("src/") and rel.endswith(".h"),
+        check_test_only_api,
+        "Every free function and static member function declared in a "
+        "src/ header is named outside tests/ (src/, tools/, bench/, "
+        "examples/, perfbench/) beyond its own declaration and "
+        "definition — test-only oracles live in tests/ headers.",
+    ),
 ]
 
 # Module-level root so check_self_contained can test file existence;
@@ -374,8 +538,8 @@ RULES = [
 REPO_ROOT = REPO
 
 
-def scan_files(root):
-    for d in SCAN_DIRS:
+def scan_files(root, dirs=SCAN_DIRS):
+    for d in dirs:
         base = root / d
         if not base.is_dir():
             continue
