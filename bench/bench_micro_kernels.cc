@@ -553,25 +553,31 @@ BM_LaconicLayerWorkload(benchmark::State &state)
 }
 BENCHMARK(BM_LaconicLayerWorkload)->Unit(benchmark::kMicrosecond);
 
-/** Read 1M Poisson arrivals through the serving fleet's cursor. */
+/**
+ * Draw 1M Poisson arrivals block by block as a serving round does,
+ * reading each one and freeing each block behind the reader.
+ */
 void
-BM_ArrivalCursor(benchmark::State &state)
+BM_ArrivalTrace(benchmark::State &state)
 {
     const int count = 1'000'000;
     sim::ArrivalSpec spec;
     spec.kind = sim::ArrivalKind::Poisson;
     for (auto _ : state) {
-        sim::ArrivalCursor cursor(spec, count, 8);
+        sim::ArrivalTrace trace(spec, count);
         uint64_t last = 0;
-        while (cursor.remaining() > 0) {
-            last = cursor.cycle();
-            cursor.advance();
+        while (!trace.complete()) {
+            const int first = trace.drawn();
+            trace.append(trace.drawNext());
+            for (int i = first; i < trace.drawn(); i++)
+                last = trace.cycle(i);
+            trace.release(trace.drawn());
         }
         benchmark::DoNotOptimize(last);
     }
     state.SetItemsProcessed(state.iterations() * count);
 }
-BENCHMARK(BM_ArrivalCursor)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArrivalTrace)->Unit(benchmark::kMillisecond);
 
 void
 BM_WorkloadCacheHit(benchmark::State &state)

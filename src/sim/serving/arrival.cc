@@ -16,9 +16,6 @@ namespace {
 /** Domain tag so arrival draws never collide with workload seeds. */
 constexpr uint64_t kArrivalSalt = 0xa441'7a1e'5eed'0001ull;
 
-/** Arrivals an ArrivalCursor draws per refill beyond its look-ahead. */
-constexpr size_t kArrivalBlock = 64;
-
 /** The part of every draw's seed that depends only on the spec. */
 uint64_t
 seedPrefix(const ArrivalSpec &spec)
@@ -101,50 +98,57 @@ arrivalGap(const ArrivalSpec &spec, int index)
     return gapAt(spec, seedPrefix(spec), index);
 }
 
-ArrivalCursor::ArrivalCursor(const ArrivalSpec &spec, int count,
-                             int lookahead)
-    : spec_(spec), prefix_(seedPrefix(spec)), count_(count),
-      lookahead_(static_cast<size_t>(lookahead))
+ArrivalTrace::ArrivalTrace(const ArrivalSpec &spec, int count)
+    : spec_(spec), prefix_(seedPrefix(spec)), count_(count)
 {
     PRA_CHECK(spec.meanGapCycles >= 1.0,
-              "ArrivalCursor: mean gap must be at least one cycle");
-    PRA_CHECK(count >= 1, "ArrivalCursor: need at least one request");
-    PRA_CHECK(lookahead >= 1, "ArrivalCursor: lookahead must be >= 1");
-    // A refill draws at most the look-ahead plus one block, and never
-    // more than the whole trace.
-    const size_t most =
-        std::min(lookahead_, static_cast<size_t>(count)) + kArrivalBlock;
-    buf_.reserve(most);
-    gaps_.resize(most);
-    refill();
+              "ArrivalTrace: mean gap must be at least one cycle");
+    PRA_CHECK(count >= 1, "ArrivalTrace: need at least one request");
+    blocks_.resize(static_cast<size_t>((count - 1) / kBlock) + 1);
+}
+
+std::vector<uint64_t>
+ArrivalTrace::drawNext() const
+{
+    const int n = std::min(kBlock, count_ - drawn_);
+    // Three flat phases, so the independent draws of each phase
+    // overlap instead of queueing behind one another's logarithm.
+    // Each value equals gapAt()'s.
+    std::vector<double> gaps(static_cast<size_t>(n), spec_.meanGapCycles);
+    if (spec_.kind == ArrivalKind::Poisson) {
+        for (int i = 0; i < n; i++)
+            gaps[static_cast<size_t>(i)] = uniformAt(prefix_, drawn_ + i);
+        for (double &gap : gaps)
+            gap = spec_.meanGapCycles * -std::log(gap);
+    }
+    std::vector<uint64_t> block(static_cast<size_t>(n));
+    uint64_t last = last_;
+    for (size_t i = 0; i < block.size(); i++)
+        block[i] = last += roundGap(gaps[i]);
+    return block;
 }
 
 void
-ArrivalCursor::refill()
+ArrivalTrace::append(std::vector<uint64_t> block)
 {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
-    const int n = static_cast<int>(
-        std::min(lookahead_ + kArrivalBlock - buf_.size(),
-                 static_cast<size_t>(count_ - drawn_)));
-    // A block at a time, in three flat phases, so the independent
-    // draws of each phase overlap instead of queueing behind one
-    // another's logarithm. Each value equals gapAt()'s.
-    double *gaps = gaps_.data();
-    if (spec_.kind == ArrivalKind::Poisson) {
-        for (int i = 0; i < n; i++)
-            gaps[i] = uniformAt(prefix_, drawn_ + i);
-        for (int i = 0; i < n; i++)
-            gaps[i] = spec_.meanGapCycles * -std::log(gaps[i]);
-    } else {
-        std::fill_n(gaps, n, spec_.meanGapCycles);
-    }
-    for (int i = 0; i < n; i++) {
-        last_ += roundGap(gaps[i]);
-        buf_.push_back(last_);
-    }
-    drawn_ += n;
+    PRA_CHECK(!complete() &&
+                  block.size() == static_cast<size_t>(
+                                      std::min(kBlock, count_ - drawn_)),
+              "ArrivalTrace: append takes the block drawNext drew");
+    drawn_ += static_cast<int>(block.size());
+    last_ = block.back();
+    blocks_[static_cast<size_t>((drawn_ - 1) >> kBlockBits)] =
+        std::move(block);
+}
+
+void
+ArrivalTrace::release(int low)
+{
+    PRA_CHECK(low >= 0 && low <= drawn_,
+              "ArrivalTrace: release past the drawn frontier");
+    for (const size_t end = static_cast<size_t>(low >> kBlockBits);
+         released_ < end; released_++)
+        std::vector<uint64_t>().swap(blocks_[released_]);
 }
 
 } // namespace sim

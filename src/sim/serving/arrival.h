@@ -53,54 +53,68 @@ struct ArrivalSpec
  * The gap (in cycles, >= 1) between request @p index and request
  * @p index + 1 — a pure function of (spec, index); see file comment.
  */
-// pra-lint: allow(test-only-api) the trace's definition, the cursor's oracle
+// pra-lint: allow(test-only-api) the trace's definition, ArrivalTrace's oracle
 uint64_t arrivalGap(const ArrivalSpec &spec, int index);
 
 /**
- * A lazy reader of the trace of @p count requests: request 0 arrives
- * one gap after cycle 0 and request i+1 follows i by
- * arrivalGap(spec, i + 1), so a prefix of a longer trace is the
- * shorter trace. It holds the next @p lookahead arrival cycles and a
- * small block drawn ahead of them, never the whole trace.
+ * The trace of @p count requests, drawn block by block and read by
+ * index: request 0 arrives one gap after cycle 0 and request i+1
+ * follows i by arrivalGap(spec, i + 1), so a prefix of a longer
+ * trace is the shorter trace. It holds the arrival cycles of indices
+ * [low, drawn) only, never the whole trace: drawNext() computes the
+ * next block of kBlock arrivals without changing the trace, append()
+ * publishes it, and release() frees whole blocks below the lowest
+ * index any reader still needs.
+ *
+ * Readers may call cycle() at once with one another, with
+ * drawNext(), and with an append() or release() that leaves their
+ * indices alone; a reader learns of appended arrivals only through a
+ * drawn() read ordered after the append (the serving rounds take a
+ * mutex for both).
  */
-class ArrivalCursor
+class ArrivalTrace
 {
   public:
-    ArrivalCursor(const ArrivalSpec &spec, int count, int lookahead);
+    /** Arrivals per drawn block: a power of two, 2^14 (128 KiB). */
+    static constexpr int kBlockBits = 14;
+    static constexpr int kBlock = 1 << kBlockBits;
 
-    int remaining() const { return count_ - next_; }
-    /** Trace index of the next request to arrive. */
-    int index() const { return next_; }
+    ArrivalTrace(const ArrivalSpec &spec, int count);
 
-    /** Arrival cycle of request index() + @p ahead (< lookahead). */
+    int count() const { return count_; }
+    /** One past the last drawn trace index. */
+    int drawn() const { return drawn_; }
+    bool complete() const { return drawn_ == count_; }
+
+    /** Arrival cycle of request @p index, in [low, drawn). */
     uint64_t
-    cycle(int ahead = 0) const
+    cycle(int index) const
     {
-        return buf_[pos_ + static_cast<size_t>(ahead)];
+        return blocks_[static_cast<size_t>(index >> kBlockBits)]
+                      [static_cast<size_t>(index & (kBlock - 1))];
     }
 
-    /** Consume request index(). */
-    void
-    advance()
-    {
-        next_++;
-        if (++pos_ + lookahead_ > buf_.size() && drawn_ < count_)
-            refill();
-    }
+    /**
+     * The arrival cycles of the next min(kBlock, count - drawn)
+     * requests, drawn without changing the trace.
+     */
+    std::vector<uint64_t> drawNext() const;
+
+    /** Publish the block drawNext() returned. */
+    void append(std::vector<uint64_t> block);
+
+    /** Free every block wholly below trace index @p low. */
+    void release(int low);
 
   private:
-    void refill();
-
     ArrivalSpec spec_;
     uint64_t prefix_; ///< The spec-only part of every draw's seed.
     int count_;
-    size_t lookahead_;
-    int next_ = 0;
     int drawn_ = 0;
-    uint64_t last_ = 0;         ///< Cycle of request drawn_ - 1.
-    std::vector<uint64_t> buf_; ///< Cycles from request next_ - pos_.
-    size_t pos_ = 0;
-    std::vector<double> gaps_; ///< One refill's gaps, before rounding.
+    uint64_t last_ = 0;   ///< Cycle of request drawn_ - 1.
+    size_t released_ = 0; ///< Blocks before this one are freed.
+    /** [b]: cycles of requests b * kBlock on; empty once released. */
+    std::vector<std::vector<uint64_t>> blocks_;
 };
 
 } // namespace sim

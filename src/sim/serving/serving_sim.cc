@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <iterator>
+#include <memory>
+#include <mutex>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -135,25 +138,30 @@ struct FleetEventAfter
  * merged on read. Fresh arrivals enter in trace order and retries in
  * heap (cycle, id) order. On equal entry cycles a retry leads: it
  * arrived before its killed launch, so before anything arriving now.
- * A fresh request costs only its arrival cycle; its id is the next
- * trace index unless sheds skipped some, which jumps_ records.
+ * A fresh request is only its trace id, whose arrival (= entry) cycle
+ * the shared trace holds. Ids are consecutive trace indices unless
+ * sheds skipped some, which jumps_ records, so the fresh FIFO is a
+ * count.
  */
 class DispatchQueue
 {
   public:
-    size_t size() const { return fresh_.size() + retried_.size(); }
-    bool empty() const { return fresh_.empty() && retried_.empty(); }
+    explicit DispatchQueue(const ArrivalTrace &trace) : trace_(trace) {}
+
+    size_t size() const { return fresh_ + retried_.size(); }
+    bool empty() const { return fresh_ == 0 && retried_.empty(); }
+    /** Smallest trace index a queued fresh request reads (or -1). */
+    int freshFront() const { return fresh_ > 0 ? frontId_ : -1; }
 
     void
-    pushFresh(int id, uint64_t arrival)
+    pushFresh(int id)
     {
-        if (fresh_.empty())
+        if (fresh_ == 0)
             frontId_ = id;
         else if (id != nextId_)
-            jumps_.push_back({pushed_, id});
+            jumps_.push_back({popped_ + static_cast<int64_t>(fresh_), id});
         nextId_ = id + 1;
-        pushed_++;
-        fresh_.push_back(arrival);
+        fresh_++;
     }
 
     void
@@ -171,11 +179,19 @@ class DispatchQueue
     uint64_t
     entryAt(size_t k) const
     {
-        if (retried_.empty())
-            return fresh_[k];
-        for (size_t f = 0, r = 0;; k--) {
-            const uint64_t entry =
-                freshLeads(f, r) ? fresh_[f++] : retried_[r++].first;
+        if (retried_.empty() && jumps_.empty())
+            return trace_.cycle(frontId_ + static_cast<int>(k));
+        FreshWalk fresh(*this);
+        for (size_t r = 0;; k--) {
+            uint64_t entry;
+            if (fresh.left > 0 &&
+                (r == retried_.size() ||
+                 trace_.cycle(fresh.id) < retried_[r].first)) {
+                entry = trace_.cycle(fresh.id);
+                fresh.next();
+            } else {
+                entry = retried_[r++].first;
+            }
             if (k == 0)
                 return entry;
         }
@@ -184,14 +200,16 @@ class DispatchQueue
     Request
     pop()
     {
-        if (fresh_.empty() || (!retried_.empty() &&
-                               retried_.front().first <= fresh_.front())) {
+        if (fresh_ == 0 ||
+            (!retried_.empty() &&
+             retried_.front().first <= trace_.cycle(frontId_))) {
             const Request r = retried_.front().second;
             retried_.pop_front();
             return r;
         }
-        const Request r{frontId_++, 0, fresh_.front()};
-        fresh_.pop_front();
+        const Request r{frontId_, 0, trace_.cycle(frontId_)};
+        fresh_--;
+        frontId_++;
         popped_++;
         if (!jumps_.empty() && jumps_.front().first == popped_) {
             frontId_ = jumps_.front().second;
@@ -201,17 +219,35 @@ class DispatchQueue
     }
 
   private:
-    bool
-    freshLeads(size_t f, size_t r) const
+    /** The queued fresh ids in order, from the front. */
+    struct FreshWalk
     {
-        return f < fresh_.size() &&
-               (r == retried_.size() || fresh_[f] < retried_[r].first);
-    }
+        explicit FreshWalk(const DispatchQueue &q)
+            : queue(q), id(q.frontId_), left(q.fresh_)
+        {
+        }
 
-    std::deque<uint64_t> fresh_; ///< Arrival (= entry) cycles.
+        void
+        next()
+        {
+            left--;
+            id++;
+            if (jump < queue.jumps_.size() &&
+                queue.jumps_[jump].first ==
+                    queue.popped_ + static_cast<int64_t>(queue.fresh_ - left))
+                id = queue.jumps_[jump++].second;
+        }
+
+        const DispatchQueue &queue;
+        int id;
+        size_t left;
+        size_t jump = 0;
+    };
+
+    const ArrivalTrace &trace_;
+    size_t fresh_ = 0; ///< Queued fresh requests.
     std::deque<std::pair<int64_t, int>> jumps_; ///< (push no., id).
-    int64_t pushed_ = 0;
-    int64_t popped_ = 0;
+    int64_t popped_ = 0; ///< Fresh requests popped so far.
     int frontId_ = 0;
     int nextId_ = 0;
     std::deque<std::pair<uint64_t, Request>> retried_;
@@ -232,13 +268,22 @@ class DispatchQueue
  * retry, a shed, or reaching the watermark) stops the drain after its
  * cycle, and the loop plans again. Fault-free, nothing stops it and
  * each step is a step of the pull loop over the trace (test-pinned).
+ *
+ * The fleet reads a shared ArrivalTrace that may not be fully drawn.
+ * It plans only with maxBatch arrivals drawn past its cursor (or the
+ * whole trace), and drains no further than the last drawn arrival's
+ * cycle: arrivals rise strictly, so every event up to it is known.
+ * There advance() pauses; on resume the loop plans again, which by
+ * the rule above is the plan it left, since only arrivals and
+ * completions came between.
  */
 class Fleet
 {
   public:
-    Fleet(const BatchCostCurve &curve, const ServingConfig &config)
+    Fleet(const BatchCostCurve &curve, const ServingConfig &config,
+          const ArrivalTrace &trace)
         : curve_(curve), config_(config), n_(config.requests),
-          arrivals_(config.arrival, n_, config.policy.maxBatch)
+          trace_(trace), pending_(trace)
     {
         for (double cost : curve.batchSystemCycles)
             costCycles_.push_back(std::max<uint64_t>(
@@ -252,8 +297,25 @@ class Fleet
         }
     }
 
-    /** Play the whole trace and report on it. */
-    ServingReport run();
+    /**
+     * Play the trace as far as its first @p drawn arrivals allow;
+     * done() once every request is resolved (or stranded).
+     */
+    void advance(int drawn);
+    bool done() const { return done_; }
+    /** Trace index of the next request to arrive. */
+    int cursor() const { return next_; }
+
+    /** Smallest trace index the fleet will still read. */
+    int
+    low() const
+    {
+        const int front = pending_.freshFront();
+        return front >= 0 ? front : next_;
+    }
+
+    /** The report on the whole trace, once done(). */
+    ServingReport report();
 
   private:
     struct Instance
@@ -270,6 +332,13 @@ class Fleet
     bool drainThrough(uint64_t target);
     void completeThrough(uint64_t last);
 
+    /** True when the next arrival is drawn and comes at cycle @p t. */
+    bool
+    arrivesAt(uint64_t t) const
+    {
+        return next_ < drawn_ && trace_.cycle(next_) == t;
+    }
+
     void
     resolve(uint64_t t, int requests)
     {
@@ -281,7 +350,9 @@ class Fleet
     const ServingConfig &config_;
     const int n_;
     std::vector<uint64_t> costCycles_; ///< [b-1]: charged for b.
-    ArrivalCursor arrivals_;
+    const ArrivalTrace &trace_;
+    int drawn_ = 0; ///< The trace's drawn count advance() was given.
+    int next_ = 0;  ///< Trace index of the next request to arrive.
     DispatchQueue pending_;
     std::vector<Instance> fleet_;
     std::priority_queue<FleetEvent, std::vector<FleetEvent>,
@@ -289,6 +360,7 @@ class Fleet
         events_;
     uint64_t now_ = 0; ///< Last drained cycle; no launch before it.
     int resolved_ = 0;
+    bool done_ = false;
     ServingReport report_; ///< Counters filled as the trace plays.
     util::Histogram latencies_ = util::Histogram::logSpaced(
         kLatencyHistogramMax, kLatencyHistogramSubBits);
@@ -315,7 +387,7 @@ Fleet::admit(uint64_t t, const Request &request, bool retry)
     if (retry)
         pending_.pushRetry(t, request);
     else
-        pending_.pushFresh(request.id, t);
+        pending_.pushFresh(request.id);
     return config_.degradeWatermark > 0 &&
            pending_.size() ==
                static_cast<size_t>(config_.degradeWatermark);
@@ -385,31 +457,26 @@ Fleet::drainThrough(uint64_t target)
                             ? std::min(target, events_.top().cycle - 1)
                             : target;
         const size_t size = pending_.size();
-        size_t quiet = static_cast<size_t>(arrivals_.remaining());
+        size_t quiet = static_cast<size_t>(drawn_ - next_);
         const size_t cap = static_cast<size_t>(config_.queueCap);
         if (cap > 0)
             quiet = std::min(quiet, cap - std::min(size, cap));
         const size_t mark = static_cast<size_t>(config_.degradeWatermark);
         if (size < mark)
             quiet = std::min(quiet, mark - 1 - size);
-        for (; quiet > 0 && arrivals_.cycle() <= last; quiet--) {
-            pending_.pushFresh(arrivals_.index(), arrivals_.cycle());
-            arrivals_.advance();
-        }
+        for (; quiet > 0 && trace_.cycle(next_) <= last; quiet--)
+            pending_.pushFresh(next_++);
         // The next arrival sheds or reaches the watermark: its cycle
         // is the last one to drain.
-        const bool stop =
-            arrivals_.remaining() > 0 && arrivals_.cycle() <= last;
+        const bool stop = next_ < drawn_ && trace_.cycle(next_) <= last;
         if (stop)
-            last = arrivals_.cycle();
+            last = trace_.cycle(next_);
         completeThrough(last);
         if (resolved_ == n_)
             return true; // No request is left to arrive or finish.
         if (stop) {
-            while (arrivals_.remaining() > 0 && arrivals_.cycle() == last) {
-                admit(last, {arrivals_.index(), 0, last}, false);
-                arrivals_.advance();
-            }
+            while (arrivesAt(last))
+                admit(last, {next_++, 0, last}, false);
             now_ = last;
             return true;
         }
@@ -424,10 +491,9 @@ Fleet::drainThrough(uint64_t target)
         for (;;) {
             const bool event_due =
                 !events_.empty() && events_.top().cycle == t;
-            if (arrivals_.remaining() > 0 && arrivals_.cycle() == t &&
+            if (arrivesAt(t) &&
                 (!event_due || events_.top().kind > EventKind::Arrival)) {
-                admit(t, {arrivals_.index(), 0, t}, false);
-                arrivals_.advance();
+                admit(t, {next_++, 0, t}, false);
             } else if (event_due) {
                 const FleetEvent ev = events_.top();
                 events_.pop();
@@ -469,10 +535,14 @@ Fleet::completeThrough(uint64_t last)
     }
 }
 
-ServingReport
-Fleet::run()
+void
+Fleet::advance(int drawn)
 {
+    drawn_ = drawn;
     while (resolved_ < n_) {
+        // The plan may read maxBatch arrivals past the cursor.
+        if (drawn_ < n_ && drawn_ - next_ < config_.policy.maxBatch)
+            return;
         // Plan: the earliest-free instance in service; a down one
         // sorts like one whose completion saturated — it never frees.
         const size_t occupancy = pending_.size();
@@ -485,7 +555,7 @@ Fleet::run()
                 inst = &cand;
             }
         }
-        if (occupancy == 0 && arrivals_.remaining() == 0)
+        if (occupancy == 0 && next_ == n_)
             inst = nullptr;
         BatchingPolicy policy = config_.policy;
         const bool degrade =
@@ -501,7 +571,7 @@ Fleet::run()
         uint64_t start = kNoFault;
         if (inst) {
             const uint64_t head =
-                occupancy > 0 ? pending_.entryAt(0) : arrivals_.cycle();
+                occupancy > 0 ? pending_.entryAt(0) : trace_.cycle(next_);
             uint64_t fill;
             if (occupancy >= max_batch) {
                 fill = pending_.entryAt(max_batch - 1);
@@ -509,8 +579,8 @@ Fleet::run()
                 // Estimate the fill from the trace; retries still in
                 // backoff are unknowable to a dispatcher.
                 const size_t ahead = max_batch - occupancy - 1;
-                fill = ahead < static_cast<size_t>(arrivals_.remaining())
-                           ? arrivals_.cycle(static_cast<int>(ahead))
+                fill = ahead < static_cast<size_t>(n_ - next_)
+                           ? trace_.cycle(next_ + static_cast<int>(ahead))
                            : kNeverFills;
                 // A requeued head can outrank older trace arrivals.
                 fill = std::max(fill, head);
@@ -518,8 +588,13 @@ Fleet::run()
             start = dispatchCycle(policy, free_at, head, fill);
         }
         if (!inst || start > now_) {
-            if (drainThrough(start))
+            // Past the last drawn arrival nothing is known yet.
+            const uint64_t frontier =
+                drawn_ == n_ ? kNoFault : trace_.cycle(drawn_ - 1);
+            if (drainThrough(std::min(start, frontier)))
                 continue; // Something changed: plan again.
+            if (start > frontier)
+                return; // Paused at the frontier; plan again on resume.
             if (!inst)
                 break; // Every event drained.
         }
@@ -548,7 +623,13 @@ Fleet::run()
     // times): account the stranded requests as permanent failures
     // rather than stalling or spinning.
     report_.permanentFailures += n_ - resolved_;
+    done_ = true;
+}
 
+ServingReport
+Fleet::report()
+{
+    PRA_CHECK(done_, "Fleet: report before the trace is played");
     report_.networkName = curve_.networkName;
     report_.engineName = curve_.engineName;
     report_.arrivalKind = config_.arrival.kind;
@@ -639,13 +720,157 @@ checkOfferedRates(const std::vector<double> &rates, const char *caller)
                       ": offered rate must be in (0, 1e9] images/s");
 }
 
+/** Runs tasks on a pool, or in submission order on the caller. */
+class TaskRunner
+{
+  public:
+    explicit TaskRunner(util::ThreadPool *pool) : pool_(pool) {}
+
+    void
+    submit(std::function<void()> task)
+    {
+        if (pool_)
+            pool_->submit(std::move(task));
+        else
+            queue_.push_back(std::move(task));
+    }
+
+    /** Return once every task, also those tasks submit, has run. */
+    void
+    run()
+    {
+        if (pool_) {
+            pool_->wait();
+            return;
+        }
+        while (!queue_.empty()) {
+            std::function<void()> task = std::move(queue_.front());
+            queue_.pop_front();
+            task();
+        }
+    }
+
+  private:
+    util::ThreadPool *pool_;
+    std::deque<std::function<void()>> queue_;
+};
+
+/**
+ * One offered rate of a round: its trace, every fleet that reads it,
+ * and what their tasks share, under mutex.
+ *
+ * One draw task at a time extends the trace while fleet tasks read
+ * it: each fleet advances as far as the blocks drawn when it started
+ * allow, then queues again at once if more were drawn meanwhile, or
+ * waits for the next block. The draw runs at most kDrawAhead blocks
+ * (plus a batch) past the slowest fleet, and each appended block
+ * frees every block below the lowest index a fleet still reads.
+ * Fleets pause only where the rule in Fleet's comment makes resuming
+ * the same step, so no schedule changes a report.
+ */
+struct RateGroup
+{
+    static constexpr int64_t kDrawAhead = 2;
+
+    explicit RateGroup(const ServingConfig &config)
+        : config(config), trace(config.arrival, config.requests)
+    {
+    }
+
+    /** Start the draw task if none runs and the fleets need one. */
+    void
+    drawIfBehind(TaskRunner &runner)
+    {
+        if (drawing || trace.complete())
+            return;
+        const int64_t slowest =
+            *std::min_element(cursors.begin(), cursors.end());
+        if (trace.drawn() - slowest >=
+            kDrawAhead * ArrivalTrace::kBlock + config.policy.maxBatch)
+            return;
+        drawing = true;
+        runner.submit([this, &runner] { draw(runner); });
+    }
+
+    void
+    draw(TaskRunner &runner)
+    {
+        // Only this task changes the trace, so it draws unlocked.
+        std::vector<uint64_t> block = trace.drawNext();
+        std::lock_guard<std::mutex> lock(mutex);
+        trace.append(std::move(block));
+        trace.release(*std::min_element(lows.begin(), lows.end()));
+        for (size_t f : waiting)
+            runner.submit([this, &runner, f] { play(runner, f); });
+        waiting.clear();
+        drawing = false;
+        drawIfBehind(runner);
+    }
+
+    void
+    play(TaskRunner &runner, size_t f)
+    {
+        Fleet &fleet = fleets[f];
+        int drawn;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            drawn = trace.drawn();
+        }
+        fleet.advance(drawn);
+        std::lock_guard<std::mutex> lock(mutex);
+        lows[f] = fleet.done() ? trace.count() : fleet.low();
+        cursors[f] = fleet.done() ? trace.count() : fleet.cursor();
+        if (!fleet.done()) {
+            if (trace.drawn() > drawn)
+                runner.submit([this, &runner, f] { play(runner, f); });
+            else
+                waiting.push_back(f);
+        }
+        drawIfBehind(runner);
+    }
+
+    const ServingConfig config;
+    ArrivalTrace trace;
+    std::deque<Fleet> fleets;
+
+    std::mutex mutex;
+    bool drawing = false;        ///< A draw task is queued or running.
+    std::vector<int> lows;       ///< [f]: fleet f's low() when it paused.
+    std::vector<int> cursors;    ///< [f]: fleet f's cursor() then.
+    std::vector<size_t> waiting; ///< Fleets paused for the next block.
+};
+
+/**
+ * Play every fleet of @p round to the end: one task per fleet and a
+ * draw task per rate, on @p pool (inline without one).
+ */
+void
+playRound(std::deque<RateGroup> &round, util::ThreadPool *pool)
+{
+    TaskRunner runner(pool);
+    for (RateGroup &group : round) {
+        std::lock_guard<std::mutex> lock(group.mutex);
+        group.lows.assign(group.fleets.size(), 0);
+        group.cursors.assign(group.fleets.size(), 0);
+        for (size_t f = 0; f < group.fleets.size(); f++)
+            group.waiting.push_back(f);
+        group.drawIfBehind(runner);
+    }
+    runner.run();
+}
+
 } // namespace
 
 ServingReport
 simulateServing(const BatchCostCurve &curve, const ServingConfig &config)
 {
     checkServingConfig(config, curve.batchSystemCycles.size());
-    return Fleet(curve, config).run();
+    std::deque<RateGroup> round;
+    RateGroup &group = round.emplace_back(config);
+    Fleet &fleet = group.fleets.emplace_back(curve, group.config,
+                                             group.trace);
+    playRound(round, nullptr);
+    return fleet.report();
 }
 
 std::vector<BatchCostCurve>
@@ -681,24 +906,35 @@ playServing(const std::vector<BatchCostCurve> &curves,
         checkServingConfig(options.serving,
                            curve.batchSystemCycles.size());
 
-    // One event loop per (cell, rate), each a pure function writing
-    // its own slot, in fixed report order.
+    // One event loop per (curve, rate); each rate's loops share one
+    // trace. A round plays a block of consecutive rates holding at
+    // least one fleet per worker, so the serial run keeps one trace.
     const size_t rates = options.offeredPerSecond.size();
     std::vector<ServingReport> reports(curves.size() * rates);
-    auto play = [&](size_t slot) {
-        ServingConfig config = options.serving;
-        config.arrival.meanGapCycles =
-            kCyclesPerSecond / options.offeredPerSecond[slot % rates];
-        reports[slot] = simulateServing(curves[slot / rates], config);
-    };
-    if (options.threads <= 1) {
-        for (size_t slot = 0; slot < reports.size(); slot++)
-            play(slot);
-    } else {
-        util::ThreadPool pool(options.threads);
-        for (size_t slot = 0; slot < reports.size(); slot++)
-            pool.submit([&play, slot] { play(slot); });
-        pool.wait();
+    if (curves.empty())
+        return reports;
+    const size_t threads = static_cast<size_t>(std::max(1, options.threads));
+    const size_t per_round = (threads + curves.size() - 1) / curves.size();
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<util::ThreadPool>(options.threads);
+    for (size_t first = 0; first < rates; first += per_round) {
+        const size_t last = std::min(rates, first + per_round);
+        std::deque<RateGroup> round;
+        for (size_t r = first; r < last; r++) {
+            ServingConfig config = options.serving;
+            config.arrival.meanGapCycles =
+                kCyclesPerSecond / options.offeredPerSecond[r];
+            RateGroup &group = round.emplace_back(config);
+            for (const BatchCostCurve &curve : curves)
+                group.fleets.emplace_back(curve, group.config,
+                                          group.trace);
+        }
+        playRound(round, pool.get());
+        for (size_t r = first; r < last; r++)
+            for (size_t c = 0; c < curves.size(); c++)
+                reports[c * rates + r] =
+                    round[r - first].fleets[c].report();
     }
     return reports;
 }
@@ -739,6 +975,16 @@ parseServingFlags(const util::ArgParser &args,
     options.serving.arrival.seed = options.seed;
     options.serving.instances =
         args.getCount("instances", 1, 1, "a positive fleet size");
+    // Every dispatch scans the whole fleet for its earliest-free
+    // instance, and a sweep holds one fleet per (curve, rate) of a
+    // round at once.
+    constexpr int kMaxInstances = 4096;
+    if (options.serving.instances > kMaxInstances)
+        util::fatal("--instances must be at most " +
+                    std::to_string(kMaxInstances) +
+                    ": the planner scans every instance on each "
+                    "dispatch (got " +
+                    std::to_string(options.serving.instances) + ")");
     options.serving.policy.maxBatch =
         args.getCount("max-batch", 8, 1, "a positive batch cap");
     const int64_t timeout = args.getInt("timeout", 1000000);

@@ -20,8 +20,9 @@
  *     --batch=b sweep of the same cell and the whole curve costs
  *     maxBatch engine passes, not maxBatch * (maxBatch + 1) / 2.
  *  2. **Arrival trace** (sim/serving/arrival.h): counter-based
- *     seeded arrivals, independent of evaluation order, read
- *     lazily through an ArrivalCursor.
+ *     seeded arrivals, independent of evaluation order, drawn block
+ *     by block into an ArrivalTrace that every fleet of one offered
+ *     rate reads and that frees blocks behind its slowest reader.
  *  3. **Fleet event loop** (simulateServing): instances are
  *     identical servers; the dispatcher repeatedly takes the
  *     earliest-free instance (lowest id on ties), launches at the
@@ -30,16 +31,20 @@
  *     retries, a bounded queue and the degrade watermark when they
  *     are configured. Its memory grows with the fleet and the queue,
  *     not the trace length. One loop is single-threaded over a
- *     fixed-order trace, so deterministic by construction; a sweep
- *     runs its (curve, rate) loops side by side, each a pure
- *     function writing its own report slot.
+ *     fixed-order trace, so deterministic by construction; it may
+ *     pause at the trace's drawn frontier and resume with the same
+ *     plan, so how far the trace is drawn never changes a report. A
+ *     sweep runs its (curve, rate) loops side by side, each writing
+ *     its own report slot.
  *
  * A sweep (runServingSweep) is buildCostCurves then playServing,
  * joined in between. The curve build is the grid driver of
  * sim/sweep.h (priceGrid) over the whole grid with maxBatch images,
  * folding each cell's images into its curve in image order; the
- * fleet stage runs one task per (curve, rate) on --threads workers.
- * Serving reports are therefore byte-identical across
+ * fleet stage plays rounds of consecutive rates on --threads
+ * workers: every (curve, rate) loop is one task, and every loop of a
+ * rate reads that rate's one shared trace, drawn once by one more
+ * task. Serving reports are therefore byte-identical across
  * --threads and --cache.
  *
  * Latencies (completion - arrival, in cycles) feed a log-spaced
@@ -182,7 +187,8 @@ struct ServingReport
 
 /**
  * Run the fleet event loop for one cost curve under @p config
- * (whose policy.maxBatch must not exceed the curve's length). One
+ * (whose policy.maxBatch must not exceed the curve's length): a
+ * round of one rate with one fleet, on the calling thread. One
  * loop serves every configuration: with faults, queue cap and
  * watermark off it launches every batch where a pull loop walking
  * the trace in order would (test-pinned). Deterministic: same
@@ -219,10 +225,14 @@ buildCostCurves(const std::vector<dnn::Network> &networks,
 
 /**
  * Run the fleet event loop of options.serving on every curve at
- * every offered rate, one pool task per (curve, rate) on
- * options.threads workers. Reports come back in (curve, rate)
- * order. Curves are reusable: playing one set under several serving
- * configs equals one runServingSweep per config.
+ * every offered rate, on options.threads workers. Rates play in
+ * rounds of the fewest consecutive rates that hold at least
+ * options.threads loops (one rate when serial); every loop of a rate
+ * reads one shared ArrivalTrace, so each rate's trace is drawn once.
+ * Each loop equals simulateServing of its (curve, rate), and reports
+ * come back in (curve, rate) order. Curves are reusable: playing one
+ * set under several serving configs equals one runServingSweep per
+ * config.
  */
 std::vector<ServingReport>
 playServing(const std::vector<BatchCostCurve> &curves,
@@ -245,7 +255,9 @@ inline const std::vector<std::string> kServingFlags = {
  * (default @p default_traffic, "1000,100000" under --smoke),
  * --arrival, --instances, --max-batch, --timeout and --requests. The
  * arrival seed is options.seed, so parse the grid flags first.
- * fatal() on a degenerate value, never an empty simulation.
+ * fatal() on a degenerate value, never an empty simulation, and on
+ * more than 4096 instances: the planner scans every instance on
+ * each dispatch.
  */
 void parseServingFlags(const util::ArgParser &args,
                        const std::string &default_traffic,

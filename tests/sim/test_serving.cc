@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the serving subsystem: counter-based arrivals and their
- * lazy cursor, the max-batch + timeout dispatch rule, the incremental
+ * block-drawn trace, the max-batch + timeout dispatch rule, the incremental
  * batch cost curve, the fleet event loop (checked against a pull-loop
  * oracle), and the determinism of the serving sweep's CSV across
  * threads and cache modes.
@@ -53,18 +53,35 @@ TEST(Arrival, GapIsAPureFunctionOfSeedAndIndex)
     EXPECT_TRUE(any_differs);
 }
 
-/** The first @p count arrival cycles, read through a cursor. */
+/** The first @p count arrival cycles, drawn through an ArrivalTrace. */
 std::vector<uint64_t>
-trace(const ArrivalSpec &spec, int count, int lookahead = 1)
+trace(const ArrivalSpec &spec, int count)
 {
-    ArrivalCursor cursor(spec, count, lookahead);
+    ArrivalTrace arrivals(spec, count);
     std::vector<uint64_t> cycles;
-    while (cursor.remaining() > 0) {
-        cycles.push_back(cursor.cycle());
-        cursor.advance();
+    while (!arrivals.complete()) {
+        arrivals.append(arrivals.drawNext());
+        for (int i = static_cast<int>(cycles.size()); i < arrivals.drawn();
+             i++)
+            cycles.push_back(arrivals.cycle(i));
     }
     return cycles;
 }
+
+/** The first @p count arrival cycles as prefix sums of arrivalGap. */
+std::vector<uint64_t>
+gapSums(const ArrivalSpec &spec, int count)
+{
+    std::vector<uint64_t> sums;
+    uint64_t now = 0;
+    for (int i = 0; i < count; i++)
+        sums.push_back(now += arrivalGap(spec, i));
+    return sums;
+}
+
+/** Trace lengths just below, at and past one block and past three. */
+constexpr int kBlock = ArrivalTrace::kBlock;
+const int kBlockCounts[] = {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5};
 
 TEST(Arrival, UniformIsAFixedRoundedGap)
 {
@@ -90,38 +107,46 @@ TEST(Arrival, TracePrefixIsStable)
         EXPECT_EQ(short_trace[i], long_trace[i]) << i;
 }
 
-TEST(Arrival, CursorLookaheadReadsThePrefixSumOfGaps)
+TEST(Arrival, TraceReadsThePrefixSumOfGaps)
 {
-    // Request i arrives at gap(0) + ... + gap(i). Every look-ahead
-    // slot the cursor exposes must agree with that sum, through its
-    // block refills and up to the end of the trace.
-    // Neither count is a multiple of the cursor's 64-draw block.
+    // Request i arrives at gap(0) + ... + gap(i). Every cycle the
+    // trace holds must agree with that sum, across its block bounds
+    // and up to the end of the trace, for a reader at the frontier
+    // and for readers that lag it (the window [low, drawn) spans
+    // blocks).
     for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Uniform})
-        for (int count : {300, 1001}) {
+        for (int count : kBlockCounts) {
             SCOPED_TRACE(std::string(arrivalKindName(kind)) + " x " +
                          std::to_string(count));
             ArrivalSpec spec;
             spec.kind = kind;
             spec.meanGapCycles = 333.3;
-            std::vector<uint64_t> sums;
-            uint64_t now = 0;
-            for (int i = 0; i < count; i++)
-                sums.push_back(now += arrivalGap(spec, i));
-            for (int lookahead : {1, 3, 8, 100, 200, 400}) {
-                ArrivalCursor cursor(spec, count, lookahead);
-                for (int i = 0; i < count; i++) {
-                    ASSERT_EQ(cursor.index(), i);
-                    ASSERT_EQ(cursor.remaining(), count - i);
-                    const int ahead =
-                        std::min(lookahead, cursor.remaining());
-                    for (int k = 0; k < ahead; k++)
-                        ASSERT_EQ(cursor.cycle(k),
-                                  sums[static_cast<size_t>(i + k)])
-                            << "lookahead " << lookahead << " at " << i
-                            << " + " << k;
-                    cursor.advance();
+            const std::vector<uint64_t> sums = gapSums(spec, count);
+            EXPECT_EQ(trace(spec, count), sums);
+            for (int lag : {0, 3, kBlock + 1}) {
+                ArrivalTrace arrivals(spec, count);
+                ASSERT_EQ(arrivals.count(), count);
+                ASSERT_EQ(arrivals.drawn(), 0);
+                int low = 0;
+                while (!arrivals.complete()) {
+                    const int drawn = arrivals.drawn();
+                    std::vector<uint64_t> block = arrivals.drawNext();
+                    // Drawing leaves the trace as it was.
+                    ASSERT_EQ(arrivals.drawn(), drawn);
+                    ASSERT_EQ(block.size(),
+                              static_cast<size_t>(
+                                  std::min(kBlock, count - drawn)));
+                    arrivals.append(std::move(block));
+                    ASSERT_EQ(arrivals.drawn(),
+                              std::min(count, drawn + kBlock));
+                    for (int i = low; i < arrivals.drawn(); i++)
+                        ASSERT_EQ(arrivals.cycle(i),
+                                  sums[static_cast<size_t>(i)])
+                            << "lag " << lag << " at " << i;
+                    low = std::max(low, arrivals.drawn() - lag);
+                    arrivals.release(low);
                 }
-                EXPECT_EQ(cursor.remaining(), 0);
+                EXPECT_EQ(arrivals.drawn(), count);
             }
         }
 }
@@ -170,11 +195,14 @@ TEST(ArrivalDeathTest, RejectsDegenerateSpecs)
     ArrivalSpec spec;
     spec.meanGapCycles = 0.5;
     EXPECT_DEATH(arrivalGap(spec, 0), "mean gap");
-    EXPECT_DEATH(ArrivalCursor(spec, 4, 1), "mean gap");
+    EXPECT_DEATH(ArrivalTrace(spec, 4), "mean gap");
     ArrivalSpec ok;
     EXPECT_DEATH(arrivalGap(ok, -1), "negative");
-    EXPECT_DEATH(ArrivalCursor(ok, 0, 1), "at least one");
-    EXPECT_DEATH(ArrivalCursor(ok, 4, 0), "lookahead");
+    EXPECT_DEATH(ArrivalTrace(ok, 0), "at least one");
+    // A trace frees only what it drew, and publishes only the block
+    // drawNext drew for it.
+    EXPECT_DEATH(ArrivalTrace(ok, 4).release(1), "drawn frontier");
+    EXPECT_DEATH(ArrivalTrace(ok, 4).append({1, 2, 3}), "drawNext drew");
     EXPECT_DEATH(parseArrivalKind("bursty"), "uniform or poisson");
 }
 
@@ -465,7 +493,7 @@ ServingReport
 pullLoop(const BatchCostCurve &curve, const ServingConfig &config)
 {
     const std::vector<uint64_t> arrivals =
-        trace(config.arrival, config.requests);
+        gapSums(config.arrival, config.requests);
     const size_t n = arrivals.size();
     const size_t max_batch =
         static_cast<size_t>(config.policy.maxBatch);
@@ -728,6 +756,49 @@ TEST(ServingFaults, RetryAfterAShedKeepsItsTraceId)
     EXPECT_EQ(r.completed, 4);
     EXPECT_EQ(r.dispatches, 5);
     EXPECT_EQ(r.makespanCycles, 3800 + backoff + 1000);
+}
+
+TEST(ServingFaults, RetryReentersAfterItsTraceBlockIsFreed)
+{
+    // Arrivals every 100 cycles, cost 10, greedy batch-1 on one
+    // instance that fail-stops every ~1M cycles for 10. Only the first
+    // fail-stop, at 1000005, catches a batch: request 9999's, which
+    // arrived at 1000000 in the trace's first block. Its retry waits
+    // a backoff of millions of cycles, so it re-enters long after the
+    // fleet read past that block and the trace freed it; its latency
+    // still counts from its own arrival.
+    const int n = 3 * kBlock + 5;
+    const uint64_t mtbf = 1000005;
+    const uint64_t mttr = 10;
+    ServingConfig config = faultedConfig(100.0, n, mtbf, mttr);
+    config.retry.backoffBaseCycles = 1560000;
+    const uint64_t ready =
+        mtbf + retryBackoffCycles(config.retry, config.faults.seed, 9999, 1);
+    const uint64_t last_done = 100 * static_cast<uint64_t>(n) + 10;
+    ASSERT_GT(ready, 100 * static_cast<uint64_t>(kBlock + 1));
+    ASSERT_LT(ready, last_done);
+    // The retry launches on arrival into an idle, healthy instance.
+    ASSERT_GE(ready % 100, 10u);
+    ASSERT_LE(ready % 100, 80u);
+    for (uint64_t k = 2; k <= 4; k++) {
+        const uint64_t fail = k * mtbf + (k - 1) * mttr;
+        ASSERT_TRUE(ready + 20 < fail || ready > fail + mttr + 20) << k;
+    }
+    ServingReport r = simulateServing(syntheticCurve({10.0}), config);
+    EXPECT_EQ(r.killedBatches, 1);
+    EXPECT_EQ(r.retries, 1);
+    EXPECT_EQ(r.instanceFailures, 4);
+    EXPECT_EQ(r.completed, n);
+    EXPECT_EQ(r.permanentFailures, 0);
+    EXPECT_EQ(r.dispatches, n + 1);
+    EXPECT_EQ(r.makespanCycles, last_done);
+    const double retried = static_cast<double>(ready + 10 - 1000000);
+    EXPECT_EQ(r.meanLatencyCycles,
+              (10.0 * (n - 1) + retried) / static_cast<double>(n));
+    EXPECT_GE(r.p99FaultedCycles, ready + 10 - 1000000);
+    // Busy: every batch's 10 cycles plus the 5 the kill cut short.
+    EXPECT_DOUBLE_EQ(r.utilization, (10.0 * n + 5.0) /
+                                        static_cast<double>(last_done));
 }
 
 TEST(ServingDegrade, QueueCapShedsArrivalsAtTheBound)
@@ -1016,6 +1087,82 @@ TEST(ServingSweep, PlayOnceBuiltCurvesEqualsSweep)
               servingCsv(playServing(curves, heavy)));
 }
 
+/** Each (curve, rate) played alone, in playServing's report order. */
+std::vector<ServingReport>
+loneReports(const std::vector<BatchCostCurve> &curves,
+            const ServingSweepOptions &options)
+{
+    std::vector<ServingReport> reports;
+    for (const BatchCostCurve &curve : curves)
+        for (double rate : options.offeredPerSecond) {
+            ServingConfig config = options.serving;
+            config.arrival.meanGapCycles = kCyclesPerSecond / rate;
+            reports.push_back(simulateServing(curve, config));
+        }
+    return reports;
+}
+
+TEST(ServingSweep, RoundsEqualLoneFleetsAcrossBlockBounds)
+{
+    // playServing's fleets of one rate read one shared trace, drawn a
+    // block at a time and freed behind the slowest fleet, and a round
+    // groups rates by the worker count. None of it may move a byte:
+    // each report equals its fleet played alone, at trace lengths
+    // around the block bounds, fault-free (also against the pull
+    // loop), saturated (every queue lags the whole trace), and
+    // faulted with a queue cap and a watermark. Two curves at three
+    // workers make rounds of two rates.
+    const std::vector<BatchCostCurve> curves = {
+        syntheticCurve({700.0, 1000.0, 1200.0, 1300.0}),
+        syntheticCurve({2500.0, 3000.0, 3400.0, 3600.0})};
+    ServingSweepOptions fault_free;
+    fault_free.serving.instances = 2;
+    fault_free.serving.policy = {4, 2000};
+    fault_free.offeredPerSecond = {2e5, 1e6, 4e6};
+    ServingSweepOptions saturated = fault_free;
+    saturated.offeredPerSecond = {5e7, 1e8, 1e9};
+    ServingSweepOptions chaos = fault_free;
+    chaos.serving.faults.mtbfCycles = 200000;
+    chaos.serving.faults.mttrCycles = 20000;
+    chaos.serving.queueCap = 64;
+    chaos.serving.degradeWatermark = 16;
+    chaos.serving.retry = {2, 1000};
+    const std::pair<const char *, ServingSweepOptions> scenarios[] = {
+        {"fault-free", fault_free},
+        {"saturated", saturated},
+        {"faulted", chaos}};
+    for (int count : kBlockCounts) {
+        for (const auto &[name, base] : scenarios) {
+            SCOPED_TRACE(std::string(name) + " x " + std::to_string(count));
+            ServingSweepOptions options = base;
+            options.serving.requests = count;
+            const std::vector<ServingReport> lone =
+                loneReports(curves, options);
+            if (!options.serving.queueCap) {
+                for (size_t slot = 0; slot < lone.size(); slot++) {
+                    ServingConfig config = options.serving;
+                    config.arrival.meanGapCycles =
+                        kCyclesPerSecond / options.offeredPerSecond[slot % 3];
+                    const ServingReport oracle =
+                        pullLoop(curves[slot / 3], config);
+                    EXPECT_EQ(lone[slot].dispatches, oracle.dispatches);
+                    EXPECT_EQ(lone[slot].meanLatencyCycles,
+                              oracle.meanLatencyCycles);
+                    EXPECT_EQ(lone[slot].makespanCycles,
+                              oracle.makespanCycles);
+                }
+            }
+            const std::string expected = servingCsv(lone);
+            for (int threads : {1, 3, 4}) {
+                options.threads = threads;
+                EXPECT_EQ(servingCsv(playServing(curves, options)),
+                          expected)
+                    << "threads=" << threads;
+            }
+        }
+    }
+}
+
 TEST(ServingFaultsDeathTest, RejectsDegenerateDegradedConfigs)
 {
     BatchCostCurve curve = syntheticCurve({100.0});
@@ -1122,6 +1269,28 @@ TEST(ServingSweepDeathTest, RejectsTracesPastTheArrivalClock)
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].requests, 64);
     EXPECT_EQ(reports[0].completed, 64);
+}
+
+TEST(ServingSweepDeathTest, BoundsTheFleetSize)
+{
+    // The planner scans every instance on each dispatch, so a fleet
+    // past 4096 is a flag error, caught before any instance exists.
+    auto parse = [](std::vector<const char *> argv) {
+        argv.insert(argv.begin(), "prog");
+        return util::ArgParser(static_cast<int>(argv.size()),
+                               argv.data());
+    };
+    ServingSweepOptions options;
+    EXPECT_EXIT(parseServingFlags(parse({"--smoke", "--instances=4097"}),
+                                  "1", options),
+                ::testing::ExitedWithCode(1), "at most 4096");
+    EXPECT_EXIT(parseServingFlags(
+                    parse({"--smoke", "--instances=2147483647"}), "1",
+                    options),
+                ::testing::ExitedWithCode(1), "at most 4096");
+    parseServingFlags(parse({"--smoke", "--instances=4096"}), "1",
+                      options);
+    EXPECT_EQ(options.serving.instances, 4096);
 }
 
 } // namespace
