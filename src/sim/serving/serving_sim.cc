@@ -183,15 +183,14 @@ class DispatchQueue
             return trace_.cycle(frontId_ + static_cast<int>(k));
         FreshWalk fresh(*this);
         for (size_t r = 0;; k--) {
-            uint64_t entry;
-            if (fresh.left > 0 &&
+            const bool fresh_leads =
+                fresh.left > 0 &&
                 (r == retried_.size() ||
-                 trace_.cycle(fresh.id) < retried_[r].first)) {
-                entry = trace_.cycle(fresh.id);
+                 trace_.cycle(fresh.id) < retried_[r].first);
+            const uint64_t entry =
+                fresh_leads ? trace_.cycle(fresh.id) : retried_[r++].first;
+            if (fresh_leads)
                 fresh.next();
-            } else {
-                entry = retried_[r++].first;
-            }
             if (k == 0)
                 return entry;
         }
@@ -811,11 +810,10 @@ struct RateGroup
     play(TaskRunner &runner, size_t f)
     {
         Fleet &fleet = fleets[f];
-        int drawn;
-        {
+        const int drawn = [this] {
             std::lock_guard<std::mutex> lock(mutex);
-            drawn = trace.drawn();
-        }
+            return trace.drawn();
+        }();
         fleet.advance(drawn);
         std::lock_guard<std::mutex> lock(mutex);
         lows[f] = fleet.done() ? trace.count() : fleet.low();
