@@ -1163,6 +1163,41 @@ TEST(ServingSweep, RoundsEqualLoneFleetsAcrossBlockBounds)
     }
 }
 
+TEST(ServingSweep, BatchWiderThanABlockPlansAcrossBlocks)
+{
+    // A fleet plans only with maxBatch arrivals drawn past its cursor,
+    // so a batch cap wider than two blocks makes every plan wait for
+    // several blocks; the reports still equal the pull loop's and the
+    // lone fleets', serial and threaded.
+    const int max_batch = 2 * kBlock + 7;
+    std::vector<double> cycles;
+    for (int b = 1; b <= max_batch; b++)
+        cycles.push_back(1000.0 + b);
+    const std::vector<BatchCostCurve> curves = {syntheticCurve(cycles)};
+    ServingSweepOptions options;
+    options.serving.policy = {max_batch, 100000000};
+    options.serving.requests = 3 * kBlock + 5;
+    options.offeredPerSecond = {1e8, 1e9};
+    const std::vector<ServingReport> lone = loneReports(curves, options);
+    for (size_t r = 0; r < lone.size(); r++) {
+        ServingConfig config = options.serving;
+        config.arrival.meanGapCycles =
+            kCyclesPerSecond / options.offeredPerSecond[r];
+        const ServingReport oracle = pullLoop(curves[0], config);
+        EXPECT_EQ(lone[r].dispatches, oracle.dispatches);
+        EXPECT_EQ(lone[r].meanBatch, oracle.meanBatch);
+        EXPECT_EQ(lone[r].meanLatencyCycles, oracle.meanLatencyCycles);
+        EXPECT_EQ(lone[r].makespanCycles, oracle.makespanCycles);
+    }
+    EXPECT_GT(lone[0].meanBatch, static_cast<double>(kBlock));
+    for (int threads : {1, 3}) {
+        options.threads = threads;
+        EXPECT_EQ(servingCsv(playServing(curves, options)),
+                  servingCsv(lone))
+            << "threads=" << threads;
+    }
+}
+
 TEST(ServingFaultsDeathTest, RejectsDegenerateDegradedConfigs)
 {
     BatchCostCurve curve = syntheticCurve({100.0});
